@@ -306,6 +306,7 @@ def write_summary(run_result: AdaptiveRun, path) -> None:
         lines += [
             f"final mesh: {rec.n_nodes} nodes, {rec.n_tris} elements, "
             f"{rec.n_dofs} dofs",
+            f"final solve: {rec.solve}",
             f"final eps_fem = {rec.eps_fem!r}",
             f"final eps_pml = {rec.eps_pml!r}",
             f"final energy total = {rec.energy_total!r} "

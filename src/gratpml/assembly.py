@@ -25,7 +25,9 @@ Boundary conditions: u = 0 on the grating surface, u = u_inc (nodal values)
 on the truncation line, and quasi-periodicity u(period, y) =
 exp(i*alpha*period) * u(0, y) imposed by slaving each right node to its
 mirrored left node.  Constrained test functions carry the conjugate phase,
-so the reduced matrix stays complex symmetric.  Eliminated Dirichlet columns
+so the reduced matrix is structurally symmetric (its pattern equals that of
+its transpose) and A(alpha)^T = A(-alpha) for the Bloch parameter alpha; it
+is complex symmetric only at normal incidence.  Eliminated Dirichlet columns
 are folded into the right-hand side together with the volume data
 g = L u_inc of the layer.
 """

@@ -68,11 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="configuration file")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--quiet", action="store_true", help="suppress progress")
-        p.add_argument(
-            "--threads",
-            type=int,
-            help="cap BLAS/OpenMP threads (set before numpy work, best effort)",
-        )
     return parser
 
 
@@ -232,9 +227,6 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads is not None and args.threads > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:

@@ -1,9 +1,17 @@
 """Sparse direct solution of the reduced system with health reporting.
 
-The reduced matrices are complex symmetric (not Hermitian) and indefinite,
-so a general sparse LU (SuperLU via scipy) is the right tool.  Besides the
-solution we report the relative residual, the LU fill-in, and the smallest
-pivot scaled by the matrix magnitude; a vanishing pivot signals a discrete
+The element matrices are complex symmetric, and the quasi-periodic fold
+keeps the reduced matrix structurally symmetric: its sparsity pattern equals
+that of its transpose, and A(alpha)^T = A(-alpha) for the Bloch parameter
+alpha.  The matrix itself is complex symmetric only at normal incidence
+(alpha = 0); it is never Hermitian and it is indefinite.  SuperLU (via scipy)
+is therefore run in its symmetric mode first: minimum degree ordering on the
+pattern of A + A^T, with threshold pivoting that prefers the diagonal.  When
+that factorization fails, or fails the pivot or residual gate below, the
+system is refactored once with SuperLU's default COLAMD column ordering and
+partial pivoting.  Besides the solution we report the relative residual, the
+LU fill-in, the ordering that produced the solution, and the smallest pivot
+scaled by the matrix magnitude; a vanishing pivot signals a discrete
 resonance (the truncated problem can be singular for unlucky parameter
 combinations even when the continuous one is well posed).
 """
@@ -26,6 +34,14 @@ PIVOT_RTOL = 1e-14
 #: Relative residual above which the report is flagged as suspect.
 RESIDUAL_RTOL = 1e-10
 
+#: SuperLU settings tried in turn: (ordering, keyword arguments of splu).
+#: The threshold stays above zero because the matrix is indefinite.
+_SYMMETRIC = (
+    "MMD_AT_PLUS_A",
+    {"diag_pivot_thresh": 0.01, "options": {"SymmetricMode": True}},
+)
+_FALLBACK = ("COLAMD", {})
+
 
 class SolverError(RuntimeError):
     """The reduced system is numerically singular or the solve failed."""
@@ -41,6 +57,10 @@ class SolveReport:
     residual: float
     pivot_ratio: float
     ok: bool
+    #: SuperLU column ordering of the factorization that produced the
+    #: solution: "MMD_AT_PLUS_A", or "COLAMD" after a fallback ("none" for
+    #: an empty system).
+    ordering: str
 
     @property
     def fill_factor(self) -> float:
@@ -51,30 +71,49 @@ class SolveReport:
         return (
             f"n={self.n} nnz={self.nnz} fill={self.fill_factor:.1f}x "
             f"residual={self.residual:.2e} min_pivot={self.pivot_ratio:.2e} "
-            f"[{flag}]"
+            f"ordering={self.ordering} [{flag}]"
         )
 
 
 def solve_system(system: SparseSystem) -> tuple[np.ndarray, SolveReport]:
     """LU-factor and solve ``system``; raise SolverError when singular.
 
+    The symmetric-mode factorization is tried first; the COLAMD fallback
+    runs only when it raises, trips the pivot gate or leaves a residual
+    above ``RESIDUAL_RTOL``.
+
     Returns
     -------
     (x, report)
         Solution vector of length ``system.n`` and the diagnostics record.
         ``report.ok`` is False when the relative residual exceeds
-        ``RESIDUAL_RTOL`` (the solution is still returned).
+        ``RESIDUAL_RTOL`` after the fallback too (the solution is still
+        returned).
     """
     a = system.matrix.tocsc()
     b = system.rhs
     if a.shape[0] == 0:
-        return np.zeros(0, dtype=complex), SolveReport(0, 0, 0, 0.0, np.inf, True)
+        empty = SolveReport(0, 0, 0, 0.0, np.inf, True, "none")
+        return np.zeros(0, dtype=complex), empty
     scale = np.abs(a.data).max() if a.nnz else 0.0
     if scale == 0.0:
         raise SolverError("assembled matrix is identically zero")
 
     try:
-        lu = splu(a)
+        x, report = _factor_and_solve(a, b, scale, *_SYMMETRIC)
+        if report.ok:
+            return x, report
+    except SolverError:
+        pass
+    return _factor_and_solve(a, b, scale, *_FALLBACK)
+
+
+def _factor_and_solve(
+    a, b, scale: float, ordering: str, kwargs: dict
+) -> tuple[np.ndarray, SolveReport]:
+    """One factorization with ``ordering``; raise SolverError when singular."""
+    try:
+        lu = splu(a, permc_spec=ordering, **kwargs)
     except RuntimeError as exc:  # SuperLU signals exact singularity this way
         raise SolverError(f"sparse factorization failed: {exc}") from exc
 
@@ -99,5 +138,6 @@ def solve_system(system: SparseSystem) -> tuple[np.ndarray, SolveReport]:
         residual=residual,
         pivot_ratio=pivot_ratio,
         ok=residual <= RESIDUAL_RTOL,
+        ordering=ordering,
     )
     return x, report

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse as sp
 
 from gratpml import (
     assemble,
@@ -14,10 +15,13 @@ from gratpml import (
     flat_profile,
     generate_initial,
     pml_source,
+    sharp_profile,
 )
 from gratpml.assembly import DIRICHLET, FREE, SLAVE
 from gratpml.meshing import bisect
 from gratpml.quadrature import triangle_rule
+
+from conftest import REFERENCE
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +264,28 @@ def test_assembled_matrix_is_complex_symmetric_at_normal_incidence(ctx1):
     system = assemble(mesh, ctx, profile, dm)
     asym = (system.matrix - system.matrix.T).toarray()
     assert np.abs(asym).max() <= 1e-13 * np.abs(system.matrix.toarray()).max()
+
+
+def _reduced_matrix(geom, theta):
+    ctx = derive_context(**{**REFERENCE, "theta": theta})
+    profile = calibrate(ctx, build_mode_table(ctx, 20))
+    mesh = generate_initial(geom, ctx, profile, h0=0.25)
+    return assemble(mesh, ctx, profile, build_dofmap(mesh, ctx)).matrix.tocsr()
+
+
+@pytest.mark.parametrize("geom", [flat_profile(1.0), sharp_profile(1.0)])
+def test_assembled_matrix_is_structurally_symmetric_at_oblique_incidence(geom):
+    # at oblique incidence the Bloch phase makes A non-symmetric, but its
+    # pattern is symmetric and reversing the incidence transposes it
+    theta = np.radians(30.0)
+    a = _reduced_matrix(geom, theta)
+    pattern = sp.csr_matrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
+    assert (pattern != pattern.T).nnz == 0
+    mirrored = _reduced_matrix(geom, -theta)
+    assert mirrored.shape == a.shape
+    gap = np.abs((a.T - mirrored).toarray()).max()
+    assert gap <= 1e-13 * np.abs(a.data).max()
+    assert np.abs((a - a.T).toarray()).max() > 1e-3 * np.abs(a.data).max()
 
 
 def test_zero_amplitude_gives_zero_rhs(ctx1, profile1, flat_mesh1):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gratpml import SolverError, solve_system
+import gratpml.solver as solver_module
+from gratpml import SolverError, assemble, build_dofmap, solve_system
 from gratpml.assembly import SparseSystem
 
 
@@ -66,3 +67,81 @@ def test_report_string_mentions_health():
     a = np.diag(np.array([2.0 + 1j, 3.0]))
     _, report = solve_system(_system(a, np.ones(2, dtype=complex)))
     assert "residual" in str(report)
+
+
+# ---------------------------------------------------------------------------
+# symmetric-mode factorization and its COLAMD fallback
+# ---------------------------------------------------------------------------
+
+
+def _well_posed_system(n=12, seed=2):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a = a + a.T + n * 1j * np.eye(n)
+    return _system(a, rng.normal(size=n) + 1j * rng.normal(size=n))
+
+
+def _patch_symmetric_attempt(monkeypatch, replace):
+    """Route the symmetric-mode splu call through ``replace``; count calls."""
+    real = solver_module.splu
+    calls = []
+
+    def fake(a, permc_spec=None, **kwargs):
+        calls.append(permc_spec)
+        if permc_spec == "MMD_AT_PLUS_A":
+            return replace(real, a, permc_spec, kwargs)
+        return real(a, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(solver_module, "splu", fake)
+    return calls
+
+
+def _unchanged(real, a, permc_spec, kwargs):
+    return real(a, permc_spec=permc_spec, **kwargs)
+
+
+def _raise(real, a, permc_spec, kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+def _tiny_pivots(real, a, permc_spec, kwargs):
+    return real(a * 1e-20, permc_spec=permc_spec, **kwargs)
+
+
+def _wrong_matrix(real, a, permc_spec, kwargs):
+    shifted = a + 1e-3 * sp.identity(a.shape[0], format="csc")
+    return real(shifted, permc_spec=permc_spec, **kwargs)
+
+
+@pytest.mark.parametrize("replace", [_raise, _tiny_pivots, _wrong_matrix])
+def test_failed_symmetric_attempt_falls_back_to_colamd(monkeypatch, replace):
+    system = _well_posed_system()
+    calls = _patch_symmetric_attempt(monkeypatch, replace)
+    x, report = solve_system(system)
+    assert calls == ["MMD_AT_PLUS_A", "COLAMD"]
+    assert report.ordering == "COLAMD"
+    assert report.ok
+    assert report.residual <= 1e-12
+    assert np.allclose(system.matrix @ x, system.rhs, rtol=1e-12, atol=1e-12)
+    assert "COLAMD" in str(report)
+
+
+def test_failed_fallback_raises_the_usual_error(monkeypatch):
+    calls = _patch_symmetric_attempt(monkeypatch, _unchanged)
+    a = np.eye(5, dtype=complex)
+    a[3, 3] = 1e-16
+    with pytest.raises(SolverError, match="resonant"):
+        solve_system(_system(a, np.ones(5, dtype=complex)))
+    assert calls == ["MMD_AT_PLUS_A", "COLAMD"]
+
+
+def test_assembled_system_takes_the_symmetric_path(
+    monkeypatch, ctx1, profile1, flat_mesh1
+):
+    calls = _patch_symmetric_attempt(monkeypatch, _unchanged)
+    system = assemble(flat_mesh1, ctx1, profile1, build_dofmap(flat_mesh1, ctx1))
+    _, report = solve_system(system)
+    assert calls == ["MMD_AT_PLUS_A"]
+    assert report.ordering == "MMD_AT_PLUS_A"
+    assert report.ok
+    assert report.residual <= 1e-12
