@@ -40,7 +40,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .meshing import Mesh, PHYSICAL
+from .meshing import Mesh, PHYSICAL, p1_geometry
 from .pml import PmlProfile, pml_source, rho
 from .quadrature import triangle_rule
 from .waves import WaveContext, incident_field
@@ -164,48 +164,42 @@ def build_dofmap(mesh: Mesh, ctx: WaveContext, amplitude: float = 1.0) -> DofMap
 
 
 def _local_matrices(
-    coords: np.ndarray,
+    area: np.ndarray,
+    grads: np.ndarray,
     is_pml: np.ndarray,
+    y_pml: np.ndarray,
     ctx: WaveContext,
     profile: PmlProfile,
     quad_degree: int,
     literal_mixed: bool,
 ) -> np.ndarray:
-    """Batched 6x6 element matrices; local dof = 2*vertex + component."""
-    m = coords.shape[0]
-    d1 = coords[:, 1] - coords[:, 0]
-    d2 = coords[:, 2] - coords[:, 0]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    area = 0.5 * det
-    grads = np.empty((m, 3, 2))
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        grads[:, i, 0] = (coords[:, j, 1] - coords[:, k, 1]) / det
-        grads[:, i, 1] = (coords[:, k, 0] - coords[:, j, 0]) / det
+    """Batched 6x6 element matrices; local dof = 2*vertex + component.
 
+    ``area`` and ``grads`` are the element areas and P1 gradients,
+    ``is_pml`` flags the layer elements and ``y_pml`` (layer elements, 3)
+    holds their vertex heights.
+    """
     # integrals of rho, 1/rho, rho*phi_a*phi_b (area included)
     int_rho = area.astype(complex)
     int_inv = area.astype(complex)
-    eye_mass = (1.0 + np.eye(3)) / 12.0
-    mass = area[:, None, None] * eye_mass[None, :, :] + 0.0j
+    mass = area[:, None] * ((1.0 + np.eye(3)) / 12.0).reshape(1, 9) + 0.0j
     if is_pml.any():
         bary, w = triangle_rule(quad_degree)
-        yq = np.einsum("qi,mi->mq", bary, coords[is_pml][:, :, 1])
-        rq = rho(profile, yq)
+        rq = rho(profile, y_pml @ bary.T)
         a_pml = area[is_pml]
         int_rho[is_pml] = a_pml * (rq @ w)
         int_inv[is_pml] = a_pml * ((1.0 / rq) @ w)
-        mass[is_pml] = a_pml[:, None, None] * np.einsum(
-            "q,mq,qa,qb->mab", w, rq, bary, bary
-        )
+        outer = (bary[:, :, None] * bary[:, None, :]).reshape(len(w), 9)
+        mass[is_pml] = a_pml[:, None] * ((rq * w) @ outer)
+    mass = mass.reshape(-1, 3, 3)
 
     lam, mu, om2 = ctx.lam, ctx.mu, ctx.omega**2
     gx, gy = grads[:, :, 0], grads[:, :, 1]
-    gxx = np.einsum("ma,mb->mab", gx, gx)
-    gyy = np.einsum("ma,mb->mab", gy, gy)
-    gxy = np.einsum("ma,mb->mab", gx, gy)  # gxy[m,a,b] = gx_a * gy_b
+    gxx = gx[:, :, None] * gx[:, None, :]
+    gyy = gy[:, :, None] * gy[:, None, :]
+    gxy = gx[:, :, None] * gy[:, None, :]  # gxy[m,a,b] = gx_a * gy_b
 
-    k = np.zeros((m, 6, 6), dtype=complex)
+    k = np.empty((area.shape[0], 6, 6), dtype=complex)
     ir = int_rho[:, None, None]
     ii = int_inv[:, None, None]
     aa = area[:, None, None]
@@ -259,8 +253,12 @@ def element_matrix(
     ndarray (6, 6) complex
     """
     coords = np.asarray(coords, dtype=float)[None, :, :]
+    area, grads = p1_geometry(coords)
     is_pml = np.array([region != PHYSICAL])
-    return _local_matrices(coords, is_pml, ctx, profile, quad_degree, literal_mixed)[0]
+    return _local_matrices(
+        area, grads, is_pml, coords[is_pml, :, 1], ctx, profile, quad_degree,
+        literal_mixed,
+    )[0]
 
 
 def assemble(
@@ -290,57 +288,55 @@ def assemble(
     -------
     SparseSystem
     """
-    coords = mesh.nodes[mesh.tris]
     is_pml = mesh.region != PHYSICAL
-    k_loc = _local_matrices(coords, is_pml, ctx, profile, quad_degree, literal_mixed)
+    area = mesh.areas()
+    coords = mesh.nodes[mesh.tris[is_pml]]  # layer elements only
+    k_loc = _local_matrices(
+        area, mesh.grads(), is_pml, coords[..., 1], ctx, profile, quad_degree,
+        literal_mixed,
+    )
 
-    m = mesh.n_tris
-    f_loc = np.zeros((m, 6), dtype=complex)
+    f_loc = np.zeros((mesh.n_tris, 6), dtype=complex)
     if is_pml.any():
         bary, w = triangle_rule(quad_degree)
-        pts = np.einsum("qi,mid->mqd", bary, coords[is_pml])
-        g = pml_source(ctx, profile, pts[..., 0], pts[..., 1], amplitude)
-        area = mesh.areas()[is_pml]
+        g = pml_source(
+            ctx, profile, coords[..., 0] @ bary.T, coords[..., 1] @ bary.T,
+            amplitude,
+        )
         # f[2b+d] = -area * sum_q w_q g_d(q) phi_b(q)
-        f_pml = -area[:, None, None] * np.einsum("q,mqd,qb->mbd", w, g, bary)
-        f_loc[is_pml] = f_pml.reshape(-1, 6)
+        wb = -(w[:, None] * bary)
+        f_loc[is_pml, 0::2] = area[is_pml, None] * (g[..., 0] @ wb)
+        f_loc[is_pml, 1::2] = area[is_pml, None] * (g[..., 1] @ wb)
 
     # local dof (slot) -> (node, component)
     nodes6 = mesh.tris[:, [0, 0, 1, 1, 2, 2]]
     comp6 = np.tile([0, 1], 3)
     kind6 = dofmap.kind[nodes6, comp6]
     idx6 = dofmap.index[nodes6, comp6]
-    w6 = dofmap.weight[nodes6, comp6]
-    val6 = dofmap.value[nodes6, comp6]
+    live6 = kind6 != DIRICHLET
 
-    ii = np.repeat(np.arange(6), 6)
-    jj = np.tile(np.arange(6), 6)
-    k36 = k_loc.reshape(m, 36)
-    rows = idx6[:, ii]
-    cols = idx6[:, jj]
-    vals = np.conj(w6[:, ii]) * k36 * w6[:, jj]
-    row_live = kind6[:, ii] != DIRICHLET
-    col_live = kind6[:, jj] != DIRICHLET
+    # Dirichlet columns fold into the load (value is 0 off Dirichlet dofs);
+    # then the constraint weights conj(w) (test) and w (trial) apply where a
+    # slave dof makes them differ from 1
+    fixed = np.nonzero(~live6.all(axis=1))[0]
+    val = dofmap.value[nodes6[fixed], comp6]
+    f_loc[fixed] -= (k_loc[fixed] @ val[:, :, None])[:, :, 0]
+    slave = np.nonzero((kind6 == SLAVE).any(axis=1))[0]
+    w6 = dofmap.weight[nodes6[slave], comp6]
+    k_loc[slave] *= np.conj(w6)[:, :, None] * w6[:, None, :]
+    f_loc[slave] *= np.conj(w6)
 
-    keep = row_live & col_live
+    keep = live6[:, :, None] & live6[:, None, :]
+    rows = np.broadcast_to(idx6[:, :, None], keep.shape)[keep]
+    cols = np.broadcast_to(idx6[:, None, :], keep.shape)[keep]
     matrix = sp.coo_matrix(
-        (vals[keep], (rows[keep], cols[keep])),
-        shape=(dofmap.n_free, dofmap.n_free),
+        (k_loc[keep], (rows, cols)), shape=(dofmap.n_free, dofmap.n_free)
     ).tocsc()
     matrix.sum_duplicates()
     matrix.eliminate_zeros()
 
     rhs = np.zeros(dofmap.n_free, dtype=complex)
-    lift = row_live & ~col_live
-    if lift.any():
-        contrib = -(np.conj(w6[:, ii]) * k36 * val6[:, jj])
-        np.add.at(rhs, rows[lift], contrib[lift])
-    load_live = kind6 != DIRICHLET
-    np.add.at(
-        rhs,
-        idx6[load_live],
-        (np.conj(w6) * f_loc)[load_live],
-    )
+    np.add.at(rhs, idx6[live6], f_loc[live6])
 
     return SparseSystem(
         matrix=matrix,

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meshing import PHYSICAL, Mesh, _edge_partners
+from .meshing import PHYSICAL, Mesh, p1_jacobian
 from .pml import PmlProfile, pml_source, rho, rho_prime
 from .quadrature import edge_rule, triangle_rule
 from .waves import WaveContext, incident_field
@@ -61,12 +61,6 @@ class ErrorIndicators:
     eps_pml: float
     boundary_l2_top: float
     boundary_l2_interface: float
-
-
-def _gradients(mesh: Mesh, field: np.ndarray) -> np.ndarray:
-    """Constant per-element gradient J[m, c, d] = d_d u_c of a nodal field."""
-    vals = field[mesh.tris]  # (M, 3, 2)
-    return np.einsum("mic,mid->mcd", vals, mesh.grads())
 
 
 def element_residuals(
@@ -98,21 +92,17 @@ def element_residuals(
     if pml.any():
         bary, w = triangle_rule(quad_degree)
         coords = mesh.nodes[mesh.tris[pml]]
-        pts = np.einsum("qi,mid->mqd", bary, coords)
-        x, y = pts[..., 0], pts[..., 1]
+        y = coords[..., 1] @ bary.T
         r = rho(profile, y)
         rp = rho_prime(profile, y)
-        g = pml_source(ctx, profile, x, y, amplitude)
-        uq = np.einsum("qi,mic->mqc", bary, vals[pml])
-        grad = _gradients(mesh, field)[pml]
+        g = pml_source(ctx, profile, coords[..., 0] @ bary.T, y, amplitude)
+        vp = vals[pml]
+        grad = p1_jacobian(vp, mesh.grads()[pml])
         dy1 = grad[:, 0, 1][:, None]
         dy2 = grad[:, 1, 1][:, None]
-        r1 = -ctx.mu * rp / r**2 * dy1 + om2 * r * uq[:, :, 0] - g[:, :, 0]
-        r2 = (
-            -(ctx.lam + 2.0 * ctx.mu) * rp / r**2 * dy2
-            + om2 * r * uq[:, :, 1]
-            - g[:, :, 1]
-        )
+        uq1, uq2 = vp[:, :, 0] @ bary.T, vp[:, :, 1] @ bary.T
+        r1 = -ctx.mu * rp / r**2 * dy1 + om2 * r * uq1 - g[:, :, 0]
+        r2 = -(ctx.lam + 2.0 * ctx.mu) * rp / r**2 * dy2 + om2 * r * uq2 - g[:, :, 1]
         dens = np.abs(r1) ** 2 + np.abs(r2) ** 2
         norms[pml] = np.sqrt(area[pml] * (dens @ w).real)
     return norms
@@ -174,7 +164,7 @@ def jump_terms(
 ) -> np.ndarray:
     """sum_e h_e ||J_e||^2_{L2(e)} per element (Dirichlet edges excluded)."""
     field = np.asarray(field)
-    grad = _gradients(mesh, field)
+    grad = p1_jacobian(field[mesh.tris], mesh.grads())
     edges, _, edge_tri = mesh.edge_structure()
     pa = mesh.nodes[edges[:, 0]]
     pb = mesh.nodes[edges[:, 1]]
@@ -206,15 +196,8 @@ def jump_terms(
         p2, c2, q2 = _flux_parts(grad[t2], nx, ny, ctx, weighted)
         accumulate(interior, p1 - p2, c1 - c2, q1 - q2, t1, t2)
 
-    partner = _edge_partners(mesh, edges)
-    left = np.nonzero(
-        (edge_tri[:, 1] < 0)
-        & (partner >= 0)
-        & mesh.on_left[edges[:, 0]]
-        & mesh.on_left[edges[:, 1]]
-    )[0]
+    left, mate = mesh.edge_partners().T
     if left.size:
-        mate = partner[left]
         tl, tr = edge_tri[left, 0], edge_tri[mate, 0]
         pl, cl, ql = _periodic_flux_parts(grad[tl], ctx, weighted)
         pr, cr, qr = _periodic_flux_parts(grad[tr], ctx, weighted)

@@ -28,6 +28,7 @@ from math import cos, sin
 
 import numpy as np
 
+from .meshing import p1_jacobian
 from .quadrature import triangle_rule
 from .waves import WaveContext, incident_field, incident_gradient
 
@@ -125,16 +126,14 @@ def h1_seminorm_error(
     if phys.size == 0:
         return 0.0
     tris = mesh.tris[phys]
-    grads = mesh.grads()[phys]          # (M, 3, 2)
     areas = mesh.areas()[phys]          # (M,)
-    vals = field[tris]                  # (M, 3, 2) complex
-
-    # Constant P1 Jacobian per element: J[c, d] = sum_a vals[a, c]*grads[a, d]
-    jac_h = np.einsum("mac,mad->mcd", vals, grads)
+    jac_h = p1_jacobian(field[tris], mesh.grads()[phys])  # (M, 2, 2)
 
     bary, w = triangle_rule(quad_degree)
-    pts = np.einsum("qi,mid->mqd", bary, mesh.nodes[tris])  # (M, Q, 2)
-    jac_u = solution.gradient(pts[..., 0], pts[..., 1], amplitude)  # (M,Q,2,2)
+    coords = mesh.nodes[tris]           # (M, 3, 2)
+    jac_u = solution.gradient(          # (M, Q, 2, 2)
+        coords[..., 0] @ bary.T, coords[..., 1] @ bary.T, amplitude
+    )
     diff = jac_h[:, None, :, :] - jac_u
     per_q = np.sum(np.abs(diff) ** 2, axis=(2, 3))          # (M, Q)
     total = float(np.sum(areas * (per_q @ w)))

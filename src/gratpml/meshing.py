@@ -141,6 +141,36 @@ def load_profile(path) -> GratingProfile:
     return GratingProfile(data)
 
 
+def p1_geometry(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed areas (M,) and P1 basis gradients (M, 3, 2) of triangles.
+
+    ``coords`` (M, 3, 2) holds the vertices, counter-clockwise for a
+    positive area; grads[t, i] = grad(phi_i) on triangle t.
+    """
+    d1 = coords[:, 1] - coords[:, 0]
+    d2 = coords[:, 2] - coords[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    nxt = coords[:, [1, 2, 0]]  # vertex j = i + 1
+    prv = coords[:, [2, 0, 1]]  # vertex k = i + 2
+    grads = np.stack(
+        [nxt[..., 1] - prv[..., 1], prv[..., 0] - nxt[..., 0]], axis=2
+    ) / det[:, None, None]
+    return 0.5 * det, grads
+
+
+def p1_jacobian(vals: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Constant per-element Jacobian J[t, c, d] = d_d u_c of a P1 field.
+
+    ``vals`` (M, 3, C) holds the vertex values, ``grads`` (M, 3, 2) the
+    basis gradients of the same elements.
+    """
+    return (
+        vals[:, 0, :, None] * grads[:, 0, None, :]
+        + vals[:, 1, :, None] * grads[:, 1, None, :]
+        + vals[:, 2, :, None] * grads[:, 2, None, :]
+    )
+
+
 class Mesh:
     """Triangulation of one period with refinement-edge bookkeeping.
 
@@ -160,6 +190,15 @@ class Mesh:
         Rows (left node, mirrored right node); y-coordinates match exactly.
     period, b, top : float
         Geometry constants.
+
+    Notes
+    -----
+    ``_cache`` holds what is derived from geometry and topology alone,
+    computed on first use: areas, P1 gradients, diameters, the edge
+    structure and the edge partners across the period.  Data of the
+    physics (layer coefficients, volume data, anything complex) is not
+    cached here: every mesh of an adaptive run is retained with its
+    record, so such a cache would stay alive for the whole run.
     """
 
     def __init__(
@@ -228,17 +267,9 @@ class Mesh:
         return self._cache["diam"]
 
     def _signed_geometry(self) -> None:
-        p = self.nodes[self.tris]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        grads = np.empty((self.n_tris, 3, 2))
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            grads[:, i, 0] = (p[:, j, 1] - p[:, k, 1]) / det
-            grads[:, i, 1] = (p[:, k, 0] - p[:, j, 0]) / det
-        self._cache["areas"] = 0.5 * det
-        self._cache["grads"] = grads
+        self._cache["areas"], self._cache["grads"] = p1_geometry(
+            self.nodes[self.tris]
+        )
 
     def edge_structure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Unique edges, per-triangle edge ids, edge-to-triangle adjacency.
@@ -277,6 +308,32 @@ class Mesh:
             self._cache["tri_edges"] = tri_edges
             self._cache["edge_tri"] = edge_tri
         return self._cache["edges"], self._cache["tri_edges"], self._cache["edge_tri"]
+
+    def edge_partners(self) -> np.ndarray:
+        """Rows (left boundary edge id, id of its mirror edge on the right).
+
+        Rows ascend in the left edge id.  RuntimeError when a left boundary
+        node has no periodic partner or a left edge has no mirror edge.
+        """
+        if "partners" not in self._cache:
+            edges = self.edge_structure()[0]
+            n = np.int64(self.n_nodes)
+            right_of = np.full(self.n_nodes, -1, dtype=np.int64)
+            right_of[self.periodic_pairs[:, 0]] = self.periodic_pairs[:, 1]
+            left = np.nonzero(
+                self.on_left[edges[:, 0]] & self.on_left[edges[:, 1]]
+            )[0]
+            mirror = np.sort(right_of[edges[left]], axis=1)
+            if np.any(mirror < 0):
+                raise RuntimeError("unpaired node on the left boundary")
+            # edge_structure returns the edges sorted by this key
+            key = edges[:, 0] * n + edges[:, 1]
+            want = mirror[:, 0] * n + mirror[:, 1]
+            right = np.searchsorted(key, want).clip(max=len(key) - 1)
+            if np.any(key[right] != want):
+                raise RuntimeError("left boundary edge without mirrored right edge")
+            self._cache["partners"] = np.stack([left, right], axis=1)
+        return self._cache["partners"]
 
     # -- integrity (used by the test-suite) -----------------------------
 
@@ -456,32 +513,6 @@ def _longest_edge(mesh: Mesh) -> np.ndarray:
     return np.argmax(lengths, axis=1).astype(np.uint8)
 
 
-def _edge_partners(mesh: Mesh, edges: np.ndarray) -> np.ndarray:
-    """Map each left/right boundary edge to its mirror edge id (-1 elsewhere)."""
-    n = mesh.n_nodes
-    right_of = np.full(n, -1, dtype=np.int64)
-    left_of = np.full(n, -1, dtype=np.int64)
-    right_of[mesh.periodic_pairs[:, 0]] = mesh.periodic_pairs[:, 1]
-    left_of[mesh.periodic_pairs[:, 1]] = mesh.periodic_pairs[:, 0]
-
-    key = edges[:, 0] * np.int64(n) + edges[:, 1]
-    lookup = {int(k): i for i, k in enumerate(key)}
-
-    partner = np.full(len(edges), -1, dtype=np.int64)
-    left_mask = mesh.on_left[edges[:, 0]] & mesh.on_left[edges[:, 1]]
-    for e in np.nonzero(left_mask)[0]:
-        a, bb = right_of[edges[e, 0]], right_of[edges[e, 1]]
-        if a < 0 or bb < 0:
-            raise RuntimeError("unpaired node on the left boundary")
-        lo, hi = (a, bb) if a < bb else (bb, a)
-        pe = lookup.get(int(lo * n + hi))
-        if pe is None:
-            raise RuntimeError("left boundary edge without mirrored right edge")
-        partner[e] = pe
-        partner[pe] = e
-    return partner
-
-
 def bisect(mesh: Mesh, marked: np.ndarray) -> Mesh:
     """Newest-vertex bisection of the marked elements with conforming closure.
 
@@ -494,14 +525,16 @@ def bisect(mesh: Mesh, marked: np.ndarray) -> Mesh:
     Returns
     -------
     Mesh
-        A new conforming mesh; the input is left untouched.
+        A new conforming mesh; the input is left untouched.  Unrefined
+        elements come first in their old order, then the children of each
+        refined element in turn.
     """
     marked = np.unique(np.asarray(marked, dtype=np.int64))
     if marked.size and (marked[0] < 0 or marked[-1] >= mesh.n_tris):
         raise IndexError("marked element index out of range")
 
     edges, tri_edges, _ = mesh.edge_structure()
-    partner = _edge_partners(mesh, edges)
+    left_e, right_e = mesh.edge_partners().T
     n_edges = len(edges)
 
     split = np.zeros(n_edges, dtype=bool)
@@ -510,13 +543,12 @@ def bisect(mesh: Mesh, marked: np.ndarray) -> Mesh:
 
     # closure: a triangle with any split edge must split its refinement edge;
     # splits mirror across the periodic pairing
-    arange_m = np.arange(mesh.n_tris)
     while True:
         before = int(split.sum())
-        has_partner = partner >= 0
-        split[partner[split & has_partner]] = True
-        touched = split[tri_edges].any(axis=1)
-        split[tri_edges[arange_m[touched], mesh.ref_edge[touched]]] = True
+        split[right_e[split[left_e]]] = True
+        split[left_e[split[right_e]]] = True
+        touched = np.nonzero(split[tri_edges].any(axis=1))[0]
+        split[tri_edges[touched, mesh.ref_edge[touched]]] = True
         if int(split.sum()) == before:
             break
 
@@ -545,58 +577,45 @@ def bisect(mesh: Mesh, marked: np.ndarray) -> Mesh:
     on_left = _extend(mesh.on_left)
     on_right = _extend(mesh.on_right)
 
-    left_split = eids[(partner[eids] >= 0) & mesh.on_left[edges[eids, 0]]]
-    new_pairs = np.stack([mid[left_split], mid[partner[left_split]]], axis=1)
-    periodic_pairs = (
-        np.vstack([mesh.periodic_pairs, new_pairs])
-        if new_pairs.size
-        else mesh.periodic_pairs.copy()
-    )
+    wall = split[left_e]
+    periodic_pairs = np.vstack([
+        mesh.periodic_pairs,
+        np.stack([mid[left_e[wall]], mid[right_e[wall]]], axis=1),
+    ])
 
-    # rebuild triangles
+    # children of every affected triangle, in the local order (v0, v1, v2)
+    # that starts at the vertex opposite the refinement edge
     affected = split[tri_edges].any(axis=1)
+    idx = np.nonzero(affected)[0]
+    rot = (mesh.ref_edge[idx, None].astype(np.int64) + np.arange(3)) % 3
+    v0, v1, v2 = np.take_along_axis(mesh.tris[idx], rot, axis=1).T
+    m0, m1, m2 = mid[np.take_along_axis(tri_edges[idx], rot, axis=1)].T
+    if np.any(m0 < 0):
+        raise RuntimeError("closure failed: refinement edge not split")
+    cut1, cut2 = (m1 >= 0)[:, None], (m2 >= 0)[:, None]
+    # four child slots per triangle: the v0-v1 half (split again when edge 2
+    # is split), then the v0-v2 half (split again when edge 1 is split)
+    slots = np.stack(
+        [
+            np.where(cut2, np.stack([m0, v0, m2], 1), np.stack([v0, v1, m0], 1)),
+            np.stack([m0, m2, v1], 1),
+            np.where(cut1, np.stack([m0, v2, m1], 1), np.stack([v0, m0, v2], 1)),
+            np.stack([m0, m1, v0], 1),
+        ],
+        axis=1,
+    )
+    slot_ref = np.where(
+        np.hstack([cut2, cut2, cut1, cut1]), [2, 1, 2, 1], [2, 1, 1, 1]
+    ).astype(np.uint8)
+    used = np.hstack([np.ones_like(cut2), cut2, np.ones_like(cut1), cut1])
+    slot_region = np.broadcast_to(mesh.region[idx, None], used.shape)
+
     keep = ~affected
-    out_tris = [mesh.tris[keep]]
-    out_ref = [mesh.ref_edge[keep]]
-    out_region = [mesh.region[keep]]
-
-    add_tris: list[tuple[int, int, int]] = []
-    add_ref: list[int] = []
-    add_region: list[int] = []
-    tris_arr = mesh.tris
-    ref_arr = mesh.ref_edge
-    region_arr = mesh.region
-    for t in np.nonzero(affected)[0]:
-        re = int(ref_arr[t])
-        order = ((re, (re + 1) % 3, (re + 2) % 3))
-        v0, v1, v2 = (int(tris_arr[t, o]) for o in order)
-        e0, e1, e2 = (int(tri_edges[t, o]) for o in order)
-        m0 = int(mid[e0])
-        if m0 < 0:
-            raise RuntimeError("closure failed: refinement edge not split")
-        reg = int(region_arr[t])
-        m2 = int(mid[e2])
-        if m2 >= 0:
-            add_tris.append((m0, v0, m2)); add_ref.append(2); add_region.append(reg)
-            add_tris.append((m0, m2, v1)); add_ref.append(1); add_region.append(reg)
-        else:
-            add_tris.append((v0, v1, m0)); add_ref.append(2); add_region.append(reg)
-        m1 = int(mid[e1])
-        if m1 >= 0:
-            add_tris.append((m0, v2, m1)); add_ref.append(2); add_region.append(reg)
-            add_tris.append((m0, m1, v0)); add_ref.append(1); add_region.append(reg)
-        else:
-            add_tris.append((v0, m0, v2)); add_ref.append(1); add_region.append(reg)
-
-    out_tris.append(np.array(add_tris, dtype=np.int64).reshape(-1, 3))
-    out_ref.append(np.array(add_ref, dtype=np.uint8))
-    out_region.append(np.array(add_region, dtype=np.uint8))
-
     return Mesh(
         nodes=nodes,
-        tris=np.vstack(out_tris),
-        region=np.concatenate(out_region),
-        ref_edge=np.concatenate(out_ref),
+        tris=np.vstack([mesh.tris[keep], slots[used]]),
+        region=np.concatenate([mesh.region[keep], slot_region[used]]),
+        ref_edge=np.concatenate([mesh.ref_edge[keep], slot_ref[used]]),
         on_surface=on_surface,
         on_gamma=on_gamma,
         on_top=on_top,

@@ -158,9 +158,7 @@ def fourier_trace(
     e1, e2 = _segment_integrals(te, h[None, :])
     head = np.exp(-1j * alpha_n[:, None] * x0[None, :])
     lin = (w1 - w0) / h[:, None]
-    coeffs = np.einsum(
-        "ke,ed->kd", head * e1, w0
-    ) + np.einsum("ke,ed->kd", head * e2, lin)
+    coeffs = (head * e1) @ w0 + (head * e2) @ lin
 
     # incident part, integrated analytically: u_inc(x, b) =
     # amplitude * (sin th, -cos th) e^{-i beta b} e^{i alpha x}

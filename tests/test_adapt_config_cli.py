@@ -240,6 +240,17 @@ def test_stop_reasons():
     assert partial.final.n_dofs <= 100
 
 
+def test_retained_meshes_cache_no_complex_data():
+    # every record keeps its mesh alive until the run ends, so a per-mesh
+    # cache of complex (physics) data would pile up over the iterations
+    result = run(_quick_config(max_iters=4))
+    assert len(result.records) == 4
+    for rec in result.records:
+        assert rec.mesh._cache
+        for name, value in rec.mesh._cache.items():
+            assert not np.iscomplexobj(value), name
+
+
 def test_progress_callback_sees_every_record():
     seen = []
     result = run(_quick_config(), progress=seen.append)

@@ -244,6 +244,146 @@ def test_refining_across_period_boundary_keeps_pairing(ctx1, flat_mesh1):
 
 
 # ---------------------------------------------------------------------------
+# bisection against the sequential reference
+# ---------------------------------------------------------------------------
+
+
+def _edge_partners_reference(mesh: Mesh) -> np.ndarray:
+    """Mirror edge id of each left/right boundary edge (-1 elsewhere), by dict."""
+    edges = mesh.edge_structure()[0]
+    n = mesh.n_nodes
+    right_of = np.full(n, -1, dtype=np.int64)
+    right_of[mesh.periodic_pairs[:, 0]] = mesh.periodic_pairs[:, 1]
+    lookup = {int(a) * n + int(b): i for i, (a, b) in enumerate(edges)}
+    partner = np.full(len(edges), -1, dtype=np.int64)
+    left_mask = mesh.on_left[edges[:, 0]] & mesh.on_left[edges[:, 1]]
+    for e in np.nonzero(left_mask)[0]:
+        a, bb = right_of[edges[e, 0]], right_of[edges[e, 1]]
+        if a < 0 or bb < 0:
+            raise RuntimeError("unpaired node on the left boundary")
+        pe = lookup.get(int(min(a, bb)) * n + int(max(a, bb)))
+        if pe is None:
+            raise RuntimeError("left boundary edge without mirrored right edge")
+        partner[e] = pe
+        partner[pe] = e
+    return partner
+
+
+def _bisect_reference(mesh: Mesh, marked) -> Mesh:
+    """Newest-vertex bisection emitting the children triangle by triangle."""
+    marked = np.unique(np.asarray(marked, dtype=np.int64))
+    edges, tri_edges, _ = mesh.edge_structure()
+    partner = _edge_partners_reference(mesh)
+    split = np.zeros(len(edges), dtype=bool)
+    split[tri_edges[marked, mesh.ref_edge[marked]]] = True
+    while True:
+        before = int(split.sum())
+        split[partner[split & (partner >= 0)]] = True
+        touched = np.nonzero(split[tri_edges].any(axis=1))[0]
+        split[tri_edges[touched, mesh.ref_edge[touched]]] = True
+        if int(split.sum()) == before:
+            break
+
+    eids = np.nonzero(split)[0]
+    mid = np.full(len(edges), -1, dtype=np.int64)
+    mid[eids] = mesh.n_nodes + np.arange(eids.size)
+    ends = edges[eids]
+    nodes = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[ends[:, 0]] + mesh.nodes[ends[:, 1]])])
+
+    def extend(flag):
+        return np.concatenate([flag, flag[ends[:, 0]] & flag[ends[:, 1]]])
+
+    left_split = eids[(partner[eids] >= 0) & mesh.on_left[ends[:, 0]]]
+    pairs = np.vstack([
+        mesh.periodic_pairs,
+        np.stack([mid[left_split], mid[partner[left_split]]], axis=1),
+    ])
+
+    affected = split[tri_edges].any(axis=1)
+    tris = [tuple(t) for t in mesh.tris[~affected]]
+    ref = list(mesh.ref_edge[~affected])
+    region = list(mesh.region[~affected])
+    for t in np.nonzero(affected)[0]:
+        re = int(mesh.ref_edge[t])
+        order = (re, (re + 1) % 3, (re + 2) % 3)
+        v0, v1, v2 = (int(mesh.tris[t, o]) for o in order)
+        m0, m1, m2 = (int(mid[tri_edges[t, o]]) for o in order)
+        assert m0 >= 0, "closure failed: refinement edge not split"
+        if m2 >= 0:
+            kids = [((m0, v0, m2), 2), ((m0, m2, v1), 1)]
+        else:
+            kids = [((v0, v1, m0), 2)]
+        if m1 >= 0:
+            kids += [((m0, v2, m1), 2), ((m0, m1, v0), 1)]
+        else:
+            kids += [((v0, m0, v2), 1)]
+        for tri, r in kids:
+            tris.append(tri)
+            ref.append(r)
+            region.append(mesh.region[t])
+    return Mesh(
+        nodes, np.array(tris, dtype=np.int64), np.array(region, dtype=np.uint8),
+        np.array(ref, dtype=np.uint8), extend(mesh.on_surface),
+        extend(mesh.on_gamma), extend(mesh.on_top), extend(mesh.on_left),
+        extend(mesh.on_right), pairs, mesh.period, mesh.b, mesh.top,
+    )
+
+
+@pytest.mark.parametrize("builder", [flat_profile, sharp_profile])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_bisect_matches_sequential_reference(ctx1, profile1, builder, data):
+    geom = builder(ctx1.period)
+    mesh = generate_initial(geom, ctx1, profile1, h0=0.25)
+    for _ in range(4):
+        marked = data.draw(
+            st.lists(
+                st.integers(0, mesh.n_tris - 1), min_size=1,
+                max_size=max(1, mesh.n_tris // 5),
+            )
+        )
+        want = _bisect_reference(mesh, marked)
+        got = bisect(mesh, marked)
+        for name in ("nodes", "tris", "ref_edge", "region", "periodic_pairs"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        got.validate(geom)
+        mesh = got
+
+
+@pytest.mark.parametrize("builder", [flat_profile, sharp_profile])
+def test_edge_partners_match_dict_reference(ctx1, profile1, builder):
+    mesh = generate_initial(builder(ctx1.period), ctx1, profile1, h0=0.25)
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        touches_wall = (mesh.on_left | mesh.on_right)[mesh.tris].any(axis=1)
+        wall = np.nonzero(touches_wall)[0]
+        mesh = bisect(mesh, rng.choice(wall, size=wall.size // 2, replace=False))
+        partner = _edge_partners_reference(mesh)
+        edges = mesh.edge_structure()[0]
+        left = np.nonzero((partner >= 0) & mesh.on_left[edges[:, 0]])[0]
+        pairs = mesh.edge_partners()
+        assert np.array_equal(pairs, np.stack([left, partner[left]], axis=1))
+        assert mesh.edge_partners() is pairs  # cached with the mesh
+
+
+def test_edge_partners_report_broken_pairing(flat_mesh1):
+    unpaired = bisect(flat_mesh1, np.empty(0, dtype=int))
+    unpaired.periodic_pairs = unpaired.periodic_pairs[1:]
+    with pytest.raises(RuntimeError, match="unpaired node on the left boundary"):
+        unpaired.edge_partners()
+
+    # node 1 now pairs with the right partner of node 5: left edge (0, 1)
+    # has no mirror image
+    crossed = bisect(flat_mesh1, np.empty(0, dtype=int))
+    crossed.periodic_pairs = crossed.periodic_pairs.copy()
+    crossed.periodic_pairs[[1, 5], 1] = crossed.periodic_pairs[[5, 1], 1]
+    with pytest.raises(
+        RuntimeError, match="left boundary edge without mirrored right edge"
+    ):
+        crossed.edge_partners()
+
+
+# ---------------------------------------------------------------------------
 # marking
 # ---------------------------------------------------------------------------
 
