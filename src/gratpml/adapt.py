@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import assemble, build_dofmap
+from .assembly import SparseSystem, assemble, build_dofmap
 from .config import RunConfig
 from .estimator import ErrorIndicators, indicators
 from .exact import FlatSolution, flat_solution, h1_seminorm_error
@@ -49,6 +49,8 @@ from .waves import ModeTable, WaveContext, build_mode_table, derive_context
 __all__ = [
     "IterationRecord",
     "AdaptiveRun",
+    "wave_setup",
+    "calibration_args",
     "setup",
     "run",
     "write_convergence_csv",
@@ -93,6 +95,8 @@ class AdaptiveRun:
     constants: ModelingConstants
     records: list[IterationRecord]
     stop_reason: str
+    #: the reduced system the last iteration solved (None if none ran)
+    system: SparseSystem | None
 
     @property
     def final(self) -> IterationRecord:
@@ -101,10 +105,8 @@ class AdaptiveRun:
         return self.records[-1]
 
 
-def setup(
-    cfg: RunConfig,
-) -> tuple[WaveContext, ModeTable, GratingProfile, PmlProfile, ModelingConstants]:
-    """Derive context, modes, geometry and the absorbing layer of a config."""
+def wave_setup(cfg: RunConfig) -> tuple[WaveContext, ModeTable]:
+    """Derive the wave context and the mode table of a config."""
     ctx = derive_context(
         omega=cfg.omega,
         lam=cfg.lam,
@@ -113,7 +115,19 @@ def setup(
         period=cfg.period,
         gamma_height=cfg.gamma_height,
     )
-    modes = build_mode_table(ctx, cfg.n_max, cfg.resonance_tol)
+    return ctx, build_mode_table(ctx, cfg.n_max, cfg.resonance_tol)
+
+
+def calibration_args(cfg: RunConfig) -> tuple:
+    """(sigma, m, target, delta0, delta_cap) of ``calibrate`` for a config."""
+    return cfg.sigma, cfg.pml_exponent, cfg.target_fhat, cfg.delta0, cfg.delta_cap
+
+
+def setup(
+    cfg: RunConfig,
+) -> tuple[WaveContext, ModeTable, GratingProfile, PmlProfile, ModelingConstants]:
+    """Derive context, modes, geometry and the absorbing layer of a config."""
+    ctx, modes = wave_setup(cfg)
     if cfg.grating == "flat":
         geom = flat_profile(cfg.period)
     elif cfg.grating == "sharp":
@@ -123,16 +137,7 @@ def setup(
     if cfg.delta is not None:
         profile = make_pml(cfg.sigma, cfg.pml_exponent, cfg.delta, ctx.gamma_height)
     else:
-        target = cfg.target_fhat if cfg.target_fhat is not None else 1e-8
-        profile = calibrate(
-            ctx,
-            modes,
-            sigma=cfg.sigma,
-            m=cfg.pml_exponent,
-            target=target,
-            delta0=cfg.delta0,
-            delta_cap=cfg.delta_cap,
-        )
+        profile = calibrate(ctx, modes, *calibration_args(cfg))
     constants = modeling_constants(ctx, modes, profile)
     return ctx, modes, geom, profile, constants
 
@@ -157,10 +162,10 @@ def run(cfg: RunConfig, progress=None) -> AdaptiveRun:
     )
     corner = cfg.corner
     mesh = generate_initial(geom, ctx, profile, cfg.h0)
-    weighted = cfg.jump_flux == "weighted"
 
     records: list[IterationRecord] = []
     stop_reason = "max_iterations"
+    system = None
     for it in range(cfg.max_iters):
         t0 = time.perf_counter()
         dofmap = build_dofmap(mesh, ctx, cfg.amplitude)
@@ -175,7 +180,6 @@ def run(cfg: RunConfig, progress=None) -> AdaptiveRun:
         values = dofmap.expand(x)
         ind = indicators(
             mesh, values, ctx, profile, constants.f_hat,
-            weighted_jumps=weighted,
             amplitude=cfg.amplitude,
             quad_degree=cfg.quad_degree,
         )
@@ -233,6 +237,7 @@ def run(cfg: RunConfig, progress=None) -> AdaptiveRun:
         constants=constants,
         records=records,
         stop_reason=stop_reason,
+        system=system,
     )
 
 

@@ -18,8 +18,9 @@ which differs from the grouping (lam+mu)*(dx(u2)*dy(conj v1) +
 dx(u1)*dy(conj v2)) by a constant-coefficient null Lagrangian: the two
 assembled systems coincide (the difference integrates by parts onto boundary
 terms that cancel under the quasi-periodic and Dirichlet constraints), while
-the grouping used here makes every element matrix complex symmetric.  Pass
-``literal_mixed=True`` to assemble the other grouping verbatim.
+the grouping used here makes every element matrix complex symmetric.  The
+literal grouping is kept as a dense reference in ``tests/test_assembly.py``,
+which checks that both assemble to the same reduced system.
 
 Boundary conditions: u = 0 on the grating surface, u = u_inc (nodal values)
 on the truncation line, and quasi-periodicity u(period, y) =
@@ -34,7 +35,7 @@ g = L u_inc of the layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.io
@@ -102,7 +103,6 @@ class SparseSystem:
     matrix: sp.csc_matrix
     rhs: np.ndarray
     dofmap: DofMap
-    meta: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -140,18 +140,19 @@ def build_dofmap(mesh: Mesh, ctx: WaveContext, amplitude: float = 1.0) -> DofMap
 
     left_of = np.full(n, -1, dtype=np.int64)
     left_of[mesh.periodic_pairs[:, 1]] = mesh.periodic_pairs[:, 0]
-    phase = ctx.phase
+    nodes = np.nonzero(slave)[0]
+    masters = left_of[nodes]
+    bad = (masters < 0) | (kind[masters] != FREE).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))  # report the first offending node
+        if masters[i] < 0:
+            raise RuntimeError(f"right node {nodes[i]} has no periodic partner")
+        raise RuntimeError(
+            f"periodic master {masters[i]} of node {nodes[i]} is constrained"
+        )
+    index[nodes] = index[masters]
     weight = np.where(free_mask, 1.0 + 0.0j, 0.0j)
-    for node in np.nonzero(slave)[0]:
-        master = left_of[node]
-        if master < 0:
-            raise RuntimeError(f"right node {node} has no periodic partner")
-        if (kind[master] != FREE).any():
-            raise RuntimeError(
-                f"periodic master {master} of node {node} is constrained"
-            )
-        index[node, :] = index[master, :]
-        weight[node, :] = phase
+    weight[nodes] = ctx.phase
 
     return DofMap(
         kind=kind,
@@ -159,7 +160,7 @@ def build_dofmap(mesh: Mesh, ctx: WaveContext, amplitude: float = 1.0) -> DofMap
         value=value,
         weight=weight,
         n_free=int(free_mask.sum()),
-        phase=phase,
+        phase=ctx.phase,
     )
 
 
@@ -171,7 +172,6 @@ def _local_matrices(
     ctx: WaveContext,
     profile: PmlProfile,
     quad_degree: int,
-    literal_mixed: bool,
 ) -> np.ndarray:
     """Batched 6x6 element matrices; local dof = 2*vertex + component.
 
@@ -210,16 +210,10 @@ def _local_matrices(
     k[:, 1::2, 1::2] = np.swapaxes(
         mu * gxx * ir + (lam + 2 * mu) * gyy * ii - om2 * mass, 1, 2
     )
-    if literal_mixed:
-        # (lam+mu) * (dx(u2) dy(v1) + dx(u1) dy(v2)):
-        # [2b, 2a+1] and [2b+1, 2a] are both gx_a*gy_b * area
-        k[:, 0::2, 1::2] = np.swapaxes((lam + mu) * gxy * aa, 1, 2)
-        k[:, 1::2, 0::2] = np.swapaxes((lam + mu) * gxy * aa, 1, 2)
-    else:
-        # (lam+mu) * (dy(u2) dx(v1) + dx(u1) dy(v2)):
-        # [2b, 2a+1] = gy_a*gx_b * area ; [2b+1, 2a] = gx_a*gy_b * area
-        k[:, 0::2, 1::2] = (lam + mu) * gxy * aa
-        k[:, 1::2, 0::2] = np.swapaxes((lam + mu) * gxy * aa, 1, 2)
+    # (lam+mu) * (dy(u2) dx(v1) + dx(u1) dy(v2)):
+    # [2b, 2a+1] = gy_a*gx_b * area ; [2b+1, 2a] = gx_a*gy_b * area
+    k[:, 0::2, 1::2] = (lam + mu) * gxy * aa
+    k[:, 1::2, 0::2] = np.swapaxes((lam + mu) * gxy * aa, 1, 2)
     return k
 
 
@@ -229,7 +223,6 @@ def element_matrix(
     ctx: WaveContext,
     profile: PmlProfile,
     quad_degree: int = 5,
-    literal_mixed: bool = False,
 ) -> np.ndarray:
     """6x6 element matrix of one triangle (local dof = 2*vertex + component).
 
@@ -244,9 +237,6 @@ def element_matrix(
         Wave context and layer profile.
     quad_degree : int
         Triangle quadrature degree used in the layer.
-    literal_mixed : bool
-        Assemble the mixed term in its literal grouping instead of the
-        transpose-equivalent one (see module docstring).
 
     Returns
     -------
@@ -256,8 +246,7 @@ def element_matrix(
     area, grads = p1_geometry(coords)
     is_pml = np.array([region != PHYSICAL])
     return _local_matrices(
-        area, grads, is_pml, coords[is_pml, :, 1], ctx, profile, quad_degree,
-        literal_mixed,
+        area, grads, is_pml, coords[is_pml, :, 1], ctx, profile, quad_degree
     )[0]
 
 
@@ -268,7 +257,6 @@ def assemble(
     dofmap: DofMap,
     quad_degree: int = 5,
     amplitude: float = 1.0,
-    literal_mixed: bool = False,
 ) -> SparseSystem:
     """Assemble the reduced system (constraints folded, data lifted).
 
@@ -281,8 +269,6 @@ def assemble(
         Layer quadrature degree (physical elements are integrated exactly).
     amplitude : float
         Incident amplitude multiplying the volume data of the layer.
-    literal_mixed : bool
-        Forwarded to the element kernel.
 
     Returns
     -------
@@ -292,8 +278,7 @@ def assemble(
     area = mesh.areas()
     coords = mesh.nodes[mesh.tris[is_pml]]  # layer elements only
     k_loc = _local_matrices(
-        area, mesh.grads(), is_pml, coords[..., 1], ctx, profile, quad_degree,
-        literal_mixed,
+        area, mesh.grads(), is_pml, coords[..., 1], ctx, profile, quad_degree
     )
 
     f_loc = np.zeros((mesh.n_tris, 6), dtype=complex)
@@ -338,14 +323,4 @@ def assemble(
     rhs = np.zeros(dofmap.n_free, dtype=complex)
     np.add.at(rhs, idx6[live6], f_loc[live6])
 
-    return SparseSystem(
-        matrix=matrix,
-        rhs=rhs,
-        dofmap=dofmap,
-        meta={
-            "n_nodes": mesh.n_nodes,
-            "n_tris": mesh.n_tris,
-            "nnz": int(matrix.nnz),
-            "quad_degree": int(quad_degree),
-        },
-    )
+    return SparseSystem(matrix=matrix, rhs=rhs, dofmap=dofmap)

@@ -20,8 +20,10 @@ import sys
 import numpy as np
 
 from .adapt import (
+    calibration_args,
     run,
     setup,
+    wave_setup,
     write_convergence_csv,
     write_efficiency_csv,
     write_summary,
@@ -30,7 +32,7 @@ from .adapt import (
 from .config import ConfigError, RunConfig, load_config
 from .exact import fit_slope
 from .meshing import GeometryError, generate_initial, write_vtk
-from .pml import CalibrationError, compute_zeta, make_pml, modeling_constants
+from .pml import CalibrationError, calibration_walk
 from .rayleigh import ParameterRegimeError, TraceError
 from .solver import SolverError
 from .waves import ResonanceError
@@ -110,16 +112,8 @@ def _cmd_solve(cfg: RunConfig, args) -> int:
     out = _outdir(cfg, args)
     result = run(cfg, progress=_progress_printer(args.quiet))
     _write_reports(result, out, cfg)
-    if cfg.write_system and result.records:
-        from .assembly import assemble, build_dofmap
-
-        rec = result.final
-        dofmap = build_dofmap(rec.mesh, result.ctx, cfg.amplitude)
-        system = assemble(
-            rec.mesh, result.ctx, result.profile, dofmap,
-            quad_degree=cfg.quad_degree, amplitude=cfg.amplitude,
-        )
-        system.write_matrix_market(os.path.join(out, "system.mtx"))
+    if cfg.write_system and result.system is not None:
+        result.system.write_matrix_market(os.path.join(out, "system.mtx"))
     if not args.quiet:
         print(f"stopped: {result.stop_reason}; reports in {out}/")
     return 0
@@ -161,36 +155,20 @@ def _cmd_efficiency(cfg: RunConfig, args) -> int:
 
 
 def _cmd_pml_calibrate(cfg: RunConfig, args) -> int:
-    from .waves import build_mode_table, derive_context
-
-    ctx = derive_context(
-        omega=cfg.omega, lam=cfg.lam, mu=cfg.mu, theta=cfg.theta,
-        period=cfg.period, gamma_height=cfg.gamma_height,
-    )
-    modes = build_mode_table(ctx, cfg.n_max, cfg.resonance_tol)
-    target = cfg.target_fhat if cfg.target_fhat is not None else 1e-8
-    sqrt_period = float(np.sqrt(ctx.period))
-    print(f"target: F_hat * sqrt(period) <= {target:.3g}")
+    ctx, modes = wave_setup(cfg)
+    steps = list(calibration_walk(ctx, modes, *calibration_args(cfg)))
+    print(f"target: F_hat * sqrt(period) <= {cfg.target_fhat:.3g}")
     print(f"{'delta':>10} {'Re zeta':>10} {'F':>12} {'F_hat':>12} "
           f"{'F_hat*sqrtP':>12} {'coercive':>9}")
-    delta = cfg.delta0
-    chosen = None
-    while delta <= cfg.delta_cap * (1.0 + 1e-12):
-        profile = make_pml(cfg.sigma, cfg.pml_exponent, delta, ctx.gamma_height)
-        mc = modeling_constants(ctx, modes, profile)
-        achieved = mc.f_hat * sqrt_period
-        ok = profile.zeta.real >= 1.0 and achieved <= target
-        tag = ""
-        if ok and chosen is None:
-            chosen = delta
-            tag = "  <- selected"
-        print(f"{delta:10.4g} {profile.zeta.real:10.4g} {mc.f:12.4e} "
+    chosen = next((profile for profile, *_, ok in steps if ok), None)
+    for profile, mc, achieved, _ in steps:
+        tag = "  <- selected" if profile is chosen else ""
+        print(f"{profile.delta:10.4g} {profile.zeta.real:10.4g} {mc.f:12.4e} "
               f"{mc.f_hat:12.4e} {achieved:12.4e} {str(mc.coercive):>9}{tag}")
-        delta *= 2.0
     if chosen is None:
         print("no thickness in the grid meets the target")
         return 3
-    print(f"zeta at delta = {chosen}: {compute_zeta(cfg.sigma, cfg.pml_exponent, chosen)}")
+    print(f"zeta at delta = {chosen.delta}: {chosen.zeta}")
     return 0
 
 

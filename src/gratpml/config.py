@@ -64,7 +64,7 @@ class RunConfig:
     delta: float | None = None
     delta0: float = 0.25
     delta_cap: float = 64.0
-    target_fhat: float | None = None
+    target_fhat: float = 1e-8
     # [modes]
     n_max: int = 20
     resonance_tol: float = 1e-8
@@ -79,7 +79,6 @@ class RunConfig:
     corner_y: float | None = None
     corner_radius: float | None = None
     # [estimator]
-    jump_flux: str = "weighted"
     quad_degree: int = 5
     # [output]
     out_dir: str = "out"
@@ -124,10 +123,6 @@ class RunConfig:
             problems.append("adapt.max_dofs must be >= 1")
         if self.h0 <= 0.0:
             problems.append("adapt.h0 must be positive")
-        if self.jump_flux not in ("weighted", "plain"):
-            problems.append(
-                f"estimator.jump_flux {self.jump_flux!r} not in weighted/plain"
-            )
         if self.quad_degree < 2:
             problems.append("estimator.quad_degree must be >= 2")
         if self.n_max < 1:
@@ -169,7 +164,6 @@ _SCHEMA = [
     ("adapt", "corner_x", "corner_x", float),
     ("adapt", "corner_y", "corner_y", float),
     ("adapt", "corner_radius", "corner_radius", float),
-    ("estimator", "jump_flux", "jump_flux", str),
     ("estimator", "quad_degree", "quad_degree", int),
     ("output", "dir", "out_dir", str),
     ("output", "write_vtk", "write_vtk", bool),

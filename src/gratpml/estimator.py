@@ -12,10 +12,9 @@ flux consistent with the assembled form is
     W1 = (lam+2mu)*rho*dx(u1)*nx + mu/rho*dy(u1)*ny + (lam+mu)*dy(u2)*nx
     W2 = mu*rho*dx(u2)*nx + (lam+2mu)/rho*dy(u2)*ny + (lam+mu)*dx(u1)*ny
 
-(the default, ``weighted_jumps=True``), which reduces to the classical
-traction-type flux where rho = 1.  The plain variant drops the rho weights
-on interior edges and uses mu*dx(u) + (lam+mu)*e1*(dx(u1) + 1/rho*dy(u2))
-across the quasi-periodic boundary.
+with the mixed term in the transpose grouping that ``assembly`` integrates
+(see its docstring for why that grouping assembles the same system as the
+literal one).
 
 Quasi-periodic boundary edges are jumped against their mirrored partner
 with the phase exp(-i*alpha*period) on the right trace; Dirichlet edges
@@ -109,49 +108,23 @@ def element_residuals(
 
 
 def _flux_parts(
-    grad: np.ndarray, nx: np.ndarray, ny: np.ndarray, ctx: WaveContext, weighted: bool
+    j: np.ndarray, nx: np.ndarray, ny: np.ndarray, ctx: WaveContext
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split the flux into rho-, constant- and 1/rho-weighted parts.
+    """Split the flux of the gradients ``j`` (E, 2, 2) by its rho weights.
 
     Returns (P, C, Q), each (E, 2) complex, so the flux along an edge is
     P*rho(y) + C + Q/rho(y).
     """
     lam, mu = ctx.lam, ctx.mu
-    j = grad
     p = np.empty(j.shape[:1] + (2,), dtype=complex)
     c = np.empty_like(p)
     q = np.empty_like(p)
-    if weighted:
-        p[:, 0] = (lam + 2 * mu) * j[:, 0, 0] * nx
-        p[:, 1] = mu * j[:, 1, 0] * nx
-        c[:, 0] = (lam + mu) * j[:, 1, 1] * nx
-        c[:, 1] = (lam + mu) * j[:, 0, 0] * ny
-        q[:, 0] = mu * j[:, 0, 1] * ny
-        q[:, 1] = (lam + 2 * mu) * j[:, 1, 1] * ny
-    else:
-        div = j[:, 0, 0] + j[:, 1, 1]
-        p[:] = 0.0
-        c[:, 0] = mu * (j[:, 0, 0] * nx + j[:, 0, 1] * ny) + (lam + mu) * div * nx
-        c[:, 1] = mu * (j[:, 1, 0] * nx + j[:, 1, 1] * ny) + (lam + mu) * div * ny
-        q[:] = 0.0
-    return p, c, q
-
-
-def _periodic_flux_parts(
-    grad: np.ndarray, ctx: WaveContext, weighted: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flux parts across the vertical quasi-periodic boundary (normal e_x)."""
-    if weighted:
-        one = np.ones(grad.shape[0])
-        return _flux_parts(grad, one, np.zeros_like(one), ctx, True)
-    lam, mu = ctx.lam, ctx.mu
-    j = grad
-    p = np.zeros(j.shape[:1] + (2,), dtype=complex)
-    c = np.zeros_like(p)
-    q = np.zeros_like(p)
-    c[:, 0] = mu * j[:, 0, 0] + (lam + mu) * j[:, 0, 0]
-    c[:, 1] = mu * j[:, 1, 0]
-    q[:, 0] = (lam + mu) * j[:, 1, 1]
+    p[:, 0] = (lam + 2 * mu) * j[:, 0, 0] * nx
+    p[:, 1] = mu * j[:, 1, 0] * nx
+    c[:, 0] = (lam + mu) * j[:, 1, 1] * nx
+    c[:, 1] = (lam + mu) * j[:, 0, 0] * ny
+    q[:, 0] = mu * j[:, 0, 1] * ny
+    q[:, 1] = (lam + 2 * mu) * j[:, 1, 1] * ny
     return p, c, q
 
 
@@ -160,7 +133,6 @@ def jump_terms(
     field: np.ndarray,
     ctx: WaveContext,
     profile: PmlProfile,
-    weighted: bool = True,
 ) -> np.ndarray:
     """sum_e h_e ||J_e||^2_{L2(e)} per element (Dirichlet edges excluded)."""
     field = np.asarray(field)
@@ -192,15 +164,16 @@ def jump_terms(
         t1, t2 = edge_tri[interior, 0], edge_tri[interior, 1]
         nx = dvec[interior, 1] / h[interior]
         ny = -dvec[interior, 0] / h[interior]
-        p1, c1, q1 = _flux_parts(grad[t1], nx, ny, ctx, weighted)
-        p2, c2, q2 = _flux_parts(grad[t2], nx, ny, ctx, weighted)
+        p1, c1, q1 = _flux_parts(grad[t1], nx, ny, ctx)
+        p2, c2, q2 = _flux_parts(grad[t2], nx, ny, ctx)
         accumulate(interior, p1 - p2, c1 - c2, q1 - q2, t1, t2)
 
     left, mate = mesh.edge_partners().T
     if left.size:
         tl, tr = edge_tri[left, 0], edge_tri[mate, 0]
-        pl, cl, ql = _periodic_flux_parts(grad[tl], ctx, weighted)
-        pr, cr, qr = _periodic_flux_parts(grad[tr], ctx, weighted)
+        # the wall normal is e_x
+        pl, cl, ql = _flux_parts(grad[tl], 1, 0, ctx)
+        pr, cr, qr = _flux_parts(grad[tr], 1, 0, ctx)
         ph = np.exp(-1j * ctx.alpha * ctx.period)
         accumulate(left, pl - ph * pr, cl - ph * cr, ql - ph * qr, tl, tr)
 
@@ -239,7 +212,6 @@ def indicators(
     profile: PmlProfile,
     f_hat: float,
     *,
-    weighted_jumps: bool = True,
     amplitude: float = 1.0,
     quad_degree: int = 5,
 ) -> ErrorIndicators:
@@ -253,9 +225,6 @@ def indicators(
         Wave context and layer profile.
     f_hat : float
         Layer modeling constant scaling the truncation error term.
-    weighted_jumps : bool
-        Use the form-consistent rho-weighted flux (default) or the plain
-        traction flux in the edge jumps.
     amplitude : float
         Incident amplitude (0 turns all data terms off).
     quad_degree : int
@@ -265,7 +234,7 @@ def indicators(
     if field.shape != (mesh.n_nodes, 2):
         raise ValueError("field must be nodal values of shape (n_nodes, 2)")
     res = element_residuals(mesh, field, ctx, profile, amplitude, quad_degree)
-    jumps = jump_terms(mesh, field, ctx, profile, weighted_jumps)
+    jumps = jump_terms(mesh, field, ctx, profile)
     eta = mesh.diameters() * res + np.sqrt(0.5 * jumps)
 
     edges, _, edge_tri = mesh.edge_structure()

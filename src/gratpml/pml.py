@@ -39,8 +39,8 @@ data of the PML formulation and is available here in closed form.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from math import cos, sin
 
 import numpy as np
 
@@ -55,6 +55,7 @@ __all__ = [
     "rho",
     "rho_prime",
     "modeling_constants",
+    "calibration_walk",
     "calibrate",
     "pml_source",
 ]
@@ -216,6 +217,35 @@ def modeling_constants(
     )
 
 
+def calibration_walk(
+    ctx: WaveContext,
+    modes: ModeTable,
+    sigma: complex = 12.0 + 12.0j,
+    m: int = 2,
+    target: float = 1e-8,
+    delta0: float = 0.25,
+    delta_cap: float = 64.0,
+) -> Iterator[tuple[PmlProfile, ModelingConstants, float, bool]]:
+    """Walk delta through the grid delta0 * 2^k (k = 0, 1, ...) up to delta_cap.
+
+    Yields (profile, constants, achieved, accepted) per thickness, with
+    achieved = F_hat * sqrt(period) and accepted = (Re zeta >= 1 and
+    achieved <= target).  Arguments and ValueError as for :func:`calibrate`.
+    """
+    if target <= 0.0:
+        raise ValueError(f"target must be positive, got {target}")
+    if delta0 <= 0.0 or delta_cap < delta0:
+        raise ValueError("need 0 < delta0 <= delta_cap")
+    delta = float(delta0)
+    sqrt_period = float(np.sqrt(ctx.period))
+    while delta <= delta_cap * (1.0 + 1e-12):
+        profile = make_pml(sigma, m, delta, ctx.gamma_height)
+        mc = modeling_constants(ctx, modes, profile)
+        achieved = mc.f_hat * sqrt_period
+        yield profile, mc, achieved, profile.zeta.real >= 1.0 and achieved <= target
+        delta *= 2.0
+
+
 def calibrate(
     ctx: WaveContext,
     modes: ModeTable,
@@ -227,9 +257,9 @@ def calibrate(
 ) -> PmlProfile:
     """Pick the smallest layer thickness meeting the fluctuation target.
 
-    Walks delta through the geometric grid delta0 * 2^k (k = 0, 1, ...) up to
-    ``delta_cap`` and returns the first profile with Re zeta >= 1 and
-    F_hat * sqrt(period) <= target.
+    Returns the first profile that :func:`calibration_walk` accepts: the
+    first delta on the grid with Re zeta >= 1 and F_hat * sqrt(period) <=
+    target.
 
     Parameters
     ----------
@@ -248,28 +278,20 @@ def calibrate(
 
     Raises
     ------
+    ValueError
+        For a non-positive target or unless 0 < delta0 <= delta_cap.
     CalibrationError
         If no grid point satisfies both conditions; the message reports the
         best F_hat * sqrt(period) reached.
     """
-    if target <= 0.0:
-        raise ValueError(f"target must be positive, got {target}")
-    if delta0 <= 0.0 or delta_cap < delta0:
-        raise ValueError("need 0 < delta0 <= delta_cap")
     best = float("inf")
     best_delta = None
-    delta = float(delta0)
-    sqrt_period = float(np.sqrt(ctx.period))
-    while delta <= delta_cap * (1.0 + 1e-12):
-        profile = make_pml(sigma, m, delta, ctx.gamma_height)
-        if profile.zeta.real >= 1.0:
-            mc = modeling_constants(ctx, modes, profile)
-            achieved = mc.f_hat * sqrt_period
-            if achieved <= target:
-                return profile
-            if achieved < best:
-                best, best_delta = achieved, delta
-        delta *= 2.0
+    steps = calibration_walk(ctx, modes, sigma, m, target, delta0, delta_cap)
+    for profile, _, achieved, accepted in steps:
+        if accepted:
+            return profile
+        if profile.zeta.real >= 1.0 and achieved < best:
+            best, best_delta = achieved, profile.delta
     raise CalibrationError(
         f"no delta in [{delta0}, {delta_cap}] reaches "
         f"F_hat*sqrt(period) <= {target:.3g}; best was {best:.3g} at "

@@ -13,6 +13,8 @@ requested polynomial degree at the cost of more points.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["triangle_rule", "edge_rule"]
@@ -88,8 +90,11 @@ def triangle_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     return _duffy_rule(degree)
 
 
+@functools.cache
 def edge_rule(npts: int = 5) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule on [0, 1] with unit-sum weights.
+
+    Computed once per point count; the arrays are shared, so read-only.
 
     Returns
     -------
@@ -99,4 +104,6 @@ def edge_rule(npts: int = 5) -> tuple[np.ndarray, np.ndarray]:
         Weights summing to 1, so integral_e f ds ~= len(e) * sum w*f(t).
     """
     pts, wts = np.polynomial.legendre.leggauss(int(npts))
-    return 0.5 * (pts + 1.0), 0.5 * wts
+    t, w = 0.5 * (pts + 1.0), 0.5 * wts
+    t.flags.writeable = w.flags.writeable = False
+    return t, w

@@ -6,10 +6,13 @@ import pathlib
 
 import numpy as np
 import pytest
+import scipy.io
 
 from gratpml import (
     ConfigError,
     RunConfig,
+    assemble,
+    build_dofmap,
     load_config,
     run,
     setup,
@@ -71,7 +74,6 @@ def test_minimal_config_uses_documented_defaults(tmp_path):
     assert cfg.tau == 0.5
     assert cfg.max_dofs == 200_000
     assert cfg.corner is None
-    assert cfg.jump_flux == "weighted"
     assert cfg.out_dir == "out"
     assert cfg.write_vtk is False
 
@@ -94,7 +96,6 @@ def test_config_roundtrips_through_write_and_load(tmp_path):
         corner_x=0.5,
         corner_y=0.5,
         corner_radius=0.2,
-        jump_flux="plain",
         quad_degree=7,
         out_dir="elsewhere",
         write_vtk=True,
@@ -111,6 +112,12 @@ def test_unknown_keys_are_rejected_by_name(tmp_path):
     path2 = _write(tmp_path, MINIMAL_CFG + "\n[solver]\nkind = lu\n", "s.cfg")
     with pytest.raises(ConfigError, match="solver"):
         load_config(path2)
+    # the estimator has a single jump flux, so it takes no flux key
+    path3 = _write(
+        tmp_path, MINIMAL_CFG + "\n[estimator]\njump_flux = weighted\n", "e.cfg"
+    )
+    with pytest.raises(ConfigError, match="jump_flux"):
+        load_config(path3)
 
 
 def test_grazing_incidence_is_rejected(tmp_path):
@@ -231,6 +238,7 @@ def test_stop_reasons():
     blocked = run(_quick_config(max_dofs=50))
     assert blocked.stop_reason == "max_dofs"
     assert blocked.records == []
+    assert blocked.system is None
     with pytest.raises(RuntimeError):
         _ = blocked.final
 
@@ -238,6 +246,8 @@ def test_stop_reasons():
     assert partial.stop_reason == "max_dofs"
     assert len(partial.records) >= 1
     assert partial.final.n_dofs <= 100
+    # the kept system is the one the final record solved, not the refused one
+    assert partial.system.n == partial.final.n_dofs
 
 
 def test_retained_meshes_cache_no_complex_data():
@@ -351,7 +361,13 @@ def test_cli_solve_quiet_and_optional_outputs(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert (out / "mesh_000.vtk").is_file()
-    assert (out / "system.mtx").is_file()
+    # system.mtx holds the reduced system of the last iteration's mesh
+    result = run(load_config(cfg))
+    dofmap = build_dofmap(result.final.mesh, result.ctx)
+    want = assemble(result.final.mesh, result.ctx, result.profile, dofmap).matrix
+    got = scipy.io.mmread(out / "system.mtx").tocsc()
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() == 0.0
 
 
 def test_cli_validate_flat_reports_a_slope(tmp_path, capsys):
@@ -400,6 +416,20 @@ def test_cli_exit_2_for_configuration_problems(tmp_path, capsys):
     )
     assert main(["solve", "--config", str(bad)]) == 2
     assert "theta_deg" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "pml", [dict(target_fhat=-1.0), dict(delta0=2.0, delta_cap=1.0)]
+)
+def test_cli_exit_2_for_bad_calibration_settings(tmp_path, capsys, pml):
+    # an unusable calibration grid is a configuration problem for every
+    # command that calibrates, not a failed calibration
+    cfg = _cli_config(tmp_path, **pml)
+    for command in ("pml-calibrate", "solve", "mesh-info"):
+        assert main([command, "--config", str(cfg), "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err
+        assert captured.out == ""
 
 
 def test_cli_exit_3_for_numerical_failures(tmp_path, capsys):

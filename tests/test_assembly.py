@@ -35,7 +35,12 @@ def small_mesh(ctx1, profile1):
 
 
 def _element_by_quadrature(coords, region, ctx, profile, degree, literal_mixed):
-    """Entry-wise quadrature of the form; independent of the batched kernel."""
+    """Entry-wise quadrature of the form; independent of the batched kernel.
+
+    ``literal_mixed`` selects the literal grouping of the mixed term instead
+    of the transpose grouping that ``assemble`` uses (see the module
+    docstring of ``gratpml.assembly``).
+    """
     from gratpml.pml import rho
 
     coords = np.asarray(coords, dtype=float)
@@ -80,26 +85,22 @@ def _element_by_quadrature(coords, region, ctx, profile, degree, literal_mixed):
     return ke
 
 
-@pytest.mark.parametrize("literal", [False, True])
-def test_element_matrix_matches_direct_quadrature_physical(ctx1, profile1, literal):
+def test_element_matrix_matches_direct_quadrature_physical(ctx1, profile1):
     coords = np.array([[0.1, 0.2], [0.6, 0.25], [0.3, 0.7]])
-    got = element_matrix(coords, 0, ctx1, profile1, literal_mixed=literal)
-    want = _element_by_quadrature(coords, 0, ctx1, profile1, 9, literal)
+    got = element_matrix(coords, 0, ctx1, profile1)
+    want = _element_by_quadrature(coords, 0, ctx1, profile1, 9, False)
     assert np.allclose(got, want, rtol=1e-13, atol=1e-14)
 
 
-@pytest.mark.parametrize("literal", [False, True])
-def test_element_matrix_matches_direct_quadrature_layer(
-    ctx1, profile1, flat_mesh1, literal
-):
+def test_element_matrix_matches_direct_quadrature_layer(ctx1, profile1, flat_mesh1):
     layer = np.nonzero(flat_mesh1.region == 1)[0]
     for t in (layer[0], layer[-1]):  # bottom and top of the layer
         coords = flat_mesh1.nodes[flat_mesh1.tris[t]]
-        got = element_matrix(coords, 1, ctx1, profile1, literal_mixed=literal)
-        want = _element_by_quadrature(coords, 1, ctx1, profile1, 5, literal)
+        got = element_matrix(coords, 1, ctx1, profile1)
+        want = _element_by_quadrature(coords, 1, ctx1, profile1, 5, False)
         assert np.allclose(got, want, rtol=1e-13, atol=1e-14)
         # a higher-degree rule barely moves the answer (1/rho is smooth)
-        finer = _element_by_quadrature(coords, 1, ctx1, profile1, 9, literal)
+        finer = _element_by_quadrature(coords, 1, ctx1, profile1, 9, False)
         assert np.allclose(got, finer, rtol=1e-6, atol=1e-10)
 
 
@@ -172,7 +173,51 @@ def test_dofmap_rejects_constrained_periodic_master(ctx1, flat_mesh1):
     mid_pair = mesh.periodic_pairs[len(mesh.periodic_pairs) // 2]
     mesh.on_surface = mesh.on_surface.copy()
     mesh.on_surface[mid_pair[0]] = True
-    with pytest.raises(RuntimeError, match="constrained"):
+    with pytest.raises(
+        RuntimeError,
+        match=rf"periodic master {mid_pair[0]} of node {mid_pair[1]} is constrained",
+    ):
+        build_dofmap(mesh, ctx1)
+
+
+def _mid_height_pairs(mesh, count):
+    """``count`` periodic pairs away from the Dirichlet corners, by right node."""
+    inner = mesh.periodic_pairs[~mesh.on_top[mesh.periodic_pairs[:, 1]]
+                                & ~mesh.on_surface[mesh.periodic_pairs[:, 1]]]
+    inner = inner[np.argsort(inner[:, 1])]
+    step = len(inner) // (count + 1)
+    return inner[step : step * (count + 1) : step]
+
+
+def test_dofmap_rejects_right_node_without_partner(ctx1, flat_mesh1):
+    mesh = bisect(flat_mesh1, np.empty(0, dtype=int))  # deep copy
+    (pair,) = _mid_height_pairs(mesh, 1)
+    mesh.periodic_pairs = mesh.periodic_pairs[mesh.periodic_pairs[:, 1] != pair[1]]
+    with pytest.raises(
+        RuntimeError, match=rf"right node {pair[1]} has no periodic partner"
+    ):
+        build_dofmap(mesh, ctx1)
+
+
+@pytest.mark.parametrize("orphan_first", [True, False])
+def test_dofmap_reports_the_first_offending_node(ctx1, flat_mesh1, orphan_first):
+    # one right node lacks a partner, another has a constrained master; the
+    # lower-numbered one is reported, whichever fault it has
+    mesh = bisect(flat_mesh1, np.empty(0, dtype=int))  # deep copy
+    first, second = _mid_height_pairs(mesh, 2)
+    orphan, constrained = (first, second) if orphan_first else (second, first)
+    mesh.periodic_pairs = mesh.periodic_pairs[
+        mesh.periodic_pairs[:, 1] != orphan[1]
+    ]
+    mesh.on_surface = mesh.on_surface.copy()
+    mesh.on_surface[constrained[0]] = True
+    want = (
+        f"right node {orphan[1]} has no periodic partner"
+        if orphan_first
+        else f"periodic master {constrained[0]} of node {constrained[1]} is "
+        "constrained"
+    )
+    with pytest.raises(RuntimeError, match=want):
         build_dofmap(mesh, ctx1)
 
 
@@ -182,7 +227,11 @@ def test_dofmap_rejects_constrained_periodic_master(ctx1, flat_mesh1):
 
 
 def _dense_reference_system(mesh, ctx, profile, dofmap, amplitude, literal_mixed):
-    """Unconstrained dense assembly followed by explicit constraint algebra."""
+    """Unconstrained dense assembly followed by explicit constraint algebra.
+
+    The element matrices come from the entry-wise quadrature reference, in
+    the mixed-term grouping that ``literal_mixed`` selects.
+    """
     n = mesh.n_nodes
     kfull = np.zeros((2 * n, 2 * n), dtype=complex)
     ffull = np.zeros(2 * n, dtype=complex)
@@ -190,8 +239,8 @@ def _dense_reference_system(mesh, ctx, profile, dofmap, amplitude, literal_mixed
     for t in range(mesh.n_tris):
         tri = mesh.tris[t]
         coords = mesh.nodes[tri]
-        ke = element_matrix(
-            coords, int(mesh.region[t]), ctx, profile, literal_mixed=literal_mixed
+        ke = _element_by_quadrature(
+            coords, int(mesh.region[t]), ctx, profile, 5, literal_mixed
         )
         gdof = [2 * int(tri[v]) + c for v in range(3) for c in (0, 1)]
         kfull[np.ix_(gdof, gdof)] += ke
@@ -222,10 +271,11 @@ def _dense_reference_system(mesh, ctx, profile, dofmap, amplitude, literal_mixed
 
 @pytest.mark.parametrize("literal", [False, True])
 def test_assembled_system_matches_dense_reference(ctx1, profile1, small_mesh, literal):
+    # literal=True: the reference assembles the other mixed-term grouping,
+    # which differs element-wise by a null Lagrangian and so must reduce to
+    # the same system
     dm = build_dofmap(small_mesh, ctx1, amplitude=2.0)
-    system = assemble(
-        small_mesh, ctx1, profile1, dm, amplitude=2.0, literal_mixed=literal
-    )
+    system = assemble(small_mesh, ctx1, profile1, dm, amplitude=2.0)
     a_ref, b_ref = _dense_reference_system(
         small_mesh, ctx1, profile1, dm, 2.0, literal
     )
@@ -238,12 +288,15 @@ def test_assembled_system_matches_dense_reference(ctx1, profile1, small_mesh, li
 def test_mixed_term_groupings_assemble_identically(ctx1, profile1, small_mesh):
     # element-wise the two groupings differ, but the difference is a null
     # Lagrangian: the reduced systems must coincide
+    coords = small_mesh.nodes[small_mesh.tris[0]]
+    k_t = _element_by_quadrature(coords, 0, ctx1, profile1, 2, False)
+    k_l = _element_by_quadrature(coords, 0, ctx1, profile1, 2, True)
+    assert np.abs(k_t - k_l).max() > 1e-3 * np.abs(k_t).max()
     dm = build_dofmap(small_mesh, ctx1)
-    sys_t = assemble(small_mesh, ctx1, profile1, dm, literal_mixed=False)
-    sys_l = assemble(small_mesh, ctx1, profile1, dm, literal_mixed=True)
-    diff = (sys_t.matrix - sys_l.matrix).toarray()
-    assert np.abs(diff).max() <= 1e-12 * np.abs(sys_t.matrix.toarray()).max()
-    assert np.allclose(sys_t.rhs, sys_l.rhs, rtol=0.0, atol=1e-12)
+    a_t, b_t = _dense_reference_system(small_mesh, ctx1, profile1, dm, 1.0, False)
+    a_l, b_l = _dense_reference_system(small_mesh, ctx1, profile1, dm, 1.0, True)
+    assert np.abs(a_t - a_l).max() <= 1e-12 * np.abs(a_t).max()
+    assert np.allclose(b_t, b_l, rtol=0.0, atol=1e-12)
 
 
 def test_assembled_matrix_is_complex_symmetric_at_normal_incidence(ctx1):

@@ -93,10 +93,9 @@ def test_indicators_validate_field_shape(ctx1, profile1, flat_mesh1):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("weighted", [True, False])
-def test_constant_field_has_no_jumps(ctx1, profile1, flat_mesh1, weighted):
+def test_constant_field_has_no_jumps(ctx1, profile1, flat_mesh1):
     field = np.full((flat_mesh1.n_nodes, 2), 0.8 - 1.3j)
-    jumps = jump_terms(flat_mesh1, field, ctx1, profile1, weighted)
+    jumps = jump_terms(flat_mesh1, field, ctx1, profile1)
     assert np.all(jumps == 0.0)
 
 
@@ -106,7 +105,7 @@ def test_affine_field_jumps_only_at_periodic_wall(ctx1, profile1, flat_mesh1):
         [0.3 + (1.1 - 0.2j) * x + 0.7j * y, -1.0j + 0.5 * x + (2.0 + 1.0j) * y],
         axis=1,
     )
-    jumps = jump_terms(flat_mesh1, field, ctx1, profile1, True)
+    jumps = jump_terms(flat_mesh1, field, ctx1, profile1)
     edges, _, edge_tri = flat_mesh1.edge_structure()
     wall = flat_mesh1.on_left | flat_mesh1.on_right
     wall_edge = (edge_tri[:, 1] < 0) & wall[edges[:, 0]] & wall[edges[:, 1]]
@@ -130,30 +129,16 @@ def _naive_gradients(mesh, field):
     return grads
 
 
-def _naive_flux(j, nx, ny, ctx, weighted, periodic):
+def _naive_flux(j, nx, ny, ctx):
+    # rho-weighted, constant, and 1/rho-weighted contributions
     lam, mu = ctx.lam, ctx.mu
-    if weighted:
-        # rho-weighted, constant, and 1/rho-weighted contributions
-        p = np.array([(lam + 2 * mu) * j[0, 0] * nx, mu * j[1, 0] * nx])
-        c = np.array([(lam + mu) * j[1, 1] * nx, (lam + mu) * j[0, 0] * ny])
-        q = np.array([mu * j[0, 1] * ny, (lam + 2 * mu) * j[1, 1] * ny])
-        return p, c, q
-    zero = np.zeros(2, dtype=complex)
-    if periodic:
-        c = np.array([(2 * mu + lam) * j[0, 0], mu * j[1, 0]])
-        q = np.array([(lam + mu) * j[1, 1], 0.0])
-        return zero, c, q
-    div = j[0, 0] + j[1, 1]
-    c = np.array(
-        [
-            mu * (j[0, 0] * nx + j[0, 1] * ny) + (lam + mu) * div * nx,
-            mu * (j[1, 0] * nx + j[1, 1] * ny) + (lam + mu) * div * ny,
-        ]
-    )
-    return zero, c, zero
+    p = np.array([(lam + 2 * mu) * j[0, 0] * nx, mu * j[1, 0] * nx])
+    c = np.array([(lam + mu) * j[1, 1] * nx, (lam + mu) * j[0, 0] * ny])
+    q = np.array([mu * j[0, 1] * ny, (lam + 2 * mu) * j[1, 1] * ny])
+    return p, c, q
 
 
-def _naive_jump_terms(mesh, field, ctx, profile, weighted):
+def _naive_jump_terms(mesh, field, ctx, profile):
     grads = _naive_gradients(mesh, field)
     edges, _, edge_tri = mesh.edge_structure()
     out = np.zeros(mesh.n_tris)
@@ -179,8 +164,8 @@ def _naive_jump_terms(mesh, field, ctx, profile, weighted):
         d = pb - pa
         h = float(np.hypot(*d))
         nx, ny = d[1] / h, -d[0] / h
-        pcq1 = _naive_flux(grads[t1], nx, ny, ctx, weighted, periodic=False)
-        pcq2 = _naive_flux(grads[t2], nx, ny, ctx, weighted, periodic=False)
+        pcq1 = _naive_flux(grads[t1], nx, ny, ctx)
+        pcq2 = _naive_flux(grads[t2], nx, ny, ctx)
         add(eid, *(a - b for a, b in zip(pcq1, pcq2)), (t1, t2))
 
     # pair up wall edges by their y-interval
@@ -200,17 +185,16 @@ def _naive_jump_terms(mesh, field, ctx, profile, weighted):
     for key, eid in lefts.items():
         mate = rights[key]
         tl, tr = edge_tri[eid, 0], edge_tri[mate, 0]
-        pcql = _naive_flux(grads[tl], 1.0, 0.0, ctx, weighted, periodic=True)
-        pcqr = _naive_flux(grads[tr], 1.0, 0.0, ctx, weighted, periodic=True)
+        pcql = _naive_flux(grads[tl], 1.0, 0.0, ctx)
+        pcqr = _naive_flux(grads[tr], 1.0, 0.0, ctx)
         add(eid, *(a - phase * b for a, b in zip(pcql, pcqr)), (tl, tr))
     return out
 
 
-@pytest.mark.parametrize("weighted", [True, False])
-def test_jump_terms_match_naive_edge_loop(ctx1, profile1, small_mesh, weighted):
+def test_jump_terms_match_naive_edge_loop(ctx1, profile1, small_mesh):
     field = _random_field(small_mesh, 3)
-    got = jump_terms(small_mesh, field, ctx1, profile1, weighted)
-    want = _naive_jump_terms(small_mesh, field, ctx1, profile1, weighted)
+    got = jump_terms(small_mesh, field, ctx1, profile1)
+    want = _naive_jump_terms(small_mesh, field, ctx1, profile1)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-13)
 
 

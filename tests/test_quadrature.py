@@ -49,3 +49,26 @@ def test_edge_rule_is_gauss_legendre_on_unit_interval(npts):
     for p in range(2 * npts):
         approx = float(np.sum(wts * pts**p))
         assert approx == pytest.approx(1.0 / (p + 1), rel=0.0, abs=5e-15)
+
+
+def test_edge_rule_is_computed_once_and_read_only(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(npts):
+        calls.append(npts)
+        return leggauss(npts)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    pts, wts = edge_rule(13)
+    want = pts.copy(), wts.copy()
+    # every caller shares the arrays, so none may write to them
+    with pytest.raises(ValueError, match="read-only"):
+        pts[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        wts *= 2.0
+    for _ in range(3):
+        again = edge_rule(13)
+        assert np.array_equal(again[0], want[0])
+        assert np.array_equal(again[1], want[1])
+    assert len(calls) <= 1
