@@ -41,7 +41,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .meshing import Mesh, PHYSICAL, p1_geometry
+from .meshing import Mesh, p1_geometry
 from .pml import PmlProfile, pml_source, rho
 from .quadrature import triangle_rule
 from .waves import WaveContext, incident_field
@@ -167,31 +167,27 @@ def build_dofmap(mesh: Mesh, ctx: WaveContext, amplitude: float = 1.0) -> DofMap
 def _local_matrices(
     area: np.ndarray,
     grads: np.ndarray,
-    is_pml: np.ndarray,
-    y_pml: np.ndarray,
+    y: np.ndarray,
     ctx: WaveContext,
     profile: PmlProfile,
     quad_degree: int,
 ) -> np.ndarray:
     """Batched 6x6 element matrices; local dof = 2*vertex + component.
 
-    ``area`` and ``grads`` are the element areas and P1 gradients,
-    ``is_pml`` flags the layer elements and ``y_pml`` (layer elements, 3)
-    holds their vertex heights.
+    ``area`` and ``grads`` are the element areas and P1 gradients and ``y``
+    (M, 3) the vertex heights.  The integrals of rho, 1/rho and
+    rho*phi_a*phi_b use the triangle rule of degree ``quad_degree`` (>= 2) on
+    every element.  rho = 1 below the mesh line y = b, so the rule is exact
+    on physical elements.
     """
-    # integrals of rho, 1/rho, rho*phi_a*phi_b (area included)
-    int_rho = area.astype(complex)
-    int_inv = area.astype(complex)
-    mass = area[:, None] * ((1.0 + np.eye(3)) / 12.0).reshape(1, 9) + 0.0j
-    if is_pml.any():
-        bary, w = triangle_rule(quad_degree)
-        rq = rho(profile, y_pml @ bary.T)
-        a_pml = area[is_pml]
-        int_rho[is_pml] = a_pml * (rq @ w)
-        int_inv[is_pml] = a_pml * ((1.0 / rq) @ w)
-        outer = (bary[:, :, None] * bary[:, None, :]).reshape(len(w), 9)
-        mass[is_pml] = a_pml[:, None] * ((rq * w) @ outer)
-    mass = mass.reshape(-1, 3, 3)
+    if quad_degree < 2:
+        raise ValueError(f"quad_degree must be >= 2, got {quad_degree}")
+    bary, w = triangle_rule(quad_degree)
+    rq = rho(profile, y @ bary.T)
+    int_rho = area * (rq @ w)
+    int_inv = area * ((1.0 / rq) @ w)
+    outer = (bary[:, :, None] * bary[:, None, :]).reshape(len(w), 9)
+    mass = (area[:, None] * ((rq * w) @ outer)).reshape(-1, 3, 3)
 
     lam, mu, om2 = ctx.lam, ctx.mu, ctx.omega**2
     gx, gy = grads[:, :, 0], grads[:, :, 1]
@@ -219,7 +215,6 @@ def _local_matrices(
 
 def element_matrix(
     coords: np.ndarray,
-    region: int,
     ctx: WaveContext,
     profile: PmlProfile,
     quad_degree: int = 5,
@@ -230,13 +225,10 @@ def element_matrix(
     ----------
     coords : ndarray (3, 2)
         CCW vertex coordinates.
-    region : int
-        0 for the physical domain (exact closed-form integration),
-        1 for the layer (rho-weighted quadrature of the given degree).
     ctx, profile
         Wave context and layer profile.
     quad_degree : int
-        Triangle quadrature degree used in the layer.
+        Triangle quadrature degree (>= 2) of the rho-weighted integrals.
 
     Returns
     -------
@@ -244,9 +236,8 @@ def element_matrix(
     """
     coords = np.asarray(coords, dtype=float)[None, :, :]
     area, grads = p1_geometry(coords)
-    is_pml = np.array([region != PHYSICAL])
     return _local_matrices(
-        area, grads, is_pml, coords[is_pml, :, 1], ctx, profile, quad_degree
+        area, grads, coords[..., 1], ctx, profile, quad_degree
     )[0]
 
 
@@ -266,7 +257,7 @@ def assemble(
         Geometry, wave context, layer profile and the dof classification
         (its Dirichlet data must match ``amplitude``).
     quad_degree : int
-        Layer quadrature degree (physical elements are integrated exactly).
+        Triangle quadrature degree (>= 2) of the element integrals.
     amplitude : float
         Incident amplitude multiplying the volume data of the layer.
 
@@ -274,24 +265,23 @@ def assemble(
     -------
     SparseSystem
     """
-    is_pml = mesh.region != PHYSICAL
     area = mesh.areas()
-    coords = mesh.nodes[mesh.tris[is_pml]]  # layer elements only
+    coords = mesh.nodes[mesh.tris]
     k_loc = _local_matrices(
-        area, mesh.grads(), is_pml, coords[..., 1], ctx, profile, quad_degree
+        area, mesh.grads(), coords[..., 1], ctx, profile, quad_degree
     )
 
-    f_loc = np.zeros((mesh.n_tris, 6), dtype=complex)
-    if is_pml.any():
-        bary, w = triangle_rule(quad_degree)
-        g = pml_source(
-            ctx, profile, coords[..., 0] @ bary.T, coords[..., 1] @ bary.T,
-            amplitude,
-        )
-        # f[2b+d] = -area * sum_q w_q g_d(q) phi_b(q)
-        wb = -(w[:, None] * bary)
-        f_loc[is_pml, 0::2] = area[is_pml, None] * (g[..., 0] @ wb)
-        f_loc[is_pml, 1::2] = area[is_pml, None] * (g[..., 1] @ wb)
+    # volume data g = L u_inc, exactly 0 below y = b
+    bary, w = triangle_rule(quad_degree)
+    g = pml_source(
+        ctx, profile, coords[..., 0] @ bary.T, coords[..., 1] @ bary.T,
+        amplitude,
+    )
+    # f[2b+d] = -area * sum_q w_q g_d(q) phi_b(q)
+    wb = -(w[:, None] * bary)
+    f_loc = np.empty((mesh.n_tris, 6), dtype=complex)
+    f_loc[:, 0::2] = area[:, None] * (g[..., 0] @ wb)
+    f_loc[:, 1::2] = area[:, None] * (g[..., 1] @ wb)
 
     # local dof (slot) -> (node, component)
     nodes6 = mesh.tris[:, [0, 0, 1, 1, 2, 2]]
@@ -316,8 +306,7 @@ def assemble(
     cols = np.broadcast_to(idx6[:, None, :], keep.shape)[keep]
     matrix = sp.coo_matrix(
         (k_loc[keep], (rows, cols)), shape=(dofmap.n_free, dofmap.n_free)
-    ).tocsc()
-    matrix.sum_duplicates()
+    ).tocsc()  # sums duplicates
     matrix.eliminate_zeros()
 
     rhs = np.zeros(dofmap.n_free, dtype=complex)

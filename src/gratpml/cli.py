@@ -31,7 +31,7 @@ from .adapt import (
 )
 from .config import ConfigError, RunConfig, load_config
 from .exact import fit_slope
-from .meshing import GeometryError, generate_initial, write_vtk
+from .meshing import PHYSICAL, PML, GeometryError, generate_initial, write_vtk
 from .pml import CalibrationError, calibration_walk
 from .rayleigh import ParameterRegimeError, TraceError
 from .solver import SolverError
@@ -179,8 +179,8 @@ def _cmd_mesh_info(cfg: RunConfig, args) -> int:
     areas = mesh.areas()
     print(f"nodes:    {mesh.n_nodes}")
     print(f"elements: {mesh.n_tris} "
-          f"(physical {int((mesh.region == 0).sum())}, "
-          f"layer {int((mesh.region == 1).sum())})")
+          f"(physical {int((mesh.region == PHYSICAL).sum())}, "
+          f"layer {int((mesh.region == PML).sum())})")
     print(f"area:     min {areas.min():.6g}, max {areas.max():.6g}, "
           f"total {areas.sum():.6g}")
     print(f"diameter: max {mesh.diameters().max():.6g}")

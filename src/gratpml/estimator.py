@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meshing import PHYSICAL, Mesh, p1_jacobian
+from .meshing import Mesh, p1_jacobian
 from .pml import PmlProfile, pml_source, rho, rho_prime
 from .quadrature import edge_rule, triangle_rule
 from .waves import WaveContext, incident_field
@@ -72,39 +72,28 @@ def element_residuals(
 ) -> np.ndarray:
     """||R_T||_{L2(T)} per element.
 
-    Physical region: R_T = omega^2 * u_h, integrated exactly.  Layer:
     R_T,c = -coef_c * rho'/rho^2 * dy(u_c) + omega^2 * rho * u_c - g_c with
-    coef = (mu, lam+2mu) and g the layer volume data, integrated with the
-    given quadrature degree.
+    coef = (mu, lam+2mu) and g the layer volume data, integrated on every
+    element with the triangle rule of degree ``quad_degree`` (>= 2).  Below
+    the mesh line y = b this is omega^2 * u_h (rho = 1, rho' = 0, g = 0), a
+    quadratic density the rule integrates exactly.
     """
-    field = np.asarray(field)
-    vals = field[mesh.tris]
-    area = mesh.areas()
+    if quad_degree < 2:
+        raise ValueError(f"quad_degree must be >= 2, got {quad_degree}")
+    vals = np.asarray(field)[mesh.tris]
+    bary, w = triangle_rule(quad_degree)
+    coords = mesh.nodes[mesh.tris]
+    y = coords[..., 1] @ bary.T
+    r = rho(profile, y)
+    rp = rho_prime(profile, y)
+    g = pml_source(ctx, profile, coords[..., 0] @ bary.T, y, amplitude)
+    dy = p1_jacobian(vals, mesh.grads())[:, :, 1, None]  # dy(u_c), (M, 2, 1)
+    uq1, uq2 = vals[:, :, 0] @ bary.T, vals[:, :, 1] @ bary.T
     om2 = ctx.omega**2
-
-    # exact: int_T |u|^2 = A/12 * (sum |v_i|^2 + |sum v_i|^2) per component
-    sq = (np.abs(vals) ** 2).sum(axis=(1, 2))
-    sm = (np.abs(vals.sum(axis=1)) ** 2).sum(axis=1)
-    norms = om2 * np.sqrt(area / 12.0 * (sq + sm))
-
-    pml = mesh.region != PHYSICAL
-    if pml.any():
-        bary, w = triangle_rule(quad_degree)
-        coords = mesh.nodes[mesh.tris[pml]]
-        y = coords[..., 1] @ bary.T
-        r = rho(profile, y)
-        rp = rho_prime(profile, y)
-        g = pml_source(ctx, profile, coords[..., 0] @ bary.T, y, amplitude)
-        vp = vals[pml]
-        grad = p1_jacobian(vp, mesh.grads()[pml])
-        dy1 = grad[:, 0, 1][:, None]
-        dy2 = grad[:, 1, 1][:, None]
-        uq1, uq2 = vp[:, :, 0] @ bary.T, vp[:, :, 1] @ bary.T
-        r1 = -ctx.mu * rp / r**2 * dy1 + om2 * r * uq1 - g[:, :, 0]
-        r2 = -(ctx.lam + 2.0 * ctx.mu) * rp / r**2 * dy2 + om2 * r * uq2 - g[:, :, 1]
-        dens = np.abs(r1) ** 2 + np.abs(r2) ** 2
-        norms[pml] = np.sqrt(area[pml] * (dens @ w).real)
-    return norms
+    r1 = -ctx.mu * rp / r**2 * dy[:, 0] + om2 * r * uq1 - g[:, :, 0]
+    r2 = -(ctx.lam + 2.0 * ctx.mu) * rp / r**2 * dy[:, 1] + om2 * r * uq2 - g[:, :, 1]
+    dens = np.abs(r1) ** 2 + np.abs(r2) ** 2
+    return np.sqrt(mesh.areas() * (dens @ w).real)
 
 
 def _flux_parts(
@@ -228,7 +217,7 @@ def indicators(
     amplitude : float
         Incident amplitude (0 turns all data terms off).
     quad_degree : int
-        Quadrature degree of the layer residual integrals.
+        Triangle quadrature degree (>= 2) of the residual integrals.
     """
     field = np.asarray(field)
     if field.shape != (mesh.n_nodes, 2):

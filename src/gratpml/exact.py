@@ -28,7 +28,7 @@ from math import cos, sin
 
 import numpy as np
 
-from .meshing import p1_jacobian
+from .meshing import PHYSICAL, p1_jacobian
 from .quadrature import triangle_rule
 from .waves import WaveContext, incident_field, incident_gradient
 
@@ -122,7 +122,7 @@ def h1_seminorm_error(
     float
         sqrt( sum_T integral_T |grad(u_h - u)|_F^2 ).
     """
-    phys = np.nonzero(mesh.region == 0)[0]
+    phys = np.nonzero(mesh.region == PHYSICAL)[0]
     if phys.size == 0:
         return 0.0
     tris = mesh.tris[phys]

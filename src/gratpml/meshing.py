@@ -553,13 +553,6 @@ def bisect(mesh: Mesh, marked: np.ndarray) -> Mesh:
             break
 
     eids = np.nonzero(split)[0]
-    if eids.size == 0:
-        return Mesh(
-            mesh.nodes.copy(), mesh.tris.copy(), mesh.region.copy(),
-            mesh.ref_edge.copy(), mesh.on_surface.copy(), mesh.on_gamma.copy(),
-            mesh.on_top.copy(), mesh.on_left.copy(), mesh.on_right.copy(),
-            mesh.periodic_pairs.copy(), mesh.period, mesh.b, mesh.top,
-        )
 
     # new nodes at split-edge midpoints; flags propagate by conjunction
     n_old = mesh.n_nodes

@@ -119,8 +119,8 @@ def fourier_trace(
     """Fourier-analyze (field - u_inc) along the interface line y = b.
 
     The piecewise-linear nodal field is integrated edge by edge in closed
-    form against exp(-i*alpha_n*x); the incident part is subtracted
-    analytically, so no interpolation error enters the incident term.
+    form against exp(-i*alpha_n*x).  The incident trace is the single mode
+    n = 0 and is subtracted exactly, so no interpolation error enters it.
 
     Raises TraceError if the interface edges do not exactly tile one period.
     """
@@ -154,23 +154,16 @@ def fourier_trace(
     alpha_n = ctx.alpha + 2.0 * np.pi * ns / ctx.period
 
     # field part: int edge (w0 + (w1-w0) s/h) e^{-i alpha_n (x0+s)} ds
-    te = alpha_n[:, None] * np.ones_like(x0)[None, :]
-    e1, e2 = _segment_integrals(te, h[None, :])
+    e1, e2 = _segment_integrals(alpha_n[:, None], h[None, :])
     head = np.exp(-1j * alpha_n[:, None] * x0[None, :])
     lin = (w1 - w0) / h[:, None]
-    coeffs = (head * e1) @ w0 + (head * e2) @ lin
+    coeffs = ((head * e1) @ w0 + (head * e2) @ lin) / ctx.period
 
-    # incident part, integrated analytically: u_inc(x, b) =
-    # amplitude * (sin th, -cos th) e^{-i beta b} e^{i alpha x}
-    pol = amplitude * np.array([np.sin(ctx.theta), -np.cos(ctx.theta)]) * np.exp(
-        -1j * ctx.beta * ctx.gamma_height
-    )
-    t_inc = (2.0 * np.pi * ns / ctx.period)[:, None] * np.ones_like(x0)[None, :]
-    f1, _ = _segment_integrals(t_inc, h[None, :])
-    head_inc = np.exp(-1j * (2.0 * np.pi * ns / ctx.period)[:, None] * x0[None, :])
-    inc = (head_inc * f1).sum(axis=1)[:, None] * pol[None, :]
-
-    coeffs = (coeffs - inc) / ctx.period
+    # the edges tile one period, so the incident trace u_inc(x, b) =
+    # amplitude * (sin th, -cos th) e^{-i beta b} e^{i alpha x} is mode 0 alone
+    coeffs[n_max] -= amplitude * np.array(
+        [np.sin(ctx.theta), -np.cos(ctx.theta)]
+    ) * np.exp(-1j * ctx.beta * ctx.gamma_height)
     return FourierTrace(n_max=int(n_max), n=ns, coeffs=coeffs)
 
 

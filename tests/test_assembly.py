@@ -6,6 +6,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from gratpml import (
+    Mesh,
     assemble,
     build_dofmap,
     build_mode_table,
@@ -14,11 +15,13 @@ from gratpml import (
     element_matrix,
     flat_profile,
     generate_initial,
+    indicators,
     pml_source,
     sharp_profile,
+    solve_system,
 )
 from gratpml.assembly import DIRICHLET, FREE, SLAVE
-from gratpml.meshing import bisect
+from gratpml.meshing import PHYSICAL, PML, bisect
 from gratpml.quadrature import triangle_rule
 
 from conftest import REFERENCE
@@ -36,6 +39,9 @@ def small_mesh(ctx1, profile1):
 
 def _element_by_quadrature(coords, region, ctx, profile, degree, literal_mixed):
     """Entry-wise quadrature of the form; independent of the batched kernel.
+
+    Unlike the kernel it reads the region label: rho is set to 1 on
+    physical elements instead of being evaluated there.
 
     ``literal_mixed`` selects the literal grouping of the mixed term instead
     of the transpose grouping that ``assemble`` uses (see the module
@@ -87,7 +93,7 @@ def _element_by_quadrature(coords, region, ctx, profile, degree, literal_mixed):
 
 def test_element_matrix_matches_direct_quadrature_physical(ctx1, profile1):
     coords = np.array([[0.1, 0.2], [0.6, 0.25], [0.3, 0.7]])
-    got = element_matrix(coords, 0, ctx1, profile1)
+    got = element_matrix(coords, ctx1, profile1)
     want = _element_by_quadrature(coords, 0, ctx1, profile1, 9, False)
     assert np.allclose(got, want, rtol=1e-13, atol=1e-14)
 
@@ -96,7 +102,7 @@ def test_element_matrix_matches_direct_quadrature_layer(ctx1, profile1, flat_mes
     layer = np.nonzero(flat_mesh1.region == 1)[0]
     for t in (layer[0], layer[-1]):  # bottom and top of the layer
         coords = flat_mesh1.nodes[flat_mesh1.tris[t]]
-        got = element_matrix(coords, 1, ctx1, profile1)
+        got = element_matrix(coords, ctx1, profile1)
         want = _element_by_quadrature(coords, 1, ctx1, profile1, 5, False)
         assert np.allclose(got, want, rtol=1e-13, atol=1e-14)
         # a higher-degree rule barely moves the answer (1/rho is smooth)
@@ -106,10 +112,63 @@ def test_element_matrix_matches_direct_quadrature_layer(ctx1, profile1, flat_mes
 
 def test_element_matrix_is_complex_symmetric(ctx1, profile1, flat_mesh1):
     layer = np.nonzero(flat_mesh1.region == 1)[0]
-    for t, region in ((0, 0), (int(layer[3]), 1)):
+    for t in (0, int(layer[3])):
         coords = flat_mesh1.nodes[flat_mesh1.tris[t]]
-        ke = element_matrix(coords, region, ctx1, profile1)
+        ke = element_matrix(coords, ctx1, profile1)
         assert np.abs(ke - ke.T).max() <= 1e-14 * np.abs(ke).max()
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_kernels_reject_quadrature_degree_below_two(
+    ctx1, profile1, small_mesh, degree
+):
+    # every element goes through one rule; below degree 2 it would no longer
+    # integrate the P1 mass matrix of the physical region exactly
+    coords = small_mesh.nodes[small_mesh.tris[0]]
+    with pytest.raises(ValueError, match="quad_degree"):
+        element_matrix(coords, ctx1, profile1, degree)
+    dm = build_dofmap(small_mesh, ctx1)
+    with pytest.raises(ValueError, match="quad_degree"):
+        assemble(small_mesh, ctx1, profile1, dm, quad_degree=degree)
+
+
+def _relabelled(mesh):
+    """Copy of ``mesh`` with every region label flipped."""
+    region = np.where(mesh.region == PHYSICAL, PML, PHYSICAL)
+    return Mesh(
+        mesh.nodes, mesh.tris, region, mesh.ref_edge, mesh.on_surface,
+        mesh.on_gamma, mesh.on_top, mesh.on_left, mesh.on_right,
+        mesh.periodic_pairs, mesh.period, mesh.b, mesh.top,
+    )
+
+
+def _refined_sharp_mesh(ctx, profile):
+    mesh = generate_initial(sharp_profile(1.0), ctx, profile, h0=0.25)
+    for step in range(3):
+        mesh = bisect(mesh, np.arange(step, mesh.n_tris, 7))
+    return mesh
+
+
+@pytest.mark.parametrize("which", ["flat", "sharp"])
+def test_assembly_and_estimator_ignore_region_labels(
+    ctx1, profile1, flat_mesh1, which
+):
+    # rho(y) alone tells the layer from the physical region
+    if which == "flat":
+        mesh = flat_mesh1
+    else:
+        mesh = _refined_sharp_mesh(ctx1, profile1)
+    flipped = _relabelled(mesh)
+    assert np.all(flipped.region != mesh.region)
+    dm = build_dofmap(mesh, ctx1)
+    system = assemble(mesh, ctx1, profile1, dm)
+    other = assemble(flipped, ctx1, profile1, build_dofmap(flipped, ctx1))
+    assert np.array_equal(system.matrix.toarray(), other.matrix.toarray())
+    assert np.array_equal(system.rhs, other.rhs)
+    values = dm.expand(solve_system(system)[0])
+    eta = indicators(mesh, values, ctx1, profile1, 1e-9).eta_hat
+    eta_flipped = indicators(flipped, values, ctx1, profile1, 1e-9).eta_hat
+    assert np.array_equal(eta, eta_flipped)
 
 
 # ---------------------------------------------------------------------------

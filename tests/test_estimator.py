@@ -203,7 +203,7 @@ def test_jump_terms_match_naive_edge_loop(ctx1, profile1, small_mesh):
 # ---------------------------------------------------------------------------
 
 
-def test_physical_residual_closed_form_matches_quadrature(
+def test_physical_residual_is_omega_squared_field_norm(
     ctx1, profile1, flat_mesh1
 ):
     field = _random_field(flat_mesh1, 7)
@@ -228,6 +228,19 @@ def test_layer_residual_is_quadrature_converged(ctx1, profile1, flat_mesh1):
     fine = element_residuals(flat_mesh1, field, ctx1, profile1, 1.0, 12)
     layer = flat_mesh1.region != 0
     assert np.allclose(coarse[layer], fine[layer], rtol=1e-5)
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_residual_rejects_quadrature_degree_below_two(
+    ctx1, profile1, flat_mesh1, degree
+):
+    # one rule serves every element; it must integrate |omega^2 u_h|^2 on the
+    # physical region exactly
+    field = _random_field(flat_mesh1, 11)
+    with pytest.raises(ValueError, match="quad_degree"):
+        element_residuals(flat_mesh1, field, ctx1, profile1, 1.0, degree)
+    with pytest.raises(ValueError, match="quad_degree"):
+        indicators(flat_mesh1, field, ctx1, profile1, 1e-9, quad_degree=degree)
 
 
 def test_residual_scales_linearly_in_the_field_when_undriven(

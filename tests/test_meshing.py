@@ -189,9 +189,16 @@ def _min_angle_deg(mesh: Mesh) -> float:
 def test_bisect_empty_marking_returns_identical_copy(flat_mesh1):
     out = bisect(flat_mesh1, np.empty(0, dtype=int))
     assert out is not flat_mesh1
-    assert out.nodes is not flat_mesh1.nodes
-    assert np.array_equal(out.nodes, flat_mesh1.nodes)
-    assert np.array_equal(out.tris, flat_mesh1.tris)
+    for name in (
+        "nodes", "tris", "region", "ref_edge", "on_surface", "on_gamma",
+        "on_top", "on_left", "on_right", "periodic_pairs",
+    ):
+        got, want = getattr(out, name), getattr(flat_mesh1, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+        assert not np.shares_memory(got, want), name
+    for name in ("period", "b", "top"):
+        assert getattr(out, name) == getattr(flat_mesh1, name)
 
 
 def test_bisect_single_element_stays_conforming(ctx1, flat_mesh1):
