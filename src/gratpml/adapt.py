@@ -172,21 +172,16 @@ def run(cfg: RunConfig, progress=None) -> AdaptiveRun:
         if dofmap.n_free > cfg.max_dofs:
             stop_reason = "max_dofs"
             break
-        system = assemble(
-            mesh, ctx, profile, dofmap,
-            quad_degree=cfg.quad_degree, amplitude=cfg.amplitude,
-        )
+        system = assemble(mesh, ctx, profile, dofmap, amplitude=cfg.amplitude)
         x, report = solve_system(system)
         values = dofmap.expand(x)
         ind = indicators(
-            mesh, values, ctx, profile, constants.f_hat,
-            amplitude=cfg.amplitude,
-            quad_degree=cfg.quad_degree,
+            mesh, values, ctx, profile, constants.f_hat, amplitude=cfg.amplitude
         )
         trace = fourier_trace(mesh, values, ctx, cfg.n_max, cfg.amplitude)
         eff = efficiencies(modes, recover_potentials(modes, trace), cfg.amplitude)
         true_error = (
-            h1_seminorm_error(mesh, values, exact, cfg.amplitude, cfg.quad_degree)
+            h1_seminorm_error(mesh, values, exact, cfg.amplitude)
             if exact is not None
             else float("nan")
         )
@@ -278,10 +273,8 @@ def write_efficiency_csv(report: EfficiencyReport, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mode", "compressional", "shear"])
-        for n, e1, e2 in zip(report.n, report.e1, report.e2):
-            if np.isnan(e1) and np.isnan(e2):
-                continue
-            writer.writerow([int(n), _fmt(e1), _fmt(e2)])
+        for n, e1, e2 in report.propagating():
+            writer.writerow([n, _fmt(e1), _fmt(e2)])
         writer.writerow(["total", _fmt(report.total), ""])
 
 
@@ -320,11 +313,8 @@ def write_summary(run_result: AdaptiveRun, path) -> None:
         if np.isfinite(rec.true_error):
             lines.append(f"final true H1 error = {rec.true_error!r}")
         lines += ["", "efficiencies (propagating modes):"]
-        eff = rec.efficiency
-        for n, e1, e2 in zip(eff.n, eff.e1, eff.e2):
-            if np.isnan(e1) and np.isnan(e2):
-                continue
-            lines.append(f"  n = {int(n):+d}: compressional = {e1!r}, shear = {e2!r}")
+        for n, e1, e2 in rec.efficiency.propagating():
+            lines.append(f"  n = {n:+d}: compressional = {e1!r}, shear = {e2!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

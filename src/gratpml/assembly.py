@@ -43,7 +43,7 @@ import scipy.sparse as sp
 
 from .meshing import Mesh, p1_geometry
 from .pml import PmlProfile, pml_source, rho
-from .quadrature import triangle_rule
+from .quadrature import ELEMENT_DEGREE, triangle_rule
 from .waves import WaveContext, incident_field
 
 __all__ = ["DofMap", "SparseSystem", "build_dofmap", "element_matrix", "assemble"]
@@ -71,8 +71,6 @@ class DofMap:
         0 for Dirichlet dofs.
     n_free : int
         Number of free equations.
-    phase : complex
-        The quasi-periodicity factor.
     """
 
     kind: np.ndarray
@@ -80,7 +78,6 @@ class DofMap:
     value: np.ndarray
     weight: np.ndarray
     n_free: int
-    phase: complex
 
     def expand(self, x: np.ndarray) -> np.ndarray:
         """Scatter a solution vector to nodal values, shape (N, 2) complex."""
@@ -160,7 +157,6 @@ def build_dofmap(mesh: Mesh, ctx: WaveContext, amplitude: float = 1.0) -> DofMap
         value=value,
         weight=weight,
         n_free=int(free_mask.sum()),
-        phase=ctx.phase,
     )
 
 
@@ -170,19 +166,16 @@ def _local_matrices(
     y: np.ndarray,
     ctx: WaveContext,
     profile: PmlProfile,
-    quad_degree: int,
 ) -> np.ndarray:
     """Batched 6x6 element matrices; local dof = 2*vertex + component.
 
     ``area`` and ``grads`` are the element areas and P1 gradients and ``y``
     (M, 3) the vertex heights.  The integrals of rho, 1/rho and
-    rho*phi_a*phi_b use the triangle rule of degree ``quad_degree`` (>= 2) on
-    every element.  rho = 1 below the mesh line y = b, so the rule is exact
-    on physical elements.
+    rho*phi_a*phi_b use the rule of degree ``ELEMENT_DEGREE`` on every
+    element.  rho = 1 below the mesh line y = b, where the P1 integrands are
+    at most quadratic, so the rule is exact on physical elements.
     """
-    if quad_degree < 2:
-        raise ValueError(f"quad_degree must be >= 2, got {quad_degree}")
-    bary, w = triangle_rule(quad_degree)
+    bary, w = triangle_rule(ELEMENT_DEGREE)
     rq = rho(profile, y @ bary.T)
     int_rho = area * (rq @ w)
     int_inv = area * ((1.0 / rq) @ w)
@@ -217,7 +210,6 @@ def element_matrix(
     coords: np.ndarray,
     ctx: WaveContext,
     profile: PmlProfile,
-    quad_degree: int = 5,
 ) -> np.ndarray:
     """6x6 element matrix of one triangle (local dof = 2*vertex + component).
 
@@ -227,8 +219,6 @@ def element_matrix(
         CCW vertex coordinates.
     ctx, profile
         Wave context and layer profile.
-    quad_degree : int
-        Triangle quadrature degree (>= 2) of the rho-weighted integrals.
 
     Returns
     -------
@@ -236,9 +226,7 @@ def element_matrix(
     """
     coords = np.asarray(coords, dtype=float)[None, :, :]
     area, grads = p1_geometry(coords)
-    return _local_matrices(
-        area, grads, coords[..., 1], ctx, profile, quad_degree
-    )[0]
+    return _local_matrices(area, grads, coords[..., 1], ctx, profile)[0]
 
 
 def assemble(
@@ -246,7 +234,6 @@ def assemble(
     ctx: WaveContext,
     profile: PmlProfile,
     dofmap: DofMap,
-    quad_degree: int = 5,
     amplitude: float = 1.0,
 ) -> SparseSystem:
     """Assemble the reduced system (constraints folded, data lifted).
@@ -256,8 +243,6 @@ def assemble(
     mesh, ctx, profile, dofmap
         Geometry, wave context, layer profile and the dof classification
         (its Dirichlet data must match ``amplitude``).
-    quad_degree : int
-        Triangle quadrature degree (>= 2) of the element integrals.
     amplitude : float
         Incident amplitude multiplying the volume data of the layer.
 
@@ -267,12 +252,10 @@ def assemble(
     """
     area = mesh.areas()
     coords = mesh.nodes[mesh.tris]
-    k_loc = _local_matrices(
-        area, mesh.grads(), coords[..., 1], ctx, profile, quad_degree
-    )
+    k_loc = _local_matrices(area, mesh.grads(), coords[..., 1], ctx, profile)
 
     # volume data g = L u_inc, exactly 0 below y = b
-    bary, w = triangle_rule(quad_degree)
+    bary, w = triangle_rule(ELEMENT_DEGREE)
     g = pml_source(
         ctx, profile, coords[..., 0] @ bary.T, coords[..., 1] @ bary.T,
         amplitude,

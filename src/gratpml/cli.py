@@ -146,10 +146,8 @@ def _cmd_efficiency(cfg: RunConfig, args) -> int:
     write_efficiency_csv(rec.efficiency, os.path.join(out, "efficiency.csv"))
     eff = rec.efficiency
     print(f"initial mesh: {rec.n_nodes} nodes, {rec.n_dofs} dofs")
-    for n, e1, e2 in zip(eff.n, eff.e1, eff.e2):
-        if np.isnan(e1) and np.isnan(e2):
-            continue
-        print(f"  n = {int(n):+d}: compressional = {e1:.12g}, shear = {e2:.12g}")
+    for n, e1, e2 in eff.propagating():
+        print(f"  n = {n:+d}: compressional = {e1:.12g}, shear = {e2:.12g}")
     print(f"  total = {eff.total:.12g} (defect {abs(eff.total - 1.0):.3e})")
     return 0
 
@@ -166,8 +164,10 @@ def _cmd_pml_calibrate(cfg: RunConfig, args) -> int:
         print(f"{profile.delta:10.4g} {profile.zeta.real:10.4g} {mc.f:12.4e} "
               f"{mc.f_hat:12.4e} {achieved:12.4e} {str(mc.coercive):>9}{tag}")
     if chosen is None:
-        print("no thickness in the grid meets the target")
-        return 3
+        raise CalibrationError(
+            f"no thickness in [{cfg.delta0}, {cfg.delta_cap}] meets "
+            f"F_hat*sqrt(period) <= {cfg.target_fhat:.3g}"
+        )
     print(f"zeta at delta = {chosen.delta}: {chosen.zeta}")
     return 0
 

@@ -11,7 +11,7 @@ A run is described by a sectioned key=value file::
     gamma_height = 1.0
 
     [grating]
-    builtin = flat            # or "sharp", or file = path/to/profile.txt
+    builtin = flat            # or "sharp"; or, instead, file = profile.txt
 
     [pml]
     sigma_re = 12.0
@@ -26,8 +26,11 @@ A run is described by a sectioned key=value file::
     max_dofs = 200000
     h0 = 0.25
 
-Unknown sections or keys are rejected (typos should fail loudly, not fall
-back to defaults).  Every key except the six wave parameters has a default.
+The grating is either a built-in profile (``builtin = flat | sharp``, flat
+by default) or a profile file (``file = path``, which alone selects it);
+setting both is an error.  Unknown sections or keys are rejected (typos
+should fail loudly, not fall back to defaults).  Every key except the six
+wave parameters has a default.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class RunConfig:
     theta_deg: float
     period: float
     gamma_height: float
-    # [grating]
+    # [grating]; grating is "file" exactly when grating_file is set
     grating: str = "flat"
     grating_file: str | None = None
     # [pml]
@@ -78,8 +81,6 @@ class RunConfig:
     corner_x: float | None = None
     corner_y: float | None = None
     corner_radius: float | None = None
-    # [estimator]
-    quad_degree: int = 5
     # [output]
     out_dir: str = "out"
     write_vtk: bool = False
@@ -113,6 +114,8 @@ class RunConfig:
             problems.append(f"grating kind {self.grating!r} not in flat/sharp/file")
         if self.grating == "file" and not self.grating_file:
             problems.append("grating = file requires grating.file to be set")
+        if self.grating != "file" and self.grating_file:
+            problems.append(f"grating.file is set but grating = {self.grating!r}")
         if not 0.0 < self.tau <= 1.0:
             problems.append(f"adapt.tau = {self.tau} outside (0, 1]")
         if self.tolerance <= 0.0:
@@ -123,8 +126,6 @@ class RunConfig:
             problems.append("adapt.max_dofs must be >= 1")
         if self.h0 <= 0.0:
             problems.append("adapt.h0 must be positive")
-        if self.quad_degree < 2:
-            problems.append("estimator.quad_degree must be >= 2")
         if self.n_max < 1:
             problems.append("modes.n_max must be >= 1")
         if self.delta is not None and self.delta <= 0.0:
@@ -164,7 +165,6 @@ _SCHEMA = [
     ("adapt", "corner_x", "corner_x", float),
     ("adapt", "corner_y", "corner_y", float),
     ("adapt", "corner_radius", "corner_radius", float),
-    ("estimator", "quad_degree", "quad_degree", int),
     ("output", "dir", "out_dir", str),
     ("output", "write_vtk", "write_vtk", bool),
     ("output", "write_system", "write_system", bool),
@@ -218,6 +218,11 @@ def load_config(path) -> RunConfig:
                 ) from exc
             seen.add((section, key))
 
+    if "grating_file" in values:
+        if "grating" in values:
+            raise ConfigError(f"[grating] builtin and file are exclusive in {path!r}")
+        values["grating"] = "file"
+
     missing = sorted(_REQUIRED - seen)
     if missing:
         names = ", ".join(f"[{s}] {k}" for s, k in missing)
@@ -239,6 +244,8 @@ def write_config(cfg: RunConfig, path) -> None:
         required = (section, key) in _REQUIRED
         if not required and value == defaults.get(attr):
             continue
+        if key == "builtin" and cfg.grating_file:
+            continue  # the file key selects the profile on its own
         if not parser.has_section(section):
             parser.add_section(section)
         if conv is bool:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .meshing import Mesh, p1_jacobian
 from .pml import PmlProfile, pml_source, rho, rho_prime
-from .quadrature import edge_rule, triangle_rule
+from .quadrature import ELEMENT_DEGREE, edge_rule, triangle_rule
 from .waves import WaveContext, incident_field
 
 __all__ = ["ErrorIndicators", "indicators", "element_residuals", "jump_terms"]
@@ -68,20 +68,17 @@ def element_residuals(
     ctx: WaveContext,
     profile: PmlProfile,
     amplitude: float = 1.0,
-    quad_degree: int = 5,
 ) -> np.ndarray:
     """||R_T||_{L2(T)} per element.
 
     R_T,c = -coef_c * rho'/rho^2 * dy(u_c) + omega^2 * rho * u_c - g_c with
     coef = (mu, lam+2mu) and g the layer volume data, integrated on every
-    element with the triangle rule of degree ``quad_degree`` (>= 2).  Below
-    the mesh line y = b this is omega^2 * u_h (rho = 1, rho' = 0, g = 0), a
-    quadratic density the rule integrates exactly.
+    element with the element rule (degree ``ELEMENT_DEGREE``).  Below the
+    mesh line y = b this is omega^2 * u_h (rho = 1, rho' = 0, g = 0), whose
+    squared modulus is quadratic, so the rule is exact there.
     """
-    if quad_degree < 2:
-        raise ValueError(f"quad_degree must be >= 2, got {quad_degree}")
     vals = np.asarray(field)[mesh.tris]
-    bary, w = triangle_rule(quad_degree)
+    bary, w = triangle_rule(ELEMENT_DEGREE)
     coords = mesh.nodes[mesh.tris]
     y = coords[..., 1] @ bary.T
     r = rho(profile, y)
@@ -163,7 +160,7 @@ def jump_terms(
         # the wall normal is e_x
         pl, cl, ql = _flux_parts(grad[tl], 1, 0, ctx)
         pr, cr, qr = _flux_parts(grad[tr], 1, 0, ctx)
-        ph = np.exp(-1j * ctx.alpha * ctx.period)
+        ph = np.conj(ctx.phase)
         accumulate(left, pl - ph * pr, cl - ph * cr, ql - ph * qr, tl, tr)
 
     return out
@@ -202,7 +199,6 @@ def indicators(
     f_hat: float,
     *,
     amplitude: float = 1.0,
-    quad_degree: int = 5,
 ) -> ErrorIndicators:
     """Compute all element indicators and global error measures.
 
@@ -216,13 +212,11 @@ def indicators(
         Layer modeling constant scaling the truncation error term.
     amplitude : float
         Incident amplitude (0 turns all data terms off).
-    quad_degree : int
-        Triangle quadrature degree (>= 2) of the residual integrals.
     """
     field = np.asarray(field)
     if field.shape != (mesh.n_nodes, 2):
         raise ValueError("field must be nodal values of shape (n_nodes, 2)")
-    res = element_residuals(mesh, field, ctx, profile, amplitude, quad_degree)
+    res = element_residuals(mesh, field, ctx, profile, amplitude)
     jumps = jump_terms(mesh, field, ctx, profile)
     eta = mesh.diameters() * res + np.sqrt(0.5 * jumps)
 

@@ -29,7 +29,7 @@ from math import cos, sin
 import numpy as np
 
 from .meshing import PHYSICAL, p1_jacobian
-from .quadrature import triangle_rule
+from .quadrature import ELEMENT_DEGREE, triangle_rule
 from .waves import WaveContext, incident_field, incident_gradient
 
 __all__ = ["FlatSolution", "flat_solution", "h1_seminorm_error", "fit_slope"]
@@ -101,9 +101,10 @@ def h1_seminorm_error(
     field: np.ndarray,
     solution: FlatSolution,
     amplitude: float = 1.0,
-    quad_degree: int = 5,
 ) -> float:
     """H1(Omega)-seminorm of (discrete field - reference) over y <= b.
+
+    Integrated with the triangle rule of degree ``ELEMENT_DEGREE``.
 
     Parameters
     ----------
@@ -114,8 +115,6 @@ def h1_seminorm_error(
     solution : FlatSolution
     amplitude : float
         Amplitude the discrete problem was driven with.
-    quad_degree : int
-        Triangle quadrature degree for the analytic part.
 
     Returns
     -------
@@ -129,7 +128,7 @@ def h1_seminorm_error(
     areas = mesh.areas()[phys]          # (M,)
     jac_h = p1_jacobian(field[tris], mesh.grads()[phys])  # (M, 2, 2)
 
-    bary, w = triangle_rule(quad_degree)
+    bary, w = triangle_rule(ELEMENT_DEGREE)
     coords = mesh.nodes[tris]           # (M, 3, 2)
     jac_u = solution.gradient(          # (M, Q, 2, 2)
         coords[..., 0] @ bary.T, coords[..., 1] @ bary.T, amplitude

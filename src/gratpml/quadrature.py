@@ -6,9 +6,9 @@ to one, so that
     integral_T f dx  ~=  area(T) * sum_q w_q * f(x_q),
 
 with x_q = sum_i bary[q, i] * P_i for vertices P_i.  Degrees up to 5 use
-fixed symmetric rules (midpoint / Dunavant); higher degrees fall back to a
-collapsed Gauss-Legendre product (Duffy transform), which is exact for any
-requested polynomial degree at the cost of more points.
+the symmetric 7-point Dunavant rule; higher degrees fall back to a collapsed
+Gauss-Legendre product (Duffy transform), which is exact for any requested
+polynomial degree at the cost of more points.
 """
 
 from __future__ import annotations
@@ -17,7 +17,12 @@ import functools
 
 import numpy as np
 
-__all__ = ["triangle_rule", "edge_rule"]
+__all__ = ["ELEMENT_DEGREE", "triangle_rule", "edge_rule"]
+
+#: Degree of the triangle rule of every element integral (assembly, residual
+#: estimator, true error); exact for the at most quadratic P1 integrands on
+#: physical elements (rho = 1).
+ELEMENT_DEGREE = 5
 
 _SQRT15 = np.sqrt(15.0)
 
@@ -38,9 +43,6 @@ _DUNAVANT5_BARY = np.array(
     ]
 )
 _DUNAVANT5_W = np.array([9.0 / 40.0, _W1, _W1, _W1, _W2, _W2, _W2])
-
-_MID_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-_MID_W = np.array([1.0, 1.0, 1.0]) / 3.0
 
 
 def _duffy_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -81,10 +83,6 @@ def triangle_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    if degree <= 1:
-        return np.array([[1.0, 1.0, 1.0]]) / 3.0, np.array([1.0])
-    if degree <= 2:
-        return _MID_BARY.copy(), _MID_W.copy()
     if degree <= 5:
         return _DUNAVANT5_BARY.copy(), _DUNAVANT5_W.copy()
     return _duffy_rule(degree)

@@ -209,14 +209,16 @@ class EfficiencyReport:
     r2: np.ndarray
     total: float
 
-    def propagating(self) -> dict[str, dict[int, float]]:
-        """Efficiencies keyed by mode order, propagating modes only."""
-        out: dict[str, dict[int, float]] = {"compressional": {}, "shear": {}}
-        for kind, arr in (("compressional", self.e1), ("shear", self.e2)):
-            for n, e in zip(self.n, arr):
-                if np.isfinite(e):
-                    out[kind][int(n)] = float(e)
-        return out
+    def propagating(self) -> list[tuple[int, float, float]]:
+        """(n, e1, e2) of every order that propagates as either wave type.
+
+        e1 or e2 is NaN where its wave type is evanescent at that order.
+        """
+        return [
+            (int(n), e1, e2)
+            for n, e1, e2 in zip(self.n, self.e1, self.e2)
+            if not (np.isnan(e1) and np.isnan(e2))
+        ]
 
 
 def efficiencies(

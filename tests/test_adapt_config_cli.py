@@ -96,7 +96,6 @@ def test_config_roundtrips_through_write_and_load(tmp_path):
         corner_x=0.5,
         corner_y=0.5,
         corner_radius=0.2,
-        quad_degree=7,
         out_dir="elsewhere",
         write_vtk=True,
     )
@@ -118,6 +117,53 @@ def test_unknown_keys_are_rejected_by_name(tmp_path):
     )
     with pytest.raises(ConfigError, match="jump_flux"):
         load_config(path3)
+
+
+def test_readme_config_example_loads(tmp_path):
+    text = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+    blocks = text.split("```ini\n")
+    assert len(blocks) == 2, "README should hold one ini example"
+    cfg = load_config(_write(tmp_path, blocks[1].split("```")[0]))
+    assert cfg.grating == "flat"
+    assert cfg.max_iters == 33
+
+
+# a sawtooth that differs from both built-in profiles
+PROFILE_TEXT = "0.0 0.0\n0.5 0.3\n1.0 0.0\n"
+
+
+def test_grating_file_alone_selects_the_profile(tmp_path, capsys):
+    prof = tmp_path / "prof.txt"
+    prof.write_text(PROFILE_TEXT, encoding="utf-8")
+    path = _write(
+        tmp_path, MINIMAL_CFG + f"[grating]\nfile = {prof}\n[adapt]\nh0 = 0.5\n"
+    )
+    cfg = load_config(path)
+    assert (cfg.grating, cfg.grating_file) == ("file", str(prof))
+    _, _, geom, _, _ = setup(cfg)
+    assert np.array_equal(geom.vertices, [[0.0, 0.0], [0.5, 0.3], [1.0, 0.0]])
+    # written back, the file key alone still selects the profile
+    write_config(cfg, tmp_path / "again.cfg")
+    assert load_config(tmp_path / "again.cfg") == cfg
+    assert main(["mesh-info", "--config", str(path)]) == 0
+    flat = _write(tmp_path, MINIMAL_CFG + "[adapt]\nh0 = 0.5\n", "flat.cfg")
+    assert main(["mesh-info", "--config", str(flat)]) == 0
+    from_file, from_flat = capsys.readouterr().out.split("nodes:")[1:]
+    assert from_file != from_flat
+
+
+def test_grating_builtin_and_file_are_exclusive(tmp_path, capsys):
+    prof = tmp_path / "prof.txt"
+    prof.write_text(PROFILE_TEXT, encoding="utf-8")
+    for builtin in ("flat", "sharp", "file"):
+        path = _write(
+            tmp_path,
+            MINIMAL_CFG + f"[grating]\nbuiltin = {builtin}\nfile = {prof}\n",
+        )
+        with pytest.raises(ConfigError, match="exclusive"):
+            load_config(path)
+        assert main(["mesh-info", "--config", str(path)]) == 2
+        assert "exclusive" in capsys.readouterr().err
 
 
 def test_grazing_incidence_is_rejected(tmp_path):
@@ -155,6 +201,8 @@ def test_validation_rejects_inconsistent_values():
         _quick_config(grating="wavy").validate()
     with pytest.raises(ConfigError, match="file"):
         _quick_config(grating="file").validate()
+    with pytest.raises(ConfigError, match="file"):
+        _quick_config(grating="sharp", grating_file="prof.txt").validate()
     with pytest.raises(ConfigError, match="corner"):
         _quick_config(corner_x=0.5).validate()
     with pytest.raises(ConfigError, match="delta"):
@@ -417,6 +465,13 @@ def test_cli_exit_2_for_configuration_problems(tmp_path, capsys):
     assert main(["solve", "--config", str(bad)]) == 2
     assert "theta_deg" in capsys.readouterr().err
 
+    # every element integral uses one rule, so there is no quadrature key
+    old = _write(
+        tmp_path, MINIMAL_CFG + "[estimator]\nquad_degree = 5\n", "old.cfg"
+    )
+    assert main(["solve", "--config", str(old)]) == 2
+    assert "unknown key [estimator] quad_degree" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "pml", [dict(target_fhat=-1.0), dict(delta0=2.0, delta_cap=1.0)]
@@ -430,6 +485,20 @@ def test_cli_exit_2_for_bad_calibration_settings(tmp_path, capsys, pml):
         captured = capsys.readouterr()
         assert "configuration error" in captured.err
         assert captured.out == ""
+
+
+def test_cli_pml_calibrate_exit_3_when_no_thickness_meets_the_target(
+    tmp_path, capsys
+):
+    cfg = _cli_config(tmp_path, target_fhat=1e-300, delta_cap=4.0)
+    assert main(["pml-calibrate", "--config", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert "numerical failure" in captured.err
+    assert "F_hat*sqrt(period) <= 1e-300" in captured.err
+    # the table is printed before the failure, without a selected row
+    rows = captured.out.splitlines()[2:]
+    assert [float(row.split()[0]) for row in rows] == [0.25, 0.5, 1.0, 2.0, 4.0]
+    assert "selected" not in captured.out
 
 
 def test_cli_exit_3_for_numerical_failures(tmp_path, capsys):

@@ -118,20 +118,6 @@ def test_element_matrix_is_complex_symmetric(ctx1, profile1, flat_mesh1):
         assert np.abs(ke - ke.T).max() <= 1e-14 * np.abs(ke).max()
 
 
-@pytest.mark.parametrize("degree", [0, 1])
-def test_kernels_reject_quadrature_degree_below_two(
-    ctx1, profile1, small_mesh, degree
-):
-    # every element goes through one rule; below degree 2 it would no longer
-    # integrate the P1 mass matrix of the physical region exactly
-    coords = small_mesh.nodes[small_mesh.tris[0]]
-    with pytest.raises(ValueError, match="quad_degree"):
-        element_matrix(coords, ctx1, profile1, degree)
-    dm = build_dofmap(small_mesh, ctx1)
-    with pytest.raises(ValueError, match="quad_degree"):
-        assemble(small_mesh, ctx1, profile1, dm, quad_degree=degree)
-
-
 def _relabelled(mesh):
     """Copy of ``mesh`` with every region label flipped."""
     region = np.where(mesh.region == PHYSICAL, PML, PHYSICAL)
@@ -179,7 +165,6 @@ def test_assembly_and_estimator_ignore_region_labels(
 def test_dofmap_reference_counts(ctx1, flat_mesh1):
     dm = build_dofmap(flat_mesh1, ctx1)
     assert dm.n_free == 280
-    assert dm.phase == ctx1.phase
     n_dir = int(np.count_nonzero(dm.kind == DIRICHLET))
     n_slave = int(np.count_nonzero(dm.kind == SLAVE))
     assert n_dir == 2 * 10  # surface row and truncation row, five nodes each
@@ -218,7 +203,7 @@ def test_dofmap_expand_applies_constraints(ctx1, flat_mesh1):
     assert np.array_equal(u[free], x[dm.index[free]])
     for left, right in flat_mesh1.periodic_pairs:
         if (dm.kind[right] == SLAVE).all():
-            assert np.allclose(u[right], dm.phase * u[left], rtol=1e-15)
+            assert np.allclose(u[right], ctx1.phase * u[left], rtol=1e-15)
     dirichlet = dm.kind == DIRICHLET
     assert np.array_equal(u[dirichlet], dm.value[dirichlet])
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import gratpml.estimator
 from gratpml import (
     element_residuals,
     flat_profile,
@@ -12,7 +13,7 @@ from gratpml import (
     jump_terms,
 )
 from gratpml.pml import rho
-from gratpml.quadrature import triangle_rule
+from gratpml.quadrature import ELEMENT_DEGREE, triangle_rule
 
 
 @pytest.fixture(scope="module")
@@ -222,25 +223,22 @@ def test_physical_residual_is_omega_squared_field_norm(
         assert res[t] == pytest.approx(want, rel=1e-13)
 
 
-def test_layer_residual_is_quadrature_converged(ctx1, profile1, flat_mesh1):
-    field = _random_field(flat_mesh1, 9)
-    coarse = element_residuals(flat_mesh1, field, ctx1, profile1, 1.0, 5)
-    fine = element_residuals(flat_mesh1, field, ctx1, profile1, 1.0, 12)
-    layer = flat_mesh1.region != 0
-    assert np.allclose(coarse[layer], fine[layer], rtol=1e-5)
-
-
-@pytest.mark.parametrize("degree", [0, 1])
-def test_residual_rejects_quadrature_degree_below_two(
-    ctx1, profile1, flat_mesh1, degree
+def test_layer_residual_is_quadrature_converged(
+    ctx1, profile1, flat_mesh1, monkeypatch
 ):
-    # one rule serves every element; it must integrate |omega^2 u_h|^2 on the
-    # physical region exactly
-    field = _random_field(flat_mesh1, 11)
-    with pytest.raises(ValueError, match="quad_degree"):
-        element_residuals(flat_mesh1, field, ctx1, profile1, 1.0, degree)
-    with pytest.raises(ValueError, match="quad_degree"):
-        indicators(flat_mesh1, field, ctx1, profile1, 1e-9, quad_degree=degree)
+    field = _random_field(flat_mesh1, 9)
+    coarse = element_residuals(flat_mesh1, field, ctx1, profile1, 1.0)
+
+    def degree_12_rule(degree):
+        assert degree == ELEMENT_DEGREE
+        return triangle_rule(12)
+
+    # the reference: the same residual evaluated with a degree-12 rule
+    monkeypatch.setattr(gratpml.estimator, "triangle_rule", degree_12_rule)
+    fine = element_residuals(flat_mesh1, field, ctx1, profile1, 1.0)
+    layer = flat_mesh1.region != 0
+    assert not np.array_equal(coarse[layer], fine[layer])  # the rule changed
+    assert np.allclose(coarse[layer], fine[layer], rtol=1e-5)
 
 
 def test_residual_scales_linearly_in_the_field_when_undriven(

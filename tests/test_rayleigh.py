@@ -29,7 +29,7 @@ from gratpml import (
     spectral_norm_2x2,
 )
 from gratpml.meshing import bisect
-from gratpml.rayleigh import FourierTrace, _segment_integrals
+from gratpml.rayleigh import EfficiencyReport, FourierTrace, _segment_integrals
 
 SIGMA = 12.0 + 12.0j
 
@@ -239,10 +239,26 @@ def test_efficiencies_of_exact_flat_solution(ctx1, modes1):
     # evanescent orders carry no energy entry
     assert np.isnan(report.e1[modes1.index(1)])
     assert np.isnan(report.e2[modes1.index(-1)])
-    table = report.propagating()
-    assert set(table["compressional"]) == {0}
-    assert set(table["shear"]) == {0}
-    assert table["compressional"][0] == pytest.approx(report.e1[i0])
+    assert report.propagating() == [(0, report.e1[i0], report.e2[i0])]
+
+
+def test_propagating_lists_orders_open_to_either_wave_type():
+    nan = np.nan
+    report = EfficiencyReport(
+        n=np.arange(-2, 3),
+        e1=np.array([nan, nan, 0.4, nan, nan]),
+        e2=np.array([nan, 0.1, 0.3, 0.2, nan]),
+        r1=np.zeros(5, dtype=complex),
+        r2=np.zeros(5, dtype=complex),
+        total=1.0,
+    )
+    rows = report.propagating()
+    assert [n for n, _, _ in rows] == [-1, 0, 1]
+    assert np.array_equal(
+        [(e1, e2) for _, e1, e2 in rows],
+        [(nan, 0.1), (0.4, 0.3), (nan, 0.2)],
+        equal_nan=True,
+    )
 
 
 def test_efficiencies_are_amplitude_invariant(ctx1, modes1):
