@@ -115,7 +115,7 @@ def wave_setup(cfg: RunConfig) -> tuple[WaveContext, ModeTable]:
         period=cfg.period,
         gamma_height=cfg.gamma_height,
     )
-    return ctx, build_mode_table(ctx, cfg.n_max, cfg.resonance_tol)
+    return ctx, build_mode_table(ctx, cfg.n_max)
 
 
 def calibration_args(cfg: RunConfig) -> tuple:

@@ -115,7 +115,8 @@ def build_dofmap(mesh: Mesh, ctx: WaveContext, amplitude: float = 1.0) -> DofMap
 
     Dirichlet takes precedence over the periodic constraint (corner nodes of
     the truncation line and the surface are fixed on both sides with
-    consistent data, since u_inc itself is quasi-periodic).
+    consistent data, since u_inc itself is quasi-periodic).  RuntimeError
+    when the walls do not pair up or a periodic master is constrained.
     """
     n = mesh.n_nodes
     kind = np.zeros((n, 2), dtype=np.uint8)
@@ -139,11 +140,9 @@ def build_dofmap(mesh: Mesh, ctx: WaveContext, amplitude: float = 1.0) -> DofMap
     left_of[mesh.periodic_pairs[:, 1]] = mesh.periodic_pairs[:, 0]
     nodes = np.nonzero(slave)[0]
     masters = left_of[nodes]
-    bad = (masters < 0) | (kind[masters] != FREE).any(axis=1)
+    bad = (kind[masters] != FREE).any(axis=1)
     if bad.any():
         i = int(np.argmax(bad))  # report the first offending node
-        if masters[i] < 0:
-            raise RuntimeError(f"right node {nodes[i]} has no periodic partner")
         raise RuntimeError(
             f"periodic master {masters[i]} of node {nodes[i]} is constrained"
         )

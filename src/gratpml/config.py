@@ -28,7 +28,8 @@ A run is described by a sectioned key=value file::
 
 The grating is either a built-in profile (``builtin = flat | sharp``, flat
 by default) or a profile file (``file = path``, which alone selects it);
-setting both is an error.  Unknown sections or keys are rejected (typos
+setting both is an error.  A relative profile path is read from the
+config file's directory.  Unknown sections or keys are rejected (typos
 should fail loudly, not fall back to defaults).  Every key except the six
 wave parameters has a default.
 """
@@ -36,6 +37,7 @@ wave parameters has a default.
 from __future__ import annotations
 
 import configparser
+import os
 from dataclasses import dataclass, fields
 from math import radians
 
@@ -70,7 +72,6 @@ class RunConfig:
     target_fhat: float = 1e-8
     # [modes]
     n_max: int = 20
-    resonance_tol: float = 1e-8
     # [adapt]
     tolerance: float = 1e-3
     tau: float = 0.5
@@ -155,7 +156,6 @@ _SCHEMA = [
     ("pml", "delta_cap", "delta_cap", float),
     ("pml", "target_fhat", "target_fhat", float),
     ("modes", "n_max", "n_max", int),
-    ("modes", "resonance_tol", "resonance_tol", float),
     ("adapt", "tolerance", "tolerance", float),
     ("adapt", "tau", "tau", float),
     ("adapt", "max_iters", "max_iters", int),
@@ -186,8 +186,9 @@ def _to_bool(text: str) -> bool:
 def load_config(path) -> RunConfig:
     """Parse and validate a configuration file.
 
-    Raises ConfigError for a missing file, unknown sections/keys, bad
-    literals, missing required keys, or inconsistent values.
+    A relative ``[grating] file`` is made absolute against the directory of
+    ``path``.  Raises ConfigError for a missing file, unknown sections/keys,
+    bad literals, missing required keys, or inconsistent values.
     """
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#", ";")
@@ -222,6 +223,9 @@ def load_config(path) -> RunConfig:
         if "grating" in values:
             raise ConfigError(f"[grating] builtin and file are exclusive in {path!r}")
         values["grating"] = "file"
+        # a relative profile path names a file beside the config
+        here = os.path.dirname(os.path.abspath(path))
+        values["grating_file"] = os.path.join(here, values["grating_file"])
 
     missing = sorted(_REQUIRED - seen)
     if missing:
@@ -246,6 +250,8 @@ def write_config(cfg: RunConfig, path) -> None:
             continue
         if key == "builtin" and cfg.grating_file:
             continue  # the file key selects the profile on its own
+        if key == "file":
+            value = os.path.abspath(value)  # valid wherever the file is written
         if not parser.has_section(section):
             parser.add_section(section)
         if conv is bool:

@@ -23,6 +23,10 @@ images on the right; the closure propagates splits across pairs, so the two
 traces stay mirror images forever and quasi-periodic constraints remain
 exact.
 
+A ``Mesh`` stores only what bisection must carry: nodes, triangles and
+refinement edges.  Boundary flags, element regions and periodic pairs are
+derived from the node coordinates once per mesh (see ``Mesh``).
+
 Marking uses the bulk (Dörfler) criterion on squared indicators: sort
 descending, take the smallest prefix whose squared sum exceeds tau^2 times
 the total, break ties by lower element index.
@@ -174,59 +178,52 @@ def p1_jacobian(vals: np.ndarray, grads: np.ndarray) -> np.ndarray:
 class Mesh:
     """Triangulation of one period with refinement-edge bookkeeping.
 
-    Attributes
-    ----------
+    Stored attributes
+    -----------------
     nodes : ndarray (N, 2) float
     tris : ndarray (M, 3) int
         Counter-clockwise vertex triples.
-    region : ndarray (M,) uint8
-        0 = physical domain (y <= b), 1 = PML layer.
     ref_edge : ndarray (M,) uint8
         Local index of the refinement edge (edge k is opposite vertex k).
-    on_surface, on_gamma, on_top, on_left, on_right : ndarray (N,) bool
-        Node membership of the grating surface, the interface y = b, the
-        truncation line y = b + delta, and the vertical period boundaries.
-    periodic_pairs : ndarray (P, 2) int
-        Rows (left node, mirrored right node); y-coordinates match exactly.
     period, b, top : float
-        Geometry constants.
+        The right wall x = period, the interface y = b and the truncation
+        line y = top.
+
+    Derived attributes (computed from the stored ones, never carried)
+    -----------------------------------------------------------------
+    on_left, on_right, on_gamma, on_top : ndarray (N,) bool
+        x == 0, x == period, y == b, y == top.  Exact: ``generate_initial``
+        writes these lines exactly, and the midpoint 0.5 * (p + q) of two
+        nodes on one of them lies exactly on it.
+    on_surface : ndarray (N,) bool
+        Nodes of the boundary edges on neither wall nor the top line.
+    region : ndarray (M,) uint8
+        ``PML`` where a vertex has y > b, else ``PHYSICAL`` (y = b is a mesh line).
+    periodic_pairs : ndarray (P, 2) int
+        Rows (left node, right node) of the wall nodes matched by height,
+        ascending; RuntimeError when the heights on the two walls differ.
 
     Notes
     -----
-    ``_cache`` holds what is derived from geometry and topology alone,
-    computed on first use: areas, P1 gradients, diameters, the edge
-    structure and the edge partners across the period.  Data of the
-    physics (layer coefficients, volume data, anything complex) is not
-    cached here: every mesh of an adaptive run is retained with its
-    record, so such a cache would stay alive for the whole run.
+    ``_cache`` holds what is derived from geometry and topology, computed on
+    first use (the four coordinate flags cost one comparison and are not
+    cached).  Data of the physics (layer coefficients, volume data, anything
+    complex) is not cached here: every mesh of an adaptive run is retained
+    with its record, so such a cache would stay alive for the whole run.
     """
 
     def __init__(
         self,
         nodes: np.ndarray,
         tris: np.ndarray,
-        region: np.ndarray,
         ref_edge: np.ndarray,
-        on_surface: np.ndarray,
-        on_gamma: np.ndarray,
-        on_top: np.ndarray,
-        on_left: np.ndarray,
-        on_right: np.ndarray,
-        periodic_pairs: np.ndarray,
         period: float,
         b: float,
         top: float,
     ) -> None:
         self.nodes = np.asarray(nodes, dtype=float)
         self.tris = np.asarray(tris, dtype=np.int64)
-        self.region = np.asarray(region, dtype=np.uint8)
         self.ref_edge = np.asarray(ref_edge, dtype=np.uint8)
-        self.on_surface = np.asarray(on_surface, dtype=bool)
-        self.on_gamma = np.asarray(on_gamma, dtype=bool)
-        self.on_top = np.asarray(on_top, dtype=bool)
-        self.on_left = np.asarray(on_left, dtype=bool)
-        self.on_right = np.asarray(on_right, dtype=bool)
-        self.periodic_pairs = np.asarray(periodic_pairs, dtype=np.int64)
         self.period = float(period)
         self.b = float(b)
         self.top = float(top)
@@ -241,6 +238,62 @@ class Mesh:
     @property
     def n_tris(self) -> int:
         return self.tris.shape[0]
+
+    # -- boundary lines, regions, periodic pairs -------------------------
+
+    @property
+    def on_left(self) -> np.ndarray:
+        return self.nodes[:, 0] == 0.0
+
+    @property
+    def on_right(self) -> np.ndarray:
+        return self.nodes[:, 0] == self.period
+
+    @property
+    def on_gamma(self) -> np.ndarray:
+        return self.nodes[:, 1] == self.b
+
+    @property
+    def on_top(self) -> np.ndarray:
+        return self.nodes[:, 1] == self.top
+
+    def _on_walls_or_top(self) -> np.ndarray:
+        """Per edge: True when it lies on a wall or on the top line."""
+        a, c = self.edge_structure()[0].T
+        left, right, top = self.on_left, self.on_right, self.on_top
+        return (left[a] & left[c]) | (right[a] & right[c]) | (top[a] & top[c])
+
+    @property
+    def on_surface(self) -> np.ndarray:
+        if "surface" not in self._cache:
+            edges, _, edge_tri = self.edge_structure()
+            flag = np.zeros(self.n_nodes, dtype=bool)
+            flag[edges[(edge_tri[:, 1] < 0) & ~self._on_walls_or_top()]] = True
+            self._cache["surface"] = flag
+        return self._cache["surface"]
+
+    @property
+    def region(self) -> np.ndarray:
+        if "region" not in self._cache:
+            layer = (self.nodes[self.tris, 1] > self.b).any(axis=1)
+            self._cache["region"] = np.where(layer, PML, PHYSICAL).astype(np.uint8)
+        return self._cache["region"]
+
+    @property
+    def periodic_pairs(self) -> np.ndarray:
+        if "pairs" not in self._cache:
+            y = self.nodes[:, 1]
+            left, right = (
+                np.nonzero(wall)[0][np.argsort(y[wall], kind="stable")]
+                for wall in (self.on_left, self.on_right)
+            )
+            if left.size != right.size or np.any(y[left] != y[right]):
+                raise RuntimeError(
+                    "periodic walls do not match: the heights of the "
+                    f"{left.size} left and {right.size} right wall nodes differ"
+                )
+            self._cache["pairs"] = np.stack([left, right], axis=1)
+        return self._cache["pairs"]
 
     # -- geometry ------------------------------------------------------
 
@@ -312,20 +365,17 @@ class Mesh:
     def edge_partners(self) -> np.ndarray:
         """Rows (left boundary edge id, id of its mirror edge on the right).
 
-        Rows ascend in the left edge id.  RuntimeError when a left boundary
-        node has no periodic partner or a left edge has no mirror edge.
+        Rows ascend in the left edge id.  RuntimeError when the walls do not
+        match (see ``periodic_pairs``) or a left edge has no mirror edge.
         """
         if "partners" not in self._cache:
             edges = self.edge_structure()[0]
             n = np.int64(self.n_nodes)
             right_of = np.full(self.n_nodes, -1, dtype=np.int64)
             right_of[self.periodic_pairs[:, 0]] = self.periodic_pairs[:, 1]
-            left = np.nonzero(
-                self.on_left[edges[:, 0]] & self.on_left[edges[:, 1]]
-            )[0]
+            on_left = self.on_left
+            left = np.nonzero(on_left[edges[:, 0]] & on_left[edges[:, 1]])[0]
             mirror = np.sort(right_of[edges[left]], axis=1)
-            if np.any(mirror < 0):
-                raise RuntimeError("unpaired node on the left boundary")
             # edge_structure returns the edges sorted by this key
             key = edges[:, 0] * n + edges[:, 1]
             want = mirror[:, 0] * n + mirror[:, 1]
@@ -337,38 +387,15 @@ class Mesh:
 
     # -- integrity (used by the test-suite) -----------------------------
 
-    def validate(self, geom: GratingProfile | None = None) -> None:
-        """Raise AssertionError when a mesh invariant is violated."""
+    def validate(self, geom: GratingProfile) -> None:
+        """Raise AssertionError on a degenerate element or a hanging node."""
         assert np.all(self.areas() > 0.0), "non-CCW or degenerate element"
         edges, _, edge_tri = self.edge_structure()
         boundary = edge_tri[:, 1] < 0
         mid = 0.5 * (self.nodes[edges[:, 0]] + self.nodes[edges[:, 1]])
-        ok = np.zeros(len(edges), dtype=bool)
-        ok |= (self.nodes[edges[:, 0], 0] == 0.0) & (self.nodes[edges[:, 1], 0] == 0.0)
-        ok |= (self.nodes[edges[:, 0], 0] == self.period) & (
-            self.nodes[edges[:, 1], 0] == self.period
-        )
-        ok |= (self.nodes[edges[:, 0], 1] == self.top) & (
-            self.nodes[edges[:, 1], 1] == self.top
-        )
-        if geom is not None:
-            on_surf = (
-                np.abs(geom.height(mid[:, 0]) - mid[:, 1]) <= 1e-9 * max(1.0, self.top)
-            )
-            ok |= on_surf
-        else:
-            ok |= self.on_surface[edges[:, 0]] & self.on_surface[edges[:, 1]]
+        ok = self._on_walls_or_top()
+        ok |= np.abs(geom.height(mid[:, 0]) - mid[:, 1]) <= 1e-9 * max(1.0, self.top)
         assert np.all(ok[boundary]), "hanging node: interior edge with one neighbor"
-        # flags vs geometry
-        assert np.all(self.nodes[self.on_left, 0] == 0.0)
-        assert np.all(self.nodes[self.on_right, 0] == self.period)
-        assert np.all(self.nodes[self.on_gamma, 1] == self.b)
-        assert np.all(self.nodes[self.on_top, 1] == self.top)
-        # periodic pairing is a bijection with exactly matching heights
-        left, right = self.periodic_pairs[:, 0], self.periodic_pairs[:, 1]
-        assert np.array_equal(np.sort(left), np.nonzero(self.on_left)[0])
-        assert np.array_equal(np.sort(right), np.nonzero(self.on_right)[0])
-        assert np.all(self.nodes[left, 1] == self.nodes[right, 1])
 
 
 def generate_initial(
@@ -453,16 +480,6 @@ def generate_initial(
     nodes = np.stack(
         [np.repeat(col_x, rows), y_grid.reshape(-1)], axis=1
     )
-    n_nodes = nodes.shape[0]
-
-    # flags
-    row_idx = np.tile(np.arange(rows), nx + 1)
-    col_idx = np.repeat(np.arange(nx + 1), rows)
-    on_surface = row_idx == 0
-    on_gamma = row_idx == k1
-    on_top = row_idx == rows - 1
-    on_left = col_idx == 0
-    on_right = col_idx == nx
 
     # triangles: quads split along the (i, r) -> (i+1, r+1) diagonal
     i = np.repeat(np.arange(nx), rows - 1)
@@ -474,39 +491,17 @@ def generate_initial(
     tris = np.empty((2 * len(a), 3), dtype=np.int64)
     tris[0::2] = np.stack([a, bq, c], axis=1)
     tris[1::2] = np.stack([a, c, d], axis=1)
-    region = np.where(np.repeat(r, 2) < k1, PHYSICAL, PML).astype(np.uint8)
 
-    periodic_pairs = np.stack(
-        [np.arange(rows), nx * rows + np.arange(rows)], axis=1
-    )
-
-    mesh = Mesh(
-        nodes=nodes,
-        tris=tris,
-        region=region,
-        ref_edge=np.zeros(len(tris), dtype=np.uint8),
-        on_surface=on_surface,
-        on_gamma=on_gamma,
-        on_top=on_top,
-        on_left=on_left,
-        on_right=on_right,
-        periodic_pairs=periodic_pairs,
-        period=ctx.period,
-        b=b,
-        top=top,
-    )
-    mesh.ref_edge = _longest_edge(mesh)
-    return mesh
+    return Mesh(nodes, tris, _longest_edge(nodes[tris]), ctx.period, b, top)
 
 
-def _longest_edge(mesh: Mesh) -> np.ndarray:
-    """Local index of the longest edge per element (ties: lowest index)."""
-    p = mesh.nodes[mesh.tris]
+def _longest_edge(coords: np.ndarray) -> np.ndarray:
+    """Local index of the longest edge of triangles (M, 3, 2) (ties: lowest)."""
     lengths = np.stack(
         [
-            np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-            np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
-            np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
+            np.linalg.norm(coords[:, 2] - coords[:, 1], axis=1),
+            np.linalg.norm(coords[:, 0] - coords[:, 2], axis=1),
+            np.linalg.norm(coords[:, 1] - coords[:, 0], axis=1),
         ],
         axis=1,
     )
@@ -515,6 +510,10 @@ def _longest_edge(mesh: Mesh) -> np.ndarray:
 
 def bisect(mesh: Mesh, marked: np.ndarray) -> Mesh:
     """Newest-vertex bisection of the marked elements with conforming closure.
+
+    Wall splits are mirrored across the period through
+    ``Mesh.edge_partners``.  Only nodes, triangles and refinement edges are
+    passed on: the new mesh derives its flags, regions and periodic pairs.
 
     Parameters
     ----------
@@ -554,27 +553,10 @@ def bisect(mesh: Mesh, marked: np.ndarray) -> Mesh:
 
     eids = np.nonzero(split)[0]
 
-    # new nodes at split-edge midpoints; flags propagate by conjunction
-    n_old = mesh.n_nodes
+    # new nodes at split-edge midpoints
     mid = np.full(n_edges, -1, dtype=np.int64)
-    mid[eids] = n_old + np.arange(eids.size)
+    mid[eids] = mesh.n_nodes + np.arange(eids.size)
     new_coords = 0.5 * (mesh.nodes[edges[eids, 0]] + mesh.nodes[edges[eids, 1]])
-    nodes = np.vstack([mesh.nodes, new_coords])
-
-    def _extend(flag: np.ndarray) -> np.ndarray:
-        return np.concatenate([flag, flag[edges[eids, 0]] & flag[edges[eids, 1]]])
-
-    on_surface = _extend(mesh.on_surface)
-    on_gamma = _extend(mesh.on_gamma)
-    on_top = _extend(mesh.on_top)
-    on_left = _extend(mesh.on_left)
-    on_right = _extend(mesh.on_right)
-
-    wall = split[left_e]
-    periodic_pairs = np.vstack([
-        mesh.periodic_pairs,
-        np.stack([mid[left_e[wall]], mid[right_e[wall]]], axis=1),
-    ])
 
     # children of every affected triangle, in the local order (v0, v1, v2)
     # that starts at the vertex opposite the refinement edge
@@ -601,23 +583,13 @@ def bisect(mesh: Mesh, marked: np.ndarray) -> Mesh:
         np.hstack([cut2, cut2, cut1, cut1]), [2, 1, 2, 1], [2, 1, 1, 1]
     ).astype(np.uint8)
     used = np.hstack([np.ones_like(cut2), cut2, np.ones_like(cut1), cut1])
-    slot_region = np.broadcast_to(mesh.region[idx, None], used.shape)
 
     keep = ~affected
     return Mesh(
-        nodes=nodes,
-        tris=np.vstack([mesh.tris[keep], slots[used]]),
-        region=np.concatenate([mesh.region[keep], slot_region[used]]),
-        ref_edge=np.concatenate([mesh.ref_edge[keep], slot_ref[used]]),
-        on_surface=on_surface,
-        on_gamma=on_gamma,
-        on_top=on_top,
-        on_left=on_left,
-        on_right=on_right,
-        periodic_pairs=periodic_pairs,
-        period=mesh.period,
-        b=mesh.b,
-        top=mesh.top,
+        np.vstack([mesh.nodes, new_coords]),
+        np.vstack([mesh.tris[keep], slots[used]]),
+        np.concatenate([mesh.ref_edge[keep], slot_ref[used]]),
+        mesh.period, mesh.b, mesh.top,
     )
 
 

@@ -215,7 +215,7 @@ class EfficiencyReport:
         e1 or e2 is NaN where its wave type is evanescent at that order.
         """
         return [
-            (int(n), e1, e2)
+            (int(n), float(e1), float(e2))
             for n, e1, e2 in zip(self.n, self.e1, self.e2)
             if not (np.isnan(e1) and np.isnan(e2))
         ]

@@ -52,6 +52,10 @@ __all__ = [
     "incident_gradient",
 ]
 
+#: Relative cut-off guard of the mode table: it refuses to build when some
+#: mode has | |alpha_n| - kappa_j | <= RESONANCE_RTOL * kappa_j.
+RESONANCE_RTOL = 1e-8
+
 
 class ResonanceError(ValueError):
     """A Rayleigh mode sits (numerically) at a cut-off |alpha_n| = kappa_j."""
@@ -237,9 +241,7 @@ def _vertical_wavenumber(kappa: float, alpha_n: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_mode_table(
-    ctx: WaveContext, n_max: int = 20, resonance_tol: float = 1e-8
-) -> ModeTable:
+def build_mode_table(ctx: WaveContext, n_max: int = 20) -> ModeTable:
     """Tabulate Rayleigh modes for |n| <= n_max.
 
     Parameters
@@ -247,9 +249,6 @@ def build_mode_table(
     ctx : WaveContext
     n_max : int
         Truncation order, >= 0.
-    resonance_tol : float
-        Relative cut-off guard: the table refuses to build when some mode
-        satisfies | |alpha_n| - kappa_j | <= resonance_tol * kappa_j.
 
     Returns
     -------
@@ -258,7 +257,7 @@ def build_mode_table(
     Raises
     ------
     ResonanceError
-        When a mode sits within the resonance tolerance of a cut-off.
+        When a mode sits within ``RESONANCE_RTOL`` of a cut-off.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -266,7 +265,7 @@ def build_mode_table(
     alpha_n = ctx.alpha + 2.0 * pi * n / ctx.period
 
     for kappa, j in ((ctx.kappa1, 1), (ctx.kappa2, 2)):
-        near = np.abs(np.abs(alpha_n) - kappa) <= resonance_tol * kappa
+        near = np.abs(np.abs(alpha_n) - kappa) <= RESONANCE_RTOL * kappa
         if near.any():
             bad = int(n[near][0])
             raise ResonanceError(

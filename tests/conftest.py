@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gratpml import (
+    Mesh,
     ResonanceError,
     build_mode_table,
     calibrate,
@@ -48,6 +49,19 @@ def profile1(ctx1, modes1):
 @pytest.fixture(scope="session")
 def flat_mesh1(ctx1, profile1):
     return generate_initial(flat_profile(ctx1.period), ctx1, profile1, h0=0.25)
+
+
+def rebuilt(mesh, nodes=None, keep=None):
+    """New mesh from ``mesh`` with other node coordinates or fewer triangles.
+
+    ``keep`` selects the triangles that remain (boolean mask or indices).
+    Everything a mesh derives is derived afresh from the result.
+    """
+    nodes = mesh.nodes if nodes is None else nodes
+    keep = slice(None) if keep is None else keep
+    return Mesh(
+        nodes, mesh.tris[keep], mesh.ref_edge[keep], mesh.period, mesh.b, mesh.top
+    )
 
 
 def draw_context(rng: np.random.Generator, n_max: int = 50):

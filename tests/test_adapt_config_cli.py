@@ -152,6 +152,33 @@ def test_grating_file_alone_selects_the_profile(tmp_path, capsys):
     assert from_file != from_flat
 
 
+def test_relative_grating_file_is_read_beside_the_config(
+    tmp_path, monkeypatch, capsys
+):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "prof.txt").write_text(PROFILE_TEXT, encoding="utf-8")
+    _write(sub, MINIMAL_CFG + "[grating]\nfile = prof.txt\n[adapt]\nh0 = 0.5\n")
+    monkeypatch.chdir(tmp_path)  # the parent of the config's directory
+    assert main(["mesh-info", "--config", "sub/run.cfg"]) == 0
+    assert "nodes:" in capsys.readouterr().out
+    cfg = load_config("sub/run.cfg")
+    assert pathlib.Path(cfg.grating_file).resolve() == (sub / "prof.txt").resolve()
+    # written elsewhere, the config still names the same profile file
+    write_config(cfg, tmp_path / "copy.cfg")
+    assert load_config(tmp_path / "copy.cfg") == cfg
+    monkeypatch.chdir(sub)
+    assert load_config("run.cfg") == cfg
+    # a relative path set in code is read from the working directory, and a
+    # written config keeps naming that file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "elsewhere").mkdir()
+    write_config(RunConfig(**BASE, grating="file", grating_file="sub/prof.txt"),
+                 tmp_path / "elsewhere" / "run.cfg")
+    again = load_config(tmp_path / "elsewhere" / "run.cfg")
+    assert pathlib.Path(again.grating_file).resolve() == (sub / "prof.txt").resolve()
+
+
 def test_grating_builtin_and_file_are_exclusive(tmp_path, capsys):
     prof = tmp_path / "prof.txt"
     prof.write_text(PROFILE_TEXT, encoding="utf-8")
@@ -370,11 +397,26 @@ def test_summary_mentions_the_key_results(tmp_path, small_run):
     assert "coercive = True" in text
 
 
+def test_summary_prints_efficiencies_as_plain_floats(tmp_path, small_run):
+    path = tmp_path / "summary.txt"
+    write_summary(small_run, path)
+    head, tail = path.read_text(encoding="utf-8").split(
+        "efficiencies (propagating modes):\n"
+    )
+    rows = small_run.final.efficiency.propagating()
+    assert rows
+    assert tail.splitlines() == [
+        f"  n = {n:+d}: compressional = {float(e1)!r}, shear = {float(e2)!r}"
+        for n, e1, e2 in rows
+    ]
+    assert "np." not in head + tail
+
+
 def test_vtk_series_writes_one_file_per_iteration(tmp_path, small_run):
     paths = write_vtk_series(small_run, tmp_path)
     assert len(paths) == len(small_run.records)
     for path, rec in zip(paths, small_run.records):
-        text = open(path, encoding="utf-8").read()
+        text = pathlib.Path(path).read_text(encoding="utf-8")
         assert f"POINTS {rec.n_nodes}" in text
         assert "eta_hat" in text
 
@@ -471,6 +513,13 @@ def test_cli_exit_2_for_configuration_problems(tmp_path, capsys):
     )
     assert main(["solve", "--config", str(old)]) == 2
     assert "unknown key [estimator] quad_degree" in capsys.readouterr().err
+
+    # the cut-off guard of the mode table is a constant, not a key
+    tol = _write(
+        tmp_path, MINIMAL_CFG + "[modes]\nresonance_tol = 1e-6\n", "tol.cfg"
+    )
+    assert main(["solve", "--config", str(tol)]) == 2
+    assert "unknown key [modes] resonance_tol" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ from gratpml.assembly import DIRICHLET, FREE, SLAVE
 from gratpml.meshing import PHYSICAL, PML, bisect
 from gratpml.quadrature import triangle_rule
 
-from conftest import REFERENCE
+from conftest import REFERENCE, rebuilt
 
 
 @pytest.fixture(scope="module")
@@ -118,16 +118,6 @@ def test_element_matrix_is_complex_symmetric(ctx1, profile1, flat_mesh1):
         assert np.abs(ke - ke.T).max() <= 1e-14 * np.abs(ke).max()
 
 
-def _relabelled(mesh):
-    """Copy of ``mesh`` with every region label flipped."""
-    region = np.where(mesh.region == PHYSICAL, PML, PHYSICAL)
-    return Mesh(
-        mesh.nodes, mesh.tris, region, mesh.ref_edge, mesh.on_surface,
-        mesh.on_gamma, mesh.on_top, mesh.on_left, mesh.on_right,
-        mesh.periodic_pairs, mesh.period, mesh.b, mesh.top,
-    )
-
-
 def _refined_sharp_mesh(ctx, profile):
     mesh = generate_initial(sharp_profile(1.0), ctx, profile, h0=0.25)
     for step in range(3):
@@ -137,23 +127,27 @@ def _refined_sharp_mesh(ctx, profile):
 
 @pytest.mark.parametrize("which", ["flat", "sharp"])
 def test_assembly_and_estimator_ignore_region_labels(
-    ctx1, profile1, flat_mesh1, which
+    ctx1, profile1, flat_mesh1, which, monkeypatch
 ):
     # rho(y) alone tells the layer from the physical region
     if which == "flat":
         mesh = flat_mesh1
     else:
         mesh = _refined_sharp_mesh(ctx1, profile1)
-    flipped = _relabelled(mesh)
-    assert np.all(flipped.region != mesh.region)
     dm = build_dofmap(mesh, ctx1)
     system = assemble(mesh, ctx1, profile1, dm)
-    other = assemble(flipped, ctx1, profile1, build_dofmap(flipped, ctx1))
-    assert np.array_equal(system.matrix.toarray(), other.matrix.toarray())
-    assert np.array_equal(system.rhs, other.rhs)
     values = dm.expand(solve_system(system)[0])
     eta = indicators(mesh, values, ctx1, profile1, 1e-9).eta_hat
-    eta_flipped = indicators(flipped, values, ctx1, profile1, 1e-9).eta_hat
+
+    # every label flipped
+    labels = mesh.region
+    flipped = np.where(labels == PHYSICAL, PML, PHYSICAL).astype(np.uint8)
+    monkeypatch.setattr(Mesh, "region", property(lambda self: flipped))
+    assert np.all(mesh.region != labels)
+    other = assemble(mesh, ctx1, profile1, build_dofmap(mesh, ctx1))
+    assert np.array_equal(system.matrix.toarray(), other.matrix.toarray())
+    assert np.array_equal(system.rhs, other.rhs)
+    eta_flipped = indicators(mesh, values, ctx1, profile1, 1e-9).eta_hat
     assert np.array_equal(eta, eta_flipped)
 
 
@@ -210,58 +204,74 @@ def test_dofmap_expand_applies_constraints(ctx1, flat_mesh1):
         dm.expand(x[:-1])
 
 
+def _without_left_wall_triangles(mesh, count):
+    """``mesh`` less ``count`` triangles with an edge on the left wall.
+
+    The triangles are spread over the wall, away from its corners.  Their
+    other edges become boundary edges off the walls and the top line, so
+    their nodes, the two on the wall included, count as surface nodes;
+    the right partners of those wall nodes do not.  Returns the new mesh
+    and the left wall nodes of each removed triangle, bottom to top.
+    """
+    edges, tri_edges, _ = mesh.edge_structure()
+    on_left = mesh.on_left
+    wall = on_left[edges[:, 0]] & on_left[edges[:, 1]]
+    tris = np.nonzero(wall[tri_edges].any(axis=1))[0]
+    tris = tris[np.argsort(mesh.nodes[mesh.tris[tris], 1].min(axis=1))]
+    step = len(tris) // (count + 1)
+    gone = tris[step : step * (count + 1) : step]
+    walls = [t[on_left[t]] for t in mesh.tris[gone]]
+    return rebuilt(mesh, keep=~np.isin(np.arange(mesh.n_tris), gone)), walls
+
+
+def _partners(mesh, left_nodes):
+    """Periodic pairs (left, right) of ``left_nodes``."""
+    pairs = mesh.periodic_pairs
+    return pairs[np.isin(pairs[:, 0], left_nodes)]
+
+
 def test_dofmap_rejects_constrained_periodic_master(ctx1, flat_mesh1):
-    mesh = bisect(flat_mesh1, np.empty(0, dtype=int))  # deep copy
-    # fabricate an inconsistency: fix one mid-height left node, so its
-    # mirrored right node would slave to a constrained master
-    mid_pair = mesh.periodic_pairs[len(mesh.periodic_pairs) // 2]
-    mesh.on_surface = mesh.on_surface.copy()
-    mesh.on_surface[mid_pair[0]] = True
+    mesh, (wall,) = _without_left_wall_triangles(flat_mesh1, 1)
+    assert np.all(mesh.on_surface[wall])
+    master, node = min(_partners(mesh, wall), key=lambda pair: pair[1])
     with pytest.raises(
         RuntimeError,
-        match=rf"periodic master {mid_pair[0]} of node {mid_pair[1]} is constrained",
+        match=rf"periodic master {master} of node {node} is constrained",
     ):
         build_dofmap(mesh, ctx1)
-
-
-def _mid_height_pairs(mesh, count):
-    """``count`` periodic pairs away from the Dirichlet corners, by right node."""
-    inner = mesh.periodic_pairs[~mesh.on_top[mesh.periodic_pairs[:, 1]]
-                                & ~mesh.on_surface[mesh.periodic_pairs[:, 1]]]
-    inner = inner[np.argsort(inner[:, 1])]
-    step = len(inner) // (count + 1)
-    return inner[step : step * (count + 1) : step]
 
 
 def test_dofmap_rejects_right_node_without_partner(ctx1, flat_mesh1):
-    mesh = bisect(flat_mesh1, np.empty(0, dtype=int))  # deep copy
-    (pair,) = _mid_height_pairs(mesh, 1)
-    mesh.periodic_pairs = mesh.periodic_pairs[mesh.periodic_pairs[:, 1] != pair[1]]
+    # a right wall node moved off the height of every left wall node
+    right = np.nonzero(flat_mesh1.on_right)[0]
+    nodes = flat_mesh1.nodes.copy()
+    nodes[right[len(right) // 2], 1] += 0.01
+    with pytest.raises(RuntimeError, match="periodic walls do not match"):
+        build_dofmap(rebuilt(flat_mesh1, nodes=nodes), ctx1)
+
+
+@pytest.mark.parametrize("bottom_up", [True, False])
+def test_dofmap_reports_the_first_offending_node(ctx1, flat_mesh1, bottom_up):
+    # two right wall nodes far apart slave to constrained masters; the
+    # lower-numbered one is reported, whether the nodes are numbered from
+    # the bottom up (as generated) or from the top down
+    mesh, (low, high) = _without_left_wall_triangles(flat_mesh1, 2)
+    if not bottom_up:
+        order = np.argsort(-mesh.nodes[:, 1], kind="stable")  # new -> old
+        new_id = np.empty_like(order)
+        new_id[order] = np.arange(order.size)
+        mesh = Mesh(
+            mesh.nodes[order], new_id[mesh.tris], mesh.ref_edge,
+            mesh.period, mesh.b, mesh.top,
+        )
+        low, high = new_id[low], new_id[high]
+    first, second = (low, high) if bottom_up else (high, low)
+    master, node = min(_partners(mesh, first), key=lambda pair: pair[1])
+    assert node < _partners(mesh, second)[:, 1].min()
     with pytest.raises(
-        RuntimeError, match=rf"right node {pair[1]} has no periodic partner"
+        RuntimeError,
+        match=rf"periodic master {master} of node {node} is constrained",
     ):
-        build_dofmap(mesh, ctx1)
-
-
-@pytest.mark.parametrize("orphan_first", [True, False])
-def test_dofmap_reports_the_first_offending_node(ctx1, flat_mesh1, orphan_first):
-    # one right node lacks a partner, another has a constrained master; the
-    # lower-numbered one is reported, whichever fault it has
-    mesh = bisect(flat_mesh1, np.empty(0, dtype=int))  # deep copy
-    first, second = _mid_height_pairs(mesh, 2)
-    orphan, constrained = (first, second) if orphan_first else (second, first)
-    mesh.periodic_pairs = mesh.periodic_pairs[
-        mesh.periodic_pairs[:, 1] != orphan[1]
-    ]
-    mesh.on_surface = mesh.on_surface.copy()
-    mesh.on_surface[constrained[0]] = True
-    want = (
-        f"right node {orphan[1]} has no periodic partner"
-        if orphan_first
-        else f"periodic master {constrained[0]} of node {constrained[1]} is "
-        "constrained"
-    )
-    with pytest.raises(RuntimeError, match=want):
         build_dofmap(mesh, ctx1)
 
 

@@ -1,5 +1,7 @@
 """Grating profiles, mesh generation, conforming bisection, and marking."""
 
+from math import ceil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,11 +14,14 @@ from gratpml import (
     generate_initial,
     load_profile,
     locate_corner_fraction,
+    make_pml,
     mark,
     sharp_profile,
     write_vtk,
 )
-from gratpml.meshing import GratingProfile, Mesh
+from gratpml.meshing import PML, PHYSICAL, GratingProfile, Mesh
+
+from conftest import rebuilt
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +163,7 @@ def test_edge_structure_invariants(flat_mesh1):
 def test_edge_structure_detects_nonmanifold_input():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.5]])
     tris = np.array([[0, 1, 2], [0, 3, 1], [0, 1, 3]])
-    zeros = np.zeros(4, dtype=bool)
-    mesh = Mesh(
-        nodes, tris, np.zeros(3, np.uint8), np.zeros(3, np.uint8),
-        zeros, zeros, zeros, zeros, zeros,
-        np.empty((0, 2), np.int64), 1.0, 1.0, 2.0,
-    )
+    mesh = Mesh(nodes, tris, np.zeros(3, np.uint8), 1.0, 1.0, 2.0)
     with pytest.raises(RuntimeError, match="non-manifold"):
         mesh.edge_structure()
 
@@ -255,15 +255,59 @@ def test_refining_across_period_boundary_keeps_pairing(ctx1, flat_mesh1):
 # ---------------------------------------------------------------------------
 
 
-def _edge_partners_reference(mesh: Mesh) -> np.ndarray:
+# Labels a mesh derives from its coordinates, carried here the way bisection
+# used to carry them: set from the grid indices of the initial mesh, then
+# passed to midpoints by conjunction, to children from their parent, and to
+# the midpoints of paired wall edges as new pairs.
+NODE_FLAGS = ("on_surface", "on_gamma", "on_top", "on_left", "on_right")
+
+
+def _grid_labels(mesh: Mesh, geom: GratingProfile, delta: float, h0: float) -> dict:
+    """Labels of a ``generate_initial`` mesh, from its grid indices alone.
+
+    Nodes are numbered column by column, bottom to top; row k1 is the
+    interface y = b and the last row the truncation line.
+    """
+    k1 = max(1, ceil((mesh.b - geom.min_height) / h0))
+    rows = k1 + max(1, ceil(delta / h0)) + 1
+    col, row = np.divmod(np.arange(mesh.n_nodes), rows)
+    nx = mesh.n_nodes // rows - 1
+    quad_row = row[mesh.tris].min(axis=1)
+    return {
+        "on_surface": row == 0,
+        "on_gamma": row == k1,
+        "on_top": row == rows - 1,
+        "on_left": col == 0,
+        "on_right": col == nx,
+        "region": np.where(quad_row < k1, PHYSICAL, PML).astype(np.uint8),
+        "periodic_pairs": np.stack(
+            [np.arange(rows), nx * rows + np.arange(rows)], axis=1
+        ),
+    }
+
+
+def _assert_labels(mesh: Mesh, labels: dict) -> None:
+    """The derived flags, regions and pairs equal the carried ones."""
+    for name in NODE_FLAGS + ("region",):
+        got = getattr(mesh, name)
+        assert got.dtype == labels[name].dtype, name
+        assert np.array_equal(got, labels[name]), name
+    got, want = mesh.periodic_pairs, labels["periodic_pairs"]
+    assert np.array_equal(
+        got[np.argsort(got[:, 0])], want[np.argsort(want[:, 0])]
+    ), "periodic_pairs"
+    assert np.all(mesh.nodes[got[:, 0], 1] == mesh.nodes[got[:, 1], 1])
+
+
+def _edge_partners_reference(mesh: Mesh, pairs, on_left) -> np.ndarray:
     """Mirror edge id of each left/right boundary edge (-1 elsewhere), by dict."""
     edges = mesh.edge_structure()[0]
     n = mesh.n_nodes
     right_of = np.full(n, -1, dtype=np.int64)
-    right_of[mesh.periodic_pairs[:, 0]] = mesh.periodic_pairs[:, 1]
+    right_of[pairs[:, 0]] = pairs[:, 1]
     lookup = {int(a) * n + int(b): i for i, (a, b) in enumerate(edges)}
     partner = np.full(len(edges), -1, dtype=np.int64)
-    left_mask = mesh.on_left[edges[:, 0]] & mesh.on_left[edges[:, 1]]
+    left_mask = on_left[edges[:, 0]] & on_left[edges[:, 1]]
     for e in np.nonzero(left_mask)[0]:
         a, bb = right_of[edges[e, 0]], right_of[edges[e, 1]]
         if a < 0 or bb < 0:
@@ -276,11 +320,16 @@ def _edge_partners_reference(mesh: Mesh) -> np.ndarray:
     return partner
 
 
-def _bisect_reference(mesh: Mesh, marked) -> Mesh:
-    """Newest-vertex bisection emitting the children triangle by triangle."""
+def _bisect_reference(mesh: Mesh, labels: dict, marked) -> tuple[Mesh, dict]:
+    """Newest-vertex bisection emitting the children triangle by triangle.
+
+    Returns the refined mesh and its labels, carried from ``labels``.
+    """
     marked = np.unique(np.asarray(marked, dtype=np.int64))
     edges, tri_edges, _ = mesh.edge_structure()
-    partner = _edge_partners_reference(mesh)
+    partner = _edge_partners_reference(
+        mesh, labels["periodic_pairs"], labels["on_left"]
+    )
     split = np.zeros(len(edges), dtype=bool)
     split[tri_edges[marked, mesh.ref_edge[marked]]] = True
     while True:
@@ -297,19 +346,22 @@ def _bisect_reference(mesh: Mesh, marked) -> Mesh:
     ends = edges[eids]
     nodes = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[ends[:, 0]] + mesh.nodes[ends[:, 1]])])
 
-    def extend(flag):
-        return np.concatenate([flag, flag[ends[:, 0]] & flag[ends[:, 1]]])
-
-    left_split = eids[(partner[eids] >= 0) & mesh.on_left[ends[:, 0]]]
-    pairs = np.vstack([
-        mesh.periodic_pairs,
+    carried = {
+        name: np.concatenate(
+            [labels[name], labels[name][ends[:, 0]] & labels[name][ends[:, 1]]]
+        )
+        for name in NODE_FLAGS
+    }
+    left_split = eids[(partner[eids] >= 0) & labels["on_left"][ends[:, 0]]]
+    carried["periodic_pairs"] = np.vstack([
+        labels["periodic_pairs"],
         np.stack([mid[left_split], mid[partner[left_split]]], axis=1),
     ])
 
     affected = split[tri_edges].any(axis=1)
     tris = [tuple(t) for t in mesh.tris[~affected]]
     ref = list(mesh.ref_edge[~affected])
-    region = list(mesh.region[~affected])
+    region = list(labels["region"][~affected])
     for t in np.nonzero(affected)[0]:
         re = int(mesh.ref_edge[t])
         order = (re, (re + 1) % 3, (re + 2) % 3)
@@ -327,13 +379,33 @@ def _bisect_reference(mesh: Mesh, marked) -> Mesh:
         for tri, r in kids:
             tris.append(tri)
             ref.append(r)
-            region.append(mesh.region[t])
-    return Mesh(
-        nodes, np.array(tris, dtype=np.int64), np.array(region, dtype=np.uint8),
-        np.array(ref, dtype=np.uint8), extend(mesh.on_surface),
-        extend(mesh.on_gamma), extend(mesh.on_top), extend(mesh.on_left),
-        extend(mesh.on_right), pairs, mesh.period, mesh.b, mesh.top,
+            region.append(labels["region"][t])
+    carried["region"] = np.array(region, dtype=np.uint8)
+    refined = Mesh(
+        nodes, np.array(tris, dtype=np.int64), np.array(ref, dtype=np.uint8),
+        mesh.period, mesh.b, mesh.top,
     )
+    return refined, carried
+
+
+def _refine_against_reference(mesh, labels, geom, data, rounds):
+    """Bisect ``rounds`` random markings, checking each round on the way."""
+    _assert_labels(mesh, labels)
+    for _ in range(rounds):
+        marked = data.draw(
+            st.lists(
+                st.integers(0, mesh.n_tris - 1), min_size=1,
+                max_size=max(1, mesh.n_tris // 5),
+            )
+        )
+        want, labels = _bisect_reference(mesh, labels, marked)
+        got = bisect(mesh, marked)
+        for name in ("nodes", "tris", "ref_edge"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        got.validate(geom)
+        _assert_labels(got, labels)
+        mesh = got
+    return mesh
 
 
 @pytest.mark.parametrize("builder", [flat_profile, sharp_profile])
@@ -342,19 +414,34 @@ def _bisect_reference(mesh: Mesh, marked) -> Mesh:
 def test_bisect_matches_sequential_reference(ctx1, profile1, builder, data):
     geom = builder(ctx1.period)
     mesh = generate_initial(geom, ctx1, profile1, h0=0.25)
-    for _ in range(4):
-        marked = data.draw(
-            st.lists(
-                st.integers(0, mesh.n_tris - 1), min_size=1,
-                max_size=max(1, mesh.n_tris // 5),
-            )
-        )
-        want = _bisect_reference(mesh, marked)
-        got = bisect(mesh, marked)
-        for name in ("nodes", "tris", "ref_edge", "region", "periodic_pairs"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        got.validate(geom)
-        mesh = got
+    labels = _grid_labels(mesh, geom, profile1.delta, 0.25)
+    _refine_against_reference(mesh, labels, geom, data, rounds=4)
+
+
+@st.composite
+def _gratings(draw):
+    """Admissible profiles on one unit period: 3-6 vertices, heights in
+    [-0.3, 0.55] (below 0.6 b for b = 1), periodic closure."""
+    k = draw(st.integers(3, 6))
+    inner = draw(st.lists(st.integers(1, 19), min_size=k - 2, max_size=k - 2,
+                          unique=True))
+    heights = draw(st.lists(st.integers(-6, 11), min_size=k - 1, max_size=k - 1))
+    x = [0.0] + sorted(i / 20 for i in inner) + [1.0]
+    y = [h / 20 for h in heights] + [heights[0] / 20]
+    return GratingProfile(np.column_stack([x, y]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(geom=_gratings(), data=st.data())
+def test_random_gratings_derive_what_bisection_used_to_carry(ctx1, geom, data):
+    # a thin layer keeps the meshes small; the layer plays no part here
+    layer = make_pml(12 + 12j, 2, 1.0, b=ctx1.gamma_height)
+    mesh = generate_initial(geom, ctx1, layer, h0=0.25)
+    mesh.validate(geom)
+    labels = _grid_labels(mesh, geom, layer.delta, 0.25)
+    _refine_against_reference(
+        mesh, labels, geom, data, rounds=data.draw(st.integers(3, 4))
+    )
 
 
 @pytest.mark.parametrize("builder", [flat_profile, sharp_profile])
@@ -365,7 +452,7 @@ def test_edge_partners_match_dict_reference(ctx1, profile1, builder):
         touches_wall = (mesh.on_left | mesh.on_right)[mesh.tris].any(axis=1)
         wall = np.nonzero(touches_wall)[0]
         mesh = bisect(mesh, rng.choice(wall, size=wall.size // 2, replace=False))
-        partner = _edge_partners_reference(mesh)
+        partner = _edge_partners_reference(mesh, mesh.periodic_pairs, mesh.on_left)
         edges = mesh.edge_structure()[0]
         left = np.nonzero((partner >= 0) & mesh.on_left[edges[:, 0]])[0]
         pairs = mesh.edge_partners()
@@ -374,20 +461,26 @@ def test_edge_partners_match_dict_reference(ctx1, profile1, builder):
 
 
 def test_edge_partners_report_broken_pairing(flat_mesh1):
-    unpaired = bisect(flat_mesh1, np.empty(0, dtype=int))
-    unpaired.periodic_pairs = unpaired.periodic_pairs[1:]
-    with pytest.raises(RuntimeError, match="unpaired node on the left boundary"):
-        unpaired.edge_partners()
+    # a right wall node off the height of every left wall node: the walls
+    # cannot be paired
+    right = np.nonzero(flat_mesh1.on_right)[0]
+    nodes = flat_mesh1.nodes.copy()
+    nodes[right[len(right) // 2], 1] += 0.01
+    with pytest.raises(RuntimeError, match="periodic walls do not match"):
+        rebuilt(flat_mesh1, nodes=nodes).edge_partners()
 
-    # node 1 now pairs with the right partner of node 5: left edge (0, 1)
-    # has no mirror image
-    crossed = bisect(flat_mesh1, np.empty(0, dtype=int))
-    crossed.periodic_pairs = crossed.periodic_pairs.copy()
-    crossed.periodic_pairs[[1, 5], 1] = crossed.periodic_pairs[[5, 1], 1]
+    # the walls pair up, but a triangle on the right wall is gone, and with
+    # it the mirror image of a left wall edge
+    edges, tri_edges, _ = flat_mesh1.edge_structure()
+    on_right = flat_mesh1.on_right
+    wall_edge = on_right[edges[:, 0]] & on_right[edges[:, 1]]
+    gone = np.nonzero(wall_edge[tri_edges].any(axis=1))[0][5]
+    cut = rebuilt(flat_mesh1, keep=np.arange(flat_mesh1.n_tris) != gone)
+    assert cut.periodic_pairs.shape == flat_mesh1.periodic_pairs.shape
     with pytest.raises(
         RuntimeError, match="left boundary edge without mirrored right edge"
     ):
-        crossed.edge_partners()
+        cut.edge_partners()
 
 
 # ---------------------------------------------------------------------------

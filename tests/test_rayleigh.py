@@ -28,8 +28,10 @@ from gratpml import (
     recover_potentials,
     spectral_norm_2x2,
 )
-from gratpml.meshing import bisect
+from gratpml.meshing import Mesh, bisect
 from gratpml.rayleigh import EfficiencyReport, FourierTrace, _segment_integrals
+
+from conftest import rebuilt
 
 SIGMA = 12.0 + 12.0j
 
@@ -160,24 +162,21 @@ def test_fourier_trace_input_validation(ctx1, flat_mesh1):
 
 
 def test_fourier_trace_requires_full_interface_coverage(ctx1, flat_mesh1):
-    broken = bisect(flat_mesh1, np.empty(0, dtype=int))
-    broken.on_gamma = broken.on_gamma.copy()
-    field = np.zeros((broken.n_nodes, 2), dtype=complex)
+    m = flat_mesh1
+    field = np.zeros((m.n_nodes, 2), dtype=complex)
 
-    # no interface edges at all
-    saved = broken.on_gamma.copy()
-    broken.on_gamma[:] = False
+    # no interface edges at all: no node lies on the line y = b
+    off_line = Mesh(m.nodes, m.tris, m.ref_edge, m.period, m.b + 0.1, m.top)
+    assert not off_line.on_gamma.any()
     with pytest.raises(TraceError, match="no mesh edges"):
-        fourier_trace(broken, field, ctx1, n_max=2)
+        fourier_trace(off_line, field, ctx1, n_max=2)
 
-    # a gap in the middle of the interface
-    broken.on_gamma = saved
-    interior = np.nonzero(
-        broken.on_gamma & ~broken.on_left & ~broken.on_right
-    )[0]
-    broken.on_gamma[interior[0]] = False
+    # a gap in the middle of the interface: one node moved off the line
+    interior = np.nonzero(m.on_gamma & ~m.on_left & ~m.on_right)[0]
+    nodes = m.nodes.copy()
+    nodes[interior[0], 1] += 0.01
     with pytest.raises(TraceError, match="cover"):
-        fourier_trace(broken, field, ctx1, n_max=2)
+        fourier_trace(rebuilt(m, nodes=nodes), field, ctx1, n_max=2)
 
 
 # ---------------------------------------------------------------------------
