@@ -27,7 +27,14 @@ from .adapt import (
     write_summary,
     write_vtk_series,
 )
-from .assembly import DofMap, SparseSystem, assemble, build_dofmap, element_matrix
+from .assembly import (
+    DofMap,
+    SparseSystem,
+    assemble,
+    build_dofmap,
+    element_matrix,
+    layer_source,
+)
 from .config import ConfigError, RunConfig, load_config, write_config
 from .estimator import ErrorIndicators, element_residuals, indicators, jump_terms
 from .exact import FlatSolution, fit_slope, flat_solution, h1_seminorm_error
@@ -132,6 +139,7 @@ __all__ = [
     "indicators",
     "jump_terms",
     "layer_dtn_matrix",
+    "layer_source",
     "layer_system",
     "load_config",
     "load_profile",

@@ -8,7 +8,10 @@ the initial mesh, then iterate
 
 until the discretization error measure eps_fem falls below the configured
 tolerance, the iteration budget is exhausted, or the next solve would
-exceed the dof budget.  Every iteration is retained as an IterationRecord
+exceed the dof budget.  The layer volume data g = L u_inc is evaluated once
+per element: assembly and estimator share it within an iteration, and the
+rows of the elements that ``bisect`` leaves unrefined carry over to the
+next mesh.  Every iteration is retained as an IterationRecord
 (with its mesh and nodal field), so reports and convergence studies can be
 produced after the fact without re-running.
 
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import SparseSystem, assemble, build_dofmap
+from .assembly import SparseSystem, assemble, build_dofmap, layer_source
 from .config import RunConfig
 from .estimator import ErrorIndicators, indicators
 from .exact import FlatSolution, flat_solution, h1_seminorm_error
@@ -166,17 +169,22 @@ def run(cfg: RunConfig, progress=None) -> AdaptiveRun:
     records: list[IterationRecord] = []
     stop_reason = "max_iterations"
     system = None
+    source = None  # layer_source values known for the leading elements of mesh
     for it in range(cfg.max_iters):
         t0 = time.perf_counter()
         dofmap = build_dofmap(mesh, ctx, cfg.amplitude)
         if dofmap.n_free > cfg.max_dofs:
             stop_reason = "max_dofs"
             break
-        system = assemble(mesh, ctx, profile, dofmap, amplitude=cfg.amplitude)
+        source = layer_source(mesh, ctx, profile, cfg.amplitude, carried=source)
+        system = assemble(
+            mesh, ctx, profile, dofmap, amplitude=cfg.amplitude, source=source
+        )
         x, report = solve_system(system)
         values = dofmap.expand(x)
         ind = indicators(
-            mesh, values, ctx, profile, constants.f_hat, amplitude=cfg.amplitude
+            mesh, values, ctx, profile, constants.f_hat,
+            amplitude=cfg.amplitude, source=source,
         )
         trace = fourier_trace(mesh, values, ctx, cfg.n_max, cfg.amplitude)
         eff = efficiencies(modes, recover_potentials(modes, trace), cfg.amplitude)
@@ -221,7 +229,8 @@ def run(cfg: RunConfig, progress=None) -> AdaptiveRun:
         if marked.size == 0:
             stop_reason = "tolerance"
             break
-        mesh = bisect(mesh, marked)
+        mesh, kept = bisect(mesh, marked)
+        source = source[kept]
 
     return AdaptiveRun(
         config=cfg,
@@ -250,6 +259,8 @@ _CONVERGENCE_COLUMNS = [
     ("corner_fraction", lambda r: r.corner_fraction),
     ("solve_residual", lambda r: r.solve.residual),
     ("wall_time", lambda r: r.wall_time),
+    ("fill_factor", lambda r: r.solve.fill_factor),
+    ("pivot_ratio", lambda r: r.solve.pivot_ratio),
 ]
 
 

@@ -30,7 +30,8 @@ so the reduced matrix is structurally symmetric (its pattern equals that of
 its transpose) and A(alpha)^T = A(-alpha) for the Bloch parameter alpha; it
 is complex symmetric only at normal incidence.  Eliminated Dirichlet columns
 are folded into the right-hand side together with the volume data
-g = L u_inc of the layer.
+g = L u_inc of the layer, which ``layer_source`` evaluates at the points of
+the element rule; the residual estimator integrates the same values.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .meshing import Mesh, p1_geometry
@@ -46,7 +46,14 @@ from .pml import PmlProfile, pml_source, rho
 from .quadrature import ELEMENT_DEGREE, triangle_rule
 from .waves import WaveContext, incident_field
 
-__all__ = ["DofMap", "SparseSystem", "build_dofmap", "element_matrix", "assemble"]
+__all__ = [
+    "DofMap",
+    "SparseSystem",
+    "build_dofmap",
+    "element_matrix",
+    "layer_source",
+    "assemble",
+]
 
 FREE = 0
 DIRICHLET = 1
@@ -107,6 +114,8 @@ class SparseSystem:
 
     def write_matrix_market(self, path) -> None:
         """Dump the reduced matrix in Matrix Market coordinate format."""
+        import scipy.io  # deferred: only writing a system needs it
+
         scipy.io.mmwrite(str(path), self.matrix.tocoo())
 
 
@@ -228,12 +237,51 @@ def element_matrix(
     return _local_matrices(area, grads, coords[..., 1], ctx, profile)[0]
 
 
+def layer_source(
+    mesh: Mesh,
+    ctx: WaveContext,
+    profile: PmlProfile,
+    amplitude: float = 1.0,
+    carried: np.ndarray | None = None,
+) -> np.ndarray:
+    """Volume data g = L u_inc of the layer at the points of the element rule.
+
+    Parameters
+    ----------
+    mesh, ctx, profile
+        Geometry, wave context and layer profile.
+    amplitude : float
+        Incident amplitude.
+    carried : ndarray (K, Q, 2) complex, optional
+        Values of the first K elements, already known.  ``bisect`` puts the
+        unrefined elements first, so ``source[kept]`` of the previous mesh
+        carries them over and only the K..M-1 children are evaluated.
+
+    Returns
+    -------
+    ndarray (M, Q, 2) complex
+        g at the Q points of the rule of degree ``ELEMENT_DEGREE``; exactly
+        0 below y = b.  Evaluated pointwise, so carried and fresh values are
+        bit-identical.
+    """
+    done = 0 if carried is None else len(carried)
+    coords = mesh.nodes[mesh.tris[done:]]
+    bary, _ = triangle_rule(ELEMENT_DEGREE)
+    g = pml_source(
+        ctx, profile, coords[..., 0] @ bary.T, coords[..., 1] @ bary.T,
+        amplitude,
+    )
+    return g if carried is None else np.concatenate([carried, g])
+
+
 def assemble(
     mesh: Mesh,
     ctx: WaveContext,
     profile: PmlProfile,
     dofmap: DofMap,
     amplitude: float = 1.0,
+    *,
+    source: np.ndarray | None = None,
 ) -> SparseSystem:
     """Assemble the reduced system (constraints folded, data lifted).
 
@@ -244,6 +292,9 @@ def assemble(
         (its Dirichlet data must match ``amplitude``).
     amplitude : float
         Incident amplitude multiplying the volume data of the layer.
+    source : ndarray (M, Q, 2) complex, optional
+        ``layer_source(mesh, ctx, profile, amplitude)``, evaluated here when
+        not given (``run`` passes the values it shares with the estimator).
 
     Returns
     -------
@@ -253,12 +304,8 @@ def assemble(
     coords = mesh.nodes[mesh.tris]
     k_loc = _local_matrices(area, mesh.grads(), coords[..., 1], ctx, profile)
 
-    # volume data g = L u_inc, exactly 0 below y = b
+    g = layer_source(mesh, ctx, profile, amplitude) if source is None else source
     bary, w = triangle_rule(ELEMENT_DEGREE)
-    g = pml_source(
-        ctx, profile, coords[..., 0] @ bary.T, coords[..., 1] @ bary.T,
-        amplitude,
-    )
     # f[2b+d] = -area * sum_q w_q g_d(q) phi_b(q)
     wb = -(w[:, None] * bary)
     f_loc = np.empty((mesh.n_tris, 6), dtype=complex)

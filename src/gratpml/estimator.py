@@ -38,8 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import layer_source
 from .meshing import Mesh, p1_jacobian
-from .pml import PmlProfile, pml_source, rho, rho_prime
+from .pml import PmlProfile, rho, rho_prime
+from .pml import pml_source  # noqa: F401  (rebound by benchmarks/tracing.py)
 from .quadrature import ELEMENT_DEGREE, edge_rule, triangle_rule
 from .waves import WaveContext, incident_field
 
@@ -68,6 +70,8 @@ def element_residuals(
     ctx: WaveContext,
     profile: PmlProfile,
     amplitude: float = 1.0,
+    *,
+    source: np.ndarray | None = None,
 ) -> np.ndarray:
     """||R_T||_{L2(T)} per element.
 
@@ -75,15 +79,16 @@ def element_residuals(
     coef = (mu, lam+2mu) and g the layer volume data, integrated on every
     element with the element rule (degree ``ELEMENT_DEGREE``).  Below the
     mesh line y = b this is omega^2 * u_h (rho = 1, rho' = 0, g = 0), whose
-    squared modulus is quadratic, so the rule is exact there.
+    squared modulus is quadratic, so the rule is exact there.  ``source``
+    is ``assembly.layer_source(mesh, ctx, profile, amplitude)``, evaluated
+    here when not given.
     """
     vals = np.asarray(field)[mesh.tris]
     bary, w = triangle_rule(ELEMENT_DEGREE)
-    coords = mesh.nodes[mesh.tris]
-    y = coords[..., 1] @ bary.T
+    y = mesh.nodes[mesh.tris][..., 1] @ bary.T
     r = rho(profile, y)
     rp = rho_prime(profile, y)
-    g = pml_source(ctx, profile, coords[..., 0] @ bary.T, y, amplitude)
+    g = layer_source(mesh, ctx, profile, amplitude) if source is None else source
     dy = p1_jacobian(vals, mesh.grads())[:, :, 1, None]  # dy(u_c), (M, 2, 1)
     uq1, uq2 = vals[:, :, 0] @ bary.T, vals[:, :, 1] @ bary.T
     om2 = ctx.omega**2
@@ -199,6 +204,7 @@ def indicators(
     f_hat: float,
     *,
     amplitude: float = 1.0,
+    source: np.ndarray | None = None,
 ) -> ErrorIndicators:
     """Compute all element indicators and global error measures.
 
@@ -212,11 +218,14 @@ def indicators(
         Layer modeling constant scaling the truncation error term.
     amplitude : float
         Incident amplitude (0 turns all data terms off).
+    source : ndarray (M, Q, 2) complex, optional
+        The layer volume data ``assembly.layer_source(mesh, ctx, profile,
+        amplitude)``, evaluated here when not given.
     """
     field = np.asarray(field)
     if field.shape != (mesh.n_nodes, 2):
         raise ValueError("field must be nodal values of shape (n_nodes, 2)")
-    res = element_residuals(mesh, field, ctx, profile, amplitude)
+    res = element_residuals(mesh, field, ctx, profile, amplitude, source=source)
     jumps = jump_terms(mesh, field, ctx, profile)
     eta = mesh.diameters() * res + np.sqrt(0.5 * jumps)
 

@@ -210,6 +210,9 @@ class Mesh:
     cached).  Data of the physics (layer coefficients, volume data, anything
     complex) is not cached here: every mesh of an adaptive run is retained
     with its record, so such a cache would stay alive for the whole run.
+    The layer volume data is carried from mesh to mesh by the adaptive loop
+    instead (``assembly.layer_source`` and the ``kept`` indices of
+    ``bisect``), and is dropped with the loop.
     """
 
     def __init__(
@@ -508,7 +511,7 @@ def _longest_edge(coords: np.ndarray) -> np.ndarray:
     return np.argmax(lengths, axis=1).astype(np.uint8)
 
 
-def bisect(mesh: Mesh, marked: np.ndarray) -> Mesh:
+def bisect(mesh: Mesh, marked: np.ndarray) -> tuple[Mesh, np.ndarray]:
     """Newest-vertex bisection of the marked elements with conforming closure.
 
     Wall splits are mirrored across the period through
@@ -523,10 +526,13 @@ def bisect(mesh: Mesh, marked: np.ndarray) -> Mesh:
 
     Returns
     -------
-    Mesh
-        A new conforming mesh; the input is left untouched.  Unrefined
-        elements come first in their old order, then the children of each
-        refined element in turn.
+    (Mesh, kept)
+        A new conforming mesh (the input is left untouched) and the old
+        indices of its unrefined elements, int64.  Those come first in their
+        old order, ``new.tris[:len(kept)] == mesh.tris[kept]``, then the
+        children of each refined element in turn.  So per-element data of
+        the old mesh carries over as ``data[kept]``, and only the children
+        need new values.
     """
     marked = np.unique(np.asarray(marked, dtype=np.int64))
     if marked.size and (marked[0] < 0 or marked[-1] >= mesh.n_tris):
@@ -584,13 +590,14 @@ def bisect(mesh: Mesh, marked: np.ndarray) -> Mesh:
     ).astype(np.uint8)
     used = np.hstack([np.ones_like(cut2), cut2, np.ones_like(cut1), cut1])
 
-    keep = ~affected
-    return Mesh(
+    kept = np.nonzero(~affected)[0]
+    new = Mesh(
         np.vstack([mesh.nodes, new_coords]),
-        np.vstack([mesh.tris[keep], slots[used]]),
-        np.concatenate([mesh.ref_edge[keep], slot_ref[used]]),
+        np.vstack([mesh.tris[kept], slots[used]]),
+        np.concatenate([mesh.ref_edge[kept], slot_ref[used]]),
         mesh.period, mesh.b, mesh.top,
     )
+    return new, kept
 
 
 def mark(eta_hat: np.ndarray, tau: float = 0.5) -> np.ndarray:

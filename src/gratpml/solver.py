@@ -49,7 +49,12 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Diagnostics of one sparse direct solve."""
+    """Diagnostics of one sparse direct solve.
+
+    ``lu_nnz`` is ``L.nnz + U.nnz`` of the extracted factors.  SuperLU's own
+    count, ``SuperLU.nnz``, is not the same number: on the final systems of
+    the shipped runs it is 16 % (flat) and 57 % (sharp) larger (scipy 1.17).
+    """
 
     n: int
     nnz: int
@@ -111,13 +116,20 @@ def solve_system(system: SparseSystem) -> tuple[np.ndarray, SolveReport]:
 def _factor_and_solve(
     a, b, scale: float, ordering: str, kwargs: dict
 ) -> tuple[np.ndarray, SolveReport]:
-    """One factorization with ``ordering``; raise SolverError when singular."""
+    """One factorization with ``ordering``; raise SolverError when singular.
+
+    ``lu.U`` is read once, for the pivots.  That access makes SuperLU build
+    CSC copies of both factors, L and U, which stay alive with ``lu``: on a
+    large system they set the peak memory of the solve.  ``lu.L`` then
+    returns the copy already built.
+    """
     try:
         lu = splu(a, permc_spec=ordering, **kwargs)
     except RuntimeError as exc:  # SuperLU signals exact singularity this way
         raise SolverError(f"sparse factorization failed: {exc}") from exc
 
-    pivots = np.abs(lu.U.diagonal())
+    u = lu.U
+    pivots = np.abs(u.diagonal())
     pivot_ratio = float(pivots.min() / scale)
     if pivot_ratio <= PIVOT_RTOL:
         raise SolverError(
@@ -134,7 +146,7 @@ def _factor_and_solve(
     report = SolveReport(
         n=a.shape[0],
         nnz=int(a.nnz),
-        lu_nnz=int(lu.L.nnz + lu.U.nnz),
+        lu_nnz=int(lu.L.nnz + u.nnz),
         residual=residual,
         pivot_ratio=pivot_ratio,
         ok=residual <= RESIDUAL_RTOL,

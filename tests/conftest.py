@@ -1,4 +1,5 @@
-"""Shared fixtures: the reference scattering problem and random-context draws."""
+"""Shared fixtures: the reference scattering problem, random-context and
+random-grating draws."""
 
 from __future__ import annotations
 
@@ -6,8 +7,10 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from gratpml import (
+    GratingProfile,
     Mesh,
     ResonanceError,
     build_mode_table,
@@ -85,3 +88,17 @@ def draw_context(rng: np.random.Generator, n_max: int = 50):
         except ResonanceError:
             continue
         return ctx
+
+
+@st.composite
+def gratings(draw, period: float = 1.0):
+    """Admissible profiles on one period: 3-6 vertices on a grid of
+    period/20 in x, heights in [-0.3, 0.55] (below 0.6 b for b = 1),
+    periodic closure."""
+    k = draw(st.integers(3, 6))
+    inner = draw(st.lists(st.integers(1, 19), min_size=k - 2, max_size=k - 2,
+                          unique=True))
+    heights = draw(st.lists(st.integers(-6, 11), min_size=k - 1, max_size=k - 1))
+    x = [0.0] + sorted(i / 20 for i in inner) + [1.0]
+    y = [h / 20 for h in heights] + [heights[0] / 20]
+    return GratingProfile(np.column_stack([np.multiply(x, period), y]))

@@ -13,6 +13,8 @@ from gratpml import (
     RunConfig,
     assemble,
     build_dofmap,
+    generate_initial,
+    layer_source,
     load_config,
     run,
     setup,
@@ -126,6 +128,21 @@ def test_readme_config_example_loads(tmp_path):
     cfg = load_config(_write(tmp_path, blocks[1].split("```")[0]))
     assert cfg.grating == "flat"
     assert cfg.max_iters == 33
+
+
+def test_readme_custom_loop_carries_the_layer_source(monkeypatch):
+    text = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("```")[0] for b in text.split("```python\n")[1:]]
+    (loop,) = [b for b in blocks if "carried=" in b]
+    monkeypatch.chdir(CONFIG_DIR.parent)
+    ns: dict = {}
+    exec(loop, ns)
+    mesh = ns["mesh"]
+    assert mesh.n_tris > generate_initial(
+        ns["geom"], ns["ctx"], ns["profile"], ns["cfg"].h0
+    ).n_tris
+    fresh = layer_source(mesh, ns["ctx"], ns["profile"])
+    assert np.array_equal(ns["source"], fresh)
 
 
 # a sawtooth that differs from both built-in profiles
@@ -360,7 +377,8 @@ def test_convergence_csv_roundtrips_exactly(tmp_path, small_run):
     assert rows[0] == [
         "iteration", "nodes", "elements", "dofs", "global_eta", "eps_fem",
         "eps_pml", "energy_total", "energy_defect", "true_error",
-        "corner_fraction", "solve_residual", "wall_time",
+        "corner_fraction", "solve_residual", "wall_time", "fill_factor",
+        "pivot_ratio",
     ]
     assert len(rows) == 1 + len(small_run.records)
     for row, rec in zip(rows[1:], small_run.records):
@@ -369,6 +387,8 @@ def test_convergence_csv_roundtrips_exactly(tmp_path, small_run):
         assert float(row[5]) == rec.eps_fem  # .17g round-trips exactly
         assert float(row[7]) == rec.energy_total
         assert float(row[9]) == rec.true_error
+        assert float(row[13]) == rec.solve.fill_factor
+        assert float(row[14]) == rec.solve.pivot_ratio
 
 
 def test_efficiency_csv_lists_propagating_modes(tmp_path, small_run):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gratpml import (
     Mesh,
@@ -16,15 +18,16 @@ from gratpml import (
     flat_profile,
     generate_initial,
     indicators,
+    make_pml,
     pml_source,
     sharp_profile,
     solve_system,
 )
-from gratpml.assembly import DIRICHLET, FREE, SLAVE
+from gratpml.assembly import DIRICHLET, FREE, SLAVE, layer_source
 from gratpml.meshing import PHYSICAL, PML, bisect
 from gratpml.quadrature import triangle_rule
 
-from conftest import REFERENCE, rebuilt
+from conftest import REFERENCE, draw_context, gratings, rebuilt
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +124,7 @@ def test_element_matrix_is_complex_symmetric(ctx1, profile1, flat_mesh1):
 def _refined_sharp_mesh(ctx, profile):
     mesh = generate_initial(sharp_profile(1.0), ctx, profile, h0=0.25)
     for step in range(3):
-        mesh = bisect(mesh, np.arange(step, mesh.n_tris, 7))
+        mesh, _ = bisect(mesh, np.arange(step, mesh.n_tris, 7))
     return mesh
 
 
@@ -409,3 +412,54 @@ def test_matrix_market_roundtrip(tmp_path, ctx1, profile1, small_mesh):
     back = scipy.io.mmread(path).tocsc()
     assert back.shape == system.matrix.shape
     assert np.abs((back - system.matrix)).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# layer volume data carried through bisection
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_carried_layer_source_equals_a_fresh_evaluation(seed, data):
+    rng = np.random.default_rng(seed)
+    ctx = draw_context(rng, n_max=5)
+    geom = data.draw(gratings(ctx.period))
+    amplitude = data.draw(st.floats(0.25, 4.0))
+    # a thin layer keeps the meshes small
+    layer = make_pml(12 + 12j, 2, 1.0, b=ctx.gamma_height)
+    mesh = generate_initial(geom, ctx, layer, h0=0.25)
+    source = layer_source(mesh, ctx, layer, amplitude)
+    for _ in range(data.draw(st.integers(3, 4))):
+        marked = data.draw(
+            st.lists(
+                st.integers(0, mesh.n_tris - 1), min_size=1,
+                max_size=max(1, mesh.n_tris // 5),
+            )
+        )
+        new, kept = bisect(mesh, marked)
+        assert np.array_equal(new.tris[: len(kept)], mesh.tris[kept])
+        assert len(kept) < new.n_tris
+        source = layer_source(new, ctx, layer, amplitude, carried=source[kept])
+        assert np.array_equal(source, layer_source(new, ctx, layer, amplitude))
+        mesh = new
+    assert np.any(source != 0.0)  # the layer has data to carry
+
+    dm = build_dofmap(mesh, ctx, amplitude)
+    fresh = assemble(mesh, ctx, layer, dm, amplitude)
+    shared = assemble(mesh, ctx, layer, dm, amplitude, source=source)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(
+            getattr(shared.matrix, name), getattr(fresh.matrix, name)
+        )
+    assert np.array_equal(shared.rhs, fresh.rhs)
+
+    field = rng.normal(size=(mesh.n_nodes, 2)) + 1j * rng.normal(
+        size=(mesh.n_nodes, 2)
+    )
+    want = indicators(mesh, field, ctx, layer, 1e-8, amplitude=amplitude)
+    got = indicators(
+        mesh, field, ctx, layer, 1e-8, amplitude=amplitude, source=source
+    )
+    for name, value in vars(want).items():
+        assert np.array_equal(getattr(got, name), value), name

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import gratpml.assembly
 import gratpml.estimator
 from gratpml import (
     element_residuals,
@@ -233,8 +234,10 @@ def test_layer_residual_is_quadrature_converged(
         assert degree == ELEMENT_DEGREE
         return triangle_rule(12)
 
-    # the reference: the same residual evaluated with a degree-12 rule
+    # the reference: the same residual evaluated with a degree-12 rule, for
+    # the field terms (estimator) and the layer volume data (assembly)
     monkeypatch.setattr(gratpml.estimator, "triangle_rule", degree_12_rule)
+    monkeypatch.setattr(gratpml.assembly, "triangle_rule", degree_12_rule)
     fine = element_residuals(flat_mesh1, field, ctx1, profile1, 1.0)
     layer = flat_mesh1.region != 0
     assert not np.array_equal(coarse[layer], fine[layer])  # the rule changed

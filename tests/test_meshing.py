@@ -21,7 +21,7 @@ from gratpml import (
 )
 from gratpml.meshing import PML, PHYSICAL, GratingProfile, Mesh
 
-from conftest import rebuilt
+from conftest import gratings, rebuilt
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +187,9 @@ def _min_angle_deg(mesh: Mesh) -> float:
 
 
 def test_bisect_empty_marking_returns_identical_copy(flat_mesh1):
-    out = bisect(flat_mesh1, np.empty(0, dtype=int))
+    out, kept = bisect(flat_mesh1, np.empty(0, dtype=int))
     assert out is not flat_mesh1
+    assert np.array_equal(kept, np.arange(flat_mesh1.n_tris))
     for name in (
         "nodes", "tris", "region", "ref_edge", "on_surface", "on_gamma",
         "on_top", "on_left", "on_right", "periodic_pairs",
@@ -202,7 +203,7 @@ def test_bisect_empty_marking_returns_identical_copy(flat_mesh1):
 
 
 def test_bisect_single_element_stays_conforming(ctx1, flat_mesh1):
-    out = bisect(flat_mesh1, [0])
+    out, _ = bisect(flat_mesh1, [0])
     assert out.n_tris > flat_mesh1.n_tris
     out.validate(flat_profile(ctx1.period))
 
@@ -224,7 +225,7 @@ def test_random_refinement_stays_conforming_and_shape_regular(
         marked = rng.choice(
             mesh.n_tris, size=max(1, mesh.n_tris // 10), replace=False
         )
-        mesh = bisect(mesh, marked)
+        mesh, _ = bisect(mesh, marked)
         mesh.validate(geom)
         assert _min_angle_deg(mesh) >= floor
     # surface nodes stay on the surface polyline
@@ -243,7 +244,7 @@ def test_refining_across_period_boundary_keeps_pairing(ctx1, flat_mesh1):
     mesh = flat_mesh1
     for _ in range(3):
         touches_left = mesh.on_left[mesh.tris].any(axis=1)
-        mesh = bisect(mesh, np.nonzero(touches_left)[0])
+        mesh, _ = bisect(mesh, np.nonzero(touches_left)[0])
         mesh.validate(flat_profile(ctx1.period))
     assert mesh.periodic_pairs.shape[0] > flat_mesh1.periodic_pairs.shape[0]
     # right wall refined in lockstep although only left elements were marked
@@ -399,7 +400,7 @@ def _refine_against_reference(mesh, labels, geom, data, rounds):
             )
         )
         want, labels = _bisect_reference(mesh, labels, marked)
-        got = bisect(mesh, marked)
+        got, _ = bisect(mesh, marked)
         for name in ("nodes", "tris", "ref_edge"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         got.validate(geom)
@@ -418,21 +419,8 @@ def test_bisect_matches_sequential_reference(ctx1, profile1, builder, data):
     _refine_against_reference(mesh, labels, geom, data, rounds=4)
 
 
-@st.composite
-def _gratings(draw):
-    """Admissible profiles on one unit period: 3-6 vertices, heights in
-    [-0.3, 0.55] (below 0.6 b for b = 1), periodic closure."""
-    k = draw(st.integers(3, 6))
-    inner = draw(st.lists(st.integers(1, 19), min_size=k - 2, max_size=k - 2,
-                          unique=True))
-    heights = draw(st.lists(st.integers(-6, 11), min_size=k - 1, max_size=k - 1))
-    x = [0.0] + sorted(i / 20 for i in inner) + [1.0]
-    y = [h / 20 for h in heights] + [heights[0] / 20]
-    return GratingProfile(np.column_stack([x, y]))
-
-
 @settings(max_examples=40, deadline=None)
-@given(geom=_gratings(), data=st.data())
+@given(geom=gratings(), data=st.data())
 def test_random_gratings_derive_what_bisection_used_to_carry(ctx1, geom, data):
     # a thin layer keeps the meshes small; the layer plays no part here
     layer = make_pml(12 + 12j, 2, 1.0, b=ctx1.gamma_height)
@@ -451,7 +439,9 @@ def test_edge_partners_match_dict_reference(ctx1, profile1, builder):
     for _ in range(4):
         touches_wall = (mesh.on_left | mesh.on_right)[mesh.tris].any(axis=1)
         wall = np.nonzero(touches_wall)[0]
-        mesh = bisect(mesh, rng.choice(wall, size=wall.size // 2, replace=False))
+        mesh, _ = bisect(
+            mesh, rng.choice(wall, size=wall.size // 2, replace=False)
+        )
         partner = _edge_partners_reference(mesh, mesh.periodic_pairs, mesh.on_left)
         edges = mesh.edge_structure()[0]
         left = np.nonzero((partner >= 0) & mesh.on_left[edges[:, 0]])[0]

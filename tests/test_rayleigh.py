@@ -144,7 +144,7 @@ def test_fourier_trace_survives_refinement(ctx1, flat_mesh1):
     field = np.zeros((flat_mesh1.n_nodes, 2), dtype=complex)
     field[:, 0] = 1.7 - 0.3j
     coarse = fourier_trace(flat_mesh1, field, ctx1, n_max=2)
-    fine_mesh = bisect(flat_mesh1, np.arange(flat_mesh1.n_tris))
+    fine_mesh, _ = bisect(flat_mesh1, np.arange(flat_mesh1.n_tris))
     fine_field = np.zeros((fine_mesh.n_nodes, 2), dtype=complex)
     fine_field[:, 0] = 1.7 - 0.3j
     fine = fourier_trace(fine_mesh, fine_field, ctx1, n_max=2)

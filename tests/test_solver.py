@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import gratpml.solver as solver_module
-from gratpml import SolverError, assemble, build_dofmap, solve_system
+from gratpml import (
+    SolverError,
+    assemble,
+    build_dofmap,
+    generate_initial,
+    sharp_profile,
+    solve_system,
+)
 from gratpml.assembly import SparseSystem
 
 
@@ -145,3 +153,16 @@ def test_assembled_system_takes_the_symmetric_path(
     assert report.ordering == "MMD_AT_PLUS_A"
     assert report.ok
     assert report.residual <= 1e-12
+
+
+def test_lu_nnz_counts_the_nonzeros_of_both_factors(ctx1, profile1):
+    # on this system SuperLU's own count, SuperLU.nnz, is larger
+    mesh = generate_initial(sharp_profile(ctx1.period), ctx1, profile1, h0=0.125)
+    system = assemble(mesh, ctx1, profile1, build_dofmap(mesh, ctx1))
+    _, report = solve_system(system)
+    # an independent factorization with the same settings
+    ordering, kwargs = solver_module._SYMMETRIC
+    lu = splu(system.matrix.tocsc(), permc_spec=ordering, **kwargs)
+    assert report.ordering == ordering
+    assert report.lu_nnz == lu.L.nnz + lu.U.nnz
+    assert report.fill_factor == report.lu_nnz / system.matrix.nnz
