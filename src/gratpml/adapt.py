@@ -172,24 +172,19 @@ def run(cfg: RunConfig, progress=None) -> AdaptiveRun:
     source = None  # layer_source values known for the leading elements of mesh
     for it in range(cfg.max_iters):
         t0 = time.perf_counter()
-        dofmap = build_dofmap(mesh, ctx, cfg.amplitude)
+        dofmap = build_dofmap(mesh, ctx)
         if dofmap.n_free > cfg.max_dofs:
             stop_reason = "max_dofs"
             break
-        source = layer_source(mesh, ctx, profile, cfg.amplitude, carried=source)
-        system = assemble(
-            mesh, ctx, profile, dofmap, amplitude=cfg.amplitude, source=source
-        )
+        source = layer_source(mesh, ctx, profile, carried=source)
+        system = assemble(mesh, ctx, profile, dofmap, source=source)
         x, report = solve_system(system)
         values = dofmap.expand(x)
-        ind = indicators(
-            mesh, values, ctx, profile, constants.f_hat,
-            amplitude=cfg.amplitude, source=source,
-        )
-        trace = fourier_trace(mesh, values, ctx, cfg.n_max, cfg.amplitude)
-        eff = efficiencies(modes, recover_potentials(modes, trace), cfg.amplitude)
+        ind = indicators(mesh, values, ctx, profile, constants.f_hat, source=source)
+        trace = fourier_trace(mesh, values, ctx, cfg.n_max)
+        eff = efficiencies(modes, recover_potentials(modes, trace))
         true_error = (
-            h1_seminorm_error(mesh, values, exact, cfg.amplitude)
+            h1_seminorm_error(mesh, values, exact)
             if exact is not None
             else float("nan")
         )

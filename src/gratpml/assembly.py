@@ -119,7 +119,7 @@ class SparseSystem:
         scipy.io.mmwrite(str(path), self.matrix.tocoo())
 
 
-def build_dofmap(mesh: Mesh, ctx: WaveContext, amplitude: float = 1.0) -> DofMap:
+def build_dofmap(mesh: Mesh, ctx: WaveContext) -> DofMap:
     """Classify node/component pairs and enumerate the free equations.
 
     Dirichlet takes precedence over the periodic constraint (corner nodes of
@@ -134,9 +134,7 @@ def build_dofmap(mesh: Mesh, ctx: WaveContext, amplitude: float = 1.0) -> DofMap
     dirichlet = mesh.on_surface | mesh.on_top
     kind[dirichlet, :] = DIRICHLET
     top = np.nonzero(mesh.on_top)[0]
-    value[top, :] = incident_field(
-        ctx, mesh.nodes[top, 0], mesh.nodes[top, 1], amplitude
-    )
+    value[top, :] = incident_field(ctx, mesh.nodes[top, 0], mesh.nodes[top, 1])
 
     slave = mesh.on_right & ~dirichlet
     kind[slave, :] = SLAVE
@@ -241,7 +239,6 @@ def layer_source(
     mesh: Mesh,
     ctx: WaveContext,
     profile: PmlProfile,
-    amplitude: float = 1.0,
     carried: np.ndarray | None = None,
 ) -> np.ndarray:
     """Volume data g = L u_inc of the layer at the points of the element rule.
@@ -250,8 +247,6 @@ def layer_source(
     ----------
     mesh, ctx, profile
         Geometry, wave context and layer profile.
-    amplitude : float
-        Incident amplitude.
     carried : ndarray (K, Q, 2) complex, optional
         Values of the first K elements, already known.  ``bisect`` puts the
         unrefined elements first, so ``source[kept]`` of the previous mesh
@@ -267,10 +262,7 @@ def layer_source(
     done = 0 if carried is None else len(carried)
     coords = mesh.nodes[mesh.tris[done:]]
     bary, _ = triangle_rule(ELEMENT_DEGREE)
-    g = pml_source(
-        ctx, profile, coords[..., 0] @ bary.T, coords[..., 1] @ bary.T,
-        amplitude,
-    )
+    g = pml_source(ctx, profile, coords[..., 0] @ bary.T, coords[..., 1] @ bary.T)
     return g if carried is None else np.concatenate([carried, g])
 
 
@@ -279,7 +271,6 @@ def assemble(
     ctx: WaveContext,
     profile: PmlProfile,
     dofmap: DofMap,
-    amplitude: float = 1.0,
     *,
     source: np.ndarray | None = None,
 ) -> SparseSystem:
@@ -288,13 +279,10 @@ def assemble(
     Parameters
     ----------
     mesh, ctx, profile, dofmap
-        Geometry, wave context, layer profile and the dof classification
-        (its Dirichlet data must match ``amplitude``).
-    amplitude : float
-        Incident amplitude multiplying the volume data of the layer.
+        Geometry, wave context, layer profile and the dof classification.
     source : ndarray (M, Q, 2) complex, optional
-        ``layer_source(mesh, ctx, profile, amplitude)``, evaluated here when
-        not given (``run`` passes the values it shares with the estimator).
+        ``layer_source(mesh, ctx, profile)``, evaluated here when not given
+        (``run`` passes the values it shares with the estimator).
 
     Returns
     -------
@@ -304,7 +292,7 @@ def assemble(
     coords = mesh.nodes[mesh.tris]
     k_loc = _local_matrices(area, mesh.grads(), coords[..., 1], ctx, profile)
 
-    g = layer_source(mesh, ctx, profile, amplitude) if source is None else source
+    g = layer_source(mesh, ctx, profile) if source is None else source
     bary, w = triangle_rule(ELEMENT_DEGREE)
     # f[2b+d] = -area * sum_q w_q g_d(q) phi_b(q)
     wb = -(w[:, None] * bary)

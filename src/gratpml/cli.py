@@ -142,6 +142,10 @@ def _cmd_efficiency(cfg: RunConfig, args) -> int:
     out = _outdir(cfg, args)
     cfg.max_iters = 1
     result = run(cfg, progress=None)
+    if not result.records:
+        raise ConfigError(
+            f"the initial mesh has more dofs than [adapt] max_dofs = {cfg.max_dofs}"
+        )
     rec = result.final
     write_efficiency_csv(rec.efficiency, os.path.join(out, "efficiency.csv"))
     eff = rec.efficiency

@@ -78,7 +78,6 @@ class RunConfig:
     max_iters: int = 20
     max_dofs: int = 200_000
     h0: float = 0.25
-    amplitude: float = 1.0
     corner_x: float | None = None
     corner_y: float | None = None
     corner_radius: float | None = None
@@ -133,6 +132,11 @@ class RunConfig:
             problems.append("pml.delta must be positive when given")
         if (self.corner_x is None) != (self.corner_y is None):
             problems.append("adapt.corner_x and corner_y must be set together")
+        if self.corner_radius is not None:
+            if self.corner_x is None and self.corner_y is None:
+                problems.append("adapt.corner_radius needs corner_x and corner_y")
+            if self.corner_radius < 0.0:
+                problems.append("adapt.corner_radius must be >= 0")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -161,7 +165,6 @@ _SCHEMA = [
     ("adapt", "max_iters", "max_iters", int),
     ("adapt", "max_dofs", "max_dofs", int),
     ("adapt", "h0", "h0", float),
-    ("adapt", "amplitude", "amplitude", float),
     ("adapt", "corner_x", "corner_x", float),
     ("adapt", "corner_y", "corner_y", float),
     ("adapt", "corner_radius", "corner_radius", float),

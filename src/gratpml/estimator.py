@@ -69,7 +69,6 @@ def element_residuals(
     field: np.ndarray,
     ctx: WaveContext,
     profile: PmlProfile,
-    amplitude: float = 1.0,
     *,
     source: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -80,15 +79,15 @@ def element_residuals(
     element with the element rule (degree ``ELEMENT_DEGREE``).  Below the
     mesh line y = b this is omega^2 * u_h (rho = 1, rho' = 0, g = 0), whose
     squared modulus is quadratic, so the rule is exact there.  ``source``
-    is ``assembly.layer_source(mesh, ctx, profile, amplitude)``, evaluated
-    here when not given.
+    is ``assembly.layer_source(mesh, ctx, profile)``, evaluated here when
+    not given.
     """
     vals = np.asarray(field)[mesh.tris]
     bary, w = triangle_rule(ELEMENT_DEGREE)
     y = mesh.nodes[mesh.tris][..., 1] @ bary.T
     r = rho(profile, y)
     rp = rho_prime(profile, y)
-    g = layer_source(mesh, ctx, profile, amplitude) if source is None else source
+    g = layer_source(mesh, ctx, profile) if source is None else source
     dy = p1_jacobian(vals, mesh.grads())[:, :, 1, None]  # dy(u_c), (M, 2, 1)
     uq1, uq2 = vals[:, :, 0] @ bary.T, vals[:, :, 1] @ bary.T
     om2 = ctx.omega**2
@@ -171,15 +170,10 @@ def jump_terms(
     return out
 
 
-def _edge_l2_sq_against_incident(
-    mesh: Mesh,
-    field: np.ndarray,
-    ctx: WaveContext,
-    eids: np.ndarray,
-    edges: np.ndarray,
-    amplitude: float,
+def _edge_l2_sq_against_data(
+    mesh: Mesh, field: np.ndarray, data, eids: np.ndarray, edges: np.ndarray
 ) -> np.ndarray:
-    """int_e |lerp(field) - u_inc|^2 for each given edge."""
+    """int_e |lerp(field) - data(x, y)|^2 for each given edge."""
     if eids.size == 0:
         return np.zeros(0)
     a, b = edges[eids, 0], edges[eids, 1]
@@ -187,12 +181,12 @@ def _edge_l2_sq_against_incident(
     h = np.linalg.norm(pb - pa, axis=1)
     tq, wq = edge_rule(5)
     pts = pa[:, None, :] + (pb - pa)[:, None, :] * tq[None, :, None]
-    uinc = incident_field(ctx, pts[..., 0], pts[..., 1], amplitude)
+    target = data(pts[..., 0], pts[..., 1])
     lerp = (
         field[a][:, None, :] * (1.0 - tq)[None, :, None]
         + field[b][:, None, :] * tq[None, :, None]
     )
-    dens = (np.abs(lerp - uinc) ** 2).sum(axis=2)
+    dens = (np.abs(lerp - target) ** 2).sum(axis=2)
     return h * (dens @ wq).real
 
 
@@ -217,25 +211,31 @@ def indicators(
     f_hat : float
         Layer modeling constant scaling the truncation error term.
     amplitude : float
-        Incident amplitude (0 turns all data terms off).
+        Multiplies every data term: the layer volume data and the incident
+        wave on the truncation and interface lines (0 turns them all off).
+        For a field a*u the indicators at ``amplitude = a`` are a times
+        those of u at 1 (``jump_terms``, squared, a**2 times).
     source : ndarray (M, Q, 2) complex, optional
-        The layer volume data ``assembly.layer_source(mesh, ctx, profile,
-        amplitude)``, evaluated here when not given.
+        The layer volume data ``assembly.layer_source(mesh, ctx, profile)``,
+        evaluated here when not given.
     """
     field = np.asarray(field)
     if field.shape != (mesh.n_nodes, 2):
         raise ValueError("field must be nodal values of shape (n_nodes, 2)")
-    res = element_residuals(mesh, field, ctx, profile, amplitude, source=source)
+    if source is None:
+        source = layer_source(mesh, ctx, profile)
+    res = element_residuals(mesh, field, ctx, profile, source=amplitude * source)
     jumps = jump_terms(mesh, field, ctx, profile)
     eta = mesh.diameters() * res + np.sqrt(0.5 * jumps)
+
+    def incident(x, y):
+        return amplitude * incident_field(ctx, x, y)
 
     edges, _, edge_tri = mesh.edge_structure()
     top_edges = np.nonzero(
         mesh.on_top[edges[:, 0]] & mesh.on_top[edges[:, 1]]
     )[0]
-    top_sq = _edge_l2_sq_against_incident(
-        mesh, field, ctx, top_edges, edges, amplitude
-    )
+    top_sq = _edge_l2_sq_against_data(mesh, field, incident, top_edges, edges)
     top_terms = np.zeros(mesh.n_tris)
     if top_edges.size:
         np.add.at(top_terms, edge_tri[top_edges, 0], top_sq)
@@ -245,9 +245,7 @@ def indicators(
     gamma_edges = np.nonzero(
         mesh.on_gamma[edges[:, 0]] & mesh.on_gamma[edges[:, 1]]
     )[0]
-    gamma_sq = _edge_l2_sq_against_incident(
-        mesh, field, ctx, gamma_edges, edges, amplitude
-    )
+    gamma_sq = _edge_l2_sq_against_data(mesh, field, incident, gamma_edges, edges)
     l2_top = float(np.sqrt(top_sq.sum()))
     l2_gamma = float(np.sqrt(gamma_sq.sum()))
     global_eta = float(np.sqrt((eta_hat**2).sum()))

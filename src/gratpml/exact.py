@@ -54,30 +54,26 @@ class FlatSolution:
     r2: float
     beta2: float
 
-    def __call__(
-        self, x: np.ndarray, y: np.ndarray, amplitude: float = 1.0
-    ) -> np.ndarray:
+    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Total displacement field, shape broadcast(x, y).shape + (2,)."""
         ctx = self.ctx
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        u = incident_field(ctx, x, y, amplitude)
-        ep = np.exp(1j * (ctx.alpha * x + ctx.beta * y)) * amplitude
-        es = np.exp(1j * (ctx.alpha * x + self.beta2 * y)) * amplitude
+        u = incident_field(ctx, x, y)
+        ep = np.exp(1j * (ctx.alpha * x + ctx.beta * y))
+        es = np.exp(1j * (ctx.alpha * x + self.beta2 * y))
         u[..., 0] -= ctx.alpha * self.r1 * ep + self.beta2 * self.r2 * es
         u[..., 1] -= ctx.beta * self.r1 * ep - ctx.alpha * self.r2 * es
         return u
 
-    def gradient(
-        self, x: np.ndarray, y: np.ndarray, amplitude: float = 1.0
-    ) -> np.ndarray:
+    def gradient(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Jacobian out[..., c, d] = d u_c / d x_d."""
         ctx = self.ctx
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        out = incident_gradient(ctx, x, y, amplitude)
-        ep = np.exp(1j * (ctx.alpha * x + ctx.beta * y)) * amplitude
-        es = np.exp(1j * (ctx.alpha * x + self.beta2 * y)) * amplitude
+        out = incident_gradient(ctx, x, y)
+        ep = np.exp(1j * (ctx.alpha * x + ctx.beta * y))
+        es = np.exp(1j * (ctx.alpha * x + self.beta2 * y))
         kp = np.array([1j * ctx.alpha, 1j * ctx.beta])
         ks = np.array([1j * ctx.alpha, 1j * self.beta2])
         pol_p = np.array([ctx.alpha, ctx.beta])
@@ -96,12 +92,7 @@ def flat_solution(ctx: WaveContext) -> FlatSolution:
     return FlatSolution(ctx=ctx, r1=float(r1), r2=float(r2), beta2=float(beta2))
 
 
-def h1_seminorm_error(
-    mesh,
-    field: np.ndarray,
-    solution: FlatSolution,
-    amplitude: float = 1.0,
-) -> float:
+def h1_seminorm_error(mesh, field: np.ndarray, solution: FlatSolution) -> float:
     """H1(Omega)-seminorm of (discrete field - reference) over y <= b.
 
     Integrated with the triangle rule of degree ``ELEMENT_DEGREE``.
@@ -109,12 +100,10 @@ def h1_seminorm_error(
     Parameters
     ----------
     mesh : Mesh
-        Triangulation with region labels (only physical elements enter).
+        Triangulation; only its physical elements (y <= b) enter.
     field : ndarray, shape (n_nodes, 2) of complex
         Nodal displacement values.
     solution : FlatSolution
-    amplitude : float
-        Amplitude the discrete problem was driven with.
 
     Returns
     -------
@@ -131,7 +120,7 @@ def h1_seminorm_error(
     bary, w = triangle_rule(ELEMENT_DEGREE)
     coords = mesh.nodes[tris]           # (M, 3, 2)
     jac_u = solution.gradient(          # (M, Q, 2, 2)
-        coords[..., 0] @ bary.T, coords[..., 1] @ bary.T, amplitude
+        coords[..., 0] @ bary.T, coords[..., 1] @ bary.T
     )
     diff = jac_h[:, None, :, :] - jac_u
     per_q = np.sum(np.abs(diff) ** 2, axis=(2, 3))          # (M, Q)

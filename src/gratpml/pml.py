@@ -300,11 +300,7 @@ def calibrate(
 
 
 def pml_source(
-    ctx: WaveContext,
-    profile: PmlProfile,
-    x: np.ndarray,
-    y: np.ndarray,
-    amplitude: float = 1.0,
+    ctx: WaveContext, profile: PmlProfile, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
     """Volume data g = L u_inc of the stretched formulation, in closed form.
 
@@ -327,8 +323,6 @@ def pml_source(
         Wave context and layer profile.
     x, y : ndarray
         Coordinates (broadcast together).
-    amplitude : float
-        Incident amplitude; 0 gives exactly zero data.
 
     Returns
     -------
@@ -340,7 +334,7 @@ def pml_source(
     al, be = ctx.alpha, ctx.beta
     r = rho(profile, y)
     rp = rho_prime(profile, y)
-    u = incident_field(ctx, x, y, amplitude)
+    u = incident_field(ctx, x, y)
 
     diag1 = -(lam + 2 * mu) * al**2 * r - mu * be**2 / r + 1j * mu * be * rp / r**2 + om2 * r
     diag2 = -mu * al**2 * r - (lam + 2 * mu) * be**2 / r + 1j * (lam + 2 * mu) * be * rp / r**2 + om2 * r

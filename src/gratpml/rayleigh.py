@@ -114,7 +114,6 @@ def fourier_trace(
     field: np.ndarray,
     ctx: WaveContext,
     n_max: int,
-    amplitude: float = 1.0,
 ) -> FourierTrace:
     """Fourier-analyze (field - u_inc) along the interface line y = b.
 
@@ -160,8 +159,8 @@ def fourier_trace(
     coeffs = ((head * e1) @ w0 + (head * e2) @ lin) / ctx.period
 
     # the edges tile one period, so the incident trace u_inc(x, b) =
-    # amplitude * (sin th, -cos th) e^{-i beta b} e^{i alpha x} is mode 0 alone
-    coeffs[n_max] -= amplitude * np.array(
+    # (sin th, -cos th) e^{-i beta b} e^{i alpha x} is mode 0 alone
+    coeffs[n_max] -= np.array(
         [np.sin(ctx.theta), -np.cos(ctx.theta)]
     ) * np.exp(-1j * ctx.beta * ctx.gamma_height)
     return FourierTrace(n_max=int(n_max), n=ns, coeffs=coeffs)
@@ -221,21 +220,17 @@ class EfficiencyReport:
         ]
 
 
-def efficiencies(
-    modes: ModeTable, potentials: Potentials, amplitude: float = 1.0
-) -> EfficiencyReport:
+def efficiencies(modes: ModeTable, potentials: Potentials) -> EfficiencyReport:
     """Energy efficiencies e_j^n = beta_j^n |r_j^n|^2 / (beta |r0|^2).
 
-    r0 = -i*amplitude/kappa1 is the incident potential amplitude and
+    r0 = -i/kappa1 is the potential amplitude of the unit incident wave and
     r_j^n = phi_j^n e^{-i beta_j^n b} the outgoing ones referred to y = 0.
     """
-    if amplitude == 0.0:
-        raise ValueError("efficiencies are undefined for zero amplitude")
     if modes.n_max != potentials.n_max:
         raise ValueError("mode table and potentials use different windows")
     ctx = modes.ctx
     b = ctx.gamma_height
-    r0sq = abs(amplitude / ctx.kappa1) ** 2
+    r0sq = (1.0 / ctx.kappa1) ** 2
     r1 = potentials.phi1 * np.exp(-1j * modes.beta1 * b)
     r2 = potentials.phi2 * np.exp(-1j * modes.beta2 * b)
     denom = ctx.beta * r0sq

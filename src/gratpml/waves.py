@@ -306,18 +306,14 @@ def build_mode_table(ctx: WaveContext, n_max: int = 20) -> ModeTable:
     )
 
 
-def incident_field(
-    ctx: WaveContext, x: np.ndarray, y: np.ndarray, amplitude: float = 1.0
-) -> np.ndarray:
-    """Evaluate the incident compressional plane wave.
+def incident_field(ctx: WaveContext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Evaluate the incident compressional plane wave of unit amplitude.
 
     Parameters
     ----------
     ctx : WaveContext
     x, y : ndarray
         Coordinates (broadcast together).
-    amplitude : float
-        Scalar multiplier; 0 yields the zero-data problem.
 
     Returns
     -------
@@ -326,15 +322,13 @@ def incident_field(
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    phase = np.exp(1j * (ctx.alpha * x - ctx.beta * y)) * amplitude
+    phase = np.exp(1j * (ctx.alpha * x - ctx.beta * y))
     pol = np.array([sin(ctx.theta), -cos(ctx.theta)])
     return phase[..., None] * pol
 
 
-def incident_gradient(
-    ctx: WaveContext, x: np.ndarray, y: np.ndarray, amplitude: float = 1.0
-) -> np.ndarray:
+def incident_gradient(ctx: WaveContext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of the incident wave: out[..., c, d] = d u_c / d x_d."""
-    u = incident_field(ctx, x, y, amplitude)
+    u = incident_field(ctx, x, y)
     wavevec = np.array([1j * ctx.alpha, -1j * ctx.beta])
     return u[..., :, None] * wavevec

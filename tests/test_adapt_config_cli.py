@@ -1,6 +1,8 @@
 """Run configuration, the adaptive driver, reports, and the CLI."""
 
 import csv
+import dataclasses
+import inspect
 import math
 import pathlib
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.io
 
+import gratpml
 from gratpml import (
     ConfigError,
     RunConfig,
@@ -94,7 +97,6 @@ def test_config_roundtrips_through_write_and_load(tmp_path):
         max_iters=7,
         max_dofs=12345,
         h0=0.125,
-        amplitude=1.5,
         corner_x=0.5,
         corner_y=0.5,
         corner_radius=0.2,
@@ -119,6 +121,32 @@ def test_unknown_keys_are_rejected_by_name(tmp_path):
     )
     with pytest.raises(ConfigError, match="jump_flux"):
         load_config(path3)
+
+
+def test_only_indicators_takes_an_amplitude():
+    # the incident wave has unit amplitude; ``indicators`` keeps the keyword
+    # only to switch its data terms off
+    takers = set()
+    for name in gratpml.__all__:
+        obj = getattr(gratpml, name)
+        if not callable(obj):
+            continue
+        members = [(name, obj)]
+        if inspect.isclass(obj):
+            members += [
+                (f"{name}.{attr}", fn)
+                for attr, fn in inspect.getmembers(obj, inspect.isfunction)
+                if not attr.startswith("_") or attr == "__call__"
+            ]
+        for label, fn in members:
+            try:
+                params = inspect.signature(fn).parameters
+            except ValueError:
+                continue  # no introspectable signature
+            if "amplitude" in params:
+                takers.add(label)
+    assert takers == {"indicators"}
+    assert "amplitude" not in {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def test_readme_config_example_loads(tmp_path):
@@ -249,6 +277,11 @@ def test_validation_rejects_inconsistent_values():
         _quick_config(grating="sharp", grating_file="prof.txt").validate()
     with pytest.raises(ConfigError, match="corner"):
         _quick_config(corner_x=0.5).validate()
+    # a radius alone tracks nothing, and a negative one tracks no element
+    with pytest.raises(ConfigError, match="corner_radius needs corner_x"):
+        _quick_config(corner_radius=0.2).validate()
+    with pytest.raises(ConfigError, match="corner_radius must be >= 0"):
+        _quick_config(corner_x=0.5, corner_y=0.5, corner_radius=-1.0).validate()
     with pytest.raises(ConfigError, match="delta"):
         _quick_config(delta=-1.0).validate()
 
@@ -498,6 +531,18 @@ def test_cli_efficiency_prints_the_energy_balance(tmp_path, capsys):
     assert (out / "efficiency.csv").is_file()
 
 
+def test_cli_efficiency_exit_2_when_the_initial_mesh_exceeds_max_dofs(
+    tmp_path, capsys
+):
+    cfg = _cli_config(tmp_path, max_dofs=10)
+    out = tmp_path / "eff"
+    assert main(["efficiency", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "[adapt] max_dofs = 10" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_pml_calibrate_tabulates_and_selects(tmp_path, capsys):
     cfg = _cli_config(tmp_path)
     assert main(["pml-calibrate", "--config", str(cfg)]) == 0
@@ -540,6 +585,11 @@ def test_cli_exit_2_for_configuration_problems(tmp_path, capsys):
     )
     assert main(["solve", "--config", str(tol)]) == 2
     assert "unknown key [modes] resonance_tol" in capsys.readouterr().err
+
+    # the incident wave has unit amplitude; the fields scale linearly
+    amp = _write(tmp_path, MINIMAL_CFG + "[adapt]\namplitude = 2.0\n", "amp.cfg")
+    assert main(["solve", "--config", str(amp)]) == 2
+    assert "unknown key [adapt] amplitude" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -180,11 +180,9 @@ def test_dofmap_dirichlet_beats_periodic_at_corners(ctx1, flat_mesh1):
 def test_dofmap_top_values_are_incident_field(ctx1, flat_mesh1):
     from gratpml import incident_field
 
-    dm = build_dofmap(flat_mesh1, ctx1, amplitude=2.5)
+    dm = build_dofmap(flat_mesh1, ctx1)
     top = np.nonzero(flat_mesh1.on_top)[0]
-    want = incident_field(
-        ctx1, flat_mesh1.nodes[top, 0], flat_mesh1.nodes[top, 1], 2.5
-    )
+    want = incident_field(ctx1, flat_mesh1.nodes[top, 0], flat_mesh1.nodes[top, 1])
     assert np.array_equal(dm.value[top], want)
     surface = np.nonzero(flat_mesh1.on_surface)[0]
     assert np.all(dm.value[surface] == 0.0)
@@ -283,7 +281,7 @@ def test_dofmap_reports_the_first_offending_node(ctx1, flat_mesh1, bottom_up):
 # ---------------------------------------------------------------------------
 
 
-def _dense_reference_system(mesh, ctx, profile, dofmap, amplitude, literal_mixed):
+def _dense_reference_system(mesh, ctx, profile, dofmap, literal_mixed):
     """Unconstrained dense assembly followed by explicit constraint algebra.
 
     The element matrices come from the entry-wise quadrature reference, in
@@ -305,7 +303,7 @@ def _dense_reference_system(mesh, ctx, profile, dofmap, amplitude, literal_mixed
             d1, d2 = coords[1] - coords[0], coords[2] - coords[0]
             area = 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])
             pts = bary @ coords
-            g = pml_source(ctx, profile, pts[:, 0], pts[:, 1], amplitude)
+            g = pml_source(ctx, profile, pts[:, 0], pts[:, 1])
             for b_loc in range(3):
                 for d in range(2):
                     ffull[2 * int(tri[b_loc]) + d] += -area * np.sum(
@@ -331,11 +329,9 @@ def test_assembled_system_matches_dense_reference(ctx1, profile1, small_mesh, li
     # literal=True: the reference assembles the other mixed-term grouping,
     # which differs element-wise by a null Lagrangian and so must reduce to
     # the same system
-    dm = build_dofmap(small_mesh, ctx1, amplitude=2.0)
-    system = assemble(small_mesh, ctx1, profile1, dm, amplitude=2.0)
-    a_ref, b_ref = _dense_reference_system(
-        small_mesh, ctx1, profile1, dm, 2.0, literal
-    )
+    dm = build_dofmap(small_mesh, ctx1)
+    system = assemble(small_mesh, ctx1, profile1, dm)
+    a_ref, b_ref = _dense_reference_system(small_mesh, ctx1, profile1, dm, literal)
     a_got = system.matrix.toarray()
     scale = np.abs(a_ref).max()
     assert np.abs(a_got - a_ref).max() <= 1e-12 * scale
@@ -350,8 +346,8 @@ def test_mixed_term_groupings_assemble_identically(ctx1, profile1, small_mesh):
     k_l = _element_by_quadrature(coords, 0, ctx1, profile1, 2, True)
     assert np.abs(k_t - k_l).max() > 1e-3 * np.abs(k_t).max()
     dm = build_dofmap(small_mesh, ctx1)
-    a_t, b_t = _dense_reference_system(small_mesh, ctx1, profile1, dm, 1.0, False)
-    a_l, b_l = _dense_reference_system(small_mesh, ctx1, profile1, dm, 1.0, True)
+    a_t, b_t = _dense_reference_system(small_mesh, ctx1, profile1, dm, False)
+    a_l, b_l = _dense_reference_system(small_mesh, ctx1, profile1, dm, True)
     assert np.abs(a_t - a_l).max() <= 1e-12 * np.abs(a_t).max()
     assert np.allclose(b_t, b_l, rtol=0.0, atol=1e-12)
 
@@ -398,12 +394,6 @@ def test_assembled_matrix_is_structurally_symmetric_at_oblique_incidence(geom):
     assert np.abs((a - a.T).toarray()).max() > 1e-3 * np.abs(a.data).max()
 
 
-def test_zero_amplitude_gives_zero_rhs(ctx1, profile1, flat_mesh1):
-    dm = build_dofmap(flat_mesh1, ctx1, amplitude=0.0)
-    system = assemble(flat_mesh1, ctx1, profile1, dm, amplitude=0.0)
-    assert np.all(system.rhs == 0.0)
-
-
 def test_matrix_market_roundtrip(tmp_path, ctx1, profile1, small_mesh):
     dm = build_dofmap(small_mesh, ctx1)
     system = assemble(small_mesh, ctx1, profile1, dm)
@@ -425,11 +415,10 @@ def test_carried_layer_source_equals_a_fresh_evaluation(seed, data):
     rng = np.random.default_rng(seed)
     ctx = draw_context(rng, n_max=5)
     geom = data.draw(gratings(ctx.period))
-    amplitude = data.draw(st.floats(0.25, 4.0))
     # a thin layer keeps the meshes small
     layer = make_pml(12 + 12j, 2, 1.0, b=ctx.gamma_height)
     mesh = generate_initial(geom, ctx, layer, h0=0.25)
-    source = layer_source(mesh, ctx, layer, amplitude)
+    source = layer_source(mesh, ctx, layer)
     for _ in range(data.draw(st.integers(3, 4))):
         marked = data.draw(
             st.lists(
@@ -440,14 +429,14 @@ def test_carried_layer_source_equals_a_fresh_evaluation(seed, data):
         new, kept = bisect(mesh, marked)
         assert np.array_equal(new.tris[: len(kept)], mesh.tris[kept])
         assert len(kept) < new.n_tris
-        source = layer_source(new, ctx, layer, amplitude, carried=source[kept])
-        assert np.array_equal(source, layer_source(new, ctx, layer, amplitude))
+        source = layer_source(new, ctx, layer, carried=source[kept])
+        assert np.array_equal(source, layer_source(new, ctx, layer))
         mesh = new
     assert np.any(source != 0.0)  # the layer has data to carry
 
-    dm = build_dofmap(mesh, ctx, amplitude)
-    fresh = assemble(mesh, ctx, layer, dm, amplitude)
-    shared = assemble(mesh, ctx, layer, dm, amplitude, source=source)
+    dm = build_dofmap(mesh, ctx)
+    fresh = assemble(mesh, ctx, layer, dm)
+    shared = assemble(mesh, ctx, layer, dm, source=source)
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(
             getattr(shared.matrix, name), getattr(fresh.matrix, name)
@@ -457,9 +446,7 @@ def test_carried_layer_source_equals_a_fresh_evaluation(seed, data):
     field = rng.normal(size=(mesh.n_nodes, 2)) + 1j * rng.normal(
         size=(mesh.n_nodes, 2)
     )
-    want = indicators(mesh, field, ctx, layer, 1e-8, amplitude=amplitude)
-    got = indicators(
-        mesh, field, ctx, layer, 1e-8, amplitude=amplitude, source=source
-    )
+    want = indicators(mesh, field, ctx, layer, 1e-8)
+    got = indicators(mesh, field, ctx, layer, 1e-8, source=source)
     for name, value in vars(want).items():
         assert np.array_equal(getattr(got, name), value), name

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import gratpml.assembly
@@ -12,9 +14,13 @@ from gratpml import (
     generate_initial,
     indicators,
     jump_terms,
+    layer_source,
+    make_pml,
 )
 from gratpml.pml import rho
 from gratpml.quadrature import ELEMENT_DEGREE, triangle_rule
+
+from conftest import draw_context, gratings
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +51,36 @@ def test_zero_data_gives_identically_zero_indicators(ctx1, profile1, flat_mesh1)
     assert ind.global_eta == 0.0
     assert ind.eps_fem == 0.0
     assert ind.eps_pml == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_amplitude_scales_every_data_term_together(seed, data):
+    # the problem is linear: the field a*u driven by a*u_inc has the
+    # indicators of u driven by u_inc, scaled by a (the squared jumps by a^2)
+    rng = np.random.default_rng(seed)
+    ctx = draw_context(rng, n_max=5)
+    geom = data.draw(gratings(ctx.period))
+    a = data.draw(st.floats(0.25, 4.0))
+    layer = make_pml(12 + 12j, 2, 1.0, b=ctx.gamma_height)
+    mesh = generate_initial(geom, ctx, layer, h0=0.25)
+    source = layer_source(mesh, ctx, layer) if data.draw(st.booleans()) else None
+    field = rng.normal(size=(mesh.n_nodes, 2)) + 1j * rng.normal(
+        size=(mesh.n_nodes, 2)
+    )
+    unit = indicators(mesh, field, ctx, layer, 1e-8, source=source)
+    scaled = indicators(
+        mesh, a * field, ctx, layer, 1e-8, amplitude=a, source=source
+    )
+    for name in ("eta", "eta_hat", "residual_terms", "top_terms",
+                 "eps_fem", "eps_pml"):
+        assert np.allclose(
+            getattr(scaled, name), a * getattr(unit, name), rtol=1e-12, atol=0.0
+        ), name
+    assert np.allclose(
+        scaled.jump_terms, a**2 * unit.jump_terms, rtol=1e-12, atol=0.0
+    )
+    assert unit.eps_pml > 0.0 and np.any(unit.top_terms > 0.0)
 
 
 def test_reported_quantities_are_mutually_consistent(ctx1, profile1, flat_mesh1):
@@ -228,7 +264,7 @@ def test_layer_residual_is_quadrature_converged(
     ctx1, profile1, flat_mesh1, monkeypatch
 ):
     field = _random_field(flat_mesh1, 9)
-    coarse = element_residuals(flat_mesh1, field, ctx1, profile1, 1.0)
+    coarse = element_residuals(flat_mesh1, field, ctx1, profile1)
 
     def degree_12_rule(degree):
         assert degree == ELEMENT_DEGREE
@@ -238,7 +274,7 @@ def test_layer_residual_is_quadrature_converged(
     # the field terms (estimator) and the layer volume data (assembly)
     monkeypatch.setattr(gratpml.estimator, "triangle_rule", degree_12_rule)
     monkeypatch.setattr(gratpml.assembly, "triangle_rule", degree_12_rule)
-    fine = element_residuals(flat_mesh1, field, ctx1, profile1, 1.0)
+    fine = element_residuals(flat_mesh1, field, ctx1, profile1)
     layer = flat_mesh1.region != 0
     assert not np.array_equal(coarse[layer], fine[layer])  # the rule changed
     assert np.allclose(coarse[layer], fine[layer], rtol=1e-5)
@@ -248,8 +284,7 @@ def test_residual_scales_linearly_in_the_field_when_undriven(
     ctx1, profile1, flat_mesh1
 ):
     field = _random_field(flat_mesh1, 13)
-    res1 = element_residuals(flat_mesh1, field, ctx1, profile1, amplitude=0.0)
-    res3 = element_residuals(
-        flat_mesh1, 3.0 * field, ctx1, profile1, amplitude=0.0
-    )
+    zero = np.zeros_like(layer_source(flat_mesh1, ctx1, profile1))
+    res1 = element_residuals(flat_mesh1, field, ctx1, profile1, source=zero)
+    res3 = element_residuals(flat_mesh1, 3.0 * field, ctx1, profile1, source=zero)
     assert np.allclose(res3, 3.0 * res1, rtol=1e-13)

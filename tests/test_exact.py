@@ -91,20 +91,6 @@ def test_error_of_nodal_interpolant_decreases_under_refinement(ctx1, profile1):
     assert errs[0] > errs[1] > errs[2] > 0.0
 
 
-def test_error_is_zero_for_zero_amplitude(ctx1, profile1, flat_mesh1):
-    field = np.zeros((flat_mesh1.n_nodes, 2), dtype=complex)
-    sol = flat_solution(ctx1)
-    assert h1_seminorm_error(flat_mesh1, field, sol, amplitude=0.0) == 0.0
-
-
-def test_error_scales_linearly_with_amplitude(ctx1, flat_mesh1):
-    sol = flat_solution(ctx1)
-    field = sol(flat_mesh1.nodes[:, 0], flat_mesh1.nodes[:, 1])
-    e1 = h1_seminorm_error(flat_mesh1, field, sol, amplitude=1.0)
-    e2 = h1_seminorm_error(flat_mesh1, 2.0 * field, sol, amplitude=2.0)
-    assert e2 == pytest.approx(2.0 * e1, rel=1e-12)
-
-
 def test_error_ignores_layer_elements(ctx1, flat_mesh1):
     sol = flat_solution(ctx1)
     field = sol(flat_mesh1.nodes[:, 0], flat_mesh1.nodes[:, 1])

@@ -200,15 +200,6 @@ def test_layer_source_vanishes_outside_layer(ctx1, profile1):
     assert np.all(g == 0.0)
 
 
-def test_layer_source_scales_with_amplitude_and_zero_data(ctx1, profile1):
-    x = np.array([0.3, 0.6])
-    y = np.array([profile1.b + 1.0, profile1.b + 3.0])
-    g1 = pml_source(ctx1, profile1, x, y, amplitude=1.0)
-    g3 = pml_source(ctx1, profile1, x, y, amplitude=3.0)
-    assert np.allclose(g3, 3.0 * g1, rtol=1e-14)
-    assert np.all(pml_source(ctx1, profile1, x, y, amplitude=0.0) == 0.0)
-
-
 def test_layer_source_nonzero_inside_layer(ctx1, profile1):
     g = pml_source(
         ctx1, profile1, np.array([0.5]), np.array([profile1.b + 4.0])

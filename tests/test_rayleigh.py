@@ -83,7 +83,7 @@ def test_segment_integrals_series_and_closed_form_agree_at_crossover():
 # ---------------------------------------------------------------------------
 
 
-def _trace_by_quadrature(mesh, field, ctx, n, amplitude=1.0):
+def _trace_by_quadrature(mesh, field, ctx, n):
     """Integrate the linear interpolant numerically, edge by edge."""
     edges, _, _ = mesh.edge_structure()
     on_g = mesh.on_gamma
@@ -103,10 +103,8 @@ def _trace_by_quadrature(mesh, field, ctx, n, amplitude=1.0):
                 x0,
                 x1,
             )
-    pol = (
-        amplitude
-        * np.array([np.sin(ctx.theta), -np.cos(ctx.theta)])
-        * np.exp(-1j * ctx.beta * ctx.gamma_height)
+    pol = np.array([np.sin(ctx.theta), -np.cos(ctx.theta)]) * np.exp(
+        -1j * ctx.beta * ctx.gamma_height
     )
     if n == 0:
         total -= pol * ctx.period
@@ -127,11 +125,9 @@ def test_fourier_trace_matches_quadrature_oracle(ctx1, flat_mesh1):
 
 def test_fourier_trace_of_zero_field_is_minus_incident(ctx1, flat_mesh1):
     field = np.zeros((flat_mesh1.n_nodes, 2), dtype=complex)
-    trace = fourier_trace(flat_mesh1, field, ctx1, n_max=3, amplitude=2.0)
-    pol = (
-        2.0
-        * np.array([np.sin(ctx1.theta), -np.cos(ctx1.theta)])
-        * np.exp(-1j * ctx1.beta * ctx1.gamma_height)
+    trace = fourier_trace(flat_mesh1, field, ctx1, n_max=3)
+    pol = np.array([np.sin(ctx1.theta), -np.cos(ctx1.theta)]) * np.exp(
+        -1j * ctx1.beta * ctx1.gamma_height
     )
     assert np.allclose(trace.coefficient(0), -pol, rtol=1e-13)
     for n in (-3, -1, 1, 2):
@@ -211,13 +207,13 @@ def test_potential_recovery_rejects_window_mismatch(modes1):
 # ---------------------------------------------------------------------------
 
 
-def _analytic_flat_trace(ctx, modes, amplitude=1.0):
+def _analytic_flat_trace(ctx, modes):
     """Interface trace of the exact scattered field, one nonzero mode."""
     sol = flat_solution(ctx)
     b = ctx.gamma_height
     coeffs = np.zeros((modes.n.size, 2), dtype=complex)
-    up = np.exp(1j * ctx.beta * b) * sol.r1 * amplitude
-    us = np.exp(1j * sol.beta2 * b) * sol.r2 * amplitude
+    up = np.exp(1j * ctx.beta * b) * sol.r1
+    us = np.exp(1j * sol.beta2 * b) * sol.r2
     coeffs[modes.index(0)] = [
         -ctx.alpha * up - sol.beta2 * us,
         -ctx.beta * up + ctx.alpha * us,
@@ -260,20 +256,8 @@ def test_propagating_lists_orders_open_to_either_wave_type():
     )
 
 
-def test_efficiencies_are_amplitude_invariant(ctx1, modes1):
-    t1 = _analytic_flat_trace(ctx1, modes1, amplitude=1.0)
-    t3 = _analytic_flat_trace(ctx1, modes1, amplitude=3.0)
-    r1 = efficiencies(modes1, recover_potentials(modes1, t1), amplitude=1.0)
-    r3 = efficiencies(modes1, recover_potentials(modes1, t3), amplitude=3.0)
-    i0 = modes1.index(0)
-    assert r3.e1[i0] == pytest.approx(r1.e1[i0], rel=1e-13)
-    assert r3.e2[i0] == pytest.approx(r1.e2[i0], rel=1e-13)
-
-
 def test_efficiencies_input_validation(ctx1, modes1):
     pots = recover_potentials(modes1, _analytic_flat_trace(ctx1, modes1))
-    with pytest.raises(ValueError, match="amplitude"):
-        efficiencies(modes1, pots, amplitude=0.0)
     small = build_mode_table(ctx1, 3)
     with pytest.raises(ValueError, match="window"):
         efficiencies(small, pots)

@@ -165,10 +165,10 @@ def test_coupling_scalar_strictly_between_squared_wavenumbers(seed):
 
 
 def test_incident_field_at_origin_is_polarization_vector(ctx1):
-    val = incident_field(ctx1, np.array([0.0]), np.array([0.0]), amplitude=2.0)
+    val = incident_field(ctx1, np.array([0.0]), np.array([0.0]))
     assert val.shape == (1, 2)
-    assert val[0, 0] == pytest.approx(2.0 * np.sin(ctx1.theta), rel=1e-15)
-    assert val[0, 1] == pytest.approx(-2.0 * np.cos(ctx1.theta), rel=1e-15)
+    assert val[0, 0] == pytest.approx(np.sin(ctx1.theta), rel=1e-15)
+    assert val[0, 1] == pytest.approx(-np.cos(ctx1.theta), rel=1e-15)
 
 
 def test_incident_field_phase_factors(ctx1):
