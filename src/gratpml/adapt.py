@@ -256,10 +256,13 @@ _CONVERGENCE_COLUMNS = [
     ("wall_time", lambda r: r.wall_time),
     ("fill_factor", lambda r: r.solve.fill_factor),
     ("pivot_ratio", lambda r: r.solve.pivot_ratio),
+    ("ordering", lambda r: r.solve.ordering),
 ]
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")

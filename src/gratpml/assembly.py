@@ -70,7 +70,8 @@ class DofMap:
         0 free, 1 Dirichlet, 2 slave (quasi-periodic right boundary).
     index : ndarray (N, 2) int
         Free-equation index for free dofs, the master's free index for
-        slaves, -1 for Dirichlet dofs.
+        slaves, -1 for Dirichlet dofs.  The k-th free node in order of
+        height, then x, holds equations (2k, 2k+1); see ``build_dofmap``.
     value : ndarray (N, 2) complex
         Dirichlet values (0 elsewhere).
     weight : ndarray (N, 2) complex
@@ -126,6 +127,14 @@ def build_dofmap(mesh: Mesh, ctx: WaveContext) -> DofMap:
     the truncation line and the surface are fixed on both sides with
     consistent data, since u_inc itself is quasi-periodic).  RuntimeError
     when the walls do not pair up or a periodic master is constrained.
+
+    The free nodes are numbered by height, then by x, and the k-th holds
+    equations (2k, 2k+1); slaves share their master's indices.  ``bisect``
+    appends every new midpoint node at the end, so node order is spatially
+    scattered on refined meshes.  The minimum degree ordering of the solver
+    breaks its ties by equation index, and on node order it builds factors
+    with far more padding in their supernodes; the spatial order keeps the
+    factorization close to its true fill whatever the refinement history.
     """
     n = mesh.n_nodes
     kind = np.zeros((n, 2), dtype=np.uint8)
@@ -140,8 +149,10 @@ def build_dofmap(mesh: Mesh, ctx: WaveContext) -> DofMap:
     kind[slave, :] = SLAVE
 
     free_mask = kind == FREE
+    free = np.nonzero(free_mask[:, 0])[0]
+    free = free[np.lexsort((mesh.nodes[free, 0], mesh.nodes[free, 1]))]
     index = np.full((n, 2), -1, dtype=np.int64)
-    index[free_mask] = np.arange(int(free_mask.sum()))
+    index[free] = np.arange(2 * free.size).reshape(-1, 2)
 
     left_of = np.full(n, -1, dtype=np.int64)
     left_of[mesh.periodic_pairs[:, 1]] = mesh.periodic_pairs[:, 0]
@@ -162,7 +173,7 @@ def build_dofmap(mesh: Mesh, ctx: WaveContext) -> DofMap:
         index=index,
         value=value,
         weight=weight,
-        n_free=int(free_mask.sum()),
+        n_free=2 * free.size,
     )
 
 

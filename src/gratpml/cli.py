@@ -99,18 +99,25 @@ def _outdir(cfg: RunConfig, args) -> str:
 
 def _write_reports(result, out: str, cfg: RunConfig) -> None:
     write_convergence_csv(result, os.path.join(out, "convergence.csv"))
-    if result.records:
-        write_efficiency_csv(
-            result.final.efficiency, os.path.join(out, "efficiency.csv")
-        )
+    write_efficiency_csv(result.final.efficiency, os.path.join(out, "efficiency.csv"))
     write_summary(result, os.path.join(out, "run_summary.txt"))
     if cfg.write_vtk:
         write_vtk_series(result, out)
 
 
+def _run_nonempty(cfg: RunConfig, progress=None):
+    """``run(cfg)``; ConfigError when the initial mesh is already too big."""
+    result = run(cfg, progress=progress)
+    if not result.records:
+        raise ConfigError(
+            f"the initial mesh has more dofs than [adapt] max_dofs = {cfg.max_dofs}"
+        )
+    return result
+
+
 def _cmd_solve(cfg: RunConfig, args) -> int:
     out = _outdir(cfg, args)
-    result = run(cfg, progress=_progress_printer(args.quiet))
+    result = _run_nonempty(cfg, _progress_printer(args.quiet))
     _write_reports(result, out, cfg)
     if cfg.write_system and result.system is not None:
         result.system.write_matrix_market(os.path.join(out, "system.mtx"))
@@ -123,7 +130,7 @@ def _cmd_validate_flat(cfg: RunConfig, args) -> int:
     cfg.grating = "flat"
     cfg.grating_file = None
     out = _outdir(cfg, args)
-    result = run(cfg, progress=_progress_printer(args.quiet))
+    result = _run_nonempty(cfg, _progress_printer(args.quiet))
     _write_reports(result, out, cfg)
     dofs = np.array([r.n_dofs for r in result.records], dtype=float)
     errs = np.array([r.true_error for r in result.records], dtype=float)
@@ -141,12 +148,7 @@ def _cmd_validate_flat(cfg: RunConfig, args) -> int:
 def _cmd_efficiency(cfg: RunConfig, args) -> int:
     out = _outdir(cfg, args)
     cfg.max_iters = 1
-    result = run(cfg, progress=None)
-    if not result.records:
-        raise ConfigError(
-            f"the initial mesh has more dofs than [adapt] max_dofs = {cfg.max_dofs}"
-        )
-    rec = result.final
+    rec = _run_nonempty(cfg).final
     write_efficiency_csv(rec.efficiency, os.path.join(out, "efficiency.csv"))
     eff = rec.efficiency
     print(f"initial mesh: {rec.n_nodes} nodes, {rec.n_dofs} dofs")

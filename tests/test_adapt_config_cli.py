@@ -411,7 +411,7 @@ def test_convergence_csv_roundtrips_exactly(tmp_path, small_run):
         "iteration", "nodes", "elements", "dofs", "global_eta", "eps_fem",
         "eps_pml", "energy_total", "energy_defect", "true_error",
         "corner_fraction", "solve_residual", "wall_time", "fill_factor",
-        "pivot_ratio",
+        "pivot_ratio", "ordering",
     ]
     assert len(rows) == 1 + len(small_run.records)
     for row, rec in zip(rows[1:], small_run.records):
@@ -422,6 +422,7 @@ def test_convergence_csv_roundtrips_exactly(tmp_path, small_run):
         assert float(row[9]) == rec.true_error
         assert float(row[13]) == rec.solve.fill_factor
         assert float(row[14]) == rec.solve.pivot_ratio
+        assert row[15] == rec.solve.ordering == "MMD_AT_PLUS_A"
 
 
 def test_efficiency_csv_lists_propagating_modes(tmp_path, small_run):
@@ -541,6 +542,20 @@ def test_cli_efficiency_exit_2_when_the_initial_mesh_exceeds_max_dofs(
     assert "configuration error" in captured.err
     assert "[adapt] max_dofs = 10" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["solve", "validate-flat"])
+def test_cli_exit_2_when_the_initial_mesh_exceeds_max_dofs(
+    tmp_path, capsys, command
+):
+    cfg = _cli_config(tmp_path, max_dofs=10)
+    out = tmp_path / "blocked"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "[adapt] max_dofs = 10" in captured.err
+    assert captured.out == ""
+    assert not (out / "convergence.csv").exists()
 
 
 def test_cli_pml_calibrate_tabulates_and_selects(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Element kernels, constraint folding, and the reduced linear system."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.io
@@ -203,6 +205,56 @@ def test_dofmap_expand_applies_constraints(ctx1, flat_mesh1):
     assert np.array_equal(u[dirichlet], dm.value[dirichlet])
     with pytest.raises(ValueError):
         dm.expand(x[:-1])
+
+
+@pytest.fixture(scope="module")
+def refined_mesh(ctx1, profile1):
+    return _refined_sharp_mesh(ctx1, profile1)
+
+
+def _node_order_dofmap(dm, mesh):
+    """``dm`` with the free equations numbered in node order instead."""
+    free = dm.kind == FREE
+    index = np.full_like(dm.index, -1)
+    index[free] = np.arange(dm.n_free)
+    left, right = mesh.periodic_pairs.T
+    slave = (dm.kind[right] == SLAVE).all(axis=1)
+    index[right[slave]] = index[left[slave]]
+    return dataclasses.replace(dm, index=index)
+
+
+def test_dofmap_numbers_free_nodes_by_height_then_x(ctx1, refined_mesh):
+    dm = build_dofmap(refined_mesh, ctx1)
+    free = np.nonzero((dm.kind == FREE).all(axis=1))[0]
+    assert 2 * free.size == dm.n_free
+    # bisect appended midpoints out of spatial order
+    assert np.any(np.diff(refined_mesh.nodes[free, 1]) < 0)
+    order = free[np.argsort(dm.index[free, 0])]
+    x, y = refined_mesh.nodes[order].T
+    assert np.all((np.diff(y) > 0) | ((np.diff(y) == 0) & (np.diff(x) > 0)))
+    k = np.arange(free.size)
+    assert np.array_equal(dm.index[order], np.stack([2 * k, 2 * k + 1], axis=1))
+
+
+def test_dofmap_slaves_share_their_masters_indices(ctx1, refined_mesh):
+    dm = build_dofmap(refined_mesh, ctx1)
+    left, right = refined_mesh.periodic_pairs.T
+    slave = (dm.kind[right] == SLAVE).all(axis=1)
+    assert slave.sum() > 0
+    assert np.all(dm.kind[right[~slave]] == DIRICHLET)
+    assert np.array_equal(dm.index[right[slave]], dm.index[left[slave]])
+    assert np.all(dm.index[left[slave]] >= 0)
+
+
+def test_solution_does_not_depend_on_the_numbering(ctx1, profile1, refined_mesh):
+    dm = build_dofmap(refined_mesh, ctx1)
+    by_node = _node_order_dofmap(dm, refined_mesh)
+    assert not np.array_equal(by_node.index, dm.index)
+    fields = [
+        d.expand(solve_system(assemble(refined_mesh, ctx1, profile1, d))[0])
+        for d in (dm, by_node)
+    ]
+    assert np.abs(fields[0] - fields[1]).max() <= 1e-12 * np.abs(fields[1]).max()
 
 
 def _without_left_wall_triangles(mesh, count):
