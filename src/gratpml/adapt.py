@@ -8,7 +8,8 @@ the initial mesh, then iterate
 
 until the discretization error measure eps_fem falls below the configured
 tolerance, the iteration budget is exhausted, or the next solve would
-exceed the dof budget.  The layer volume data g = L u_inc is evaluated once
+exceed the dof budget (an initial mesh over that budget is a configuration
+error).  The layer volume data g = L u_inc is evaluated once
 per element: assembly and estimator share it within an iteration, and the
 rows of the elements that ``bisect`` leaves unrefined carry over to the
 next mesh.  Every iteration is retained as an IterationRecord
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import SparseSystem, assemble, build_dofmap, layer_source
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .estimator import ErrorIndicators, indicators
 from .exact import FlatSolution, flat_solution, h1_seminorm_error
 from .meshing import (
@@ -54,6 +55,7 @@ __all__ = [
     "AdaptiveRun",
     "wave_setup",
     "calibration_args",
+    "absorbing_layer",
     "setup",
     "run",
     "write_convergence_csv",
@@ -98,13 +100,11 @@ class AdaptiveRun:
     constants: ModelingConstants
     records: list[IterationRecord]
     stop_reason: str
-    #: the reduced system the last iteration solved (None if none ran)
-    system: SparseSystem | None
+    #: the reduced system the last iteration solved
+    system: SparseSystem
 
     @property
     def final(self) -> IterationRecord:
-        if not self.records:
-            raise RuntimeError("run produced no iterations")
         return self.records[-1]
 
 
@@ -118,12 +118,19 @@ def wave_setup(cfg: RunConfig) -> tuple[WaveContext, ModeTable]:
         period=cfg.period,
         gamma_height=cfg.gamma_height,
     )
-    return ctx, build_mode_table(ctx, cfg.n_max)
+    return ctx, build_mode_table(ctx)
 
 
 def calibration_args(cfg: RunConfig) -> tuple:
     """(sigma, m, target, delta0, delta_cap) of ``calibrate`` for a config."""
     return cfg.sigma, cfg.pml_exponent, cfg.target_fhat, cfg.delta0, cfg.delta_cap
+
+
+def absorbing_layer(cfg: RunConfig, ctx: WaveContext, modes: ModeTable) -> PmlProfile:
+    """The layer of a config: its fixed ``delta``, else the calibrated one."""
+    if cfg.delta is not None:
+        return make_pml(cfg.sigma, cfg.pml_exponent, cfg.delta, ctx.gamma_height)
+    return calibrate(ctx, modes, *calibration_args(cfg))
 
 
 def setup(
@@ -137,10 +144,7 @@ def setup(
         geom = sharp_profile(cfg.period)
     else:
         geom = load_profile(cfg.grating_file)
-    if cfg.delta is not None:
-        profile = make_pml(cfg.sigma, cfg.pml_exponent, cfg.delta, ctx.gamma_height)
-    else:
-        profile = calibrate(ctx, modes, *calibration_args(cfg))
+    profile = absorbing_layer(cfg, ctx, modes)
     constants = modeling_constants(ctx, modes, profile)
     return ctx, modes, geom, profile, constants
 
@@ -157,8 +161,11 @@ def run(cfg: RunConfig, progress=None) -> AdaptiveRun:
     Returns
     -------
     AdaptiveRun
-        ``stop_reason`` is one of "tolerance", "max_iterations", "max_dofs".
+        Holds at least one record; ``stop_reason`` is one of "tolerance",
+        "max_iterations", "max_dofs".  ConfigError is raised instead for an
+        inconsistent ``cfg`` or an initial mesh with more dofs than allowed.
     """
+    cfg.validate()
     ctx, modes, geom, profile, constants = setup(cfg)
     exact: FlatSolution | None = (
         flat_solution(ctx) if geom.is_flat_at_zero else None
@@ -168,12 +175,14 @@ def run(cfg: RunConfig, progress=None) -> AdaptiveRun:
 
     records: list[IterationRecord] = []
     stop_reason = "max_iterations"
-    system = None
     source = None  # layer_source values known for the leading elements of mesh
     for it in range(cfg.max_iters):
         t0 = time.perf_counter()
         dofmap = build_dofmap(mesh, ctx)
         if dofmap.n_free > cfg.max_dofs:
+            if not records:
+                raise ConfigError("the initial mesh has more dofs than "
+                                  f"[adapt] max_dofs = {cfg.max_dofs}")
             stop_reason = "max_dofs"
             break
         source = layer_source(mesh, ctx, profile, carried=source)
@@ -181,7 +190,7 @@ def run(cfg: RunConfig, progress=None) -> AdaptiveRun:
         x, report = solve_system(system)
         values = dofmap.expand(x)
         ind = indicators(mesh, values, ctx, profile, constants.f_hat, source=source)
-        trace = fourier_trace(mesh, values, ctx, cfg.n_max)
+        trace = fourier_trace(mesh, values, modes)
         eff = efficiencies(modes, recover_potentials(modes, trace))
         true_error = (
             h1_seminorm_error(mesh, values, exact)
@@ -220,11 +229,7 @@ def run(cfg: RunConfig, progress=None) -> AdaptiveRun:
             break
         if it == cfg.max_iters - 1:
             break
-        marked = mark(ind.eta_hat, cfg.tau)
-        if marked.size == 0:
-            stop_reason = "tolerance"
-            break
-        mesh, kept = bisect(mesh, marked)
+        mesh, kept = bisect(mesh, mark(ind.eta_hat, cfg.tau))
         source = source[kept]
 
     return AdaptiveRun(
@@ -293,6 +298,7 @@ def write_summary(run_result: AdaptiveRun, path) -> None:
     ctx = run_result.ctx
     prof = run_result.profile
     mc = run_result.constants
+    rec = run_result.final
     lines = [
         "adaptive grating solve",
         "=" * 60,
@@ -304,26 +310,22 @@ def write_summary(run_result: AdaptiveRun, path) -> None:
         f"layer: sigma = {prof.sigma!r}, m = {prof.m}, delta = {prof.delta!r}",
         f"       zeta = {prof.zeta!r}",
         f"       F = {mc.f!r}, F_hat = {mc.f_hat!r}, coercive = {mc.coercive}",
-        f"modes: |n| <= {cfg.n_max}",
+        f"modes: |n| <= {run_result.modes.n_max}",
         "",
         f"iterations: {len(run_result.records)} (stop: {run_result.stop_reason})",
+        f"final mesh: {rec.n_nodes} nodes, {rec.n_tris} elements, "
+        f"{rec.n_dofs} dofs",
+        f"final solve: {rec.solve}",
+        f"final eps_fem = {rec.eps_fem!r}",
+        f"final eps_pml = {rec.eps_pml!r}",
+        f"final energy total = {rec.energy_total!r} "
+        f"(defect {rec.energy_defect!r})",
     ]
-    if run_result.records:
-        rec = run_result.final
-        lines += [
-            f"final mesh: {rec.n_nodes} nodes, {rec.n_tris} elements, "
-            f"{rec.n_dofs} dofs",
-            f"final solve: {rec.solve}",
-            f"final eps_fem = {rec.eps_fem!r}",
-            f"final eps_pml = {rec.eps_pml!r}",
-            f"final energy total = {rec.energy_total!r} "
-            f"(defect {rec.energy_defect!r})",
-        ]
-        if np.isfinite(rec.true_error):
-            lines.append(f"final true H1 error = {rec.true_error!r}")
-        lines += ["", "efficiencies (propagating modes):"]
-        for n, e1, e2 in rec.efficiency.propagating():
-            lines.append(f"  n = {n:+d}: compressional = {e1!r}, shear = {e2!r}")
+    if np.isfinite(rec.true_error):
+        lines.append(f"final true H1 error = {rec.true_error!r}")
+    lines += ["", "efficiencies (propagating modes):"]
+    for n, e1, e2 in rec.efficiency.propagating():
+        lines.append(f"  n = {n:+d}: compressional = {e1!r}, shear = {e2!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-    gratpml solve         --config run.cfg [--out DIR]
-    gratpml validate-flat --config run.cfg [--out DIR]
+    gratpml solve         --config run.cfg [--out DIR] [--quiet]
+    gratpml validate-flat --config run.cfg [--out DIR] [--quiet]
     gratpml efficiency    --config run.cfg [--out DIR]
     gratpml pml-calibrate --config run.cfg
     gratpml mesh-info     --config run.cfg [--out DIR]
@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from .adapt import (
+    absorbing_layer,
     calibration_args,
     run,
     setup,
@@ -65,11 +66,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "pml-calibrate": "tabulate layer constants over the thickness grid",
         "mesh-info": "generate the initial mesh and print its statistics",
     }
+    # each command registers only the options its handler reads
     for name, help_text in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="configuration file")
-        p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--quiet", action="store_true", help="suppress progress")
+        if name != "pml-calibrate":
+            p.add_argument("--out", help="output directory (overrides config)")
+        if name in ("solve", "validate-flat"):
+            p.add_argument("--quiet", action="store_true", help="suppress progress")
     return parser
 
 
@@ -105,21 +109,11 @@ def _write_reports(result, out: str, cfg: RunConfig) -> None:
         write_vtk_series(result, out)
 
 
-def _run_nonempty(cfg: RunConfig, progress=None):
-    """``run(cfg)``; ConfigError when the initial mesh is already too big."""
-    result = run(cfg, progress=progress)
-    if not result.records:
-        raise ConfigError(
-            f"the initial mesh has more dofs than [adapt] max_dofs = {cfg.max_dofs}"
-        )
-    return result
-
-
 def _cmd_solve(cfg: RunConfig, args) -> int:
     out = _outdir(cfg, args)
-    result = _run_nonempty(cfg, _progress_printer(args.quiet))
+    result = run(cfg, _progress_printer(args.quiet))
     _write_reports(result, out, cfg)
-    if cfg.write_system and result.system is not None:
+    if cfg.write_system:
         result.system.write_matrix_market(os.path.join(out, "system.mtx"))
     if not args.quiet:
         print(f"stopped: {result.stop_reason}; reports in {out}/")
@@ -130,7 +124,7 @@ def _cmd_validate_flat(cfg: RunConfig, args) -> int:
     cfg.grating = "flat"
     cfg.grating_file = None
     out = _outdir(cfg, args)
-    result = _run_nonempty(cfg, _progress_printer(args.quiet))
+    result = run(cfg, _progress_printer(args.quiet))
     _write_reports(result, out, cfg)
     dofs = np.array([r.n_dofs for r in result.records], dtype=float)
     errs = np.array([r.true_error for r in result.records], dtype=float)
@@ -148,7 +142,7 @@ def _cmd_validate_flat(cfg: RunConfig, args) -> int:
 def _cmd_efficiency(cfg: RunConfig, args) -> int:
     out = _outdir(cfg, args)
     cfg.max_iters = 1
-    rec = _run_nonempty(cfg).final
+    rec = run(cfg).final
     write_efficiency_csv(rec.efficiency, os.path.join(out, "efficiency.csv"))
     eff = rec.efficiency
     print(f"initial mesh: {rec.n_nodes} nodes, {rec.n_dofs} dofs")
@@ -161,19 +155,19 @@ def _cmd_efficiency(cfg: RunConfig, args) -> int:
 def _cmd_pml_calibrate(cfg: RunConfig, args) -> int:
     ctx, modes = wave_setup(cfg)
     steps = list(calibration_walk(ctx, modes, *calibration_args(cfg)))
-    print(f"target: F_hat * sqrt(period) <= {cfg.target_fhat:.3g}")
-    print(f"{'delta':>10} {'Re zeta':>10} {'F':>12} {'F_hat':>12} "
-          f"{'F_hat*sqrtP':>12} {'coercive':>9}")
-    chosen = next((profile for profile, *_, ok in steps if ok), None)
-    for profile, mc, achieved, _ in steps:
-        tag = "  <- selected" if profile is chosen else ""
-        print(f"{profile.delta:10.4g} {profile.zeta.real:10.4g} {mc.f:12.4e} "
-              f"{mc.f_hat:12.4e} {achieved:12.4e} {str(mc.coercive):>9}{tag}")
-    if chosen is None:
-        raise CalibrationError(
-            f"no thickness in [{cfg.delta0}, {cfg.delta_cap}] meets "
-            f"F_hat*sqrt(period) <= {cfg.target_fhat:.3g}"
-        )
+    chosen = None
+    try:
+        chosen = absorbing_layer(cfg, ctx, modes)
+    finally:
+        # the table is printed also when no thickness meets the target
+        print(f"target: F_hat * sqrt(period) <= {cfg.target_fhat:.3g}")
+        print(f"{'delta':>10} {'Re zeta':>10} {'F':>12} {'F_hat':>12} "
+              f"{'F_hat*sqrtP':>12} {'coercive':>9}")
+        for profile, mc, achieved, _ in steps:
+            tag = "  <- selected" if profile == chosen else ""
+            print(f"{profile.delta:10.4g} {profile.zeta.real:10.4g} "
+                  f"{mc.f:12.4e} {mc.f_hat:12.4e} {achieved:12.4e} "
+                  f"{str(mc.coercive):>9}{tag}")
     print(f"zeta at delta = {chosen.delta}: {chosen.zeta}")
     return 0
 

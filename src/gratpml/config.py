@@ -70,8 +70,6 @@ class RunConfig:
     delta0: float = 0.25
     delta_cap: float = 64.0
     target_fhat: float = 1e-8
-    # [modes]
-    n_max: int = 20
     # [adapt]
     tolerance: float = 1e-3
     tau: float = 0.5
@@ -126,8 +124,6 @@ class RunConfig:
             problems.append("adapt.max_dofs must be >= 1")
         if self.h0 <= 0.0:
             problems.append("adapt.h0 must be positive")
-        if self.n_max < 1:
-            problems.append("modes.n_max must be >= 1")
         if self.delta is not None and self.delta <= 0.0:
             problems.append("pml.delta must be positive when given")
         if (self.corner_x is None) != (self.corner_y is None):
@@ -159,7 +155,6 @@ _SCHEMA = [
     ("pml", "delta0", "delta0", float),
     ("pml", "delta_cap", "delta_cap", float),
     ("pml", "target_fhat", "target_fhat", float),
-    ("modes", "n_max", "n_max", int),
     ("adapt", "tolerance", "tolerance", float),
     ("adapt", "tau", "tau", float),
     ("adapt", "max_iters", "max_iters", int),

@@ -23,8 +23,9 @@ by the fluctuation constant
     Cmax = max( 12*kappa2, 16*kappa2^4, 8 + 2*kappa2^2,
                 16*kappa2^3/kappa1^2, 24*(16 + kappa2^2)^2/kappa1^2 ),
 
-where Dj-/Dj+ are the per-branch cut-off distances of the propagating /
-evanescent Rayleigh modes.  The derived boundary-operator bound is
+where Dj-/Dj+ are the per-branch minima of the cut-off distance
+|kappa_j^2 - alpha_n^2|^(1/2) over the propagating / evanescent Rayleigh
+modes, over all integers n.  The derived boundary-operator bound is
 
     F_hat = 17 * omega^2 * F / kappa1^4,
 
@@ -182,8 +183,9 @@ def modeling_constants(
     ----------
     ctx : WaveContext
     modes : ModeTable
-        Supplies the cut-off distances; its truncation window defines the
-        evanescent minima.
+        Supplies the cut-off minima.  They are the minima over all n when
+        the window holds every mode they depend on, as the window that
+        ``build_mode_table`` derives by default does.
     profile : PmlProfile
 
     Returns

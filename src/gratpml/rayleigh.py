@@ -35,7 +35,7 @@ import numpy as np
 
 from .meshing import Mesh
 from .pml import PmlProfile
-from .waves import ModeTable, WaveContext
+from .waves import ModeTable
 
 __all__ = [
     "TraceError",
@@ -109,20 +109,17 @@ class FourierTrace:
         return self.coeffs[n + self.n_max]
 
 
-def fourier_trace(
-    mesh: Mesh,
-    field: np.ndarray,
-    ctx: WaveContext,
-    n_max: int,
-) -> FourierTrace:
+def fourier_trace(mesh: Mesh, field: np.ndarray, modes: ModeTable) -> FourierTrace:
     """Fourier-analyze (field - u_inc) along the interface line y = b.
 
+    The coefficients are taken for the window and the alpha_n of ``modes``.
     The piecewise-linear nodal field is integrated edge by edge in closed
     form against exp(-i*alpha_n*x).  The incident trace is the single mode
     n = 0 and is subtracted exactly, so no interpolation error enters it.
 
     Raises TraceError if the interface edges do not exactly tile one period.
     """
+    ctx = modes.ctx
     field = np.asarray(field)
     if field.shape != (mesh.n_nodes, 2):
         raise ValueError("field must be nodal values of shape (n_nodes, 2)")
@@ -149,8 +146,7 @@ def fourier_trace(
 
     w0 = field[n0]  # (E, 2)
     w1 = field[n1]
-    ns = np.arange(-n_max, n_max + 1)
-    alpha_n = ctx.alpha + 2.0 * np.pi * ns / ctx.period
+    alpha_n = modes.alpha_n
 
     # field part: int edge (w0 + (w1-w0) s/h) e^{-i alpha_n (x0+s)} ds
     e1, e2 = _segment_integrals(alpha_n[:, None], h[None, :])
@@ -160,10 +156,10 @@ def fourier_trace(
 
     # the edges tile one period, so the incident trace u_inc(x, b) =
     # (sin th, -cos th) e^{-i beta b} e^{i alpha x} is mode 0 alone
-    coeffs[n_max] -= np.array(
+    coeffs[modes.index(0)] -= np.array(
         [np.sin(ctx.theta), -np.cos(ctx.theta)]
     ) * np.exp(-1j * ctx.beta * ctx.gamma_height)
-    return FourierTrace(n_max=int(n_max), n=ns, coeffs=coeffs)
+    return FourierTrace(n_max=modes.n_max, n=modes.n.copy(), coeffs=coeffs)
 
 
 # --------------------------------------------------------------------------

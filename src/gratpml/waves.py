@@ -38,7 +38,7 @@ tables refuse to build within a relative tolerance of such a resonance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, pi, sin, sqrt
+from math import ceil, cos, floor, pi, sin, sqrt
 
 import numpy as np
 
@@ -191,8 +191,9 @@ class ModeTable:
         Cut-off distances |kappa_j^2 - alpha_n^2|^(1/2).
     delta_minus, delta_plus : tuple of float
         Per-branch minima of the cut-off distance over the propagating set
-        (delta_minus) and over the evanescent remainder of the table
-        (delta_plus, +inf when that set is empty).
+        (delta_minus) and over the evanescent modes of the table
+        (delta_plus, +inf when it holds none); over all n in the default
+        window of ``build_mode_table``.
     """
 
     ctx: WaveContext
@@ -241,14 +242,18 @@ def _vertical_wavenumber(kappa: float, alpha_n: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_mode_table(ctx: WaveContext, n_max: int = 20) -> ModeTable:
+def build_mode_table(ctx: WaveContext, n_max: int | None = None) -> ModeTable:
     """Tabulate Rayleigh modes for |n| <= n_max.
 
     Parameters
     ----------
     ctx : WaveContext
-    n_max : int
-        Truncation order, >= 0.
+    n_max : int, optional
+        Truncation order, >= 0.  By default the smallest symmetric window
+        that holds every propagating shear mode and the first evanescent
+        one on each side.  As kappa1 < kappa2, it holds every mode that
+        the propagating sets, the all-n minima delta_minus and delta_plus
+        and the cut-off guard of either branch depend on.
 
     Returns
     -------
@@ -259,6 +264,10 @@ def build_mode_table(ctx: WaveContext, n_max: int = 20) -> ModeTable:
     ResonanceError
         When a mode sits within ``RESONANCE_RTOL`` of a cut-off.
     """
+    if n_max is None:
+        s = 2.0 * pi / ctx.period
+        n_max = max(-floor((-ctx.kappa2 - ctx.alpha) / s),
+                    ceil((ctx.kappa2 - ctx.alpha) / s))
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     n = np.arange(-n_max, n_max + 1)

@@ -75,12 +75,17 @@ def test_minimal_config_uses_documented_defaults(tmp_path):
     assert cfg.sigma == 12.0 + 12.0j
     assert cfg.grating == "flat"
     assert cfg.delta is None
-    assert cfg.n_max == 20
     assert cfg.tau == 0.5
     assert cfg.max_dofs == 200_000
     assert cfg.corner is None
     assert cfg.out_dir == "out"
     assert cfg.write_vtk is False
+
+
+def test_schema_keys_are_exactly_the_config_fields():
+    # a key removed from one of the two cannot leave half of itself behind
+    attrs = sorted(attr for _, _, attr, _ in gratpml.config._SCHEMA)
+    assert attrs == sorted(f.name for f in dataclasses.fields(RunConfig))
 
 
 def test_config_roundtrips_through_write_and_load(tmp_path):
@@ -91,7 +96,6 @@ def test_config_roundtrips_through_write_and_load(tmp_path):
         sigma_im=6.0,
         pml_exponent=3,
         delta=2.0,
-        n_max=12,
         tolerance=5e-4,
         tau=0.4,
         max_iters=7,
@@ -355,17 +359,25 @@ def test_sharp_run_has_no_true_error_but_tracks_corner():
     assert all(0.0 < r.corner_fraction < 1.0 for r in result.records)
 
 
+def test_derived_mode_window_calibrates_the_layer_at_omega_6pi():
+    # the shear order n = -2 propagates (|alpha_-2| = 8.35 < kappa2 = 13.3)
+    # and delta_plus is attained at n = -3, outside a window of 1 or 2
+    cfg = dataclasses.replace(
+        load_config(CONFIG_DIR / "flat.cfg"), omega=6.0 * math.pi
+    )
+    _, modes, _, profile, _ = setup(cfg)
+    assert modes.n_max == 3
+    assert -2 in modes.propagating2
+    assert profile.delta == 16.0
+
+
 def test_stop_reasons():
     eased = run(_quick_config(tolerance=1e9))
     assert eased.stop_reason == "tolerance"
     assert len(eased.records) == 1
 
-    blocked = run(_quick_config(max_dofs=50))
-    assert blocked.stop_reason == "max_dofs"
-    assert blocked.records == []
-    assert blocked.system is None
-    with pytest.raises(RuntimeError):
-        _ = blocked.final
+    with pytest.raises(ConfigError, match=r"\[adapt\] max_dofs = 50"):
+        run(_quick_config(max_dofs=50))
 
     partial = run(_quick_config(max_iters=6, max_dofs=100))
     assert partial.stop_reason == "max_dofs"
@@ -566,6 +578,39 @@ def test_cli_pml_calibrate_tabulates_and_selects(tmp_path, capsys):
     assert "zeta at delta = 8.0" in stdout
 
 
+def test_cli_pml_calibrate_selects_a_fixed_thickness(tmp_path, capsys):
+    # the table tags the layer that mesh-info and solve use
+    cfg = _cli_config(tmp_path, delta=2.0)
+    assert main(["pml-calibrate", "--config", str(cfg)]) == 0
+    stdout = capsys.readouterr().out
+    selected = [row for row in stdout.splitlines() if "<- selected" in row]
+    assert [float(row.split()[0]) for row in selected] == [2.0]
+    assert "zeta at delta = 2.0:" in stdout
+    assert main(["mesh-info", "--config", str(cfg)]) == 0
+    assert "delta = 2.0," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("pml-calibrate", "--out"),
+        ("pml-calibrate", "--quiet"),
+        ("efficiency", "--quiet"),
+        ("mesh-info", "--quiet"),
+    ],
+)
+def test_cli_rejects_flags_the_command_does_not_read(tmp_path, command, flag):
+    cfg = _cli_config(tmp_path)
+    out = tmp_path / "unused"
+    argv = [command, "--config", str(cfg), flag]
+    if flag == "--out":
+        argv.append(str(out))
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert not out.exists()
+
+
 def test_cli_mesh_info(tmp_path, capsys):
     cfg = _cli_config(tmp_path)
     out = tmp_path / "mesh"
@@ -606,6 +651,11 @@ def test_cli_exit_2_for_configuration_problems(tmp_path, capsys):
     assert main(["solve", "--config", str(amp)]) == 2
     assert "unknown key [adapt] amplitude" in capsys.readouterr().err
 
+    # the mode table derives its window from the wave
+    modes = _write(tmp_path, MINIMAL_CFG + "[modes]\nn_max = 20\n", "modes.cfg")
+    assert main(["solve", "--config", str(modes)]) == 2
+    assert "unknown key [modes] n_max" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "pml", [dict(target_fhat=-1.0), dict(delta0=2.0, delta_cap=1.0)]
@@ -615,7 +665,8 @@ def test_cli_exit_2_for_bad_calibration_settings(tmp_path, capsys, pml):
     # command that calibrates, not a failed calibration
     cfg = _cli_config(tmp_path, **pml)
     for command in ("pml-calibrate", "solve", "mesh-info"):
-        assert main([command, "--config", str(cfg), "--quiet"]) == 2
+        quiet = ["--quiet"] if command == "solve" else []
+        assert main([command, "--config", str(cfg)] + quiet) == 2
         captured = capsys.readouterr()
         assert "configuration error" in captured.err
         assert captured.out == ""

@@ -116,7 +116,7 @@ def test_fourier_trace_matches_quadrature_oracle(ctx1, flat_mesh1):
     field = rng.normal(size=(flat_mesh1.n_nodes, 2)) + 1j * rng.normal(
         size=(flat_mesh1.n_nodes, 2)
     )
-    trace = fourier_trace(flat_mesh1, field, ctx1, n_max=2)
+    trace = fourier_trace(flat_mesh1, field, build_mode_table(ctx1, 2))
     assert np.array_equal(trace.n, np.arange(-2, 3))
     for n in range(-2, 3):
         want = _trace_by_quadrature(flat_mesh1, field, ctx1, n)
@@ -125,7 +125,7 @@ def test_fourier_trace_matches_quadrature_oracle(ctx1, flat_mesh1):
 
 def test_fourier_trace_of_zero_field_is_minus_incident(ctx1, flat_mesh1):
     field = np.zeros((flat_mesh1.n_nodes, 2), dtype=complex)
-    trace = fourier_trace(flat_mesh1, field, ctx1, n_max=3)
+    trace = fourier_trace(flat_mesh1, field, build_mode_table(ctx1, 3))
     pol = np.array([np.sin(ctx1.theta), -np.cos(ctx1.theta)]) * np.exp(
         -1j * ctx1.beta * ctx1.gamma_height
     )
@@ -139,20 +139,19 @@ def test_fourier_trace_survives_refinement(ctx1, flat_mesh1):
     # representable (piecewise-linear in x) interface field
     field = np.zeros((flat_mesh1.n_nodes, 2), dtype=complex)
     field[:, 0] = 1.7 - 0.3j
-    coarse = fourier_trace(flat_mesh1, field, ctx1, n_max=2)
+    coarse = fourier_trace(flat_mesh1, field, build_mode_table(ctx1, 2))
     fine_mesh, _ = bisect(flat_mesh1, np.arange(flat_mesh1.n_tris))
     fine_field = np.zeros((fine_mesh.n_nodes, 2), dtype=complex)
     fine_field[:, 0] = 1.7 - 0.3j
-    fine = fourier_trace(fine_mesh, fine_field, ctx1, n_max=2)
+    fine = fourier_trace(fine_mesh, fine_field, build_mode_table(ctx1, 2))
     assert np.allclose(coarse.coeffs, fine.coeffs, rtol=1e-12, atol=1e-14)
 
 
 def test_fourier_trace_input_validation(ctx1, flat_mesh1):
+    modes = build_mode_table(ctx1, 2)
     with pytest.raises(ValueError):
-        fourier_trace(flat_mesh1, np.zeros((3, 2)), ctx1, n_max=2)
-    trace = fourier_trace(
-        flat_mesh1, np.zeros((flat_mesh1.n_nodes, 2)), ctx1, n_max=2
-    )
+        fourier_trace(flat_mesh1, np.zeros((3, 2)), modes)
+    trace = fourier_trace(flat_mesh1, np.zeros((flat_mesh1.n_nodes, 2)), modes)
     with pytest.raises(IndexError):
         trace.coefficient(3)
 
@@ -160,19 +159,20 @@ def test_fourier_trace_input_validation(ctx1, flat_mesh1):
 def test_fourier_trace_requires_full_interface_coverage(ctx1, flat_mesh1):
     m = flat_mesh1
     field = np.zeros((m.n_nodes, 2), dtype=complex)
+    modes = build_mode_table(ctx1, 2)
 
     # no interface edges at all: no node lies on the line y = b
     off_line = Mesh(m.nodes, m.tris, m.ref_edge, m.period, m.b + 0.1, m.top)
     assert not off_line.on_gamma.any()
     with pytest.raises(TraceError, match="no mesh edges"):
-        fourier_trace(off_line, field, ctx1, n_max=2)
+        fourier_trace(off_line, field, modes)
 
     # a gap in the middle of the interface: one node moved off the line
     interior = np.nonzero(m.on_gamma & ~m.on_left & ~m.on_right)[0]
     nodes = m.nodes.copy()
     nodes[interior[0], 1] += 0.01
     with pytest.raises(TraceError, match="cover"):
-        fourier_trace(rebuilt(m, nodes=nodes), field, ctx1, n_max=2)
+        fourier_trace(rebuilt(m, nodes=nodes), field, modes)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from gratpml import (
     derive_context,
     incident_field,
     incident_gradient,
+    make_pml,
+    modeling_constants,
 )
 
 from conftest import draw_context
@@ -157,6 +159,28 @@ def test_coupling_scalar_strictly_between_squared_wavenumbers(seed):
     mag = np.abs(modes.chi)
     assert np.all(mag > ctx.kappa1**2)
     assert np.all(mag < ctx.kappa2**2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.floats(0.25, 16.0))
+def test_derived_window_holds_every_mode_the_minima_depend_on(seed, delta):
+    # the default window ends at the first evanescent shear order on the
+    # wider side; a much wider table changes none of the layer's inputs
+    rng = np.random.default_rng(seed)
+    ctx = draw_context(rng, n_max=60)
+    derived = build_mode_table(ctx)
+    wide = build_mode_table(ctx, 60)
+    shear = wide.propagating2
+    assert derived.n_max == max(1 - shear[0], shear[-1] + 1) < 60
+    assert derived.delta_minus == wide.delta_minus
+    assert derived.delta_plus == wide.delta_plus
+    assert derived.propagating1 == wide.propagating1
+    assert derived.propagating2 == wide.propagating2
+    layer = make_pml(12.0 + 12.0j, 2, delta, ctx.gamma_height)
+    assert np.array_equal(
+        modeling_constants(ctx, derived, layer).terms,
+        modeling_constants(ctx, wide, layer).terms,
+    )
 
 
 # ---------------------------------------------------------------------------
