@@ -54,7 +54,6 @@ __all__ = [
     "IterationRecord",
     "AdaptiveRun",
     "wave_setup",
-    "calibration_args",
     "absorbing_layer",
     "setup",
     "run",
@@ -121,16 +120,11 @@ def wave_setup(cfg: RunConfig) -> tuple[WaveContext, ModeTable]:
     return ctx, build_mode_table(ctx)
 
 
-def calibration_args(cfg: RunConfig) -> tuple:
-    """(sigma, m, target, delta0, delta_cap) of ``calibrate`` for a config."""
-    return cfg.sigma, cfg.pml_exponent, cfg.target_fhat, cfg.delta0, cfg.delta_cap
-
-
 def absorbing_layer(cfg: RunConfig, ctx: WaveContext, modes: ModeTable) -> PmlProfile:
     """The layer of a config: its fixed ``delta``, else the calibrated one."""
     if cfg.delta is not None:
         return make_pml(cfg.sigma, cfg.pml_exponent, cfg.delta, ctx.gamma_height)
-    return calibrate(ctx, modes, *calibration_args(cfg))
+    return calibrate(ctx, modes, cfg.sigma, cfg.pml_exponent)
 
 
 def setup(

@@ -21,7 +21,6 @@ import numpy as np
 
 from .adapt import (
     absorbing_layer,
-    calibration_args,
     run,
     setup,
     wave_setup,
@@ -33,7 +32,7 @@ from .adapt import (
 from .config import ConfigError, RunConfig, load_config
 from .exact import fit_slope
 from .meshing import PHYSICAL, PML, GeometryError, generate_initial, write_vtk
-from .pml import CalibrationError, calibration_walk
+from .pml import TARGET_FHAT, CalibrationError, calibration_walk
 from .rayleigh import ParameterRegimeError, TraceError
 from .solver import SolverError
 from .waves import ResonanceError
@@ -154,13 +153,13 @@ def _cmd_efficiency(cfg: RunConfig, args) -> int:
 
 def _cmd_pml_calibrate(cfg: RunConfig, args) -> int:
     ctx, modes = wave_setup(cfg)
-    steps = list(calibration_walk(ctx, modes, *calibration_args(cfg)))
+    steps = list(calibration_walk(ctx, modes, cfg.sigma, cfg.pml_exponent))
     chosen = None
     try:
         chosen = absorbing_layer(cfg, ctx, modes)
     finally:
         # the table is printed also when no thickness meets the target
-        print(f"target: F_hat * sqrt(period) <= {cfg.target_fhat:.3g}")
+        print(f"target: F_hat * sqrt(period) <= {TARGET_FHAT:.3g}")
         print(f"{'delta':>10} {'Re zeta':>10} {'F':>12} {'F_hat':>12} "
               f"{'F_hat*sqrtP':>12} {'coercive':>9}")
         for profile, mc, achieved, _ in steps:

@@ -29,9 +29,12 @@ A run is described by a sectioned key=value file::
 The grating is either a built-in profile (``builtin = flat | sharp``, flat
 by default) or a profile file (``file = path``, which alone selects it);
 setting both is an error.  A relative profile path is read from the
-config file's directory.  Unknown sections or keys are rejected (typos
-should fail loudly, not fall back to defaults).  Every key except the six
-wave parameters has a default.
+config file's directory.  Without ``[pml] delta`` the layer thickness is
+calibrated by one fixed rule: the first delta on 0.25 * 2^k (k = 0..8)
+with Re zeta >= 1 and F_hat * sqrt(period) <= 1e-8 (``gratpml.pml``).
+Unknown sections or keys are rejected (typos should fail loudly, not fall
+back to defaults), and so are NaN and infinite numbers.  Every key except
+the six wave parameters has a default.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from __future__ import annotations
 import configparser
 import os
 from dataclasses import dataclass, fields
-from math import radians
+from math import isfinite, radians
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "write_config"]
 
@@ -67,9 +70,6 @@ class RunConfig:
     sigma_im: float = 12.0
     pml_exponent: int = 2
     delta: float | None = None
-    delta0: float = 0.25
-    delta_cap: float = 64.0
-    target_fhat: float = 1e-8
     # [adapt]
     tolerance: float = 1e-3
     tau: float = 0.5
@@ -102,8 +102,12 @@ class RunConfig:
         return (self.corner_x, self.corner_y, radius)
 
     def validate(self) -> None:
-        """Raise ConfigError on inconsistent values (cheap checks only)."""
+        """Raise ConfigError on non-finite or inconsistent values."""
         problems = []
+        for section, key, attr, conv in _SCHEMA:
+            value = getattr(self, attr)
+            if conv is float and value is not None and not isfinite(value):
+                problems.append(f"{section}.{key} = {value} is not finite")
         if not abs(self.theta_deg) < 90.0:
             problems.append(
                 f"theta_deg = {self.theta_deg} outside the open range (-90, 90)"
@@ -152,9 +156,6 @@ _SCHEMA = [
     ("pml", "sigma_im", "sigma_im", float),
     ("pml", "m", "pml_exponent", int),
     ("pml", "delta", "delta", float),
-    ("pml", "delta0", "delta0", float),
-    ("pml", "delta_cap", "delta_cap", float),
-    ("pml", "target_fhat", "target_fhat", float),
     ("adapt", "tolerance", "tolerance", float),
     ("adapt", "tau", "tau", float),
     ("adapt", "max_iters", "max_iters", int),

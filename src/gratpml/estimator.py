@@ -132,7 +132,7 @@ def jump_terms(
     pb = mesh.nodes[edges[:, 1]]
     dvec = pb - pa
     h = np.linalg.norm(dvec, axis=1)
-    tq, wq = edge_rule(5)
+    tq, wq = edge_rule()
     out = np.zeros(mesh.n_tris)
 
     def accumulate(eids, dp, dc, dq, tris_a, tris_b):
@@ -179,7 +179,7 @@ def _edge_l2_sq_against_data(
     a, b = edges[eids, 0], edges[eids, 1]
     pa, pb = mesh.nodes[a], mesh.nodes[b]
     h = np.linalg.norm(pb - pa, axis=1)
-    tq, wq = edge_rule(5)
+    tq, wq = edge_rule()
     pts = pa[:, None, :] + (pb - pa)[:, None, :] * tq[None, :, None]
     target = data(pts[..., 0], pts[..., 1])
     lerp = (

@@ -30,8 +30,9 @@ modes, over all integers n.  The derived boundary-operator bound is
     F_hat = 17 * omega^2 * F / kappa1^4,
 
 and F <= kappa1^2/2 guarantees coercivity-style control of the truncated
-problem.  Calibration walks delta through a geometric grid until
-F_hat * sqrt(period) meets a target while Re zeta >= 1.
+problem.  Calibration takes the first delta on the fixed grid
+DELTA_GRID = 0.25 * 2^k (k = 0..8, so 0.25 to 64) with Re zeta >= 1 and
+F_hat * sqrt(period) <= TARGET_FHAT = 1e-8.
 
 Inside the layer the incident wave is no longer a solution of the stretched
 Navier operator L; its image g = L u_inc (zero below y = b) is the volume
@@ -48,6 +49,8 @@ import numpy as np
 from .waves import ModeTable, WaveContext, incident_field
 
 __all__ = [
+    "TARGET_FHAT",
+    "DELTA_GRID",
     "PmlProfile",
     "ModelingConstants",
     "CalibrationError",
@@ -64,6 +67,12 @@ __all__ = [
 #: expm1 overflow guard: exp(700) is near the float64 ceiling and the
 #: corresponding fluctuation term is already < 1e-300.
 _EXP_CLAMP = 700.0
+
+#: Bound that calibration demands of F_hat * sqrt(period).
+TARGET_FHAT = 1e-8
+
+#: Layer thicknesses calibration tries, in order: 0.25 * 2^k for k = 0..8.
+DELTA_GRID = tuple(0.25 * 2.0**k for k in range(9))
 
 
 class CalibrationError(RuntimeError):
@@ -126,17 +135,18 @@ def make_pml(sigma: complex, m: int, delta: float, b: float) -> PmlProfile:
     Raises
     ------
     ValueError
-        For non-positive delta, m < 1, or sigma outside the closed right
-        upper quadrant (Re >= 0, Im >= 0, sigma != 0).
+        For non-positive delta, m < 1, or sigma non-finite or outside the
+        closed right upper quadrant (Re >= 0, Im >= 0, sigma != 0).
     """
     sigma = complex(sigma)
     if not (delta > 0.0 and np.isfinite(delta)):
         raise ValueError(f"delta must be positive and finite, got {delta}")
     if int(m) != m or m < 1:
         raise ValueError(f"m must be an integer >= 1, got {m}")
-    if sigma.real < 0.0 or sigma.imag < 0.0 or sigma == 0:
+    if not (np.isfinite(sigma) and sigma.real >= 0.0 and sigma.imag >= 0.0
+            and sigma != 0):
         raise ValueError(
-            f"sigma must satisfy Re >= 0, Im >= 0, sigma != 0, got {sigma}"
+            f"sigma must be finite with Re >= 0, Im >= 0, sigma != 0, got {sigma}"
         )
     if not np.isfinite(b):
         raise ValueError(f"b must be finite, got {b}")
@@ -224,28 +234,20 @@ def calibration_walk(
     modes: ModeTable,
     sigma: complex = 12.0 + 12.0j,
     m: int = 2,
-    target: float = 1e-8,
-    delta0: float = 0.25,
-    delta_cap: float = 64.0,
 ) -> Iterator[tuple[PmlProfile, ModelingConstants, float, bool]]:
-    """Walk delta through the grid delta0 * 2^k (k = 0, 1, ...) up to delta_cap.
+    """Walk delta through DELTA_GRID (0.25, 0.5, ..., 64).
 
     Yields (profile, constants, achieved, accepted) per thickness, with
     achieved = F_hat * sqrt(period) and accepted = (Re zeta >= 1 and
-    achieved <= target).  Arguments and ValueError as for :func:`calibrate`.
+    achieved <= TARGET_FHAT).  Arguments as for :func:`calibrate`.
     """
-    if target <= 0.0:
-        raise ValueError(f"target must be positive, got {target}")
-    if delta0 <= 0.0 or delta_cap < delta0:
-        raise ValueError("need 0 < delta0 <= delta_cap")
-    delta = float(delta0)
     sqrt_period = float(np.sqrt(ctx.period))
-    while delta <= delta_cap * (1.0 + 1e-12):
+    for delta in DELTA_GRID:
         profile = make_pml(sigma, m, delta, ctx.gamma_height)
         mc = modeling_constants(ctx, modes, profile)
         achieved = mc.f_hat * sqrt_period
-        yield profile, mc, achieved, profile.zeta.real >= 1.0 and achieved <= target
-        delta *= 2.0
+        accepted = profile.zeta.real >= 1.0 and achieved <= TARGET_FHAT
+        yield profile, mc, achieved, accepted
 
 
 def calibrate(
@@ -253,15 +255,12 @@ def calibrate(
     modes: ModeTable,
     sigma: complex = 12.0 + 12.0j,
     m: int = 2,
-    target: float = 1e-8,
-    delta0: float = 0.25,
-    delta_cap: float = 64.0,
 ) -> PmlProfile:
     """Pick the smallest layer thickness meeting the fluctuation target.
 
     Returns the first profile that :func:`calibration_walk` accepts: the
-    first delta on the grid with Re zeta >= 1 and F_hat * sqrt(period) <=
-    target.
+    first delta on DELTA_GRID with Re zeta >= 1 and F_hat * sqrt(period) <=
+    TARGET_FHAT = 1e-8.
 
     Parameters
     ----------
@@ -269,10 +268,6 @@ def calibrate(
         Wave context and mode table (fixed across the grid).
     sigma, m
         Layer strength and power.
-    target : float
-        Bound demanded of F_hat * sqrt(period).
-    delta0, delta_cap : float
-        Grid start and inclusive cap.
 
     Returns
     -------
@@ -280,23 +275,20 @@ def calibrate(
 
     Raises
     ------
-    ValueError
-        For a non-positive target or unless 0 < delta0 <= delta_cap.
     CalibrationError
         If no grid point satisfies both conditions; the message reports the
         best F_hat * sqrt(period) reached.
     """
     best = float("inf")
     best_delta = None
-    steps = calibration_walk(ctx, modes, sigma, m, target, delta0, delta_cap)
-    for profile, _, achieved, accepted in steps:
+    for profile, _, achieved, accepted in calibration_walk(ctx, modes, sigma, m):
         if accepted:
             return profile
         if profile.zeta.real >= 1.0 and achieved < best:
             best, best_delta = achieved, profile.delta
     raise CalibrationError(
-        f"no delta in [{delta0}, {delta_cap}] reaches "
-        f"F_hat*sqrt(period) <= {target:.3g}; best was {best:.3g} at "
+        f"no delta in [{DELTA_GRID[0]}, {DELTA_GRID[-1]}] reaches "
+        f"F_hat*sqrt(period) <= {TARGET_FHAT:.3g}; best was {best:.3g} at "
         f"delta = {best_delta}"
     )
 

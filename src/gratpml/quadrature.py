@@ -9,11 +9,12 @@ with x_q = sum_i bary[q, i] * P_i for vertices P_i.  Degrees up to 5 use
 the symmetric 7-point Dunavant rule; higher degrees fall back to a collapsed
 Gauss-Legendre product (Duffy transform), which is exact for any requested
 polynomial degree at the cost of more points.
+
+Edge integrals use one rule, the 5-point Gauss-Legendre rule on [0, 1]
+(exact through degree 9), built once at import.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -88,20 +89,24 @@ def triangle_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     return _duffy_rule(degree)
 
 
-@functools.cache
-def edge_rule(npts: int = 5) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule on [0, 1] with unit-sum weights.
+# 5-point Gauss-Legendre on [0, 1]; every caller shares these arrays, so
+# they are read-only.
+_GL5_PTS, _GL5_WTS = np.polynomial.legendre.leggauss(5)
+_EDGE_T = 0.5 * (_GL5_PTS + 1.0)
+_EDGE_W = 0.5 * _GL5_WTS
+_EDGE_T.flags.writeable = _EDGE_W.flags.writeable = False
 
-    Computed once per point count; the arrays are shared, so read-only.
+
+def edge_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 5-point Gauss-Legendre rule on [0, 1] with unit-sum weights.
+
+    Exact through degree 9.  The arrays are shared, so read-only.
 
     Returns
     -------
-    t : ndarray, shape (npts,)
+    t : ndarray, shape (5,)
         Parameter points in (0, 1).
-    w : ndarray, shape (npts,)
+    w : ndarray, shape (5,)
         Weights summing to 1, so integral_e f ds ~= len(e) * sum w*f(t).
     """
-    pts, wts = np.polynomial.legendre.leggauss(int(npts))
-    t, w = 0.5 * (pts + 1.0), 0.5 * wts
-    t.flags.writeable = w.flags.writeable = False
-    return t, w
+    return _EDGE_T, _EDGE_W

@@ -67,21 +67,27 @@ def rebuilt(mesh, nodes=None, keep=None):
     )
 
 
-def draw_context(rng: np.random.Generator, n_max: int = 50):
-    """One random admissible wave context (resonant draws are rejected)."""
+def draw_context(
+    rng: np.random.Generator, n_max: int = 50, period: float | None = None
+):
+    """One random admissible wave context (resonant draws are rejected).
+
+    A given ``period`` replaces the drawn one; the random stream is the same
+    either way.
+    """
     while True:
         omega = rng.uniform(0.5, 8.0)
         mu = rng.uniform(0.3, 4.0)
         lam = rng.uniform(-0.9 * mu, 4.0)
         theta = rng.uniform(-1.3, 1.3)
-        period = rng.uniform(0.4, 3.0)
+        drawn_period = rng.uniform(0.4, 3.0)
         try:
             ctx = derive_context(
                 omega=omega,
                 lam=lam,
                 mu=mu,
                 theta=theta,
-                period=period,
+                period=drawn_period if period is None else period,
                 gamma_height=1.0,
             )
             build_mode_table(ctx, n_max)

@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,25 @@ def test_readme_config_example_loads(tmp_path):
     cfg = load_config(_write(tmp_path, blocks[1].split("```")[0]))
     assert cfg.grating == "flat"
     assert cfg.max_iters == 33
+
+
+def test_readme_config_reference_names_only_config_keys(tmp_path):
+    # the commented-out keys of the reference are keys a config may set, in
+    # the section that holds them
+    text = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("```ini\n")[1].split("```")[0]
+    load_config(_write(tmp_path, block))
+    schema = {(section, key) for section, key, _, _ in gratpml.config._SCHEMA}
+    section, commented = None, []
+    for line in block.splitlines():
+        header = re.fullmatch(r"\[(\w+)\]", line.strip())
+        if header:
+            section = header.group(1)
+        key = re.match(r"\s*#\s*(\w+)\s*=", line)
+        if key:
+            commented.append((section, key.group(1)))
+    assert ("pml", "delta") in commented
+    assert [entry for entry in commented if entry not in schema] == []
 
 
 def test_readme_custom_loop_carries_the_layer_source(monkeypatch):
@@ -656,33 +676,51 @@ def test_cli_exit_2_for_configuration_problems(tmp_path, capsys):
     assert main(["solve", "--config", str(modes)]) == 2
     assert "unknown key [modes] n_max" in capsys.readouterr().err
 
+    # the calibration grid and its target are fixed, for every command
+    for key, value in (("delta0", "2.0"), ("delta_cap", "1.0"),
+                       ("target_fhat", "1e-6")):
+        grid = _write(
+            tmp_path, MINIMAL_CFG + f"[pml]\n{key} = {value}\n", "grid.cfg"
+        )
+        for command in ("pml-calibrate", "solve", "mesh-info"):
+            assert main([command, "--config", str(grid)]) == 2
+            captured = capsys.readouterr()
+            assert f"unknown key [pml] {key}" in captured.err
+            assert captured.out == ""
 
-@pytest.mark.parametrize(
-    "pml", [dict(target_fhat=-1.0), dict(delta0=2.0, delta_cap=1.0)]
-)
-def test_cli_exit_2_for_bad_calibration_settings(tmp_path, capsys, pml):
-    # an unusable calibration grid is a configuration problem for every
-    # command that calibrates, not a failed calibration
-    cfg = _cli_config(tmp_path, **pml)
-    for command in ("pml-calibrate", "solve", "mesh-info"):
-        quiet = ["--quiet"] if command == "solve" else []
-        assert main([command, "--config", str(cfg)] + quiet) == 2
+    # NaN and infinity are no numbers a run can use: a NaN tolerance never
+    # stops the loop, a NaN radius holds no element, and a NaN strength
+    # breaks the calibration or, with a fixed thickness, the factorization
+    for extra, name in (
+        ("[adapt]\ntolerance = nan\n", "adapt.tolerance = nan"),
+        ("[adapt]\ncorner_x = 0.5\ncorner_y = 0.5\ncorner_radius = nan\n",
+         "adapt.corner_radius = nan"),
+        ("[pml]\nsigma_re = nan\n", "pml.sigma_re = nan"),
+        ("[pml]\nsigma_re = nan\ndelta = 2.0\n", "pml.sigma_re = nan"),
+        ("[pml]\nsigma_im = inf\n", "pml.sigma_im = inf"),
+        ("[adapt]\nh0 = -inf\n", "adapt.h0 = -inf"),
+    ):
+        odd = _write(tmp_path, MINIMAL_CFG + extra, "odd.cfg")
+        assert main(["solve", "--config", str(odd), "--quiet"]) == 2
         captured = capsys.readouterr()
-        assert "configuration error" in captured.err
+        assert f"{name} is not finite" in captured.err
         assert captured.out == ""
 
 
 def test_cli_pml_calibrate_exit_3_when_no_thickness_meets_the_target(
     tmp_path, capsys
 ):
-    cfg = _cli_config(tmp_path, target_fhat=1e-300, delta_cap=4.0)
+    # a weak layer: at delta = 64, the thickest, F_hat*sqrt(period) is 0.377
+    cfg = _cli_config(tmp_path, sigma_re=0.5, sigma_im=0.5)
     assert main(["pml-calibrate", "--config", str(cfg)]) == 3
     captured = capsys.readouterr()
     assert "numerical failure" in captured.err
-    assert "F_hat*sqrt(period) <= 1e-300" in captured.err
+    assert "F_hat*sqrt(period) <= 1e-08; best was 0.377" in captured.err
     # the table is printed before the failure, without a selected row
     rows = captured.out.splitlines()[2:]
-    assert [float(row.split()[0]) for row in rows] == [0.25, 0.5, 1.0, 2.0, 4.0]
+    assert [float(row.split()[0]) for row in rows] == [
+        0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0
+    ]
     assert "selected" not in captured.out
 
 

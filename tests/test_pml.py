@@ -1,5 +1,7 @@
 """Layer profile, fluctuation constants, calibration, and the layer source."""
 
+import inspect
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -17,6 +19,7 @@ from gratpml import (
     rho,
     rho_prime,
 )
+from gratpml.pml import DELTA_GRID, TARGET_FHAT, calibration_walk
 
 SIGMA = 12.0 + 12.0j
 
@@ -49,6 +52,8 @@ def test_stretched_depth_equals_integral_of_medium_function():
         (-1.0 + 1.0j, 2, 1.0),
         (1.0 - 1.0j, 2, 1.0),
         (SIGMA, 2, float("inf")),
+        (complex(float("nan"), 12.0), 2, 1.0),
+        (complex(float("inf"), 12.0), 2, 1.0),
     ],
 )
 def test_make_pml_rejects_bad_parameters(sigma, m, delta):
@@ -122,15 +127,23 @@ def test_calibration_selects_frozen_thickness(ctx1, modes1):
 
 
 def test_calibration_reports_best_reached_when_cap_too_small(ctx1, modes1):
-    with pytest.raises(CalibrationError, match="best"):
-        calibrate(ctx1, modes1, delta_cap=0.5)
+    # a weak layer meets the target nowhere on the grid; the thickest,
+    # delta = 64, comes closest
+    with pytest.raises(CalibrationError, match=r"best was 0\.377 at delta = 64\.0"):
+        calibrate(ctx1, modes1, 0.5 + 0.5j)
 
 
-def test_calibration_rejects_bad_grid_and_target(ctx1, modes1):
-    with pytest.raises(ValueError):
-        calibrate(ctx1, modes1, target=0.0)
-    with pytest.raises(ValueError):
-        calibrate(ctx1, modes1, delta0=2.0, delta_cap=1.0)
+def test_calibration_grid_and_target_are_fixed(ctx1, modes1):
+    assert DELTA_GRID == (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+    assert TARGET_FHAT == 1e-8
+    params = inspect.signature(calibrate).parameters
+    assert list(params) == ["ctx", "modes", "sigma", "m"]
+    assert list(inspect.signature(calibration_walk).parameters) == list(params)
+    steps = list(calibration_walk(ctx1, modes1))
+    assert [p.delta for p, _, _, _ in steps] == list(DELTA_GRID)
+    assert [accepted for _, _, _, accepted in steps] == [
+        p.zeta.real >= 1.0 and a <= TARGET_FHAT for p, _, a, _ in steps
+    ]
 
 
 def test_huge_layer_saturates_instead_of_overflowing(ctx1, modes1):
