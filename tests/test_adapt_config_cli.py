@@ -676,18 +676,6 @@ def test_cli_exit_2_for_configuration_problems(tmp_path, capsys):
     assert main(["solve", "--config", str(modes)]) == 2
     assert "unknown key [modes] n_max" in capsys.readouterr().err
 
-    # the calibration grid and its target are fixed, for every command
-    for key, value in (("delta0", "2.0"), ("delta_cap", "1.0"),
-                       ("target_fhat", "1e-6")):
-        grid = _write(
-            tmp_path, MINIMAL_CFG + f"[pml]\n{key} = {value}\n", "grid.cfg"
-        )
-        for command in ("pml-calibrate", "solve", "mesh-info"):
-            assert main([command, "--config", str(grid)]) == 2
-            captured = capsys.readouterr()
-            assert f"unknown key [pml] {key}" in captured.err
-            assert captured.out == ""
-
     # NaN and infinity are no numbers a run can use: a NaN tolerance never
     # stops the loop, a NaN radius holds no element, and a NaN strength
     # breaks the calibration or, with a fixed thickness, the factorization
@@ -704,6 +692,24 @@ def test_cli_exit_2_for_configuration_problems(tmp_path, capsys):
         assert main(["solve", "--config", str(odd), "--quiet"]) == 2
         captured = capsys.readouterr()
         assert f"{name} is not finite" in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "pml", [dict(target_fhat=-1.0), dict(delta0=2.0, delta_cap=1.0)]
+)
+def test_cli_exit_2_for_bad_calibration_settings(tmp_path, capsys, pml):
+    # the calibration grid and its target are fixed: setting them is a
+    # configuration problem for every command that calibrates, not a
+    # failed calibration
+    lines = "".join(f"{key} = {value}\n" for key, value in pml.items())
+    cfg = _write(tmp_path, MINIMAL_CFG + "[pml]\n" + lines, "grid.cfg")
+    for command in ("pml-calibrate", "solve", "mesh-info"):
+        quiet = ["--quiet"] if command == "solve" else []
+        assert main([command, "--config", str(cfg)] + quiet) == 2
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err
+        assert f"unknown key [pml] {next(iter(pml))}" in captured.err
         assert captured.out == ""
 
 
