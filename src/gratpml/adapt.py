@@ -1,8 +1,8 @@
 """The adaptive solve-estimate-mark-refine driver.
 
 ``run`` executes the full pipeline for one configuration: derive the wave
-context and mode table, build (or calibrate) the absorbing layer, generate
-the initial mesh, then iterate
+context and mode table, calibrate the absorbing layer, generate the initial
+mesh, then iterate
 
     assemble -> solve -> estimate -> analyze modes -> mark -> bisect
 
@@ -45,7 +45,7 @@ from .meshing import (
     sharp_profile,
     write_vtk,
 )
-from .pml import ModelingConstants, PmlProfile, calibrate, make_pml, modeling_constants
+from .pml import ModelingConstants, PmlProfile, calibrate, modeling_constants
 from .rayleigh import EfficiencyReport, efficiencies, fourier_trace, recover_potentials
 from .solver import SolveReport, solve_system
 from .waves import ModeTable, WaveContext, build_mode_table, derive_context
@@ -54,7 +54,6 @@ __all__ = [
     "IterationRecord",
     "AdaptiveRun",
     "wave_setup",
-    "absorbing_layer",
     "setup",
     "run",
     "write_convergence_csv",
@@ -120,17 +119,10 @@ def wave_setup(cfg: RunConfig) -> tuple[WaveContext, ModeTable]:
     return ctx, build_mode_table(ctx)
 
 
-def absorbing_layer(cfg: RunConfig, ctx: WaveContext, modes: ModeTable) -> PmlProfile:
-    """The layer of a config: its fixed ``delta``, else the calibrated one."""
-    if cfg.delta is not None:
-        return make_pml(cfg.sigma, cfg.pml_exponent, cfg.delta, ctx.gamma_height)
-    return calibrate(ctx, modes, cfg.sigma, cfg.pml_exponent)
-
-
 def setup(
     cfg: RunConfig,
 ) -> tuple[WaveContext, ModeTable, GratingProfile, PmlProfile, ModelingConstants]:
-    """Derive context, modes, geometry and the absorbing layer of a config."""
+    """Derive context, modes, geometry and the calibrated layer of a config."""
     ctx, modes = wave_setup(cfg)
     if cfg.grating == "flat":
         geom = flat_profile(cfg.period)
@@ -138,7 +130,7 @@ def setup(
         geom = sharp_profile(cfg.period)
     else:
         geom = load_profile(cfg.grating_file)
-    profile = absorbing_layer(cfg, ctx, modes)
+    profile = calibrate(ctx, modes)
     constants = modeling_constants(ctx, modes, profile)
     return ctx, modes, geom, profile, constants
 

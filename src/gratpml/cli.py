@@ -6,9 +6,11 @@
     gratpml pml-calibrate --config run.cfg
     gratpml mesh-info     --config run.cfg [--out DIR]
 
-Exit codes: 0 success, 2 configuration problem (bad file, bad geometry,
-inadmissible parameters), 3 numerical failure (resonance, singular system,
-calibration impossible, trace coverage).
+Every command that needs the absorbing layer calibrates it
+(``pml.calibrate``); a config cannot set it.  Exit codes: 0 success,
+2 configuration problem (bad file, bad geometry, inadmissible parameters),
+3 numerical failure (resonance, singular system, calibration impossible,
+trace coverage).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import sys
 import numpy as np
 
 from .adapt import (
-    absorbing_layer,
     run,
     setup,
     wave_setup,
@@ -32,21 +33,15 @@ from .adapt import (
 from .config import ConfigError, RunConfig, load_config
 from .exact import fit_slope
 from .meshing import PHYSICAL, PML, GeometryError, generate_initial, write_vtk
-from .pml import TARGET_FHAT, CalibrationError, calibration_walk
-from .rayleigh import ParameterRegimeError, TraceError
+from .pml import TARGET_FHAT, CalibrationError, calibrate, calibration_walk
+from .rayleigh import TraceError
 from .solver import SolverError
 from .waves import ResonanceError
 
 __all__ = ["main"]
 
 _CONFIG_ERRORS = (ConfigError, GeometryError, ValueError)
-_NUMERICAL_ERRORS = (
-    SolverError,
-    CalibrationError,
-    ResonanceError,
-    TraceError,
-    ParameterRegimeError,
-)
+_NUMERICAL_ERRORS = (SolverError, CalibrationError, ResonanceError, TraceError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -153,10 +148,10 @@ def _cmd_efficiency(cfg: RunConfig, args) -> int:
 
 def _cmd_pml_calibrate(cfg: RunConfig, args) -> int:
     ctx, modes = wave_setup(cfg)
-    steps = list(calibration_walk(ctx, modes, cfg.sigma, cfg.pml_exponent))
+    steps = list(calibration_walk(ctx, modes))
     chosen = None
     try:
-        chosen = absorbing_layer(cfg, ctx, modes)
+        chosen = calibrate(ctx, modes)
     finally:
         # the table is printed also when no thickness meets the target
         print(f"target: F_hat * sqrt(period) <= {TARGET_FHAT:.3g}")

@@ -13,12 +13,6 @@ A run is described by a sectioned key=value file::
     [grating]
     builtin = flat            # or "sharp"; or, instead, file = profile.txt
 
-    [pml]
-    sigma_re = 12.0
-    sigma_im = 12.0
-    m = 2
-    # delta = 8.0             # fixed depth; omit to calibrate automatically
-
     [adapt]
     tolerance = 1e-3
     tau = 0.5
@@ -29,9 +23,10 @@ A run is described by a sectioned key=value file::
 The grating is either a built-in profile (``builtin = flat | sharp``, flat
 by default) or a profile file (``file = path``, which alone selects it);
 setting both is an error.  A relative profile path is read from the
-config file's directory.  Without ``[pml] delta`` the layer thickness is
-calibrated by one fixed rule: the first delta on 0.25 * 2^k (k = 0..8)
-with Re zeta >= 1 and F_hat * sqrt(period) <= 1e-8 (``gratpml.pml``).
+config file's directory.  The layer is not configured: every run
+calibrates it by one fixed rule, sigma = 12 + 12i, m = 2 and the first
+delta on 0.25 * 2^k (k = 0..8) with Re zeta >= 1 and F_hat * sqrt(period)
+<= 1e-8 (``gratpml.pml.calibrate``).
 Unknown sections or keys are rejected (typos should fail loudly, not fall
 back to defaults), and so are NaN and infinite numbers.  Every key except
 the six wave parameters has a default.
@@ -65,11 +60,6 @@ class RunConfig:
     # [grating]; grating is "file" exactly when grating_file is set
     grating: str = "flat"
     grating_file: str | None = None
-    # [pml]
-    sigma_re: float = 12.0
-    sigma_im: float = 12.0
-    pml_exponent: int = 2
-    delta: float | None = None
     # [adapt]
     tolerance: float = 1e-3
     tau: float = 0.5
@@ -88,10 +78,6 @@ class RunConfig:
     def theta(self) -> float:
         """Incidence angle in radians."""
         return radians(self.theta_deg)
-
-    @property
-    def sigma(self) -> complex:
-        return complex(self.sigma_re, self.sigma_im)
 
     @property
     def corner(self) -> tuple[float, float, float] | None:
@@ -128,10 +114,19 @@ class RunConfig:
             problems.append("adapt.max_dofs must be >= 1")
         if self.h0 <= 0.0:
             problems.append("adapt.h0 must be positive")
-        if self.delta is not None and self.delta <= 0.0:
-            problems.append("pml.delta must be positive when given")
         if (self.corner_x is None) != (self.corner_y is None):
             problems.append("adapt.corner_x and corner_y must be set together")
+        # a tracked corner is a point of the grating surface: inside the
+        # cell and strictly below the interface
+        if self.corner_x is not None and not 0.0 <= self.corner_x <= self.period:
+            problems.append(
+                f"adapt.corner_x = {self.corner_x} outside [0, period = {self.period}]"
+            )
+        if self.corner_y is not None and not self.corner_y < self.gamma_height:
+            problems.append(
+                f"adapt.corner_y = {self.corner_y} not below "
+                f"gamma_height = {self.gamma_height}"
+            )
         if self.corner_radius is not None:
             if self.corner_x is None and self.corner_y is None:
                 problems.append("adapt.corner_radius needs corner_x and corner_y")
@@ -152,10 +147,6 @@ _SCHEMA = [
     ("wave", "gamma_height", "gamma_height", float),
     ("grating", "builtin", "grating", str),
     ("grating", "file", "grating_file", str),
-    ("pml", "sigma_re", "sigma_re", float),
-    ("pml", "sigma_im", "sigma_im", float),
-    ("pml", "m", "pml_exponent", int),
-    ("pml", "delta", "delta", float),
     ("adapt", "tolerance", "tolerance", float),
     ("adapt", "tau", "tau", float),
     ("adapt", "max_iters", "max_iters", int),

@@ -1,8 +1,10 @@
 """Run configuration, the adaptive driver, reports, and the CLI."""
 
+import contextlib
 import csv
 import dataclasses
 import inspect
+import io
 import math
 import pathlib
 import re
@@ -10,6 +12,8 @@ import re
 import numpy as np
 import pytest
 import scipy.io
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gratpml
 from gratpml import (
@@ -73,9 +77,7 @@ def test_minimal_config_uses_documented_defaults(tmp_path):
     cfg = load_config(_write(tmp_path, MINIMAL_CFG))
     assert cfg.omega == pytest.approx(2.0 * math.pi, rel=1e-15)
     assert cfg.theta == pytest.approx(math.pi / 6.0, rel=1e-15)
-    assert cfg.sigma == 12.0 + 12.0j
     assert cfg.grating == "flat"
-    assert cfg.delta is None
     assert cfg.tau == 0.5
     assert cfg.max_dofs == 200_000
     assert cfg.corner is None
@@ -93,10 +95,6 @@ def test_config_roundtrips_through_write_and_load(tmp_path):
     cfg = RunConfig(
         **BASE,
         grating="sharp",
-        sigma_re=10.0,
-        sigma_im=6.0,
-        pml_exponent=3,
-        delta=2.0,
         tolerance=5e-4,
         tau=0.4,
         max_iters=7,
@@ -178,7 +176,7 @@ def test_readme_config_reference_names_only_config_keys(tmp_path):
         key = re.match(r"\s*#\s*(\w+)\s*=", line)
         if key:
             commented.append((section, key.group(1)))
-    assert ("pml", "delta") in commented
+    assert ("grating", "file") in commented
     assert [entry for entry in commented if entry not in schema] == []
 
 
@@ -306,8 +304,6 @@ def test_validation_rejects_inconsistent_values():
         _quick_config(corner_radius=0.2).validate()
     with pytest.raises(ConfigError, match="corner_radius must be >= 0"):
         _quick_config(corner_x=0.5, corner_y=0.5, corner_radius=-1.0).validate()
-    with pytest.raises(ConfigError, match="delta"):
-        _quick_config(delta=-1.0).validate()
 
 
 def test_shipped_flat_config(tmp_path):
@@ -335,15 +331,12 @@ def test_shipped_sharp_config(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_setup_honours_fixed_and_calibrated_layers():
-    fixed = _quick_config(delta=2.0)
-    _, _, geom, profile, constants = setup(fixed)
+def test_setup_calibrates_the_layer():
+    cfg = _quick_config()
+    _, _, geom, profile, constants = setup(cfg)
     assert geom.is_flat_at_zero
-    assert profile.delta == 2.0
-    auto = _quick_config()
-    _, _, _, profile_auto, constants_auto = setup(auto)
-    assert profile_auto.delta == 8.0
-    assert constants_auto.f_hat * math.sqrt(auto.period) <= 1e-8
+    assert (profile.sigma, profile.m, profile.delta) == (12.0 + 12.0j, 2, 8.0)
+    assert constants.f_hat * math.sqrt(cfg.period) <= 1e-8
 
 
 def test_adaptive_run_is_deterministic():
@@ -591,23 +584,15 @@ def test_cli_exit_2_when_the_initial_mesh_exceeds_max_dofs(
 
 
 def test_cli_pml_calibrate_tabulates_and_selects(tmp_path, capsys):
+    # the table tags the layer that mesh-info and solve use
     cfg = _cli_config(tmp_path)
     assert main(["pml-calibrate", "--config", str(cfg)]) == 0
     stdout = capsys.readouterr().out
-    assert "<- selected" in stdout
-    assert "zeta at delta = 8.0" in stdout
-
-
-def test_cli_pml_calibrate_selects_a_fixed_thickness(tmp_path, capsys):
-    # the table tags the layer that mesh-info and solve use
-    cfg = _cli_config(tmp_path, delta=2.0)
-    assert main(["pml-calibrate", "--config", str(cfg)]) == 0
-    stdout = capsys.readouterr().out
     selected = [row for row in stdout.splitlines() if "<- selected" in row]
-    assert [float(row.split()[0]) for row in selected] == [2.0]
-    assert "zeta at delta = 2.0:" in stdout
+    assert [float(row.split()[0]) for row in selected] == [8.0]
+    assert "zeta at delta = 8.0:" in stdout
     assert main(["mesh-info", "--config", str(cfg)]) == 0
-    assert "delta = 2.0," in capsys.readouterr().out
+    assert "delta = 8.0," in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -677,21 +662,48 @@ def test_cli_exit_2_for_configuration_problems(tmp_path, capsys):
     assert "unknown key [modes] n_max" in capsys.readouterr().err
 
     # NaN and infinity are no numbers a run can use: a NaN tolerance never
-    # stops the loop, a NaN radius holds no element, and a NaN strength
-    # breaks the calibration or, with a fixed thickness, the factorization
+    # stops the loop, and a NaN radius holds no element
     for extra, name in (
         ("[adapt]\ntolerance = nan\n", "adapt.tolerance = nan"),
         ("[adapt]\ncorner_x = 0.5\ncorner_y = 0.5\ncorner_radius = nan\n",
          "adapt.corner_radius = nan"),
-        ("[pml]\nsigma_re = nan\n", "pml.sigma_re = nan"),
-        ("[pml]\nsigma_re = nan\ndelta = 2.0\n", "pml.sigma_re = nan"),
-        ("[pml]\nsigma_im = inf\n", "pml.sigma_im = inf"),
         ("[adapt]\nh0 = -inf\n", "adapt.h0 = -inf"),
     ):
         odd = _write(tmp_path, MINIMAL_CFG + extra, "odd.cfg")
         assert main(["solve", "--config", str(odd), "--quiet"]) == 2
         captured = capsys.readouterr()
         assert f"{name} is not finite" in captured.err
+        assert captured.out == ""
+
+    # every run calibrates its layer, so no layer value is a key: a thin
+    # delta = 0.01 would give a layer with Re zeta < 1, which is not coercive
+    for extra, key in (
+        ("[pml]\nsigma_re = nan\n", "sigma_re"),
+        ("[pml]\nsigma_re = nan\ndelta = 2.0\n", "sigma_re"),
+        ("[pml]\nsigma_im = inf\n", "sigma_im"),
+        ("[pml]\ndelta = 0.01\n", "delta"),
+        ("[pml]\nm = 3\n", "m"),
+    ):
+        layer = _write(tmp_path, MINIMAL_CFG + extra, "layer.cfg")
+        for command in ("solve", "mesh-info", "pml-calibrate"):
+            quiet = ["--quiet"] if command == "solve" else []
+            assert main([command, "--config", str(layer)] + quiet) == 2
+            captured = capsys.readouterr()
+            assert f"unknown key [pml] {key}" in captured.err
+            assert captured.out == ""
+
+    # a tracked corner is a point of the grating surface: inside the cell
+    # and below the interface
+    for extra, names in (
+        ("[adapt]\ncorner_x = 5\ncorner_y = 5\n",
+         ["adapt.corner_x = 5.0", "adapt.corner_y = 5.0"]),
+        ("[adapt]\ncorner_x = -0.1\ncorner_y = 0.5\n", ["adapt.corner_x = -0.1"]),
+        ("[adapt]\ncorner_x = 0.5\ncorner_y = 1.0\n", ["adapt.corner_y = 1.0"]),
+    ):
+        far = _write(tmp_path, MINIMAL_CFG + extra, "far.cfg")
+        assert main(["solve", "--config", str(far), "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert all(name in captured.err for name in names)
         assert captured.out == ""
 
 
@@ -716,18 +728,49 @@ def test_cli_exit_2_for_bad_calibration_settings(tmp_path, capsys, pml):
 def test_cli_pml_calibrate_exit_3_when_no_thickness_meets_the_target(
     tmp_path, capsys
 ):
-    # a weak layer: at delta = 64, the thickest, F_hat*sqrt(period) is 0.377
-    cfg = _cli_config(tmp_path, sigma_re=0.5, sigma_im=0.5)
+    # 0.004 degrees above the shear order -1 cut-off (40.91428 degrees) the
+    # order decays too slowly: at delta = 64, the thickest,
+    # F_hat*sqrt(period) is still 26.9
+    cfg = _cli_config(tmp_path, theta_deg=40.918)
     assert main(["pml-calibrate", "--config", str(cfg)]) == 3
     captured = capsys.readouterr()
     assert "numerical failure" in captured.err
-    assert "F_hat*sqrt(period) <= 1e-08; best was 0.377" in captured.err
+    assert "F_hat*sqrt(period) <= 1e-08; best was 26.9" in captured.err
     # the table is printed before the failure, without a selected row
     rows = captured.out.splitlines()[2:]
     assert [float(row.split()[0]) for row in rows] == [
         0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0
     ]
     assert "selected" not in captured.out
+
+
+# With the BASE wave the shear order n = -1 reaches its cut-off
+# |alpha_-1| = kappa2 where sin(theta) = sqrt(5) * (1 - 1/sqrt(2)), at
+# theta = 40.91428 degrees.
+THETA_CUT_DEG = math.degrees(math.asin(math.sqrt(5.0) * (1.0 - math.sqrt(0.5))))
+
+
+@settings(max_examples=20, deadline=None)
+@example(rel=1e-9)
+@example(rel=-1e-9)
+@given(rel=st.floats(-1e-2, 1e-2))
+def test_cli_solve_near_a_rayleigh_cut_off(tmp_path_factory, rel):
+    # near a cut-off the run either absorbs the slow mode or reports a
+    # numerical failure; it never raises and never keeps a leaky layer
+    tmp = tmp_path_factory.mktemp("cutoff")
+    cfg = _cli_config(tmp, theta_deg=THETA_CUT_DEG * (1.0 + rel))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp / "o"),
+                     "--quiet"])
+    assert code in (0, 3)
+    if code == 0:
+        with open(tmp / "o" / "convergence.csv", encoding="utf-8") as fh:
+            final = list(csv.DictReader(fh))[-1]
+        assert float(final["eps_pml"]) <= 1e-3 * float(final["eps_fem"])
+    else:
+        assert ("F_hat*sqrt(period) <= 1e-08; best was" in err.getvalue()
+                or "sits at the branch-2 cut-off" in err.getvalue())
 
 
 def test_cli_exit_3_for_numerical_failures(tmp_path, capsys):
