@@ -248,6 +248,7 @@ _CONVERGENCE_COLUMNS = [
     ("fill_factor", lambda r: r.solve.fill_factor),
     ("pivot_ratio", lambda r: r.solve.pivot_ratio),
     ("ordering", lambda r: r.solve.ordering),
+    ("refinements", lambda r: r.solve.refinements),
 ]
 
 

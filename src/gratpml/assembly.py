@@ -68,10 +68,12 @@ class DofMap:
     ----------
     kind : ndarray (N, 2) uint8
         0 free, 1 Dirichlet, 2 slave (quasi-periodic right boundary).
-    index : ndarray (N, 2) int
+    index : ndarray (N, 2) int32
         Free-equation index for free dofs, the master's free index for
         slaves, -1 for Dirichlet dofs.  The k-th free node in order of
         height, then x, holds equations (2k, 2k+1); see ``build_dofmap``.
+        int32 is the index type of scipy's sparse matrices, so ``assemble``
+        hands its row and column arrays over without a converting copy.
     value : ndarray (N, 2) complex
         Dirichlet values (0 elsewhere).
     weight : ndarray (N, 2) complex
@@ -151,7 +153,7 @@ def build_dofmap(mesh: Mesh, ctx: WaveContext) -> DofMap:
     free_mask = kind == FREE
     free = np.nonzero(free_mask[:, 0])[0]
     free = free[np.lexsort((mesh.nodes[free, 0], mesh.nodes[free, 1]))]
-    index = np.full((n, 2), -1, dtype=np.int64)
+    index = np.full((n, 2), -1, dtype=np.int32)
     index[free] = np.arange(2 * free.size).reshape(-1, 2)
 
     left_of = np.full(n, -1, dtype=np.int64)

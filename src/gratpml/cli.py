@@ -33,7 +33,7 @@ from .adapt import (
 from .config import ConfigError, RunConfig, load_config
 from .exact import fit_slope
 from .meshing import PHYSICAL, PML, GeometryError, generate_initial, write_vtk
-from .pml import TARGET_FHAT, CalibrationError, calibrate, calibration_walk
+from .pml import TARGET_FHAT, CalibrationError, calibration_walk, select_thickness
 from .rayleigh import TraceError
 from .solver import SolverError
 from .waves import ResonanceError
@@ -151,7 +151,7 @@ def _cmd_pml_calibrate(cfg: RunConfig, args) -> int:
     steps = list(calibration_walk(ctx, modes))
     chosen = None
     try:
-        chosen = calibrate(ctx, modes)
+        chosen = select_thickness(steps)  # the layer ``calibrate`` returns
     finally:
         # the table is printed also when no thickness meets the target
         print(f"target: F_hat * sqrt(period) <= {TARGET_FHAT:.3g}")

@@ -41,7 +41,7 @@ data of the PML formulation and is available here in closed form.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +61,7 @@ __all__ = [
     "modeling_constants",
     "calibration_walk",
     "calibrate",
+    "select_thickness",
     "pml_source",
 ]
 
@@ -279,9 +280,26 @@ def calibrate(
         If no grid point satisfies both conditions; the message reports the
         best F_hat * sqrt(period) reached.
     """
+    return select_thickness(calibration_walk(ctx, modes, sigma, m))
+
+
+def select_thickness(
+    steps: Iterable[tuple[PmlProfile, ModelingConstants, float, bool]],
+) -> PmlProfile:
+    """The profile of the first accepted step of a :func:`calibration_walk`.
+
+    Consumes ``steps`` only up to that step, so :func:`calibrate` stops its
+    walk there; ``pml-calibrate`` passes the whole walk it tabulates.
+
+    Raises
+    ------
+    CalibrationError
+        If no step is accepted; the message reports the best F_hat *
+        sqrt(period) reached with Re zeta >= 1.
+    """
     best = float("inf")
     best_delta = None
-    for profile, _, achieved, accepted in calibration_walk(ctx, modes, sigma, m):
+    for profile, _, achieved, accepted in steps:
         if accepted:
             return profile
         if profile.zeta.real >= 1.0 and achieved < best:

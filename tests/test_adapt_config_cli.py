@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gratpml
+import gratpml.pml
 from gratpml import (
     ConfigError,
     RunConfig,
@@ -436,7 +437,7 @@ def test_convergence_csv_roundtrips_exactly(tmp_path, small_run):
         "iteration", "nodes", "elements", "dofs", "global_eta", "eps_fem",
         "eps_pml", "energy_total", "energy_defect", "true_error",
         "corner_fraction", "solve_residual", "wall_time", "fill_factor",
-        "pivot_ratio", "ordering",
+        "pivot_ratio", "ordering", "refinements",
     ]
     assert len(rows) == 1 + len(small_run.records)
     for row, rec in zip(rows[1:], small_run.records):
@@ -448,6 +449,7 @@ def test_convergence_csv_roundtrips_exactly(tmp_path, small_run):
         assert float(row[13]) == rec.solve.fill_factor
         assert float(row[14]) == rec.solve.pivot_ratio
         assert row[15] == rec.solve.ordering == "MMD_AT_PLUS_A"
+        assert int(row[16]) == rec.solve.refinements
 
 
 def test_efficiency_csv_lists_propagating_modes(tmp_path, small_run):
@@ -593,6 +595,22 @@ def test_cli_pml_calibrate_tabulates_and_selects(tmp_path, capsys):
     assert "zeta at delta = 8.0:" in stdout
     assert main(["mesh-info", "--config", str(cfg)]) == 0
     assert "delta = 8.0," in capsys.readouterr().out
+
+
+def test_cli_pml_calibrate_walks_the_grid_once(monkeypatch, capsys):
+    # the nine table rows hold every value the selection needs
+    calls = []
+    real = gratpml.pml.modeling_constants
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].delta)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gratpml.pml, "modeling_constants", counting)
+    config = str(CONFIG_DIR / "flat.cfg")
+    assert main(["pml-calibrate", "--config", config]) == 0
+    assert "<- selected" in capsys.readouterr().out
+    assert calls == [0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,9 @@
 """Sparse direct solver wrapper: solutions, diagnostics, failure modes."""
 
+import dataclasses
+import pathlib
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,10 +15,14 @@ from gratpml import (
     assemble,
     build_dofmap,
     generate_initial,
+    load_config,
+    setup,
     sharp_profile,
     solve_system,
 )
 from gratpml.assembly import SparseSystem
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def _system(matrix, rhs):
@@ -78,7 +86,7 @@ def test_report_string_mentions_health():
 
 
 # ---------------------------------------------------------------------------
-# symmetric-mode factorization and its COLAMD fallback
+# single-precision symmetric-mode factorization, refinement, COLAMD fallback
 # ---------------------------------------------------------------------------
 
 
@@ -117,7 +125,12 @@ def _tiny_pivots(real, a, permc_spec, kwargs):
 
 
 def _wrong_matrix(real, a, permc_spec, kwargs):
-    shifted = a + 1e-3 * sp.identity(a.shape[0], format="csc")
+    # the first step from x = 0 gives -x: it doubles the residual
+    return real(-a, permc_spec=permc_spec, **kwargs)
+
+
+def _perturbed_matrix(real, a, permc_spec, kwargs):
+    shifted = (a + 1e-3 * sp.identity(a.shape[0], format="csc")).astype(a.dtype)
     return real(shifted, permc_spec=permc_spec, **kwargs)
 
 
@@ -132,6 +145,38 @@ def test_failed_symmetric_attempt_falls_back_to_colamd(monkeypatch, replace):
     assert report.residual <= 1e-12
     assert np.allclose(system.matrix @ x, system.rhs, rtol=1e-12, atol=1e-12)
     assert "COLAMD" in str(report)
+
+
+def test_refinement_repairs_a_perturbed_factor(monkeypatch):
+    system = _well_posed_system()
+    calls = _patch_symmetric_attempt(monkeypatch, _perturbed_matrix)
+    x, report = solve_system(system)
+    assert calls == ["MMD_AT_PLUS_A"]
+    assert report.ordering == "MMD_AT_PLUS_A"
+    assert report.refinements >= 1
+    assert report.ok
+    assert report.residual <= 1e-12
+    assert np.allclose(system.matrix @ x, system.rhs, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("matrix_scale", [1.0, 1e40, 1e-40])
+@pytest.mark.parametrize("rhs_scale", [1.0, 1e40, 1e-40])
+def test_magnitudes_outside_single_precision_stay_on_the_first_attempt(
+    monkeypatch, matrix_scale, rhs_scale
+):
+    base = _well_posed_system()
+    a = base.matrix * matrix_scale
+    x_true = np.linalg.solve(base.matrix.toarray(), base.rhs) * (
+        rhs_scale / matrix_scale
+    )
+    calls = _patch_symmetric_attempt(monkeypatch, _unchanged)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, report = solve_system(_system(a, base.rhs * rhs_scale))
+    assert calls == ["MMD_AT_PLUS_A"]
+    assert report.ok
+    assert report.residual <= 1e-12
+    assert np.linalg.norm(x - x_true) <= 1e-12 * np.linalg.norm(x_true)
 
 
 def test_failed_fallback_raises_the_usual_error(monkeypatch):
@@ -155,14 +200,31 @@ def test_assembled_system_takes_the_symmetric_path(
     assert report.residual <= 1e-12
 
 
+@pytest.mark.parametrize("theta_deg", [30.0, -30.0])
+@pytest.mark.parametrize("name", ["flat", "sharp"])
+def test_refined_solution_matches_a_double_precision_factor(name, theta_deg):
+    cfg = load_config(CONFIG_DIR / f"{name}.cfg")
+    cfg = dataclasses.replace(cfg, theta_deg=theta_deg)
+    ctx, _, geom, profile, _ = setup(cfg)
+    mesh = generate_initial(geom, ctx, profile, cfg.h0)
+    system = assemble(mesh, ctx, profile, build_dofmap(mesh, ctx))
+    x, report = solve_system(system)
+    reference = splu(system.matrix.tocsc()).solve(system.rhs)
+    assert report.ordering == "MMD_AT_PLUS_A"
+    assert report.ok
+    assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
 def test_lu_nnz_counts_the_nonzeros_of_both_factors(ctx1, profile1):
     # on this system SuperLU's own count, SuperLU.nnz, is larger
     mesh = generate_initial(sharp_profile(ctx1.period), ctx1, profile1, h0=0.125)
     system = assemble(mesh, ctx1, profile1, build_dofmap(mesh, ctx1))
     _, report = solve_system(system)
-    # an independent factorization with the same settings
-    ordering, kwargs = solver_module._SYMMETRIC
-    lu = splu(system.matrix.tocsc(), permc_spec=ordering, **kwargs)
+    # an independent factorization of the same normalized matrix with the
+    # same settings
+    ordering, kwargs, dtype = solver_module._SYMMETRIC
+    a = system.matrix.tocsc()
+    lu = splu((a / np.abs(a.data).max()).astype(dtype), permc_spec=ordering, **kwargs)
     assert report.ordering == ordering
     assert report.lu_nnz == lu.L.nnz + lu.U.nnz
     assert report.fill_factor == report.lu_nnz / system.matrix.nnz
