@@ -16,9 +16,10 @@ next mesh.  Every iteration is retained as an IterationRecord
 (with its mesh and nodal field), so reports and convergence studies can be
 produced after the fact without re-running.
 
-For a flat grating the exact solution is known in closed form and the true
-H1-seminorm error is recorded alongside the estimate; for other profiles
-that column is NaN.
+Marking takes the bulk fraction 0.5.  Each record counts the elements near
+the profile's peaks (NaN for a profile without one).  For a flat grating
+the exact solution is known in closed form and the true H1-seminorm error
+is recorded alongside the estimate; for other profiles that column is NaN.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ from .pml import ModelingConstants, PmlProfile, calibrate, modeling_constants
 from .rayleigh import EfficiencyReport, efficiencies, fourier_trace, recover_potentials
 from .solver import SolveReport, solve_system
 from .waves import ModeTable, WaveContext, build_mode_table, derive_context
+
+#: radius of the disk counted around each tracked corner, in periods
+_CORNER_RADIUS = 0.1
 
 __all__ = [
     "IterationRecord",
@@ -156,7 +160,7 @@ def run(cfg: RunConfig, progress=None) -> AdaptiveRun:
     exact: FlatSolution | None = (
         flat_solution(ctx) if geom.is_flat_at_zero else None
     )
-    corner = cfg.corner
+    corners, radius = geom.reentrant_corners, _CORNER_RADIUS * ctx.period
     mesh = generate_initial(geom, ctx, profile, cfg.h0)
 
     records: list[IterationRecord] = []
@@ -183,11 +187,7 @@ def run(cfg: RunConfig, progress=None) -> AdaptiveRun:
             if exact is not None
             else float("nan")
         )
-        fraction = (
-            locate_corner_fraction(mesh, corner[:2], corner[2])
-            if corner is not None
-            else float("nan")
-        )
+        fraction = locate_corner_fraction(mesh, corners, radius)
         record = IterationRecord(
             iteration=it,
             n_nodes=mesh.n_nodes,
@@ -215,7 +215,7 @@ def run(cfg: RunConfig, progress=None) -> AdaptiveRun:
             break
         if it == cfg.max_iters - 1:
             break
-        mesh, kept = bisect(mesh, mark(ind.eta_hat, cfg.tau))
+        mesh, kept = bisect(mesh, mark(ind.eta_hat))
         source = source[kept]
 
     return AdaptiveRun(
@@ -286,6 +286,8 @@ def write_summary(run_result: AdaptiveRun, path) -> None:
     prof = run_result.profile
     mc = run_result.constants
     rec = run_result.final
+    corners = run_result.geometry.reentrant_corners.tolist()
+    tracked = ", ".join(f"({x!r}, {y!r})" for x, y in corners)
     lines = [
         "adaptive grating solve",
         "=" * 60,
@@ -294,6 +296,8 @@ def write_summary(run_result: AdaptiveRun, path) -> None:
         f"interface height = {ctx.gamma_height!r}",
         f"wavenumbers: kappa1 = {ctx.kappa1!r}, kappa2 = {ctx.kappa2!r}",
         f"grating: {cfg.grating}",
+        f"corners: [{tracked}], radius {_CORNER_RADIUS * ctx.period!r}"
+        if corners else "corners: none",
         f"layer: sigma = {prof.sigma!r}, m = {prof.m}, delta = {prof.delta!r}",
         f"       zeta = {prof.zeta!r}",
         f"       F = {mc.f!r}, F_hat = {mc.f_hat!r}, coercive = {mc.coercive}",

@@ -15,7 +15,6 @@ A run is described by a sectioned key=value file::
 
     [adapt]
     tolerance = 1e-3
-    tau = 0.5
     max_iters = 20
     max_dofs = 200000
     h0 = 0.25
@@ -26,7 +25,9 @@ setting both is an error.  A relative profile path is read from the
 config file's directory.  The layer is not configured: every run
 calibrates it by one fixed rule, sigma = 12 + 12i, m = 2 and the first
 delta on 0.25 * 2^k (k = 0..8) with Re zeta >= 1 and F_hat * sqrt(period)
-<= 1e-8 (``gratpml.pml.calibrate``).
+<= 1e-8 (``gratpml.pml.calibrate``).  Nor are marking and corner
+tracking: a run marks with the bulk fraction 0.5 and tracks the peaks of
+its profile (``GratingProfile.reentrant_corners``).
 Unknown sections or keys are rejected (typos should fail loudly, not fall
 back to defaults), and so are NaN and infinite numbers.  Every key except
 the six wave parameters has a default.
@@ -62,13 +63,9 @@ class RunConfig:
     grating_file: str | None = None
     # [adapt]
     tolerance: float = 1e-3
-    tau: float = 0.5
     max_iters: int = 20
     max_dofs: int = 200_000
     h0: float = 0.25
-    corner_x: float | None = None
-    corner_y: float | None = None
-    corner_radius: float | None = None
     # [output]
     out_dir: str = "out"
     write_vtk: bool = False
@@ -79,20 +76,12 @@ class RunConfig:
         """Incidence angle in radians."""
         return radians(self.theta_deg)
 
-    @property
-    def corner(self) -> tuple[float, float, float] | None:
-        """(x, y, radius) of the tracked corner region, if configured."""
-        if self.corner_x is None or self.corner_y is None:
-            return None
-        radius = 0.1 if self.corner_radius is None else self.corner_radius
-        return (self.corner_x, self.corner_y, radius)
-
     def validate(self) -> None:
         """Raise ConfigError on non-finite or inconsistent values."""
         problems = []
         for section, key, attr, conv in _SCHEMA:
             value = getattr(self, attr)
-            if conv is float and value is not None and not isfinite(value):
+            if conv is float and not isfinite(value):
                 problems.append(f"{section}.{key} = {value} is not finite")
         if not abs(self.theta_deg) < 90.0:
             problems.append(
@@ -104,8 +93,6 @@ class RunConfig:
             problems.append("grating = file requires grating.file to be set")
         if self.grating != "file" and self.grating_file:
             problems.append(f"grating.file is set but grating = {self.grating!r}")
-        if not 0.0 < self.tau <= 1.0:
-            problems.append(f"adapt.tau = {self.tau} outside (0, 1]")
         if self.tolerance <= 0.0:
             problems.append("adapt.tolerance must be positive")
         if self.max_iters < 1:
@@ -114,24 +101,6 @@ class RunConfig:
             problems.append("adapt.max_dofs must be >= 1")
         if self.h0 <= 0.0:
             problems.append("adapt.h0 must be positive")
-        if (self.corner_x is None) != (self.corner_y is None):
-            problems.append("adapt.corner_x and corner_y must be set together")
-        # a tracked corner is a point of the grating surface: inside the
-        # cell and strictly below the interface
-        if self.corner_x is not None and not 0.0 <= self.corner_x <= self.period:
-            problems.append(
-                f"adapt.corner_x = {self.corner_x} outside [0, period = {self.period}]"
-            )
-        if self.corner_y is not None and not self.corner_y < self.gamma_height:
-            problems.append(
-                f"adapt.corner_y = {self.corner_y} not below "
-                f"gamma_height = {self.gamma_height}"
-            )
-        if self.corner_radius is not None:
-            if self.corner_x is None and self.corner_y is None:
-                problems.append("adapt.corner_radius needs corner_x and corner_y")
-            if self.corner_radius < 0.0:
-                problems.append("adapt.corner_radius must be >= 0")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -148,13 +117,9 @@ _SCHEMA = [
     ("grating", "builtin", "grating", str),
     ("grating", "file", "grating_file", str),
     ("adapt", "tolerance", "tolerance", float),
-    ("adapt", "tau", "tau", float),
     ("adapt", "max_iters", "max_iters", int),
     ("adapt", "max_dofs", "max_dofs", int),
     ("adapt", "h0", "h0", float),
-    ("adapt", "corner_x", "corner_x", float),
-    ("adapt", "corner_y", "corner_y", float),
-    ("adapt", "corner_radius", "corner_radius", float),
     ("output", "dir", "out_dir", str),
     ("output", "write_vtk", "write_vtk", bool),
     ("output", "write_system", "write_system", bool),
@@ -233,8 +198,6 @@ def write_config(cfg: RunConfig, path) -> None:
     defaults = {f.name: f.default for f in fields(RunConfig)}
     for section, key, attr, conv in _SCHEMA:
         value = getattr(cfg, attr)
-        if value is None:
-            continue
         required = (section, key) in _REQUIRED
         if not required and value == defaults.get(attr):
             continue

@@ -71,6 +71,7 @@ class GratingProfile:
 
     ``vertices`` is an (K, 2) array with strictly increasing x, x[0] = 0,
     and matching heights at both ends (the profile continues periodically).
+    Its peaks, ``reentrant_corners``, are the points an adaptive run tracks.
     """
 
     vertices: np.ndarray
@@ -119,6 +120,20 @@ class GratingProfile:
     def is_flat_at_zero(self) -> bool:
         """True when the surface is exactly the line y = 0."""
         return bool(np.all(self.vertices[:, 1] == 0.0))
+
+    @property
+    def reentrant_corners(self) -> np.ndarray:
+        """(K, 2) vertices where the surface turns clockwise: the peaks, where
+        the medium above sees an angle > pi.  Collinear points are no corners;
+        a peak on the seam is listed at x = 0 and at x = period."""
+        v = self.vertices
+        seg = np.diff(v, axis=0)
+        before = np.roll(seg, 1, axis=0)  # the segment into vertex i
+        turn = before[:, 0] * seg[:, 1] - before[:, 1] * seg[:, 0]
+        size = np.linalg.norm(before, axis=1) * np.linalg.norm(seg, axis=1)
+        peak = turn < -1e-12 * size
+        # vertex 0 is the seam: a peak there comes again at x = period
+        return np.concatenate([v[:-1][peak], v[-1:][peak[:1]]])
 
 
 def flat_profile(period: float) -> GratingProfile:
@@ -631,11 +646,15 @@ def mark(eta_hat: np.ndarray, tau: float = 0.5) -> np.ndarray:
 
 
 def locate_corner_fraction(mesh: Mesh, point, radius: float) -> float:
-    """Fraction of elements whose centroid lies within ``radius`` of point."""
+    """Fraction of elements whose centroid lies within ``radius`` of point,
+    one (x, y) or the nearest of (K, 2) points; NaN for K = 0."""
     if radius < 0.0:
         raise ValueError(f"radius must be >= 0, got {radius}")
+    points = np.asarray(point, dtype=float).reshape(-1, 2)
+    if len(points) == 0:
+        return float("nan")
     centroids = mesh.nodes[mesh.tris].mean(axis=1)
-    d = np.linalg.norm(centroids - np.asarray(point, dtype=float), axis=1)
+    d = np.linalg.norm(centroids[:, None] - points, axis=2).min(axis=1)
     return float(np.count_nonzero(d <= radius)) / mesh.n_tris
 
 

@@ -79,9 +79,7 @@ def test_minimal_config_uses_documented_defaults(tmp_path):
     assert cfg.omega == pytest.approx(2.0 * math.pi, rel=1e-15)
     assert cfg.theta == pytest.approx(math.pi / 6.0, rel=1e-15)
     assert cfg.grating == "flat"
-    assert cfg.tau == 0.5
     assert cfg.max_dofs == 200_000
-    assert cfg.corner is None
     assert cfg.out_dir == "out"
     assert cfg.write_vtk is False
 
@@ -97,13 +95,9 @@ def test_config_roundtrips_through_write_and_load(tmp_path):
         **BASE,
         grating="sharp",
         tolerance=5e-4,
-        tau=0.4,
         max_iters=7,
         max_dofs=12345,
         h0=0.125,
-        corner_x=0.5,
-        corner_y=0.5,
-        corner_radius=0.2,
         out_dir="elsewhere",
         write_vtk=True,
     )
@@ -290,21 +284,12 @@ def test_unreadable_and_malformed_files(tmp_path):
 
 
 def test_validation_rejects_inconsistent_values():
-    with pytest.raises(ConfigError, match="tau"):
-        _quick_config(tau=0.0).validate()
     with pytest.raises(ConfigError, match="grating"):
         _quick_config(grating="wavy").validate()
     with pytest.raises(ConfigError, match="file"):
         _quick_config(grating="file").validate()
     with pytest.raises(ConfigError, match="file"):
         _quick_config(grating="sharp", grating_file="prof.txt").validate()
-    with pytest.raises(ConfigError, match="corner"):
-        _quick_config(corner_x=0.5).validate()
-    # a radius alone tracks nothing, and a negative one tracks no element
-    with pytest.raises(ConfigError, match="corner_radius needs corner_x"):
-        _quick_config(corner_radius=0.2).validate()
-    with pytest.raises(ConfigError, match="corner_radius must be >= 0"):
-        _quick_config(corner_x=0.5, corner_y=0.5, corner_radius=-1.0).validate()
 
 
 def test_shipped_flat_config(tmp_path):
@@ -323,7 +308,8 @@ def test_shipped_sharp_config(tmp_path):
     cfg = load_config(CONFIG_DIR / "sharp.cfg")
     assert cfg.grating == "sharp"
     assert cfg.max_iters == 30
-    assert cfg.corner == (0.5, 0.5, 0.1)
+    geom = setup(cfg)[2]
+    assert geom.reentrant_corners.tolist() == [[0.5, 0.5]]
     assert cfg.out_dir == "out-sharp"
 
 
@@ -364,13 +350,15 @@ def test_records_grow_and_flat_run_tracks_true_error():
     assert result.stop_reason == "max_iterations"
 
 
-def test_sharp_run_has_no_true_error_but_tracks_corner():
-    cfg = _quick_config(
-        grating="sharp", corner_x=0.5, corner_y=0.5, corner_radius=0.1
-    )
-    result = run(cfg)
+def test_sharp_run_has_no_true_error_but_tracks_corner(tmp_path):
+    result = run(_quick_config(grating="sharp"))
     assert all(np.isnan(r.true_error) for r in result.records)
     assert all(0.0 < r.corner_fraction < 1.0 for r in result.records)
+    # the corners come from the profile, so the summary names them
+    path = tmp_path / "summary.txt"
+    write_summary(result, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert "corners: [(0.5, 0.5)], radius 0.1" in lines
 
 
 def test_derived_mode_window_calibrates_the_layer_at_omega_6pi():
@@ -473,6 +461,7 @@ def test_summary_mentions_the_key_results(tmp_path, small_run):
     text = path.read_text(encoding="utf-8")
     assert "stop: max_iterations" in text
     assert "grating: flat" in text
+    assert "corners: none\n" in text
     assert "eps_fem" in text
     assert "true H1 error" in text
     assert "coercive = True" in text
@@ -680,11 +669,9 @@ def test_cli_exit_2_for_configuration_problems(tmp_path, capsys):
     assert "unknown key [modes] n_max" in capsys.readouterr().err
 
     # NaN and infinity are no numbers a run can use: a NaN tolerance never
-    # stops the loop, and a NaN radius holds no element
+    # stops the loop
     for extra, name in (
         ("[adapt]\ntolerance = nan\n", "adapt.tolerance = nan"),
-        ("[adapt]\ncorner_x = 0.5\ncorner_y = 0.5\ncorner_radius = nan\n",
-         "adapt.corner_radius = nan"),
         ("[adapt]\nh0 = -inf\n", "adapt.h0 = -inf"),
     ):
         odd = _write(tmp_path, MINIMAL_CFG + extra, "odd.cfg")
@@ -710,18 +697,18 @@ def test_cli_exit_2_for_configuration_problems(tmp_path, capsys):
             assert f"unknown key [pml] {key}" in captured.err
             assert captured.out == ""
 
-    # a tracked corner is a point of the grating surface: inside the cell
-    # and below the interface
-    for extra, names in (
-        ("[adapt]\ncorner_x = 5\ncorner_y = 5\n",
-         ["adapt.corner_x = 5.0", "adapt.corner_y = 5.0"]),
-        ("[adapt]\ncorner_x = -0.1\ncorner_y = 0.5\n", ["adapt.corner_x = -0.1"]),
-        ("[adapt]\ncorner_x = 0.5\ncorner_y = 1.0\n", ["adapt.corner_y = 1.0"]),
+    # the tracked corners are the peaks of the profile and marking uses one
+    # bulk fraction, so neither is a key
+    for extra, key in (
+        ("[adapt]\ncorner_x = 5\ncorner_y = 5\n", "corner_x"),
+        ("[adapt]\ncorner_y = 0.5\n", "corner_y"),
+        ("[adapt]\ncorner_radius = 0.1\n", "corner_radius"),
+        ("[adapt]\ntau = 0.5\n", "tau"),
     ):
-        far = _write(tmp_path, MINIMAL_CFG + extra, "far.cfg")
-        assert main(["solve", "--config", str(far), "--quiet"]) == 2
+        gone = _write(tmp_path, MINIMAL_CFG + extra, "gone.cfg")
+        assert main(["solve", "--config", str(gone), "--quiet"]) == 2
         captured = capsys.readouterr()
-        assert all(name in captured.err for name in names)
+        assert f"unknown key [adapt] {key}" in captured.err
         assert captured.out == ""
 
 

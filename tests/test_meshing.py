@@ -1,5 +1,6 @@
 """Grating profiles, mesh generation, conforming bisection, and marking."""
 
+from fractions import Fraction
 from math import ceil
 
 import numpy as np
@@ -74,6 +75,47 @@ def test_profile_file_errors(tmp_path):
     bad.write_text("0.0 0.0 0.0\n1.0 0.0 0.0\n")
     with pytest.raises(GeometryError):
         load_profile(bad)
+
+
+# a peak on the periodic seam: the profile falls from x = 0 and rises to x = 1
+SEAM_PEAK = np.array([[0.0, 0.5], [0.5, 0.0], [1.0, 0.5]])
+
+
+def test_reentrant_corners_of_the_shipped_and_seam_profiles():
+    assert sharp_profile(1.0).reentrant_corners.tolist() == [[0.5, 0.5]]
+    assert flat_profile(1.0).reentrant_corners.shape == (0, 2)
+    # a seam valley is no corner, and a seam peak is listed on both walls
+    valley = GratingProfile(SEAM_PEAK * [1.0, -1.0])
+    assert valley.reentrant_corners.tolist() == [[0.5, 0.0]]
+    assert GratingProfile(SEAM_PEAK).reentrant_corners.tolist() == [
+        [0.0, 0.5], [1.0, 0.5]
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(gratings())
+def test_reentrant_corners_are_the_clockwise_turns(geom):
+    # the drawn vertices lie on a grid of 1/20, so exact slopes decide
+    grid = [(round(20 * x), round(20 * y)) for x, y in geom.vertices]
+    slopes = [Fraction(y1 - y0, x1 - x0)
+              for (x0, y0), (x1, y1) in zip(grid, grid[1:])]
+    # slope into vertex i, with the seam vertex entered by the last segment
+    peaks = [i for i in range(len(slopes)) if slopes[i] < slopes[i - 1]]
+    if 0 in peaks:
+        peaks.append(len(grid) - 1)
+    assert geom.reentrant_corners.tolist() == geom.vertices[peaks].tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(gratings(), st.floats(min_value=0.05, max_value=0.95))
+def test_collinear_points_add_no_corner(geom, t):
+    v = geom.vertices
+    inner = v[:-1] + t * (v[1:] - v[:-1])
+    finer = np.empty((2 * len(v) - 1, 2))
+    finer[0::2], finer[1::2] = v, inner
+    assert np.array_equal(
+        GratingProfile(finer).reentrant_corners, geom.reentrant_corners
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +563,23 @@ def test_mark_selects_minimal_bulk_prefix(values, tau):
 def test_corner_fraction_limits(flat_mesh1):
     assert locate_corner_fraction(flat_mesh1, (0.5, 1.0), radius=100.0) == 1.0
     assert locate_corner_fraction(flat_mesh1, (-50.0, -50.0), radius=0.1) == 0.0
+    assert np.isnan(locate_corner_fraction(flat_mesh1, np.empty((0, 2)), 0.1))
     with pytest.raises(ValueError):
         locate_corner_fraction(flat_mesh1, (0.0, 0.0), radius=-1.0)
+
+
+def test_corner_fraction_counts_both_images_of_a_seam_peak(ctx1, profile1):
+    geom = GratingProfile(SEAM_PEAK)
+    mesh = generate_initial(geom, ctx1, profile1, h0=0.25)
+    near = 0
+    for tri in mesh.tris:
+        c = mesh.nodes[tri].mean(axis=0)
+        near += any(np.hypot(*(c - p)) <= 0.1 for p in ((0.0, 0.5), (1.0, 0.5)))
+    reference = near / mesh.n_tris
+    assert reference > 0.0
+    assert locate_corner_fraction(mesh, geom.reentrant_corners, 0.1) == reference
+    # one image alone sees half of the disk
+    assert locate_corner_fraction(mesh, (0.0, 0.5), 0.1) == reference / 2
 
 
 def test_vtk_output_is_parseable(tmp_path, flat_mesh1):
