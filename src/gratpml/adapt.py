@@ -33,7 +33,7 @@ import numpy as np
 from .assembly import SparseSystem, assemble, build_dofmap, layer_source
 from .config import ConfigError, RunConfig
 from .estimator import ErrorIndicators, indicators
-from .exact import FlatSolution, flat_solution, h1_seminorm_error
+from .exact import FlatSolution, fit_slope, flat_solution, h1_seminorm_error
 from .meshing import (
     GratingProfile,
     Mesh,
@@ -280,7 +280,12 @@ def write_efficiency_csv(report: EfficiencyReport, path) -> None:
 
 
 def write_summary(run_result: AdaptiveRun, path) -> None:
-    """Human-readable closing report of one adaptive run."""
+    """Human-readable closing report of one adaptive run.
+
+    A run of two or more iterations also reports the slopes of ``eps_fem``
+    and, where it exists, of the true H1 error against dofs, fitted by
+    ``fit_slope`` over the last four iterations (optimal P1: -1/2).
+    """
     cfg = run_result.config
     ctx = run_result.ctx
     prof = run_result.profile
@@ -314,6 +319,14 @@ def write_summary(run_result: AdaptiveRun, path) -> None:
     ]
     if np.isfinite(rec.true_error):
         lines.append(f"final true H1 error = {rec.true_error!r}")
+    records = run_result.records
+    if len(records) >= 2:
+        dofs = [r.n_dofs for r in records]
+        slope = fit_slope(dofs, [r.eps_fem for r in records], last=4)
+        lines.append(f"eps_fem slope (last 4) = {slope!r}")
+        if np.isfinite(rec.true_error):
+            slope = fit_slope(dofs, [r.true_error for r in records], last=4)
+            lines.append(f"true H1 slope (last 4) = {slope!r}")
     lines += ["", "efficiencies (propagating modes):"]
     for n, e1, e2 in rec.efficiency.propagating():
         lines.append(f"  n = {n:+d}: compressional = {e1!r}, shear = {e2!r}")

@@ -1,16 +1,16 @@
 """Command-line interface.
 
     gratpml solve         --config run.cfg [--out DIR] [--quiet]
-    gratpml validate-flat --config run.cfg [--out DIR] [--quiet]
-    gratpml efficiency    --config run.cfg [--out DIR]
     gratpml pml-calibrate --config run.cfg
     gratpml mesh-info     --config run.cfg [--out DIR]
 
-Every command that needs the absorbing layer calibrates it
-(``pml.calibrate``); a config cannot set it.  Exit codes: 0 success,
-2 configuration problem (bad file, bad geometry, inadmissible parameters),
-3 numerical failure (resonance, singular system, calibration impossible,
-trace coverage).
+``solve`` is the one adaptive run: a flat grating gives the true-error
+study and ``max_iters = 1`` the single solve on the initial mesh.  Every
+command that needs the absorbing layer calibrates it (``pml.calibrate``);
+a config cannot set it.  Exit codes: 0 success, 2 configuration problem
+(bad file, bad geometry, inadmissible parameters, an output directory that
+cannot be written), 3 numerical failure (resonance, singular system,
+calibration impossible, trace coverage).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .adapt import (
     write_vtk_series,
 )
 from .config import ConfigError, RunConfig, load_config
-from .exact import fit_slope
 from .meshing import PHYSICAL, PML, GeometryError, generate_initial, write_vtk
 from .pml import TARGET_FHAT, CalibrationError, calibration_walk, select_thickness
 from .rayleigh import TraceError
@@ -40,7 +39,7 @@ from .waves import ResonanceError
 
 __all__ = ["main"]
 
-_CONFIG_ERRORS = (ConfigError, GeometryError, ValueError)
+_CONFIG_ERRORS = (ConfigError, GeometryError, ValueError, OSError)
 _NUMERICAL_ERRORS = (SolverError, CalibrationError, ResonanceError, TraceError)
 
 
@@ -55,8 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {
         "solve": "run the adaptive loop and write reports",
-        "validate-flat": "convergence study against the exact flat solution",
-        "efficiency": "single solve on the initial mesh, print efficiencies",
         "pml-calibrate": "tabulate layer constants over the thickness grid",
         "mesh-info": "generate the initial mesh and print its statistics",
     }
@@ -66,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="configuration file")
         if name != "pml-calibrate":
             p.add_argument("--out", help="output directory (overrides config)")
-        if name in ("solve", "validate-flat"):
+        if name == "solve":
             p.add_argument("--quiet", action="store_true", help="suppress progress")
     return parser
 
@@ -89,60 +86,19 @@ def _progress_printer(quiet: bool):
     return emit
 
 
-def _outdir(cfg: RunConfig, args) -> str:
+def _cmd_solve(cfg: RunConfig, args) -> int:
     out = args.out if args.out else cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _write_reports(result, out: str, cfg: RunConfig) -> None:
+    result = run(cfg, _progress_printer(args.quiet))
     write_convergence_csv(result, os.path.join(out, "convergence.csv"))
     write_efficiency_csv(result.final.efficiency, os.path.join(out, "efficiency.csv"))
     write_summary(result, os.path.join(out, "run_summary.txt"))
     if cfg.write_vtk:
         write_vtk_series(result, out)
-
-
-def _cmd_solve(cfg: RunConfig, args) -> int:
-    out = _outdir(cfg, args)
-    result = run(cfg, _progress_printer(args.quiet))
-    _write_reports(result, out, cfg)
     if cfg.write_system:
         result.system.write_matrix_market(os.path.join(out, "system.mtx"))
     if not args.quiet:
         print(f"stopped: {result.stop_reason}; reports in {out}/")
-    return 0
-
-
-def _cmd_validate_flat(cfg: RunConfig, args) -> int:
-    cfg.grating = "flat"
-    cfg.grating_file = None
-    out = _outdir(cfg, args)
-    result = run(cfg, _progress_printer(args.quiet))
-    _write_reports(result, out, cfg)
-    dofs = np.array([r.n_dofs for r in result.records], dtype=float)
-    errs = np.array([r.true_error for r in result.records], dtype=float)
-    keep = np.isfinite(errs) & (errs > 0)
-    if keep.sum() >= 2:
-        slope = fit_slope(dofs[keep], errs[keep])
-        print(f"true-error slope (last fits): {slope:.4f} "
-              f"(optimal for P1 is -0.5)")
-    else:
-        print("not enough iterations for a slope fit")
-    print(f"iterations: {len(result.records)}, stop: {result.stop_reason}")
-    return 0
-
-
-def _cmd_efficiency(cfg: RunConfig, args) -> int:
-    out = _outdir(cfg, args)
-    cfg.max_iters = 1
-    rec = run(cfg).final
-    write_efficiency_csv(rec.efficiency, os.path.join(out, "efficiency.csv"))
-    eff = rec.efficiency
-    print(f"initial mesh: {rec.n_nodes} nodes, {rec.n_dofs} dofs")
-    for n, e1, e2 in eff.propagating():
-        print(f"  n = {n:+d}: compressional = {e1:.12g}, shear = {e2:.12g}")
-    print(f"  total = {eff.total:.12g} (defect {abs(eff.total - 1.0):.3e})")
     return 0
 
 
@@ -167,6 +123,8 @@ def _cmd_pml_calibrate(cfg: RunConfig, args) -> int:
 
 
 def _cmd_mesh_info(cfg: RunConfig, args) -> int:
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)  # fail before anything is printed
     ctx, _, geom, profile, constants = setup(cfg)
     mesh = generate_initial(geom, ctx, profile, cfg.h0)
     mesh.validate(geom)
@@ -181,7 +139,6 @@ def _cmd_mesh_info(cfg: RunConfig, args) -> int:
     print(f"layer:    delta = {profile.delta!r}, zeta = {profile.zeta!r}, "
           f"F_hat = {constants.f_hat:.4e}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "mesh_initial.vtk")
         write_vtk(mesh, path, cell_data={"region": mesh.region.astype(float)})
         print(f"wrote {path}")
@@ -190,8 +147,6 @@ def _cmd_mesh_info(cfg: RunConfig, args) -> int:
 
 _DISPATCH = {
     "solve": _cmd_solve,
-    "validate-flat": _cmd_validate_flat,
-    "efficiency": _cmd_efficiency,
     "pml-calibrate": _cmd_pml_calibrate,
     "mesh-info": _cmd_mesh_info,
 }

@@ -8,6 +8,7 @@ import io
 import math
 import pathlib
 import re
+import shlex
 
 import numpy as np
 import pytest
@@ -16,12 +17,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gratpml
+import gratpml.cli
 import gratpml.pml
 from gratpml import (
     ConfigError,
     RunConfig,
     assemble,
     build_dofmap,
+    fit_slope,
     generate_initial,
     layer_source,
     load_config,
@@ -67,6 +70,11 @@ def _write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def _summary_slopes(text):
+    return {name: float(value) for name, value in
+            re.findall(r"^(.+) slope \(last 4\) = (.+)$", text, re.M)}
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +171,43 @@ def test_readme_config_reference_names_only_config_keys(tmp_path):
     block = text.split("```ini\n")[1].split("```")[0]
     load_config(_write(tmp_path, block))
     schema = {(section, key) for section, key, _, _ in gratpml.config._SCHEMA}
-    section, commented = None, []
+    section, commented, named = None, [], set()
     for line in block.splitlines():
-        header = re.fullmatch(r"\[(\w+)\]", line.strip())
+        header = re.match(r"\[(\w+)\]", line)  # may carry a comment
         if header:
             section = header.group(1)
-        key = re.match(r"\s*#\s*(\w+)\s*=", line)
+        key = re.match(r"\s*(#?)\s*(\w+)\s*=", line)
         if key:
-            commented.append((section, key.group(1)))
+            named.add((section, key.group(2)))
+            if key.group(1):
+                commented.append((section, key.group(2)))
     assert ("grating", "file") in commented
     assert [entry for entry in commented if entry not in schema] == []
+    # and it is a complete reference: every key, set or commented out
+    assert sorted(schema - named) == []
+
+
+def test_documented_command_lines_parse():
+    # every command line the README, the shipped configs and CI name must
+    # still be accepted by the parser (parsed only, not run)
+    root = CONFIG_DIR.parent
+    lines = []
+    for path in [root / "README.md", *sorted(CONFIG_DIR.glob("*.cfg"))]:
+        text = path.read_text(encoding="utf-8")
+        lines += re.findall(r"(?:^|`)gratpml ([^`\n]+)", text, re.M)
+    workflow = root / ".github" / "workflows" / "tier1.yml"
+    ci = re.findall(r"python -m gratpml\.cli (.+)$",
+                    workflow.read_text(encoding="utf-8"), re.M)
+    assert len(ci) >= 3
+    parser = gratpml.cli._build_parser()
+    commands, rejected = set(), []
+    for line in lines + ci:
+        try:
+            commands.add(parser.parse_args(shlex.split(line)).command)
+        except SystemExit:
+            rejected.append(line)
+    assert rejected == []
+    assert commands >= {"solve", "pml-calibrate", "mesh-info"}
 
 
 def test_readme_custom_loop_carries_the_layer_source(monkeypatch):
@@ -351,14 +386,18 @@ def test_records_grow_and_flat_run_tracks_true_error():
 
 
 def test_sharp_run_has_no_true_error_but_tracks_corner(tmp_path):
-    result = run(_quick_config(grating="sharp"))
+    result = run(_quick_config(grating="sharp", max_iters=6))
     assert all(np.isnan(r.true_error) for r in result.records)
     assert all(0.0 < r.corner_fraction < 1.0 for r in result.records)
     # the corners come from the profile, so the summary names them
     path = tmp_path / "summary.txt"
     write_summary(result, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert "corners: [(0.5, 0.5)], radius 0.1" in lines
+    text = path.read_text(encoding="utf-8")
+    assert "corners: [(0.5, 0.5)], radius 0.1" in text.splitlines()
+    # only the estimate's slope, fitted over the last four of six records
+    dofs = [r.n_dofs for r in result.records]
+    eps = [r.eps_fem for r in result.records]
+    assert _summary_slopes(text) == {"eps_fem": fit_slope(dofs[-4:], eps[-4:])}
 
 
 def test_derived_mode_window_calibrates_the_layer_at_omega_6pi():
@@ -465,6 +504,13 @@ def test_summary_mentions_the_key_results(tmp_path, small_run):
     assert "eps_fem" in text
     assert "true H1 error" in text
     assert "coercive = True" in text
+    # a flat run of two or more iterations states both fitted slopes
+    dofs = [r.n_dofs for r in small_run.records]
+    assert len(dofs) >= 2
+    assert _summary_slopes(text) == {
+        "eps_fem": fit_slope(dofs, [r.eps_fem for r in small_run.records]),
+        "true H1": fit_slope(dofs, [r.true_error for r in small_run.records]),
+    }
 
 
 def test_summary_prints_efficiencies_as_plain_floats(tmp_path, small_run):
@@ -515,12 +561,19 @@ def test_cli_solve_writes_reports(tmp_path, capsys):
 
 
 def test_cli_solve_quiet_and_optional_outputs(tmp_path, capsys):
+    # one iteration: the single solve on the initial mesh
     cfg = _cli_config(tmp_path, write_vtk=True, write_system=True, max_iters=1)
     out = tmp_path / "full"
     code = main(["solve", "--config", str(cfg), "--out", str(out), "--quiet"])
     assert code == 0
     assert capsys.readouterr().out == ""
-    assert (out / "mesh_000.vtk").is_file()
+    for name in ("convergence.csv", "efficiency.csv", "run_summary.txt",
+                 "mesh_000.vtk"):
+        assert (out / name).is_file()
+    # one record fits no slope
+    text = (out / "run_summary.txt").read_text(encoding="utf-8")
+    assert "iterations: 1 " in text
+    assert _summary_slopes(text) == {}
     # system.mtx holds the reduced system of the last iteration's mesh
     result = run(load_config(cfg))
     dofmap = build_dofmap(result.final.mesh, result.ctx)
@@ -530,37 +583,7 @@ def test_cli_solve_quiet_and_optional_outputs(tmp_path, capsys):
     assert np.abs(got - want).max() == 0.0
 
 
-def test_cli_validate_flat_reports_a_slope(tmp_path, capsys):
-    cfg = _cli_config(tmp_path, max_iters=3)
-    out = tmp_path / "flatcheck"
-    code = main(["validate-flat", "--config", str(cfg), "--out", str(out),
-                 "--quiet"])
-    assert code == 0
-    assert "true-error slope" in capsys.readouterr().out
-
-
-def test_cli_efficiency_prints_the_energy_balance(tmp_path, capsys):
-    cfg = _cli_config(tmp_path)
-    out = tmp_path / "eff"
-    assert main(["efficiency", "--config", str(cfg), "--out", str(out)]) == 0
-    stdout = capsys.readouterr().out
-    assert "total =" in stdout
-    assert (out / "efficiency.csv").is_file()
-
-
-def test_cli_efficiency_exit_2_when_the_initial_mesh_exceeds_max_dofs(
-    tmp_path, capsys
-):
-    cfg = _cli_config(tmp_path, max_dofs=10)
-    out = tmp_path / "eff"
-    assert main(["efficiency", "--config", str(cfg), "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert "configuration error" in captured.err
-    assert "[adapt] max_dofs = 10" in captured.err
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("command", ["solve", "validate-flat"])
+@pytest.mark.parametrize("command", ["solve"])
 def test_cli_exit_2_when_the_initial_mesh_exceeds_max_dofs(
     tmp_path, capsys, command
 ):
@@ -607,7 +630,6 @@ def test_cli_pml_calibrate_walks_the_grid_once(monkeypatch, capsys):
     [
         ("pml-calibrate", "--out"),
         ("pml-calibrate", "--quiet"),
-        ("efficiency", "--quiet"),
         ("mesh-info", "--quiet"),
     ],
 )
@@ -621,6 +643,20 @@ def test_cli_rejects_flags_the_command_does_not_read(tmp_path, command, flag):
         main(argv)
     assert info.value.code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "mesh-info"])
+def test_cli_exit_2_when_the_output_directory_cannot_be_made(
+    tmp_path, capsys, command
+):
+    cfg = _cli_config(tmp_path)
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker / "out"  # below a regular file
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_mesh_info(tmp_path, capsys):
@@ -790,10 +826,14 @@ def test_cli_exit_3_for_numerical_failures(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_cli_help_and_usage_errors():
+def test_cli_help_and_usage_errors(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--help"])
     assert info.value.code == 0
-    with pytest.raises(SystemExit) as info:
-        main([])
-    assert info.value.code == 2
+    assert "{solve,pml-calibrate,mesh-info}" in capsys.readouterr().out
+    # the commands folded into ``solve`` are usage errors
+    for argv in ([], ["validate-flat", "--config", "flat.cfg"],
+                 ["efficiency", "--config", "flat.cfg"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
