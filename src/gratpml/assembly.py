@@ -22,16 +22,29 @@ the grouping used here makes every element matrix complex symmetric.  The
 literal grouping is kept as a dense reference in ``tests/test_assembly.py``,
 which checks that both assemble to the same reduced system.
 
+The element matrix is integrated on the six node pairs of each element, its
+three vertices and its three edges: the (u1, v1) and (u2, v2) entries of a
+pair are symmetric in its two nodes, and the mixed entries are the real
+area*dx(phi_a)*dy(phi_b) taken in both orders.  ``assemble`` sums these
+per-pair values onto the nodes and edges of the mesh, in blocks of
+``BLOCK_SIZE`` elements, so that it holds one 2x2 block for each of the
+N + 2E ordered node pairs (an edge in both orders).  Each summed value fills
+both transposed positions of the matrix.
+
 Boundary conditions: u = 0 on the grating surface, u = u_inc (nodal values)
 on the truncation line, and quasi-periodicity u(period, y) =
 exp(i*alpha*period) * u(0, y) imposed by slaving each right node to its
-mirrored left node.  Constrained test functions carry the conjugate phase,
-so the reduced matrix is structurally symmetric (its pattern equals that of
-its transpose) and A(alpha)^T = A(-alpha) for the Bloch parameter alpha; it
-is complex symmetric only at normal incidence.  Eliminated Dirichlet columns
-are folded into the right-hand side together with the volume data
-g = L u_inc of the layer, which ``layer_source`` evaluates at the points of
-the element rule; the residual estimator integrates the same values.
+mirrored left node.  The constraints fold once per node-pair block:
+constrained test functions carry the conjugate phase, so a block (p, q)
+takes the weights conj(w_p) * w_q and is added to the block of the
+equations of p and q (a slave shares its master's equations).  The reduced
+matrix is therefore structurally symmetric (its pattern equals that of its
+transpose) and A(alpha)^T = A(-alpha) for the Bloch parameter alpha; it is
+complex symmetric only at normal incidence.  The blocks of eliminated
+Dirichlet columns are folded into the right-hand side together with the
+volume data g = L u_inc of the layer, which ``layer_source`` evaluates at
+the points of the element rule; the residual estimator integrates the same
+values.
 """
 
 from __future__ import annotations
@@ -63,6 +76,10 @@ SLAVE = 2
 @dataclass
 class DofMap:
     """Node/component to equation mapping with constraint metadata.
+
+    Both components of a node share its kind and weight, and a node that
+    is not Dirichlet holds an even equation and the next one; ``assemble``
+    works on these 2x2 node blocks.
 
     Attributes
     ----------
@@ -179,50 +196,64 @@ def build_dofmap(mesh: Mesh, ctx: WaveContext) -> DofMap:
     )
 
 
-def _local_matrices(
+#: Elements per block of ``assemble``: its per-element temporaries have
+#: this many rows whatever the size of the mesh (a few MB, which also keeps
+#: them in cache).
+BLOCK_SIZE = 8192
+
+# The six node pairs (a, b) of an element: its vertices (a, a), then its
+# edges; slot 3 + k is edge k of ``Mesh.edge_structure`` (opposite vertex k).
+_PAIR_A = np.array([0, 1, 2, 1, 2, 0])
+_PAIR_B = np.array([0, 1, 2, 2, 0, 1])
+
+
+def _pair_integrals(
     area: np.ndarray,
     grads: np.ndarray,
     y: np.ndarray,
     ctx: WaveContext,
     profile: PmlProfile,
-) -> np.ndarray:
-    """Batched 6x6 element matrices; local dof = 2*vertex + component.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Element matrix entries on the six node pairs of every element.
 
     ``area`` and ``grads`` are the element areas and P1 gradients and ``y``
     (M, 3) the vertex heights.  The integrals of rho, 1/rho and
     rho*phi_a*phi_b use the rule of degree ``ELEMENT_DEGREE`` on every
     element.  rho = 1 below the mesh line y = b, where the P1 integrands are
     at most quadratic, so the rule is exact on physical elements.
+
+    Returns
+    -------
+    diag : ndarray (2, M, 6) complex
+        The (u1, v1) and (u2, v2) entries of pair s = (a, b):
+        c1 * int rho dx(phi_a) dx(phi_b) + c2 * int 1/rho dy(phi_a) dy(phi_b)
+        - omega^2 * int rho phi_a phi_b, with (c1, c2) = (lam+2mu, mu) and
+        (mu, lam+2mu); the same in both orders of the pair.
+    mixed : ndarray (2, M, 6) float
+        area * dx(phi_a) dy(phi_b) and area * dx(phi_b) dy(phi_a).  Times
+        lam+mu they are the (u2, v1) and (u1, v2) entries of the pair with
+        test function a and trial function b; the other order swaps them.
     """
     bary, w = triangle_rule(ELEMENT_DEGREE)
     rq = rho(profile, y @ bary.T)
     int_rho = area * (rq @ w)
     int_inv = area * ((1.0 / rq) @ w)
-    outer = (bary[:, :, None] * bary[:, None, :]).reshape(len(w), 9)
-    mass = (area[:, None] * ((rq * w) @ outer)).reshape(-1, 3, 3)
-
     lam, mu, om2 = ctx.lam, ctx.mu, ctx.omega**2
-    gx, gy = grads[:, :, 0], grads[:, :, 1]
-    gxx = gx[:, :, None] * gx[:, None, :]
-    gyy = gy[:, :, None] * gy[:, None, :]
-    gxy = gx[:, :, None] * gy[:, None, :]  # gxy[m,a,b] = gx_a * gy_b
-
-    k = np.empty((area.shape[0], 6, 6), dtype=complex)
-    ir = int_rho[:, None, None]
-    ii = int_inv[:, None, None]
-    aa = area[:, None, None]
-    # rows 2b+d (test), cols 2a+c (trial)
-    k[:, 0::2, 0::2] = np.swapaxes(
-        (lam + 2 * mu) * gxx * ir + mu * gyy * ii - om2 * mass, 1, 2
+    outer = bary[:, _PAIR_A] * bary[:, _PAIR_B]
+    mass = area[:, None] * ((rq * w) @ (-om2 * outer))
+    ga, gb = grads[:, _PAIR_A], grads[:, _PAIR_B]
+    gxx = ga[..., 0] * gb[..., 0]
+    gyy = ga[..., 1] * gb[..., 1]
+    # in place: on large blocks the temporaries, not the flops, set the cost
+    diag = np.empty((2,) + mass.shape, dtype=complex)
+    for out, cx, cy in ((diag[0], lam + 2 * mu, mu), (diag[1], mu, lam + 2 * mu)):
+        np.multiply((cx * int_rho)[:, None], gxx, out=out)
+        out += (cy * int_inv)[:, None] * gyy
+        out += mass
+    mixed = area[:, None] * np.stack(
+        [ga[..., 0] * gb[..., 1], gb[..., 0] * ga[..., 1]]
     )
-    k[:, 1::2, 1::2] = np.swapaxes(
-        mu * gxx * ir + (lam + 2 * mu) * gyy * ii - om2 * mass, 1, 2
-    )
-    # (lam+mu) * (dy(u2) dx(v1) + dx(u1) dy(v2)):
-    # [2b, 2a+1] = gy_a*gx_b * area ; [2b+1, 2a] = gx_a*gy_b * area
-    k[:, 0::2, 1::2] = (lam + mu) * gxy * aa
-    k[:, 1::2, 0::2] = np.swapaxes((lam + mu) * gxy * aa, 1, 2)
-    return k
+    return diag, mixed
 
 
 def element_matrix(
@@ -231,6 +262,10 @@ def element_matrix(
     profile: PmlProfile,
 ) -> np.ndarray:
     """6x6 element matrix of one triangle (local dof = 2*vertex + component).
+
+    Built from the per-pair integrals that ``assemble`` sums: each of the
+    six node pairs fills its 2x2 block and the transposed block, so the
+    matrix is complex symmetric.
 
     Parameters
     ----------
@@ -242,10 +277,69 @@ def element_matrix(
     Returns
     -------
     ndarray (6, 6) complex
+        Row 2*b + d (test function b, component d), column 2*a + c (trial
+        function a, component c).
     """
     coords = np.asarray(coords, dtype=float)[None, :, :]
     area, grads = p1_geometry(coords)
-    return _local_matrices(area, grads, coords[..., 1], ctx, profile)[0]
+    diag, mixed = _pair_integrals(area, grads, coords[..., 1], ctx, profile)
+    diag, mixed = diag[:, 0], (ctx.lam + ctx.mu) * mixed[:, 0]
+    k = np.empty((6, 6), dtype=complex)
+    a, b = 2 * _PAIR_A, 2 * _PAIR_B
+    for test, trial, (m_01, m_10) in ((a, b, mixed), (b, a, mixed[::-1])):
+        k[test, trial] = diag[0]
+        k[test + 1, trial + 1] = diag[1]
+        k[test, trial + 1] = m_01
+        k[test + 1, trial] = m_10
+    return k
+
+
+def _pair_sums(
+    mesh: Mesh, ctx: WaveContext, profile: PmlProfile, g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Element matrix and load summed on the node pairs of the mesh.
+
+    Runs over blocks of ``BLOCK_SIZE`` elements.  ``g`` is the layer volume
+    data (``layer_source``).
+
+    Returns
+    -------
+    pairs : ndarray (4, N + E) complex
+        The 2x2 block (test function a, trial function b) of the node
+        a = b = p at column p and of the edge e with nodes a < b at column
+        N + e; rows are the entries 00, 10, 01, 11, the first index the
+        test component.
+    load : ndarray (N, 2) complex
+        -integral g_d phi_p per node p and component d.
+    """
+    n = mesh.n_nodes
+    edges, tri_edges, _ = mesh.edge_structure()
+    area, grads = mesh.areas(), mesh.grads()
+    bary, w = triangle_rule(ELEMENT_DEGREE)
+    wb = -(w[:, None] * bary)
+    # rows: Re diag, Im diag, then mixed with a the lower node of the pair
+    sums = np.zeros((6, n + len(edges)))
+    load = np.zeros((4, n))
+    for first in range(0, mesh.n_tris, BLOCK_SIZE):
+        blk = slice(first, first + BLOCK_SIZE)
+        tris = mesh.tris[blk]
+        diag, mixed = _pair_integrals(
+            area[blk], grads[blk], mesh.nodes[tris, 1], ctx, profile
+        )
+        mixed = np.where(tris[:, _PAIR_A] > tris[:, _PAIR_B], mixed[::-1], mixed)
+        ids = np.concatenate([tris, n + tri_edges[blk]], axis=1).ravel()
+        for total, part in zip(sums, (*diag.real, *diag.imag, *mixed)):
+            total += np.bincount(ids, part.ravel(), minlength=len(total))
+        nodes = tris.ravel()
+        for d in range(2):
+            f = (area[blk, None] * (g[blk, :, d] @ wb)).ravel()
+            load[d] += np.bincount(nodes, f.real, minlength=n)
+            load[2 + d] += np.bincount(nodes, f.imag, minlength=n)
+    c = ctx.lam + ctx.mu
+    pairs = np.stack(
+        [sums[0] + 1j * sums[2], c * sums[5], c * sums[4], sums[1] + 1j * sums[3]]
+    )
+    return pairs, (load[:2] + 1j * load[2:]).T
 
 
 def layer_source(
@@ -301,45 +395,69 @@ def assemble(
     -------
     SparseSystem
     """
-    area = mesh.areas()
-    coords = mesh.nodes[mesh.tris]
-    k_loc = _local_matrices(area, mesh.grads(), coords[..., 1], ctx, profile)
-
+    n = mesh.n_nodes
     g = layer_source(mesh, ctx, profile) if source is None else source
-    bary, w = triangle_rule(ELEMENT_DEGREE)
-    # f[2b+d] = -area * sum_q w_q g_d(q) phi_b(q)
-    wb = -(w[:, None] * bary)
-    f_loc = np.empty((mesh.n_tris, 6), dtype=complex)
-    f_loc[:, 0::2] = area[:, None] * (g[..., 0] @ wb)
-    f_loc[:, 1::2] = area[:, None] * (g[..., 1] @ wb)
+    pairs, load = _pair_sums(mesh, ctx, profile, g)
+    edges = mesh.edge_structure()[0]
+    lo, hi = edges.T
+    test = np.concatenate([np.arange(n), lo, hi])
+    trial = np.concatenate([np.arange(n), hi, lo])
 
-    # local dof (slot) -> (node, component)
-    nodes6 = mesh.tris[:, [0, 0, 1, 1, 2, 2]]
-    comp6 = np.tile([0, 1], 3)
-    kind6 = dofmap.kind[nodes6, comp6]
-    idx6 = dofmap.index[nodes6, comp6]
-    live6 = kind6 != DIRICHLET
+    def ordered(entry):
+        """Entry 0 (00), 1 (10), 2 (01) or 3 (11) of the blocks (test,
+        trial): an edge taken as (hi, lo) has its block transposed."""
+        return np.concatenate([pairs[entry], pairs[(0, 2, 1, 3)[entry], n:]])
 
-    # Dirichlet columns fold into the load (value is 0 off Dirichlet dofs);
-    # then the constraint weights conj(w) (test) and w (trial) apply where a
-    # slave dof makes them differ from 1
-    fixed = np.nonzero(~live6.all(axis=1))[0]
-    val = dofmap.value[nodes6[fixed], comp6]
-    f_loc[fixed] -= (k_loc[fixed] @ val[:, :, None])[:, :, 0]
-    slave = np.nonzero((kind6 == SLAVE).any(axis=1))[0]
-    w6 = dofmap.weight[nodes6[slave], comp6]
-    k_loc[slave] *= np.conj(w6)[:, :, None] * w6[:, None, :]
-    f_loc[slave] *= np.conj(w6)
+    # Node p holds the equations (2*eq[p], 2*eq[p] + 1), none if Dirichlet.
+    # Blocks with a Dirichlet trial node fold into the load.  The others
+    # take the constraint weights conj(w) (test) and w (trial) and are
+    # summed per pair of equation nodes (a slave shares its master's), in
+    # the order of the trial, then the test equation node.
+    eq = dofmap.index[:, 0] // 2
+    weight = dofmap.weight[:, 0]
+    live = eq >= 0
+    lifted = np.nonzero(live[test] & ~live[trial])[0]
+    kept = np.nonzero(live[test] & live[trial])[0]
+    k = dofmap.n_free // 2
+    key = eq[trial[kept]].astype(np.int64) * k + eq[test[kept]]
+    order = np.argsort(key)
+    kept, key = kept[order], key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    wt = np.conj(weight[test[kept]]) * weight[trial[kept]]
+    lift = np.empty((4, len(lifted)), dtype=complex)
+    blocks = np.empty((len(starts), 4), dtype=complex)
+    for entry in range(4):
+        v = ordered(entry)
+        lift[entry] = v[lifted]
+        blocks[:, entry] = np.add.reduceat(v[kept] * wt, starts)
 
-    keep = live6[:, :, None] & live6[:, None, :]
-    rows = np.broadcast_to(idx6[:, :, None], keep.shape)[keep]
-    cols = np.broadcast_to(idx6[:, None, :], keep.shape)[keep]
-    matrix = sp.coo_matrix(
-        (k_loc[keep], (rows, cols)), shape=(dofmap.n_free, dofmap.n_free)
-    ).tocsc()  # sums duplicates
+    # Sorted by trial node, the blocks are the block rows of the transpose
+    # (each block transposed too), whose CSR arrays are the CSC arrays of
+    # the matrix.
+    j, i = np.divmod(key[starts], k)
+    transpose = sp.bsr_matrix(
+        (
+            blocks.reshape(-1, 2, 2),
+            i,
+            np.concatenate([[0], np.cumsum(np.bincount(j, minlength=k))]),
+        ),
+        shape=(dofmap.n_free, dofmap.n_free),
+    ).tocsr()
+    matrix = sp.csc_matrix(
+        (transpose.data, transpose.indices, transpose.indptr), shape=transpose.shape
+    )
     matrix.eliminate_zeros()
 
-    rhs = np.zeros(dofmap.n_free, dtype=complex)
-    np.add.at(rhs, idx6[live6], f_loc[live6])
+    b00, b10, b01, b11 = lift
+    v0, v1 = dofmap.value[trial[lifted]].T
+    f_at = np.concatenate([np.nonzero(live)[0], test[lifted]])
+    f = np.concatenate(
+        [load[live], -np.stack([b00 * v0 + b01 * v1, b10 * v0 + b11 * v1], axis=1)]
+    )
+    f *= np.conj(weight[f_at])[:, None]
+    rows = dofmap.index[f_at].ravel()
+    rhs = np.bincount(rows, f.real.ravel(), minlength=dofmap.n_free) + 1j * np.bincount(
+        rows, f.imag.ravel(), minlength=dofmap.n_free
+    )
 
     return SparseSystem(matrix=matrix, rhs=rhs, dofmap=dofmap)

@@ -18,7 +18,9 @@ from gratpml import (
     derive_context,
     flat_profile,
     generate_initial,
+    sharp_profile,
 )
+from gratpml.meshing import bisect
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -52,6 +54,16 @@ def profile1(ctx1, modes1):
 @pytest.fixture(scope="session")
 def flat_mesh1(ctx1, profile1):
     return generate_initial(flat_profile(ctx1.period), ctx1, profile1, h0=0.25)
+
+
+@pytest.fixture(scope="session")
+def refined_mesh(ctx1, profile1):
+    """A sharp mesh bisected three times: midpoint nodes out of spatial
+    order, slaves, Dirichlet corners and layer elements."""
+    mesh = generate_initial(sharp_profile(1.0), ctx1, profile1, h0=0.25)
+    for step in range(3):
+        mesh, _ = bisect(mesh, np.arange(step, mesh.n_tris, 7))
+    return mesh
 
 
 def rebuilt(mesh, nodes=None, keep=None):

@@ -123,22 +123,13 @@ def test_element_matrix_is_complex_symmetric(ctx1, profile1, flat_mesh1):
         assert np.abs(ke - ke.T).max() <= 1e-14 * np.abs(ke).max()
 
 
-def _refined_sharp_mesh(ctx, profile):
-    mesh = generate_initial(sharp_profile(1.0), ctx, profile, h0=0.25)
-    for step in range(3):
-        mesh, _ = bisect(mesh, np.arange(step, mesh.n_tris, 7))
-    return mesh
-
-
 @pytest.mark.parametrize("which", ["flat", "sharp"])
 def test_assembly_and_estimator_ignore_region_labels(
-    ctx1, profile1, flat_mesh1, which, monkeypatch
+    ctx1, profile1, which, request, monkeypatch
 ):
     # rho(y) alone tells the layer from the physical region
-    if which == "flat":
-        mesh = flat_mesh1
-    else:
-        mesh = _refined_sharp_mesh(ctx1, profile1)
+    fixture = {"flat": "flat_mesh1", "sharp": "refined_mesh"}[which]
+    mesh = request.getfixturevalue(fixture)
     dm = build_dofmap(mesh, ctx1)
     system = assemble(mesh, ctx1, profile1, dm)
     values = dm.expand(solve_system(system)[0])
@@ -205,11 +196,6 @@ def test_dofmap_expand_applies_constraints(ctx1, flat_mesh1):
     assert np.array_equal(u[dirichlet], dm.value[dirichlet])
     with pytest.raises(ValueError):
         dm.expand(x[:-1])
-
-
-@pytest.fixture(scope="module")
-def refined_mesh(ctx1, profile1):
-    return _refined_sharp_mesh(ctx1, profile1)
 
 
 def _node_order_dofmap(dm, mesh):
@@ -376,14 +362,28 @@ def _dense_reference_system(mesh, ctx, profile, dofmap, literal_mixed):
     return a_red, b_red
 
 
-@pytest.mark.parametrize("literal", [False, True])
-def test_assembled_system_matches_dense_reference(ctx1, profile1, small_mesh, literal):
+@pytest.mark.parametrize(
+    "literal,which",
+    [
+        pytest.param(False, "small_mesh", id="False"),
+        pytest.param(True, "small_mesh", id="True"),
+        pytest.param(False, "refined_mesh", id="False-refined_mesh"),
+        pytest.param(True, "refined_mesh", id="True-refined_mesh"),
+    ],
+)
+def test_assembled_system_matches_dense_reference(
+    ctx1, profile1, literal, which, request
+):
     # literal=True: the reference assembles the other mixed-term grouping,
     # which differs element-wise by a null Lagrangian and so must reduce to
-    # the same system
-    dm = build_dofmap(small_mesh, ctx1)
-    system = assemble(small_mesh, ctx1, profile1, dm)
-    a_ref, b_ref = _dense_reference_system(small_mesh, ctx1, profile1, dm, literal)
+    # the same system.  On small_mesh (two columns) a middle node couples to
+    # a left wall node and to its right wall slave, so two node pairs of the
+    # mesh fold into one pair of equations; refined_mesh adds midpoint nodes
+    # out of spatial order, Dirichlet corners and layer elements.
+    mesh = request.getfixturevalue(which)
+    dm = build_dofmap(mesh, ctx1)
+    system = assemble(mesh, ctx1, profile1, dm)
+    a_ref, b_ref = _dense_reference_system(mesh, ctx1, profile1, dm, literal)
     a_got = system.matrix.toarray()
     scale = np.abs(a_ref).max()
     assert np.abs(a_got - a_ref).max() <= 1e-12 * scale

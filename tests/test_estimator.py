@@ -229,11 +229,32 @@ def _naive_jump_terms(mesh, field, ctx, profile):
     return out
 
 
-def test_jump_terms_match_naive_edge_loop(ctx1, profile1, small_mesh):
-    field = _random_field(small_mesh, 3)
-    got = jump_terms(small_mesh, field, ctx1, profile1)
-    want = _naive_jump_terms(small_mesh, field, ctx1, profile1)
-    assert np.allclose(got, want, rtol=1e-10, atol=1e-13)
+def test_jump_terms_match_naive_edge_loop(ctx1, profile1, small_mesh, refined_mesh):
+    for mesh in (small_mesh, refined_mesh):
+        field = _random_field(mesh, 3)
+        got = jump_terms(mesh, field, ctx1, profile1)
+        want = _naive_jump_terms(mesh, field, ctx1, profile1)
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_jump_terms_are_finite_and_nonnegative(seed, data):
+    # an affine field has only round-off jumps inside, where the terms of
+    # the expanded form cancel; the noise makes them genuine
+    rng = np.random.default_rng(seed)
+    ctx = draw_context(rng, n_max=5)
+    geom = data.draw(gratings(ctx.period))
+    layer = make_pml(12 + 12j, 2, 1.0, b=ctx.gamma_height)
+    mesh = generate_initial(geom, ctx, layer, h0=0.25)
+    x, y = mesh.nodes.T
+    gx, gy, u0 = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    noise = data.draw(st.sampled_from([0.0, 1e-9, 1.0]))
+    field = u0 + x[:, None] * gx + y[:, None] * gy
+    field += noise * _random_field(mesh, seed)
+    jumps = jump_terms(mesh, field, ctx, layer)
+    assert jumps.shape == (mesh.n_tris,)
+    assert np.all(np.isfinite(jumps)) and np.all(jumps >= 0.0)
 
 
 # ---------------------------------------------------------------------------
