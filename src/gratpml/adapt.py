@@ -14,7 +14,11 @@ per element: assembly and estimator share it within an iteration, and the
 rows of the elements that ``bisect`` leaves unrefined carry over to the
 next mesh.  Every iteration is retained as an IterationRecord
 (with its mesh and nodal field), so reports and convergence studies can be
-produced after the fact without re-running.
+produced after the fact without re-running.  A record's mesh shares the
+stored arrays (nodes, triangles, refinement edges) of the loop's working
+mesh but none of its derived data: edges, geometry and flags live only on
+the working mesh, which is dropped when the loop moves to the next mesh.
+A record's mesh computes whatever is asked of it on first use.
 
 Marking takes the bulk fraction 0.5.  Each record counts the elements near
 the profile's peaks (NaN for a profile without one).  For a flat grating
@@ -204,7 +208,9 @@ def run(cfg: RunConfig, progress=None) -> AdaptiveRun:
             solve=report,
             efficiency=eff,
             indicators=ind,
-            mesh=mesh,
+            # the stored arrays only: derived data stays on the working mesh
+            mesh=Mesh(mesh.nodes, mesh.tris, mesh.ref_edge,
+                      mesh.period, mesh.b, mesh.top),
             field_values=values,
         )
         records.append(record)

@@ -196,9 +196,9 @@ def build_dofmap(mesh: Mesh, ctx: WaveContext) -> DofMap:
     )
 
 
-#: Elements per block of ``assemble``: its per-element temporaries have
-#: this many rows whatever the size of the mesh (a few MB, which also keeps
-#: them in cache).
+#: Elements per block of ``assemble`` and ``estimator.element_residuals``:
+#: their per-element temporaries have this many rows whatever the size of
+#: the mesh (a few MB, which also keeps them in cache).  Read at call time.
 BLOCK_SIZE = 8192
 
 # The six node pairs (a, b) of an element: its vertices (a, a), then its

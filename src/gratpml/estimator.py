@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import assembly
 from .assembly import layer_source
 from .meshing import Mesh, p1_jacobian
 from .pml import PmlProfile, rho, rho_prime
@@ -80,21 +81,35 @@ def element_residuals(
     mesh line y = b this is omega^2 * u_h (rho = 1, rho' = 0, g = 0), whose
     squared modulus is quadratic, so the rule is exact there.  ``source``
     is ``assembly.layer_source(mesh, ctx, profile)``, evaluated here when
-    not given.
+    not given.  The points of the rule are evaluated in blocks of
+    ``assembly.BLOCK_SIZE`` elements, so no temporary grows with the mesh;
+    each value is per element, so the result does not depend on the block
+    size.
     """
-    vals = np.asarray(field)[mesh.tris]
-    bary, w = triangle_rule(ELEMENT_DEGREE)
-    y = mesh.nodes[mesh.tris][..., 1] @ bary.T
-    r = rho(profile, y)
-    rp = rho_prime(profile, y)
+    field = np.asarray(field)
     g = layer_source(mesh, ctx, profile) if source is None else source
-    dy = p1_jacobian(vals, mesh.grads())[:, :, 1, None]  # dy(u_c), (M, 2, 1)
-    uq1, uq2 = vals[:, :, 0] @ bary.T, vals[:, :, 1] @ bary.T
+    bary, w = triangle_rule(ELEMENT_DEGREE)
+    area, grads = mesh.areas(), mesh.grads()
     om2 = ctx.omega**2
-    r1 = -ctx.mu * rp / r**2 * dy[:, 0] + om2 * r * uq1 - g[:, :, 0]
-    r2 = -(ctx.lam + 2.0 * ctx.mu) * rp / r**2 * dy[:, 1] + om2 * r * uq2 - g[:, :, 1]
-    dens = np.abs(r1) ** 2 + np.abs(r2) ** 2
-    return np.sqrt(mesh.areas() * (dens @ w).real)
+    out = np.empty(mesh.n_tris)
+    block = assembly.BLOCK_SIZE
+    for first in range(0, mesh.n_tris, block):
+        blk = slice(first, first + block)
+        tris = mesh.tris[blk]
+        vals = field[tris]
+        y = mesh.nodes[tris][..., 1] @ bary.T
+        r = rho(profile, y)
+        rp = rho_prime(profile, y)
+        dy = p1_jacobian(vals, grads[blk])[:, :, 1, None]  # dy(u_c), (B, 2, 1)
+        uq1, uq2 = vals[:, :, 0] @ bary.T, vals[:, :, 1] @ bary.T
+        r1 = -ctx.mu * rp / r**2 * dy[:, 0] + om2 * r * uq1 - g[blk, :, 0]
+        r2 = (
+            -(ctx.lam + 2.0 * ctx.mu) * rp / r**2 * dy[:, 1]
+            + om2 * r * uq2 - g[blk, :, 1]
+        )
+        dens = np.abs(r1) ** 2 + np.abs(r2) ** 2
+        out[blk] = np.sqrt(area[blk] * (dens @ w).real)
+    return out
 
 
 def _flux_parts(

@@ -223,10 +223,12 @@ class Mesh:
     ``_cache`` holds what is derived from geometry and topology, computed on
     first use (the four coordinate flags cost one comparison and are not
     cached).  Data of the physics (layer coefficients, volume data, anything
-    complex) is not cached here: every mesh of an adaptive run is retained
-    with its record, so such a cache would stay alive for the whole run.
-    The layer volume data is carried from mesh to mesh by the adaptive loop
-    instead (``assembly.layer_source`` and the ``kept`` indices of
+    complex) is not cached here.  The adaptive loop keeps every mesh with
+    its record, but as a new ``Mesh`` on the same stored arrays, with an
+    empty cache: derived data lives only on the loop's working mesh and is
+    dropped with it, and a record's mesh computes what is asked of it on
+    first use.  The layer volume data is carried from mesh to mesh by the
+    loop instead (``assembly.layer_source`` and the ``kept`` indices of
     ``bisect``), and is dropped with the loop.
     """
 

@@ -430,10 +430,16 @@ def test_stop_reasons():
 
 def test_retained_meshes_cache_no_complex_data():
     # every record keeps its mesh alive until the run ends, so a per-mesh
-    # cache of complex (physics) data would pile up over the iterations
+    # cache of complex (physics) data would pile up over the iterations;
+    # the records keep the stored arrays only and derive the rest on demand
     result = run(_quick_config(max_iters=4))
     assert len(result.records) == 4
     for rec in result.records:
+        assert rec.mesh._cache == {}
+    for rec in result.records:
+        rec.mesh.edge_structure()
+        rec.mesh.grads()
+        assert rec.mesh.region.shape == (rec.n_tris,)
         assert rec.mesh._cache
         for name, value in rec.mesh._cache.items():
             assert not np.iscomplexobj(value), name

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gratpml.assembly
 from gratpml import (
     Mesh,
     assemble,
@@ -17,6 +18,7 @@ from gratpml import (
     calibrate,
     derive_context,
     element_matrix,
+    element_residuals,
     flat_profile,
     generate_initial,
     indicators,
@@ -454,6 +456,29 @@ def test_matrix_market_roundtrip(tmp_path, ctx1, profile1, small_mesh):
     back = scipy.io.mmread(path).tocsc()
     assert back.shape == system.matrix.shape
     assert np.abs((back - system.matrix)).max() <= 1e-12
+
+
+def test_results_do_not_depend_on_the_block_size(
+    monkeypatch, ctx1, profile1, refined_mesh
+):
+    # the shipped meshes of tier-1 fit in one block; five elements per block
+    # make every kernel run over many blocks and a ragged last one
+    dm = build_dofmap(refined_mesh, ctx1)
+    rng = np.random.default_rng(5)
+    field = rng.normal(size=(refined_mesh.n_nodes, 2, 2)) @ np.array([1.0, 1j])
+
+    def results():
+        system = assemble(refined_mesh, ctx1, profile1, dm)
+        res = element_residuals(refined_mesh, field, ctx1, profile1)
+        return system.matrix, system.rhs, res
+
+    matrix, rhs, res = results()
+    monkeypatch.setattr(gratpml.assembly, "BLOCK_SIZE", 5)
+    assert refined_mesh.n_tris % 5 != 0
+    blk_matrix, blk_rhs, blk_res = results()
+    assert abs(blk_matrix - matrix).max() <= 1e-14 * abs(matrix).max()
+    assert np.abs(blk_rhs - rhs).max() <= 1e-14 * np.abs(rhs).max()
+    assert np.abs(blk_res - res).max() <= 1e-14 * np.abs(res).max()
 
 
 # ---------------------------------------------------------------------------
