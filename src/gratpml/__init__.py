@@ -32,11 +32,10 @@ from .assembly import (
     SparseSystem,
     assemble,
     build_dofmap,
-    element_matrix,
     layer_source,
 )
 from .config import ConfigError, RunConfig, load_config, write_config
-from .estimator import ErrorIndicators, element_residuals, indicators, jump_terms
+from .estimator import ErrorIndicators, indicators
 from .exact import FlatSolution, fit_slope, flat_solution, h1_seminorm_error
 from .meshing import (
     GeometryError,
@@ -56,7 +55,6 @@ from .pml import (
     ModelingConstants,
     PmlProfile,
     calibrate,
-    compute_zeta,
     make_pml,
     modeling_constants,
     pml_source,
@@ -122,12 +120,9 @@ __all__ = [
     "build_dofmap",
     "build_mode_table",
     "calibrate",
-    "compute_zeta",
     "derive_context",
     "dtn_matrix",
     "efficiencies",
-    "element_matrix",
-    "element_residuals",
     "fit_slope",
     "flat_profile",
     "flat_solution",
@@ -137,7 +132,6 @@ __all__ = [
     "incident_field",
     "incident_gradient",
     "indicators",
-    "jump_terms",
     "layer_dtn_matrix",
     "layer_source",
     "layer_system",

@@ -22,12 +22,14 @@ the grouping used here makes every element matrix complex symmetric.  The
 literal grouping is kept as a dense reference in ``tests/test_assembly.py``,
 which checks that both assemble to the same reduced system.
 
-The element matrix is integrated on the six node pairs of each element, its
-three vertices and its three edges: the (u1, v1) and (u2, v2) entries of a
-pair are symmetric in its two nodes, and the mixed entries are the real
-area*dx(phi_a)*dy(phi_b) taken in both orders.  ``assemble`` sums these
-per-pair values onto the nodes and edges of the mesh, in blocks of
-``BLOCK_SIZE`` elements, so that it holds one 2x2 block for each of the
+The element matrix exists only as its entries on the six node pairs of each
+element, its three vertices and its three edges (``_pair_integrals``, the
+one element kernel, with ``quadrature.element_rule``): the (u1, v1) and
+(u2, v2) entries of a pair are symmetric in its two nodes, and the mixed
+entries are the real area*dx(phi_a)*dy(phi_b) taken in both orders, so
+every element matrix is complex symmetric by construction.  ``assemble``
+sums these per-pair values onto the nodes and edges of the mesh, in blocks
+of ``BLOCK_SIZE`` elements, so that it holds one 2x2 block for each of the
 N + 2E ordered node pairs (an edge in both orders).  Each summed value fills
 both transposed positions of the matrix.
 
@@ -54,16 +56,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .meshing import Mesh, p1_geometry
+from .meshing import Mesh
 from .pml import PmlProfile, pml_source, rho
-from .quadrature import ELEMENT_DEGREE, triangle_rule
+from .quadrature import element_rule
 from .waves import WaveContext, incident_field
 
 __all__ = [
     "DofMap",
     "SparseSystem",
     "build_dofmap",
-    "element_matrix",
     "layer_source",
     "assemble",
 ]
@@ -196,7 +197,7 @@ def build_dofmap(mesh: Mesh, ctx: WaveContext) -> DofMap:
     )
 
 
-#: Elements per block of ``assemble`` and ``estimator.element_residuals``:
+#: Elements per block of ``assemble`` and of the estimator's residuals:
 #: their per-element temporaries have this many rows whatever the size of
 #: the mesh (a few MB, which also keeps them in cache).  Read at call time.
 BLOCK_SIZE = 8192
@@ -218,9 +219,9 @@ def _pair_integrals(
 
     ``area`` and ``grads`` are the element areas and P1 gradients and ``y``
     (M, 3) the vertex heights.  The integrals of rho, 1/rho and
-    rho*phi_a*phi_b use the rule of degree ``ELEMENT_DEGREE`` on every
-    element.  rho = 1 below the mesh line y = b, where the P1 integrands are
-    at most quadratic, so the rule is exact on physical elements.
+    rho*phi_a*phi_b use ``element_rule`` on every element.  rho = 1 below
+    the mesh line y = b, where the P1 integrands are at most quadratic, so
+    the rule is exact on physical elements.
 
     Returns
     -------
@@ -234,7 +235,7 @@ def _pair_integrals(
         lam+mu they are the (u2, v1) and (u1, v2) entries of the pair with
         test function a and trial function b; the other order swaps them.
     """
-    bary, w = triangle_rule(ELEMENT_DEGREE)
+    bary, w = element_rule()
     rq = rho(profile, y @ bary.T)
     int_rho = area * (rq @ w)
     int_inv = area * ((1.0 / rq) @ w)
@@ -254,44 +255,6 @@ def _pair_integrals(
         [ga[..., 0] * gb[..., 1], gb[..., 0] * ga[..., 1]]
     )
     return diag, mixed
-
-
-def element_matrix(
-    coords: np.ndarray,
-    ctx: WaveContext,
-    profile: PmlProfile,
-) -> np.ndarray:
-    """6x6 element matrix of one triangle (local dof = 2*vertex + component).
-
-    Built from the per-pair integrals that ``assemble`` sums: each of the
-    six node pairs fills its 2x2 block and the transposed block, so the
-    matrix is complex symmetric.
-
-    Parameters
-    ----------
-    coords : ndarray (3, 2)
-        CCW vertex coordinates.
-    ctx, profile
-        Wave context and layer profile.
-
-    Returns
-    -------
-    ndarray (6, 6) complex
-        Row 2*b + d (test function b, component d), column 2*a + c (trial
-        function a, component c).
-    """
-    coords = np.asarray(coords, dtype=float)[None, :, :]
-    area, grads = p1_geometry(coords)
-    diag, mixed = _pair_integrals(area, grads, coords[..., 1], ctx, profile)
-    diag, mixed = diag[:, 0], (ctx.lam + ctx.mu) * mixed[:, 0]
-    k = np.empty((6, 6), dtype=complex)
-    a, b = 2 * _PAIR_A, 2 * _PAIR_B
-    for test, trial, (m_01, m_10) in ((a, b, mixed), (b, a, mixed[::-1])):
-        k[test, trial] = diag[0]
-        k[test + 1, trial + 1] = diag[1]
-        k[test, trial + 1] = m_01
-        k[test + 1, trial] = m_10
-    return k
 
 
 def _pair_sums(
@@ -315,7 +278,7 @@ def _pair_sums(
     n = mesh.n_nodes
     edges, tri_edges, _ = mesh.edge_structure()
     area, grads = mesh.areas(), mesh.grads()
-    bary, w = triangle_rule(ELEMENT_DEGREE)
+    bary, w = element_rule()
     wb = -(w[:, None] * bary)
     # rows: Re diag, Im diag, then mixed with a the lower node of the pair
     sums = np.zeros((6, n + len(edges)))
@@ -362,13 +325,12 @@ def layer_source(
     Returns
     -------
     ndarray (M, Q, 2) complex
-        g at the Q points of the rule of degree ``ELEMENT_DEGREE``; exactly
-        0 below y = b.  Evaluated pointwise, so carried and fresh values are
-        bit-identical.
+        g at the Q points of ``element_rule``; exactly 0 below y = b.
+        Evaluated pointwise, so carried and fresh values are bit-identical.
     """
     done = 0 if carried is None else len(carried)
     coords = mesh.nodes[mesh.tris[done:]]
-    bary, _ = triangle_rule(ELEMENT_DEGREE)
+    bary, _ = element_rule()
     g = pml_source(ctx, profile, coords[..., 0] @ bary.T, coords[..., 1] @ bary.T)
     return g if carried is None else np.concatenate([carried, g])
 

@@ -30,6 +30,10 @@ and the two global quantities reported are
 
 the discretization part driving the adaptive loop and the (exponentially
 small) layer-truncation part, with f_hat the layer modeling constant.
+
+``indicators`` is the one entry point: it evaluates the element Jacobians
+of the field once, and the residual norms ||R_T|| and the jump sums
+sum_e h_e ||J_e||^2 are its ``residual_terms`` and ``jump_terms``.
 """
 
 from __future__ import annotations
@@ -43,10 +47,10 @@ from .assembly import layer_source
 from .meshing import Mesh, p1_jacobian
 from .pml import PmlProfile, rho, rho_prime
 from .pml import pml_source  # noqa: F401  (rebound by benchmarks/tracing.py)
-from .quadrature import ELEMENT_DEGREE, edge_rule, triangle_rule
+from .quadrature import edge_rule, element_rule
 from .waves import WaveContext, incident_field
 
-__all__ = ["ErrorIndicators", "indicators", "element_residuals", "jump_terms"]
+__all__ = ["ErrorIndicators", "indicators"]
 
 
 @dataclass(frozen=True)
@@ -65,31 +69,28 @@ class ErrorIndicators:
     boundary_l2_interface: float
 
 
-def element_residuals(
+def _residuals(
     mesh: Mesh,
     field: np.ndarray,
     ctx: WaveContext,
     profile: PmlProfile,
-    *,
-    source: np.ndarray | None = None,
+    source: np.ndarray,
+    jac: np.ndarray,
 ) -> np.ndarray:
     """||R_T||_{L2(T)} per element.
 
     R_T,c = -coef_c * rho'/rho^2 * dy(u_c) + omega^2 * rho * u_c - g_c with
-    coef = (mu, lam+2mu) and g the layer volume data, integrated on every
-    element with the element rule (degree ``ELEMENT_DEGREE``).  Below the
-    mesh line y = b this is omega^2 * u_h (rho = 1, rho' = 0, g = 0), whose
-    squared modulus is quadratic, so the rule is exact there.  ``source``
-    is ``assembly.layer_source(mesh, ctx, profile)``, evaluated here when
-    not given.  The points of the rule are evaluated in blocks of
-    ``assembly.BLOCK_SIZE`` elements, so no temporary grows with the mesh;
-    each value is per element, so the result does not depend on the block
-    size.
+    coef = (mu, lam+2mu) and g = ``source`` the layer volume data,
+    integrated on every element with ``element_rule``.  Below the mesh line
+    y = b this is omega^2 * u_h (rho = 1, rho' = 0, g = 0), whose squared
+    modulus is quadratic, so the rule is exact there.  dy(u_c) is read from
+    the element Jacobians ``jac``.  The points of the rule are evaluated in
+    blocks of ``assembly.BLOCK_SIZE`` elements, so no temporary grows with
+    the mesh; each value is per element, so the result does not depend on
+    the block size.
     """
-    field = np.asarray(field)
-    g = layer_source(mesh, ctx, profile) if source is None else source
-    bary, w = triangle_rule(ELEMENT_DEGREE)
-    area, grads = mesh.areas(), mesh.grads()
+    bary, w = element_rule()
+    area = mesh.areas()
     om2 = ctx.omega**2
     out = np.empty(mesh.n_tris)
     block = assembly.BLOCK_SIZE
@@ -100,12 +101,12 @@ def element_residuals(
         y = mesh.nodes[tris][..., 1] @ bary.T
         r = rho(profile, y)
         rp = rho_prime(profile, y)
-        dy = p1_jacobian(vals, grads[blk])[:, :, 1, None]  # dy(u_c), (B, 2, 1)
+        dy = jac[blk, :, 1, None]  # dy(u_c), (B, 2, 1)
         uq1, uq2 = vals[:, :, 0] @ bary.T, vals[:, :, 1] @ bary.T
-        r1 = -ctx.mu * rp / r**2 * dy[:, 0] + om2 * r * uq1 - g[blk, :, 0]
+        r1 = -ctx.mu * rp / r**2 * dy[:, 0] + om2 * r * uq1 - source[blk, :, 0]
         r2 = (
             -(ctx.lam + 2.0 * ctx.mu) * rp / r**2 * dy[:, 1]
-            + om2 * r * uq2 - g[blk, :, 1]
+            + om2 * r * uq2 - source[blk, :, 1]
         )
         dens = np.abs(r1) ** 2 + np.abs(r2) ** 2
         out[blk] = np.sqrt(area[blk] * (dens @ w).real)
@@ -133,17 +134,15 @@ def _flux_parts(
     return p, c, q
 
 
-def jump_terms(
-    mesh: Mesh,
-    field: np.ndarray,
-    ctx: WaveContext,
-    profile: PmlProfile,
+def _jumps(
+    mesh: Mesh, ctx: WaveContext, profile: PmlProfile, jac: np.ndarray
 ) -> np.ndarray:
     """sum_e h_e ||J_e||^2_{L2(e)} per element (Dirichlet edges excluded).
 
-    The jump along an edge is P*rho(y) + C + Q/rho(y) with constant parts
-    P, C, Q (``_flux_parts``).  The 5-point edge rule of its squared modulus
-    is evaluated in expanded form, per component:
+    ``jac`` holds the element Jacobians of the field.  The jump along an
+    edge is P*rho(y) + C + Q/rho(y) with constant parts P, C, Q
+    (``_flux_parts``).  The 5-point edge rule of its squared modulus is
+    evaluated in expanded form, per component:
 
         |P|^2 m(|rho|^2) + |C|^2 m(1) + |Q|^2 m(|rho|^-2)
         + 2 Re(conj(C) * (P m(rho) + Q m(1/rho)) + P conj(Q) m(rho/conj(rho))),
@@ -152,8 +151,6 @@ def jump_terms(
     the edge.  Round-off can leave a vanishing jump slightly negative, so
     each edge's value is clamped at 0.
     """
-    field = np.asarray(field)
-    grad = p1_jacobian(field[mesh.tris], mesh.grads())
     edges, _, edge_tri = mesh.edge_structure()
     dvec = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
     h = np.linalg.norm(dvec, axis=1)
@@ -166,7 +163,7 @@ def jump_terms(
     # the flux is linear in the gradient, so its jump is the flux of the
     # gradient jump
     p, c, q = _flux_parts(
-        np.concatenate([grad[t1] - grad[t2], grad[tl] - np.conj(ctx.phase) * grad[tr]]),
+        np.concatenate([jac[t1] - jac[t2], jac[tl] - np.conj(ctx.phase) * jac[tr]]),
         np.concatenate([dvec[interior, 1] / h[interior], np.ones(left.size)]),
         np.concatenate([-dvec[interior, 0] / h[interior], np.zeros(left.size)]),
         ctx,
@@ -247,8 +244,11 @@ def indicators(
         raise ValueError("field must be nodal values of shape (n_nodes, 2)")
     if source is None:
         source = layer_source(mesh, ctx, profile)
-    res = element_residuals(mesh, field, ctx, profile, source=amplitude * source)
-    jumps = jump_terms(mesh, field, ctx, profile)
+    # one Jacobian per field: the residuals read its dy column, the jumps
+    # all of it
+    jac = p1_jacobian(field[mesh.tris], mesh.grads())
+    res = _residuals(mesh, field, ctx, profile, amplitude * source, jac)
+    jumps = _jumps(mesh, ctx, profile, jac)
     eta = mesh.diameters() * res + np.sqrt(0.5 * jumps)
 
     def incident(x, y):

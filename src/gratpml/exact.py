@@ -29,7 +29,7 @@ from math import cos, sin
 import numpy as np
 
 from .meshing import PHYSICAL, p1_jacobian
-from .quadrature import ELEMENT_DEGREE, triangle_rule
+from .quadrature import element_rule
 from .waves import WaveContext, incident_field, incident_gradient
 
 __all__ = ["FlatSolution", "flat_solution", "h1_seminorm_error", "fit_slope"]
@@ -95,7 +95,7 @@ def flat_solution(ctx: WaveContext) -> FlatSolution:
 def h1_seminorm_error(mesh, field: np.ndarray, solution: FlatSolution) -> float:
     """H1(Omega)-seminorm of (discrete field - reference) over y <= b.
 
-    Integrated with the triangle rule of degree ``ELEMENT_DEGREE``.
+    Integrated with the element rule (``quadrature.element_rule``).
 
     Parameters
     ----------
@@ -117,7 +117,7 @@ def h1_seminorm_error(mesh, field: np.ndarray, solution: FlatSolution) -> float:
     areas = mesh.areas()[phys]          # (M,)
     jac_h = p1_jacobian(field[tris], mesh.grads()[phys])  # (M, 2, 2)
 
-    bary, w = triangle_rule(ELEMENT_DEGREE)
+    bary, w = element_rule()
     coords = mesh.nodes[tris]           # (M, 3, 2)
     jac_u = solution.gradient(          # (M, Q, 2, 2)
         coords[..., 0] @ bary.T, coords[..., 1] @ bary.T

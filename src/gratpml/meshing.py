@@ -405,17 +405,22 @@ class Mesh:
             self._cache["partners"] = np.stack([left, right], axis=1)
         return self._cache["partners"]
 
-    # -- integrity (used by the test-suite) -----------------------------
+    # -- integrity (used by the tests and `mesh-info`) ------------------
 
     def validate(self, geom: GratingProfile) -> None:
-        """Raise AssertionError on a degenerate element or a hanging node."""
-        assert np.all(self.areas() > 0.0), "non-CCW or degenerate element"
+        """Raise AssertionError on a degenerate element or a hanging node.
+
+        Raised explicitly, so the checks also run under ``python -O``.
+        """
+        if not np.all(self.areas() > 0.0):
+            raise AssertionError("non-CCW or degenerate element")
         edges, _, edge_tri = self.edge_structure()
         boundary = edge_tri[:, 1] < 0
         mid = 0.5 * (self.nodes[edges[:, 0]] + self.nodes[edges[:, 1]])
         ok = self._on_walls_or_top()
         ok |= np.abs(geom.height(mid[:, 0]) - mid[:, 1]) <= 1e-9 * max(1.0, self.top)
-        assert np.all(ok[boundary]), "hanging node: interior edge with one neighbor"
+        if not np.all(ok[boundary]):
+            raise AssertionError("hanging node: interior edge with one neighbor")
 
 
 def generate_initial(

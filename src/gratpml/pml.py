@@ -55,7 +55,6 @@ __all__ = [
     "ModelingConstants",
     "CalibrationError",
     "make_pml",
-    "compute_zeta",
     "rho",
     "rho_prime",
     "modeling_constants",
@@ -84,14 +83,18 @@ class CalibrationError(RuntimeError):
 class PmlProfile:
     """Layer description: strength sigma, power m, thickness delta, start b.
 
-    ``zeta`` caches the stretched depth delta * (1 + sigma/(m+1)).
+    Built by ``make_pml``, which validates the parameters.
     """
 
     sigma: complex
     m: int
     delta: float
     b: float
-    zeta: complex
+
+    @property
+    def zeta(self) -> complex:
+        """Stretched layer depth zeta = delta * (1 + sigma/(m+1))."""
+        return self.delta * (1.0 + self.sigma / (self.m + 1))
 
     @property
     def top(self) -> float:
@@ -125,11 +128,6 @@ class ModelingConstants:
     cmax: float
 
 
-def compute_zeta(sigma: complex, m: int, delta: float) -> complex:
-    """Stretched layer depth zeta = delta * (1 + sigma/(m+1))."""
-    return delta * (1.0 + complex(sigma) / (m + 1))
-
-
 def make_pml(sigma: complex, m: int, delta: float, b: float) -> PmlProfile:
     """Validate layer parameters and build a :class:`PmlProfile`.
 
@@ -151,13 +149,7 @@ def make_pml(sigma: complex, m: int, delta: float, b: float) -> PmlProfile:
         )
     if not np.isfinite(b):
         raise ValueError(f"b must be finite, got {b}")
-    return PmlProfile(
-        sigma=sigma,
-        m=int(m),
-        delta=float(delta),
-        b=float(b),
-        zeta=compute_zeta(sigma, m, delta),
-    )
+    return PmlProfile(sigma=sigma, m=int(m), delta=float(delta), b=float(b))
 
 
 def rho(profile: PmlProfile, y: np.ndarray) -> np.ndarray:

@@ -1,29 +1,24 @@
 """Quadrature rules on the reference triangle and the unit interval.
 
-Triangle rules are returned in barycentric coordinates with weights that sum
-to one, so that
+Every element integral (assembly, residual estimator, true error) uses one
+rule, the symmetric 7-point Dunavant rule, exact through degree 5: exact for
+the at most quadratic P1 integrands on physical elements (rho = 1).  Its
+points are barycentric coordinates and its weights sum to one, so that
 
     integral_T f dx  ~=  area(T) * sum_q w_q * f(x_q),
 
-with x_q = sum_i bary[q, i] * P_i for vertices P_i.  Degrees up to 5 use
-the symmetric 7-point Dunavant rule; higher degrees fall back to a collapsed
-Gauss-Legendre product (Duffy transform), which is exact for any requested
-polynomial degree at the cost of more points.
+with x_q = sum_i bary[q, i] * P_i for vertices P_i.
 
 Edge integrals use one rule, the 5-point Gauss-Legendre rule on [0, 1]
-(exact through degree 9), built once at import.
+(exact through degree 9).  Both rules are built once at import and shared by
+every caller, so their arrays are read-only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ELEMENT_DEGREE", "triangle_rule", "edge_rule"]
-
-#: Degree of the triangle rule of every element integral (assembly, residual
-#: estimator, true error); exact for the at most quadratic P1 integrands on
-#: physical elements (rho = 1).
-ELEMENT_DEGREE = 5
+__all__ = ["element_rule", "edge_rule"]
 
 _SQRT15 = np.sqrt(15.0)
 
@@ -44,49 +39,22 @@ _DUNAVANT5_BARY = np.array(
     ]
 )
 _DUNAVANT5_W = np.array([9.0 / 40.0, _W1, _W1, _W1, _W2, _W2, _W2])
+_DUNAVANT5_BARY.flags.writeable = _DUNAVANT5_W.flags.writeable = False
 
 
-def _duffy_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Collapsed Gauss-Legendre product rule exact to the given total degree.
+def element_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 7-point Dunavant rule on the triangle, exact through degree 5.
 
-    With x = s, y = t*(1-s) mapping the unit square to the reference
-    triangle {x, y >= 0, x + y <= 1}, a monomial x^p y^q becomes
-    s^p t^q (1-s)^(q+1); n-point Gauss-Legendre per axis is exact for
-    per-axis degree 2n - 1, so n = ceil((degree + 2) / 2) suffices.
-    """
-    n = int(np.ceil((degree + 2) / 2.0))
-    pts, wts = np.polynomial.legendre.leggauss(n)
-    s = 0.5 * (pts + 1.0)
-    w = 0.5 * wts
-    ss, tt = np.meshgrid(s, s, indexing="ij")
-    ws, wt = np.meshgrid(w, w, indexing="ij")
-    x = ss.ravel()
-    y = (tt * (1.0 - ss)).ravel()
-    # Jacobian (1-s); factor 2 renormalizes: reference area is 1/2 and the
-    # returned weights must sum to 1.
-    weights = (ws * wt * (1.0 - ss)).ravel() * 2.0
-    bary = np.stack([1.0 - x - y, x, y], axis=1)
-    return bary, weights
-
-
-def triangle_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Barycentric points and unit-sum weights exact to ``degree``.
-
-    Parameters
-    ----------
-    degree : int
-        Requested polynomial exactness (>= 0).
+    The arrays are shared, so read-only.
 
     Returns
     -------
-    bary : ndarray, shape (Q, 3)
-    weights : ndarray, shape (Q,)
+    bary : ndarray, shape (7, 3)
+        Barycentric coordinates of the points.
+    weights : ndarray, shape (7,)
+        Positive weights summing to 1.
     """
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    if degree <= 5:
-        return _DUNAVANT5_BARY.copy(), _DUNAVANT5_W.copy()
-    return _duffy_rule(degree)
+    return _DUNAVANT5_BARY, _DUNAVANT5_W
 
 
 # 5-point Gauss-Legendre on [0, 1]; every caller shares these arrays, so

@@ -1,5 +1,5 @@
 """Shared fixtures: the reference scattering problem, random-context and
-random-grating draws."""
+random-grating draws, and a reference quadrature rule of any degree."""
 
 from __future__ import annotations
 
@@ -77,6 +77,30 @@ def rebuilt(mesh, nodes=None, keep=None):
     return Mesh(
         nodes, mesh.tris[keep], mesh.ref_edge[keep], mesh.period, mesh.b, mesh.top
     )
+
+
+def reference_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Collapsed Gauss-Legendre rule on the triangle, exact to ``degree``.
+
+    An independent check of ``gratpml.quadrature.element_rule`` and a finer
+    rule for convergence tests.  With x = s, y = t*(1-s) mapping the unit
+    square to the reference triangle {x, y >= 0, x + y <= 1}, a monomial
+    x^p y^q becomes s^p t^q (1-s)^(q+1); n-point Gauss-Legendre per axis is
+    exact for per-axis degree 2n - 1, so n = ceil((degree + 2) / 2)
+    suffices.  Returned like ``element_rule``: barycentric points (Q, 3)
+    and weights (Q,) summing to 1.
+    """
+    n = int(np.ceil((degree + 2) / 2.0))
+    pts, wts = np.polynomial.legendre.leggauss(n)
+    s = 0.5 * (pts + 1.0)
+    w = 0.5 * wts
+    ss, tt = np.meshgrid(s, s, indexing="ij")
+    ws, wt = np.meshgrid(w, w, indexing="ij")
+    x = ss.ravel()
+    y = (tt * (1.0 - ss)).ravel()
+    # Jacobian (1-s); factor 2 renormalizes: the reference area is 1/2
+    weights = (ws * wt * (1.0 - ss)).ravel() * 2.0
+    return np.stack([1.0 - x - y, x, y], axis=1), weights
 
 
 def draw_context(

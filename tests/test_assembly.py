@@ -17,8 +17,6 @@ from gratpml import (
     build_mode_table,
     calibrate,
     derive_context,
-    element_matrix,
-    element_residuals,
     flat_profile,
     generate_initial,
     indicators,
@@ -27,11 +25,19 @@ from gratpml import (
     sharp_profile,
     solve_system,
 )
-from gratpml.assembly import DIRICHLET, FREE, SLAVE, layer_source
-from gratpml.meshing import PHYSICAL, PML, bisect
-from gratpml.quadrature import triangle_rule
+from gratpml.assembly import (
+    _PAIR_A,
+    _PAIR_B,
+    DIRICHLET,
+    FREE,
+    SLAVE,
+    _pair_integrals,
+    layer_source,
+)
+from gratpml.meshing import PHYSICAL, PML, bisect, p1_geometry
+from gratpml.quadrature import element_rule
 
-from conftest import REFERENCE, draw_context, gratings, rebuilt
+from conftest import REFERENCE, draw_context, gratings, rebuilt, reference_rule
 
 
 @pytest.fixture(scope="module")
@@ -44,11 +50,12 @@ def small_mesh(ctx1, profile1):
 # ---------------------------------------------------------------------------
 
 
-def _element_by_quadrature(coords, region, ctx, profile, degree, literal_mixed):
+def _element_by_quadrature(coords, region, ctx, profile, rule, literal_mixed):
     """Entry-wise quadrature of the form; independent of the batched kernel.
 
     Unlike the kernel it reads the region label: rho is set to 1 on
-    physical elements instead of being evaluated there.
+    physical elements instead of being evaluated there.  ``rule`` is a
+    triangle rule (barycentric points, weights).
 
     ``literal_mixed`` selects the literal grouping of the mixed term instead
     of the transpose grouping that ``assemble`` uses (see the module
@@ -66,7 +73,7 @@ def _element_by_quadrature(coords, region, ctx, profile, degree, literal_mixed):
         grads[i, 0] = (coords[j, 1] - coords[k, 1]) / det
         grads[i, 1] = (coords[k, 0] - coords[j, 0]) / det
 
-    bary, w = triangle_rule(degree)
+    bary, w = rule
     yq = bary @ coords[:, 1]
     rq = rho(profile, yq) if region != 0 else np.ones_like(yq, dtype=complex)
 
@@ -98,10 +105,32 @@ def _element_by_quadrature(coords, region, ctx, profile, degree, literal_mixed):
     return ke
 
 
+def _pair_entries(coords, ctx, profile, oracle):
+    """The element kernel's values on the six node pairs of one triangle and
+    the entries of the 6x6 ``oracle`` at those pairs, in both orders.
+
+    Rows: the (u1, v1), (u2, v2), (u2, v1) and (u1, v2) entries of each pair
+    (a, b) with test function a and trial function b, then of (b, a); the
+    kernel gives both orders the same diagonal values and its two mixed
+    values swapped.
+    """
+    xy = np.asarray(coords, dtype=float)[None]
+    diag, mixed = _pair_integrals(*p1_geometry(xy), xy[..., 1], ctx, profile)
+    diag, mixed = diag[:, 0], (ctx.lam + ctx.mu) * mixed[:, 0]
+    got = np.concatenate([diag, mixed, diag, mixed[::-1]])
+    want = []
+    for test, trial in ((2 * _PAIR_A, 2 * _PAIR_B), (2 * _PAIR_B, 2 * _PAIR_A)):
+        want += [oracle[test, trial], oracle[test + 1, trial + 1],
+                 oracle[test, trial + 1], oracle[test + 1, trial]]
+    return got, np.array(want)
+
+
 def test_element_matrix_matches_direct_quadrature_physical(ctx1, profile1):
     coords = np.array([[0.1, 0.2], [0.6, 0.25], [0.3, 0.7]])
-    got = element_matrix(coords, ctx1, profile1)
-    want = _element_by_quadrature(coords, 0, ctx1, profile1, 9, False)
+    oracle = _element_by_quadrature(
+        coords, 0, ctx1, profile1, reference_rule(9), False
+    )
+    got, want = _pair_entries(coords, ctx1, profile1, oracle)
     assert np.allclose(got, want, rtol=1e-13, atol=1e-14)
 
 
@@ -109,20 +138,17 @@ def test_element_matrix_matches_direct_quadrature_layer(ctx1, profile1, flat_mes
     layer = np.nonzero(flat_mesh1.region == 1)[0]
     for t in (layer[0], layer[-1]):  # bottom and top of the layer
         coords = flat_mesh1.nodes[flat_mesh1.tris[t]]
-        got = element_matrix(coords, ctx1, profile1)
-        want = _element_by_quadrature(coords, 1, ctx1, profile1, 5, False)
+        oracle = _element_by_quadrature(
+            coords, 1, ctx1, profile1, element_rule(), False
+        )
+        got, want = _pair_entries(coords, ctx1, profile1, oracle)
         assert np.allclose(got, want, rtol=1e-13, atol=1e-14)
         # a higher-degree rule barely moves the answer (1/rho is smooth)
-        finer = _element_by_quadrature(coords, 1, ctx1, profile1, 9, False)
-        assert np.allclose(got, finer, rtol=1e-6, atol=1e-10)
-
-
-def test_element_matrix_is_complex_symmetric(ctx1, profile1, flat_mesh1):
-    layer = np.nonzero(flat_mesh1.region == 1)[0]
-    for t in (0, int(layer[3])):
-        coords = flat_mesh1.nodes[flat_mesh1.tris[t]]
-        ke = element_matrix(coords, ctx1, profile1)
-        assert np.abs(ke - ke.T).max() <= 1e-14 * np.abs(ke).max()
+        finer = _element_by_quadrature(
+            coords, 1, ctx1, profile1, reference_rule(9), False
+        )
+        _, want = _pair_entries(coords, ctx1, profile1, finer)
+        assert np.allclose(got, want, rtol=1e-6, atol=1e-10)
 
 
 @pytest.mark.parametrize("which", ["flat", "sharp"])
@@ -330,12 +356,12 @@ def _dense_reference_system(mesh, ctx, profile, dofmap, literal_mixed):
     n = mesh.n_nodes
     kfull = np.zeros((2 * n, 2 * n), dtype=complex)
     ffull = np.zeros(2 * n, dtype=complex)
-    bary, w = triangle_rule(5)
+    bary, w = element_rule()
     for t in range(mesh.n_tris):
         tri = mesh.tris[t]
         coords = mesh.nodes[tri]
         ke = _element_by_quadrature(
-            coords, int(mesh.region[t]), ctx, profile, 5, literal_mixed
+            coords, int(mesh.region[t]), ctx, profile, (bary, w), literal_mixed
         )
         gdof = [2 * int(tri[v]) + c for v in range(3) for c in (0, 1)]
         kfull[np.ix_(gdof, gdof)] += ke
@@ -396,8 +422,8 @@ def test_mixed_term_groupings_assemble_identically(ctx1, profile1, small_mesh):
     # element-wise the two groupings differ, but the difference is a null
     # Lagrangian: the reduced systems must coincide
     coords = small_mesh.nodes[small_mesh.tris[0]]
-    k_t = _element_by_quadrature(coords, 0, ctx1, profile1, 2, False)
-    k_l = _element_by_quadrature(coords, 0, ctx1, profile1, 2, True)
+    k_t = _element_by_quadrature(coords, 0, ctx1, profile1, element_rule(), False)
+    k_l = _element_by_quadrature(coords, 0, ctx1, profile1, element_rule(), True)
     assert np.abs(k_t - k_l).max() > 1e-3 * np.abs(k_t).max()
     dm = build_dofmap(small_mesh, ctx1)
     a_t, b_t = _dense_reference_system(small_mesh, ctx1, profile1, dm, False)
@@ -469,7 +495,7 @@ def test_results_do_not_depend_on_the_block_size(
 
     def results():
         system = assemble(refined_mesh, ctx1, profile1, dm)
-        res = element_residuals(refined_mesh, field, ctx1, profile1)
+        res = indicators(refined_mesh, field, ctx1, profile1, 1e-9).residual_terms
         return system.matrix, system.rhs, res
 
     matrix, rhs, res = results()

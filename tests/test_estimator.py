@@ -8,19 +8,12 @@ from scipy.integrate import quad
 
 import gratpml.assembly
 import gratpml.estimator
-from gratpml import (
-    element_residuals,
-    flat_profile,
-    generate_initial,
-    indicators,
-    jump_terms,
-    layer_source,
-    make_pml,
-)
+from gratpml import flat_profile, generate_initial, indicators, layer_source, make_pml
+from gratpml.meshing import p1_jacobian
 from gratpml.pml import rho
-from gratpml.quadrature import ELEMENT_DEGREE, triangle_rule
+from gratpml.quadrature import element_rule
 
-from conftest import draw_context, gratings
+from conftest import draw_context, gratings, reference_rule
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +26,15 @@ def _random_field(mesh, seed):
     return rng.normal(size=(mesh.n_nodes, 2)) + 1j * rng.normal(
         size=(mesh.n_nodes, 2)
     )
+
+
+def _jumps(mesh, field, ctx, profile):
+    # the jump terms do not depend on f_hat or the layer data
+    return indicators(mesh, field, ctx, profile, 1.0).jump_terms
+
+
+def _residuals(mesh, field, ctx, profile, **kwargs):
+    return indicators(mesh, field, ctx, profile, 1.0, **kwargs).residual_terms
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +128,20 @@ def test_indicators_validate_field_shape(ctx1, profile1, flat_mesh1):
         indicators(flat_mesh1, np.zeros((4, 2)), ctx1, profile1, 1e-12)
 
 
+def test_indicators_evaluate_one_jacobian(ctx1, profile1, refined_mesh, monkeypatch):
+    # the residuals and the jumps share the element Jacobians of the field
+    calls = []
+
+    def counted(vals, grads):
+        calls.append(len(vals))
+        return p1_jacobian(vals, grads)
+
+    monkeypatch.setattr(gratpml.estimator, "p1_jacobian", counted)
+    monkeypatch.setattr(gratpml.assembly, "BLOCK_SIZE", 5)
+    indicators(refined_mesh, _random_field(refined_mesh, 2), ctx1, profile1, 1e-9)
+    assert calls == [refined_mesh.n_tris]
+
+
 # ---------------------------------------------------------------------------
 # jump terms
 # ---------------------------------------------------------------------------
@@ -133,7 +149,7 @@ def test_indicators_validate_field_shape(ctx1, profile1, flat_mesh1):
 
 def test_constant_field_has_no_jumps(ctx1, profile1, flat_mesh1):
     field = np.full((flat_mesh1.n_nodes, 2), 0.8 - 1.3j)
-    jumps = jump_terms(flat_mesh1, field, ctx1, profile1)
+    jumps = _jumps(flat_mesh1, field, ctx1, profile1)
     assert np.all(jumps == 0.0)
 
 
@@ -143,7 +159,7 @@ def test_affine_field_jumps_only_at_periodic_wall(ctx1, profile1, flat_mesh1):
         [0.3 + (1.1 - 0.2j) * x + 0.7j * y, -1.0j + 0.5 * x + (2.0 + 1.0j) * y],
         axis=1,
     )
-    jumps = jump_terms(flat_mesh1, field, ctx1, profile1)
+    jumps = _jumps(flat_mesh1, field, ctx1, profile1)
     edges, _, edge_tri = flat_mesh1.edge_structure()
     wall = flat_mesh1.on_left | flat_mesh1.on_right
     wall_edge = (edge_tri[:, 1] < 0) & wall[edges[:, 0]] & wall[edges[:, 1]]
@@ -232,7 +248,7 @@ def _naive_jump_terms(mesh, field, ctx, profile):
 def test_jump_terms_match_naive_edge_loop(ctx1, profile1, small_mesh, refined_mesh):
     for mesh in (small_mesh, refined_mesh):
         field = _random_field(mesh, 3)
-        got = jump_terms(mesh, field, ctx1, profile1)
+        got = _jumps(mesh, field, ctx1, profile1)
         want = _naive_jump_terms(mesh, field, ctx1, profile1)
         assert np.allclose(got, want, rtol=1e-10, atol=1e-13)
 
@@ -252,7 +268,7 @@ def test_jump_terms_are_finite_and_nonnegative(seed, data):
     noise = data.draw(st.sampled_from([0.0, 1e-9, 1.0]))
     field = u0 + x[:, None] * gx + y[:, None] * gy
     field += noise * _random_field(mesh, seed)
-    jumps = jump_terms(mesh, field, ctx, layer)
+    jumps = _jumps(mesh, field, ctx, layer)
     assert jumps.shape == (mesh.n_tris,)
     assert np.all(np.isfinite(jumps)) and np.all(jumps >= 0.0)
 
@@ -266,8 +282,8 @@ def test_physical_residual_is_omega_squared_field_norm(
     ctx1, profile1, flat_mesh1
 ):
     field = _random_field(flat_mesh1, 7)
-    res = element_residuals(flat_mesh1, field, ctx1, profile1)
-    bary, w = triangle_rule(4)  # |linear|^2 is quadratic: integrated exactly
+    res = _residuals(flat_mesh1, field, ctx1, profile1)
+    bary, w = element_rule()  # |linear|^2 is quadratic: integrated exactly
     phys = np.nonzero(flat_mesh1.region == 0)[0][:40]
     for t in phys:
         coords = flat_mesh1.nodes[flat_mesh1.tris[t]]
@@ -285,17 +301,14 @@ def test_layer_residual_is_quadrature_converged(
     ctx1, profile1, flat_mesh1, monkeypatch
 ):
     field = _random_field(flat_mesh1, 9)
-    coarse = element_residuals(flat_mesh1, field, ctx1, profile1)
-
-    def degree_12_rule(degree):
-        assert degree == ELEMENT_DEGREE
-        return triangle_rule(12)
+    coarse = _residuals(flat_mesh1, field, ctx1, profile1)
 
     # the reference: the same residual evaluated with a degree-12 rule, for
     # the field terms (estimator) and the layer volume data (assembly)
-    monkeypatch.setattr(gratpml.estimator, "triangle_rule", degree_12_rule)
-    monkeypatch.setattr(gratpml.assembly, "triangle_rule", degree_12_rule)
-    fine = element_residuals(flat_mesh1, field, ctx1, profile1)
+    rule = reference_rule(12)
+    monkeypatch.setattr(gratpml.estimator, "element_rule", lambda: rule)
+    monkeypatch.setattr(gratpml.assembly, "element_rule", lambda: rule)
+    fine = _residuals(flat_mesh1, field, ctx1, profile1)
     layer = flat_mesh1.region != 0
     assert not np.array_equal(coarse[layer], fine[layer])  # the rule changed
     assert np.allclose(coarse[layer], fine[layer], rtol=1e-5)
@@ -306,6 +319,6 @@ def test_residual_scales_linearly_in_the_field_when_undriven(
 ):
     field = _random_field(flat_mesh1, 13)
     zero = np.zeros_like(layer_source(flat_mesh1, ctx1, profile1))
-    res1 = element_residuals(flat_mesh1, field, ctx1, profile1, source=zero)
-    res3 = element_residuals(flat_mesh1, 3.0 * field, ctx1, profile1, source=zero)
+    res1 = _residuals(flat_mesh1, field, ctx1, profile1, source=zero)
+    res3 = _residuals(flat_mesh1, 3.0 * field, ctx1, profile1, source=zero)
     assert np.allclose(res3, 3.0 * res1, rtol=1e-13)

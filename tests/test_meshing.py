@@ -1,5 +1,9 @@
 """Grating profiles, mesh generation, conforming bisection, and marking."""
 
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 from math import ceil
 
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gratpml
 from gratpml import (
     GeometryError,
     bisect,
@@ -157,6 +162,58 @@ def test_initial_mesh_sharp_profile(ctx1, profile1):
     mesh.validate(geom)
     surf = mesh.nodes[mesh.on_surface]
     assert np.max(np.abs(geom.height(surf[:, 0]) - surf[:, 1])) <= 1e-12
+
+
+def test_validate_rejects_a_reversed_triangle(ctx1, flat_mesh1):
+    tris = flat_mesh1.tris.copy()
+    tris[7, [1, 2]] = tris[7, [2, 1]]
+    mesh = Mesh(
+        flat_mesh1.nodes, tris, flat_mesh1.ref_edge,
+        flat_mesh1.period, flat_mesh1.b, flat_mesh1.top,
+    )
+    with pytest.raises(AssertionError, match="non-CCW or degenerate element"):
+        mesh.validate(flat_profile(ctx1.period))
+
+
+def test_validate_rejects_a_deleted_triangle(ctx1, flat_mesh1):
+    # the first element with no vertex on the surface, walls or top
+    m = flat_mesh1
+    outer = m.on_surface | m.on_top | m.on_left | m.on_right
+    keep = np.arange(m.n_tris) != np.nonzero(~outer[m.tris].any(axis=1))[0][0]
+    with pytest.raises(AssertionError, match="hanging node"):
+        rebuilt(m, keep=keep).validate(flat_profile(ctx1.period))
+
+
+_VALIDATE_UNDER_O = """
+import numpy as np
+from gratpml import derive_context, flat_profile, generate_initial, make_pml
+from gratpml.meshing import Mesh
+
+ctx = derive_context(omega=2 * np.pi, lam=1.0, mu=2.0, theta=np.pi / 6,
+                     period=1.0, gamma_height=1.0)
+mesh = generate_initial(flat_profile(1.0), ctx, make_pml(12 + 12j, 2, 8.0, b=1.0),
+                        h0=0.25)
+outer = mesh.on_surface | mesh.on_top | mesh.on_left | mesh.on_right
+keep = np.arange(mesh.n_tris) != np.nonzero(~outer[mesh.tris].any(axis=1))[0][0]
+cut = Mesh(mesh.nodes, mesh.tris[keep], mesh.ref_edge[keep], mesh.period,
+           mesh.b, mesh.top)
+print("debug", __debug__)
+try:
+    cut.validate(flat_profile(1.0))
+except AssertionError as exc:
+    print("raised", exc)
+"""
+
+
+def test_validate_checks_under_python_optimize():
+    # python -O strips assert statements; the mesh checks must still run
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gratpml.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _VALIDATE_UNDER_O],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    assert "debug False" in out
+    assert "raised hanging node: interior edge with one neighbor" in out
 
 
 def test_generate_initial_parameter_errors(ctx1, profile1):

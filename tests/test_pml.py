@@ -10,7 +10,6 @@ from gratpml import (
     CalibrationError,
     build_mode_table,
     calibrate,
-    compute_zeta,
     derive_context,
     incident_field,
     make_pml,
@@ -30,8 +29,8 @@ SIGMA = 12.0 + 12.0j
 
 
 def test_stretched_depth_closed_form():
-    assert compute_zeta(SIGMA, 2, 8.0) == 40.0 + 32.0j
-    assert compute_zeta(3.0j, 1, 2.0) == 2.0 + 3.0j
+    assert make_pml(SIGMA, 2, 8.0, b=1.0).zeta == 40.0 + 32.0j
+    assert make_pml(3.0j, 1, 2.0, b=1.0).zeta == 2.0 + 3.0j
 
 
 def test_stretched_depth_equals_integral_of_medium_function():

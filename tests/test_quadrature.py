@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from gratpml.quadrature import edge_rule, triangle_rule
+from gratpml.quadrature import edge_rule, element_rule
+
+from conftest import reference_rule
 
 
 def _exact_triangle_monomial(p: int, q: int) -> float:
@@ -15,7 +17,8 @@ def _exact_triangle_monomial(p: int, q: int) -> float:
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 5, 6, 7, 9, 12])
 def test_triangle_rule_integrates_monomials_exactly(degree):
-    bary, wts = triangle_rule(degree)
+    # the element rule through degree 5, the tests' reference rule above
+    bary, wts = element_rule() if degree <= 5 else reference_rule(degree)
     assert bary.shape == (wts.size, 3)
     assert np.all(wts > 0.0)
     assert wts.sum() == pytest.approx(1.0, rel=0.0, abs=1e-14)
@@ -29,15 +32,22 @@ def test_triangle_rule_integrates_monomials_exactly(degree):
 
 
 def test_triangle_rule_points_are_barycentric():
-    for degree in (2, 5, 9):
-        bary, _ = triangle_rule(degree)
+    for bary, _ in (element_rule(), reference_rule(9)):
         assert np.all(bary >= -1e-14)
         assert np.allclose(bary.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
 
 
-def test_triangle_rule_rejects_negative_degree():
-    with pytest.raises(ValueError):
-        triangle_rule(-1)
+def test_element_rule_is_built_once_and_read_only():
+    bary, wts = element_rule()
+    assert bary.shape == (7, 3) and wts.shape == (7,)
+    # every caller shares the arrays, so none may write to them
+    with pytest.raises(ValueError, match="read-only"):
+        bary[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        wts *= 2.0
+    for _ in range(3):
+        again = element_rule()
+        assert again[0] is bary and again[1] is wts
 
 
 def test_edge_rule_is_gauss_legendre_on_unit_interval():
