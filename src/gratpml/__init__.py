@@ -63,9 +63,7 @@ from .pml import (
 )
 from .rayleigh import (
     EfficiencyReport,
-    FourierTrace,
     ParameterRegimeError,
-    Potentials,
     TraceError,
     ab_coefficients,
     dtn_matrix,
@@ -97,7 +95,6 @@ __all__ = [
     "EfficiencyReport",
     "ErrorIndicators",
     "FlatSolution",
-    "FourierTrace",
     "GeometryError",
     "GratingProfile",
     "IterationRecord",
@@ -106,7 +103,6 @@ __all__ = [
     "ModelingConstants",
     "ParameterRegimeError",
     "PmlProfile",
-    "Potentials",
     "ResonanceError",
     "RunConfig",
     "SolveReport",

@@ -36,10 +36,12 @@ both transposed positions of the matrix.
 Boundary conditions: u = 0 on the grating surface, u = u_inc (nodal values)
 on the truncation line, and quasi-periodicity u(period, y) =
 exp(i*alpha*period) * u(0, y) imposed by slaving each right node to its
-mirrored left node.  The constraints fold once per node-pair block:
-constrained test functions carry the conjugate phase, so a block (p, q)
-takes the weights conj(w_p) * w_q and is added to the block of the
-equations of p and q (a slave shares its master's equations).  The reduced
+mirrored left node.  Both constraints act on the two components of a node
+alike, so ``DofMap`` holds one equation block eq_p and one weight w_p per
+node p, and the constraints fold once per node-pair block: constrained
+test functions carry the conjugate phase, so a block (p, q) takes the
+weights conj(w_p) * w_q and is added to the block (eq_p, eq_q) of the
+reduced matrix (a slave shares its master's block).  The reduced
 matrix is therefore structurally symmetric (its pattern equals that of its
 transpose) and A(alpha)^T = A(-alpha) for the Bloch parameter alpha; it is
 complex symmetric only at normal incidence.  The blocks of eliminated
@@ -69,42 +71,34 @@ __all__ = [
     "assemble",
 ]
 
-FREE = 0
-DIRICHLET = 1
-SLAVE = 2
-
 
 @dataclass
 class DofMap:
-    """Node/component to equation mapping with constraint metadata.
+    """Node to equation mapping with the constraint data, one entry per node.
 
-    Both components of a node share its kind and weight, and a node that
-    is not Dirichlet holds an even equation and the next one; ``assemble``
-    works on these 2x2 node blocks.
+    The Dirichlet and quasi-periodic conditions constrain both displacement
+    components of a node alike, so a node that is not Dirichlet holds the
+    equations (2*eq, 2*eq + 1) of its block eq; ``assemble`` works on these
+    2x2 node blocks.
 
     Attributes
     ----------
-    kind : ndarray (N, 2) uint8
-        0 free, 1 Dirichlet, 2 slave (quasi-periodic right boundary).
-    index : ndarray (N, 2) int32
-        Free-equation index for free dofs, the master's free index for
-        slaves, -1 for Dirichlet dofs.  The k-th free node in order of
-        height, then x, holds equations (2k, 2k+1); see ``build_dofmap``.
-        int32 is the index type of scipy's sparse matrices, so ``assemble``
-        hands its row and column arrays over without a converting copy.
+    eq : ndarray (N,) int32
+        Equation block: k for the k-th free node in order of height, then
+        x (see ``build_dofmap``), the master's block for a slave (a node of
+        the quasi-periodic right boundary), -1 for a Dirichlet node.
+    weight : ndarray (N,) complex
+        Constraint weight: 1 for free nodes, exp(i*alpha*period) for
+        slaves, 0 for Dirichlet nodes.
     value : ndarray (N, 2) complex
         Dirichlet values (0 elsewhere).
-    weight : ndarray (N, 2) complex
-        Constraint weight: 1 for free dofs, exp(i*alpha*period) for slaves,
-        0 for Dirichlet dofs.
     n_free : int
-        Number of free equations.
+        Number of free equations, two per free node.
     """
 
-    kind: np.ndarray
-    index: np.ndarray
-    value: np.ndarray
+    eq: np.ndarray
     weight: np.ndarray
+    value: np.ndarray
     n_free: int
 
     def expand(self, x: np.ndarray) -> np.ndarray:
@@ -112,9 +106,12 @@ class DofMap:
         x = np.asarray(x)
         if x.shape != (self.n_free,):
             raise ValueError(f"expected solution of length {self.n_free}")
-        safe = np.where(self.index >= 0, self.index, 0)
-        out = np.where(self.kind == DIRICHLET, self.value, self.weight * x[safe])
-        return out
+        # Weights repeated to (N, 2), not broadcast: numpy's complex product
+        # rounds the last bit by operand layout and order, and this layout
+        # gives the field values of a per-component weight array.
+        weight = np.repeat(self.weight, 2).reshape(-1, 2)
+        out = weight * x.reshape(-1, 2)[self.eq]
+        return np.where((self.eq >= 0)[:, None], out, self.value)
 
 
 @dataclass
@@ -141,7 +138,7 @@ class SparseSystem:
 
 
 def build_dofmap(mesh: Mesh, ctx: WaveContext) -> DofMap:
-    """Classify node/component pairs and enumerate the free equations.
+    """Classify the nodes and number the equation blocks of the free ones.
 
     Dirichlet takes precedence over the periodic constraint (corner nodes of
     the truncation line and the surface are fixed on both sides with
@@ -149,52 +146,42 @@ def build_dofmap(mesh: Mesh, ctx: WaveContext) -> DofMap:
     when the walls do not pair up or a periodic master is constrained.
 
     The free nodes are numbered by height, then by x, and the k-th holds
-    equations (2k, 2k+1); slaves share their master's indices.  ``bisect``
-    appends every new midpoint node at the end, so node order is spatially
-    scattered on refined meshes.  The minimum degree ordering of the solver
-    breaks its ties by equation index, and on node order it builds factors
-    with far more padding in their supernodes; the spatial order keeps the
-    factorization close to its true fill whatever the refinement history.
+    block k, the equations (2k, 2k+1); slaves share their master's block.
+    ``bisect`` appends every new midpoint node at the end, so node order is
+    spatially scattered on refined meshes.  The minimum degree ordering of
+    the solver breaks its ties by equation index, and on node order it
+    builds factors with far more padding in their supernodes; the spatial
+    order keeps the factorization close to its true fill whatever the
+    refinement history.
     """
     n = mesh.n_nodes
-    kind = np.zeros((n, 2), dtype=np.uint8)
-    value = np.zeros((n, 2), dtype=complex)
-
     dirichlet = mesh.on_surface | mesh.on_top
-    kind[dirichlet, :] = DIRICHLET
+    value = np.zeros((n, 2), dtype=complex)
     top = np.nonzero(mesh.on_top)[0]
     value[top, :] = incident_field(ctx, mesh.nodes[top, 0], mesh.nodes[top, 1])
 
     slave = mesh.on_right & ~dirichlet
-    kind[slave, :] = SLAVE
-
-    free_mask = kind == FREE
-    free = np.nonzero(free_mask[:, 0])[0]
+    free = np.nonzero(~(dirichlet | slave))[0]
     free = free[np.lexsort((mesh.nodes[free, 0], mesh.nodes[free, 1]))]
-    index = np.full((n, 2), -1, dtype=np.int32)
-    index[free] = np.arange(2 * free.size).reshape(-1, 2)
+    eq = np.full(n, -1, dtype=np.int32)
+    eq[free] = np.arange(free.size)
+    weight = np.zeros(n, dtype=complex)
+    weight[free] = 1.0
 
     left_of = np.full(n, -1, dtype=np.int64)
     left_of[mesh.periodic_pairs[:, 1]] = mesh.periodic_pairs[:, 0]
     nodes = np.nonzero(slave)[0]
     masters = left_of[nodes]
-    bad = (kind[masters] != FREE).any(axis=1)
+    bad = eq[masters] < 0  # only free nodes hold a block so far
     if bad.any():
         i = int(np.argmax(bad))  # report the first offending node
         raise RuntimeError(
             f"periodic master {masters[i]} of node {nodes[i]} is constrained"
         )
-    index[nodes] = index[masters]
-    weight = np.where(free_mask, 1.0 + 0.0j, 0.0j)
+    eq[nodes] = eq[masters]
     weight[nodes] = ctx.phase
 
-    return DofMap(
-        kind=kind,
-        index=index,
-        value=value,
-        weight=weight,
-        n_free=2 * free.size,
-    )
+    return DofMap(eq=eq, weight=weight, value=value, n_free=2 * free.size)
 
 
 #: Elements per block of ``assemble`` and of the estimator's residuals:
@@ -375,8 +362,7 @@ def assemble(
     # take the constraint weights conj(w) (test) and w (trial) and are
     # summed per pair of equation nodes (a slave shares its master's), in
     # the order of the trial, then the test equation node.
-    eq = dofmap.index[:, 0] // 2
-    weight = dofmap.weight[:, 0]
+    eq, weight = dofmap.eq, dofmap.weight
     live = eq >= 0
     lifted = np.nonzero(live[test] & ~live[trial])[0]
     kept = np.nonzero(live[test] & live[trial])[0]
@@ -417,7 +403,7 @@ def assemble(
         [load[live], -np.stack([b00 * v0 + b01 * v1, b10 * v0 + b11 * v1], axis=1)]
     )
     f *= np.conj(weight[f_at])[:, None]
-    rows = dofmap.index[f_at].ravel()
+    rows = (2 * eq[f_at, None] + np.arange(2)).ravel()
     rhs = np.bincount(rows, f.real.ravel(), minlength=dofmap.n_free) + 1j * np.bincount(
         rows, f.imag.ravel(), minlength=dofmap.n_free
     )

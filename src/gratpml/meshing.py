@@ -332,11 +332,7 @@ class Mesh:
     def diameters(self) -> np.ndarray:
         """Longest edge length per element (the mesh-size h_T)."""
         if "diam" not in self._cache:
-            p = self.nodes[self.tris]
-            e = np.stack(
-                [p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1
-            )
-            self._cache["diam"] = np.linalg.norm(e, axis=2).max(axis=1)
+            self._cache["diam"] = _edge_lengths(self.nodes[self.tris]).max(axis=1)
         return self._cache["diam"]
 
     def _signed_geometry(self) -> None:
@@ -520,17 +516,15 @@ def generate_initial(
     return Mesh(nodes, tris, _longest_edge(nodes[tris]), ctx.period, b, top)
 
 
+def _edge_lengths(coords: np.ndarray) -> np.ndarray:
+    """Edge lengths (M, 3) of triangles (M, 3, 2); edge k is opposite vertex k."""
+    edges = coords[:, [2, 0, 1]] - coords[:, [1, 2, 0]]
+    return np.linalg.norm(edges, axis=2)
+
+
 def _longest_edge(coords: np.ndarray) -> np.ndarray:
     """Local index of the longest edge of triangles (M, 3, 2) (ties: lowest)."""
-    lengths = np.stack(
-        [
-            np.linalg.norm(coords[:, 2] - coords[:, 1], axis=1),
-            np.linalg.norm(coords[:, 0] - coords[:, 2], axis=1),
-            np.linalg.norm(coords[:, 1] - coords[:, 0], axis=1),
-        ],
-        axis=1,
-    )
-    return np.argmax(lengths, axis=1).astype(np.uint8)
+    return np.argmax(_edge_lengths(coords), axis=1).astype(np.uint8)
 
 
 def bisect(mesh: Mesh, marked: np.ndarray) -> tuple[Mesh, np.ndarray]:

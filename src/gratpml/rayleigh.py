@@ -7,6 +7,8 @@ exact transparent-boundary operator of the half space above the interface,
 and its counterpart for a finite stretched layer of depth zeta terminated by
 a Dirichlet condition.  The operator route and an explicit 4x4 layer solve
 are kept as two independent formulations so they can be cross-checked.
+The trace coefficients and the potentials are (K, 2) arrays aligned with
+the mode table: row k belongs to the order modes.n[k].
 
 Per mode n the tangential/vertical wavenumbers are alpha_n, beta1_n
 (compressional) and beta2_n (shear), and chi_n = alpha_n^2 + beta1_n*beta2_n
@@ -40,8 +42,6 @@ from .waves import ModeTable
 __all__ = [
     "TraceError",
     "ParameterRegimeError",
-    "FourierTrace",
-    "Potentials",
     "EfficiencyReport",
     "fourier_trace",
     "recover_potentials",
@@ -91,28 +91,11 @@ def _segment_integrals(t: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.nda
     return e1, e2
 
 
-@dataclass(frozen=True)
-class FourierTrace:
-    """Fourier coefficients of the scattered trace on the interface.
-
-    ``coeffs[k]`` is the 2-vector coefficient of exp(i*alpha_n*x) for
-    n = k - n_max, i.e. the window n = -n_max..n_max in order.
-    """
-
-    n_max: int
-    n: np.ndarray
-    coeffs: np.ndarray
-
-    def coefficient(self, n: int) -> np.ndarray:
-        if abs(n) > self.n_max:
-            raise IndexError(f"mode {n} outside window +-{self.n_max}")
-        return self.coeffs[n + self.n_max]
-
-
-def fourier_trace(mesh: Mesh, field: np.ndarray, modes: ModeTable) -> FourierTrace:
+def fourier_trace(mesh: Mesh, field: np.ndarray, modes: ModeTable) -> np.ndarray:
     """Fourier-analyze (field - u_inc) along the interface line y = b.
 
-    The coefficients are taken for the window and the alpha_n of ``modes``.
+    Returns the (K, 2) coefficients of exp(i*alpha_n*x) for the alpha_n of
+    ``modes``; row k belongs to the order modes.n[k].
     The piecewise-linear nodal field is integrated edge by edge in closed
     form against exp(-i*alpha_n*x).  The incident trace is the single mode
     n = 0 and is subtracted exactly, so no interpolation error enters it.
@@ -159,7 +142,7 @@ def fourier_trace(mesh: Mesh, field: np.ndarray, modes: ModeTable) -> FourierTra
     coeffs[modes.index(0)] -= np.array(
         [np.sin(ctx.theta), -np.cos(ctx.theta)]
     ) * np.exp(-1j * ctx.beta * ctx.gamma_height)
-    return FourierTrace(n_max=modes.n_max, n=modes.n.copy(), coeffs=coeffs)
+    return coeffs
 
 
 # --------------------------------------------------------------------------
@@ -167,25 +150,27 @@ def fourier_trace(mesh: Mesh, field: np.ndarray, modes: ModeTable) -> FourierTra
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Potentials:
-    """Outgoing compressional/shear potential amplitudes on the interface."""
+def _check_window(modes: ModeTable, rows: np.ndarray, name: str) -> None:
+    """ValueError unless ``rows`` holds one 2-vector per order of ``modes``."""
+    if np.shape(rows) != (modes.n.size, 2):
+        raise ValueError(
+            f"{name} of shape {np.shape(rows)} do not match the "
+            f"{modes.n.size} orders of the mode table"
+        )
 
-    n_max: int
-    n: np.ndarray
-    phi1: np.ndarray
-    phi2: np.ndarray
 
+def recover_potentials(modes: ModeTable, coeffs: np.ndarray) -> np.ndarray:
+    """Invert the 2x2 modal trace map for the outgoing potentials.
 
-def recover_potentials(modes: ModeTable, trace: FourierTrace) -> Potentials:
-    """Invert the 2x2 modal trace map for the outgoing potentials."""
-    if modes.n_max != trace.n_max:
-        raise ValueError("mode table and trace use different windows")
-    v1 = trace.coeffs[:, 0]
-    v2 = trace.coeffs[:, 1]
+    ``coeffs`` are the (K, 2) trace coefficients of ``fourier_trace``.
+    Returns the (K, 2) compressional and shear potential amplitudes
+    (phi1, phi2) on the interface; row k belongs to the order modes.n[k].
+    """
+    _check_window(modes, coeffs, "trace coefficients")
+    v1, v2 = coeffs.T
     phi1 = -1j / modes.chi * (modes.alpha_n * v1 + modes.beta2 * v2)
     phi2 = -1j / modes.chi * (modes.beta1 * v1 - modes.alpha_n * v2)
-    return Potentials(n_max=modes.n_max, n=modes.n.copy(), phi1=phi1, phi2=phi2)
+    return np.stack([phi1, phi2], axis=1)
 
 
 @dataclass(frozen=True)
@@ -216,19 +201,20 @@ class EfficiencyReport:
         ]
 
 
-def efficiencies(modes: ModeTable, potentials: Potentials) -> EfficiencyReport:
+def efficiencies(modes: ModeTable, potentials: np.ndarray) -> EfficiencyReport:
     """Energy efficiencies e_j^n = beta_j^n |r_j^n|^2 / (beta |r0|^2).
 
-    r0 = -i/kappa1 is the potential amplitude of the unit incident wave and
-    r_j^n = phi_j^n e^{-i beta_j^n b} the outgoing ones referred to y = 0.
+    ``potentials`` are the (K, 2) amplitudes (phi1, phi2) of
+    ``recover_potentials``.  r0 = -i/kappa1 is the potential amplitude of
+    the unit incident wave and r_j^n = phi_j^n e^{-i beta_j^n b} the
+    outgoing ones referred to y = 0.
     """
-    if modes.n_max != potentials.n_max:
-        raise ValueError("mode table and potentials use different windows")
+    _check_window(modes, potentials, "potentials")
     ctx = modes.ctx
     b = ctx.gamma_height
     r0sq = (1.0 / ctx.kappa1) ** 2
-    r1 = potentials.phi1 * np.exp(-1j * modes.beta1 * b)
-    r2 = potentials.phi2 * np.exp(-1j * modes.beta2 * b)
+    r1 = potentials[:, 0] * np.exp(-1j * modes.beta1 * b)
+    r2 = potentials[:, 1] * np.exp(-1j * modes.beta2 * b)
     denom = ctx.beta * r0sq
     e1 = np.where(
         modes.prop1, modes.beta1.real * np.abs(r1) ** 2 / denom, np.nan

@@ -105,7 +105,7 @@ class SolveReport:
     def fill_factor(self) -> float:
         return self.lu_nnz / max(self.nnz, 1)
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         flag = "ok" if self.ok else "SUSPECT"
         return (
             f"n={self.n} nnz={self.nnz} fill={self.fill_factor:.1f}x "

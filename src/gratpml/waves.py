@@ -187,10 +187,9 @@ class ModeTable:
         Coupling scalars alpha_n^2 + beta1*beta2.
     prop1, prop2 : ndarray of bool
         Masks of the propagating sets U_1, U_2 (|alpha_n| < kappa_j).
-    delta1, delta2 : ndarray of float
-        Cut-off distances |kappa_j^2 - alpha_n^2|^(1/2).
     delta_minus, delta_plus : tuple of float
-        Per-branch minima of the cut-off distance over the propagating set
+        Per-branch minima of the cut-off distance
+        |kappa_j^2 - alpha_n^2|^(1/2) over the propagating set
         (delta_minus) and over the evanescent modes of the table
         (delta_plus, +inf when it holds none); over all n in the default
         window of ``build_mode_table``.
@@ -205,8 +204,6 @@ class ModeTable:
     chi: np.ndarray
     prop1: np.ndarray
     prop2: np.ndarray
-    delta1: np.ndarray
-    delta2: np.ndarray
     delta_minus: tuple
     delta_plus: tuple
 
@@ -215,16 +212,6 @@ class ModeTable:
         if abs(n) > self.n_max:
             raise IndexError(f"mode {n} outside truncation |n| <= {self.n_max}")
         return n + self.n_max
-
-    @property
-    def propagating1(self) -> list:
-        """Sorted list of propagating compressional mode indices (U_1)."""
-        return [int(k) for k in self.n[self.prop1]]
-
-    @property
-    def propagating2(self) -> list:
-        """Sorted list of propagating shear mode indices (U_2)."""
-        return [int(k) for k in self.n[self.prop2]]
 
 
 def _vertical_wavenumber(kappa: float, alpha_n: np.ndarray) -> np.ndarray:
@@ -308,8 +295,6 @@ def build_mode_table(ctx: WaveContext, n_max: int | None = None) -> ModeTable:
         chi=chi,
         prop1=prop1,
         prop2=prop2,
-        delta1=delta1,
-        delta2=delta2,
         delta_minus=(d_minus[0], d_minus[1]),
         delta_plus=(d_plus[0], d_plus[1]),
     )

@@ -408,7 +408,7 @@ def test_derived_mode_window_calibrates_the_layer_at_omega_6pi():
     )
     _, modes, _, profile, _ = setup(cfg)
     assert modes.n_max == 3
-    assert -2 in modes.propagating2
+    assert -2 in modes.n[modes.prop2]
     assert profile.delta == 16.0
 
 

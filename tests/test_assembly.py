@@ -28,9 +28,6 @@ from gratpml import (
 from gratpml.assembly import (
     _PAIR_A,
     _PAIR_B,
-    DIRICHLET,
-    FREE,
-    SLAVE,
     _pair_integrals,
     layer_source,
 )
@@ -183,18 +180,17 @@ def test_assembly_and_estimator_ignore_region_labels(
 def test_dofmap_reference_counts(ctx1, flat_mesh1):
     dm = build_dofmap(flat_mesh1, ctx1)
     assert dm.n_free == 280
-    n_dir = int(np.count_nonzero(dm.kind == DIRICHLET))
-    n_slave = int(np.count_nonzero(dm.kind == SLAVE))
-    assert n_dir == 2 * 10  # surface row and truncation row, five nodes each
-    assert n_slave == 2 * 35  # right wall minus its two Dirichlet corners
-    assert dm.n_free + n_dir + n_slave == 2 * flat_mesh1.n_nodes
+    n_dir = int(np.count_nonzero(dm.eq < 0))
+    n_slave = int(np.count_nonzero(dm.weight == ctx1.phase))
+    assert n_dir == 10  # surface row and truncation row, five nodes each
+    assert n_slave == 35  # right wall minus its two Dirichlet corners
+    assert dm.n_free // 2 + n_dir + n_slave == flat_mesh1.n_nodes
 
 
 def test_dofmap_dirichlet_beats_periodic_at_corners(ctx1, flat_mesh1):
     corner = np.nonzero(flat_mesh1.on_right & flat_mesh1.on_top)[0]
     dm = build_dofmap(flat_mesh1, ctx1)
-    assert np.all(dm.kind[corner] == DIRICHLET)
-    assert np.all(dm.index[corner] == -1)
+    assert np.all(dm.eq[corner] == -1)
     assert np.all(dm.weight[corner] == 0.0)
 
 
@@ -215,12 +211,12 @@ def test_dofmap_expand_applies_constraints(ctx1, flat_mesh1):
     x = rng.normal(size=dm.n_free) + 1j * rng.normal(size=dm.n_free)
     u = dm.expand(x)
     assert u.shape == (flat_mesh1.n_nodes, 2)
-    free = dm.kind == FREE
-    assert np.array_equal(u[free], x[dm.index[free]])
+    free = dm.weight == 1.0
+    assert np.array_equal(u[free], x.reshape(-1, 2)[dm.eq[free]])
     for left, right in flat_mesh1.periodic_pairs:
-        if (dm.kind[right] == SLAVE).all():
+        if dm.eq[right] >= 0:
             assert np.allclose(u[right], ctx1.phase * u[left], rtol=1e-15)
-    dirichlet = dm.kind == DIRICHLET
+    dirichlet = dm.eq < 0
     assert np.array_equal(u[dirichlet], dm.value[dirichlet])
     with pytest.raises(ValueError):
         dm.expand(x[:-1])
@@ -228,47 +224,90 @@ def test_dofmap_expand_applies_constraints(ctx1, flat_mesh1):
 
 def _node_order_dofmap(dm, mesh):
     """``dm`` with the free equations numbered in node order instead."""
-    free = dm.kind == FREE
-    index = np.full_like(dm.index, -1)
-    index[free] = np.arange(dm.n_free)
+    free = dm.weight == 1.0
+    eq = np.full_like(dm.eq, -1)
+    eq[free] = np.arange(dm.n_free // 2)
     left, right = mesh.periodic_pairs.T
-    slave = (dm.kind[right] == SLAVE).all(axis=1)
-    index[right[slave]] = index[left[slave]]
-    return dataclasses.replace(dm, index=index)
+    slave = dm.eq[right] >= 0
+    eq[right[slave]] = eq[left[slave]]
+    return dataclasses.replace(dm, eq=eq)
 
 
 def test_dofmap_numbers_free_nodes_by_height_then_x(ctx1, refined_mesh):
     dm = build_dofmap(refined_mesh, ctx1)
-    free = np.nonzero((dm.kind == FREE).all(axis=1))[0]
+    free = np.nonzero(dm.weight == 1.0)[0]
     assert 2 * free.size == dm.n_free
     # bisect appended midpoints out of spatial order
     assert np.any(np.diff(refined_mesh.nodes[free, 1]) < 0)
-    order = free[np.argsort(dm.index[free, 0])]
+    order = free[np.argsort(dm.eq[free])]
     x, y = refined_mesh.nodes[order].T
     assert np.all((np.diff(y) > 0) | ((np.diff(y) == 0) & (np.diff(x) > 0)))
-    k = np.arange(free.size)
-    assert np.array_equal(dm.index[order], np.stack([2 * k, 2 * k + 1], axis=1))
+    assert np.array_equal(dm.eq[order], np.arange(free.size))
 
 
 def test_dofmap_slaves_share_their_masters_indices(ctx1, refined_mesh):
     dm = build_dofmap(refined_mesh, ctx1)
     left, right = refined_mesh.periodic_pairs.T
-    slave = (dm.kind[right] == SLAVE).all(axis=1)
+    slave = dm.eq[right] >= 0
     assert slave.sum() > 0
-    assert np.all(dm.kind[right[~slave]] == DIRICHLET)
-    assert np.array_equal(dm.index[right[slave]], dm.index[left[slave]])
-    assert np.all(dm.index[left[slave]] >= 0)
+    assert np.all(dm.weight[right[slave]] == ctx1.phase)
+    assert np.all(dm.weight[right[~slave]] == 0.0)
+    assert np.array_equal(dm.eq[right[slave]], dm.eq[left[slave]])
+    assert np.all(dm.weight[left[slave]] == 1.0)
 
 
 def test_solution_does_not_depend_on_the_numbering(ctx1, profile1, refined_mesh):
     dm = build_dofmap(refined_mesh, ctx1)
     by_node = _node_order_dofmap(dm, refined_mesh)
-    assert not np.array_equal(by_node.index, dm.index)
+    assert not np.array_equal(by_node.eq, dm.eq)
     fields = [
         d.expand(solve_system(assemble(refined_mesh, ctx1, profile1, d))[0])
         for d in (dm, by_node)
     ]
     assert np.abs(fields[0] - fields[1]).max() <= 1e-12 * np.abs(fields[1]).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_dofmap_blocks_and_constraints_on_random_gratings(seed, data):
+    rng = np.random.default_rng(seed)
+    ctx = draw_context(rng, n_max=5)
+    geom = data.draw(gratings(ctx.period))
+    layer = make_pml(12 + 12j, 2, 1.0, b=ctx.gamma_height)
+    mesh = generate_initial(geom, ctx, layer, h0=0.25)
+    marked = data.draw(st.lists(st.integers(0, mesh.n_tris - 1), max_size=8))
+    mesh, _ = bisect(mesh, marked)
+    dm = build_dofmap(mesh, ctx)
+
+    dirichlet = mesh.on_surface | mesh.on_top
+    assert np.array_equal(dm.eq < 0, dirichlet)
+    assert np.all(dm.eq[dirichlet] == -1)
+    assert np.all(dm.weight[dirichlet] == 0.0)
+
+    left, right = mesh.periodic_pairs.T
+    slave = ~dirichlet[right]
+    masters, slaves = left[slave], right[slave]
+    assert np.array_equal(dm.eq[slaves], dm.eq[masters])
+    assert np.all(dm.weight[slaves] == ctx.phase)
+
+    free = np.ones(mesh.n_nodes, dtype=bool)
+    free[dirichlet | mesh.on_right] = False
+    assert np.all(dm.weight[free] == 1.0)
+    k = dm.n_free // 2
+    assert np.count_nonzero(free) == k
+    order = np.nonzero(free)[0][np.argsort(dm.eq[free])]
+    assert np.array_equal(dm.eq[order], np.arange(k))
+    x, y = mesh.nodes[order].T
+    assert np.all((np.diff(y) > 0) | ((np.diff(y) == 0) & (np.diff(x) > 0)))
+
+    sol = rng.normal(size=dm.n_free) + 1j * rng.normal(size=dm.n_free)
+    u = dm.expand(sol)
+    blocks = sol.reshape(-1, 2)
+    assert np.array_equal(u[dirichlet], dm.value[dirichlet])
+    assert np.array_equal(u[order], blocks)
+    assert np.allclose(
+        u[slaves], ctx.phase * blocks[dm.eq[masters]], rtol=1e-15, atol=0.0
+    )
 
 
 def _without_left_wall_triangles(mesh, count):
@@ -381,10 +420,10 @@ def _dense_reference_system(mesh, ctx, profile, dofmap, literal_mixed):
     for node in range(n):
         for c in range(2):
             gd = 2 * node + c
-            if dofmap.kind[node, c] == DIRICHLET:
+            if dofmap.eq[node] < 0:
                 shift[gd] = dofmap.value[node, c]
             else:
-                cmat[gd, dofmap.index[node, c]] = dofmap.weight[node, c]
+                cmat[gd, 2 * dofmap.eq[node] + c] = dofmap.weight[node]
     a_red = cmat.conj().T @ kfull @ cmat
     b_red = cmat.conj().T @ (ffull - kfull @ shift)
     return a_red, b_red

@@ -93,8 +93,8 @@ def test_mode_table_reference_values(modes1):
     assert modes1.chi[im] == pytest.approx(15.764289997908588 + 0j, rel=1e-13)
 
     # only the specular order propagates for either branch at this frequency
-    assert modes1.propagating1 == [0]
-    assert modes1.propagating2 == [0]
+    assert modes1.n[modes1.prop1].tolist() == [0]
+    assert modes1.n[modes1.prop2].tolist() == [0]
 
 
 def test_mode_table_layout_and_index(modes1):
@@ -121,15 +121,14 @@ def test_mode_table_branch_convention(modes1):
 
 def test_mode_table_cutoff_distances(modes1):
     k1, k2 = modes1.ctx.kappa1, modes1.ctx.kappa2
-    assert np.allclose(
-        modes1.delta1, np.sqrt(np.abs(k1**2 - modes1.alpha_n**2)), rtol=1e-14
-    )
-    d_minus1 = modes1.delta1[modes1.prop1].min()
-    d_plus1 = modes1.delta1[~modes1.prop1].min()
+    delta1 = np.sqrt(np.abs(k1**2 - modes1.alpha_n**2))
+    delta2 = np.sqrt(np.abs(k2**2 - modes1.alpha_n**2))
+    d_minus1 = delta1[modes1.prop1].min()
+    d_plus1 = delta1[~modes1.prop1].min()
     assert modes1.delta_minus[0] == pytest.approx(d_minus1, rel=1e-15)
     assert modes1.delta_plus[0] == pytest.approx(d_plus1, rel=1e-15)
     assert modes1.delta_minus[1] == pytest.approx(
-        modes1.delta2[modes1.prop2].min(), rel=1e-15
+        delta2[modes1.prop2].min(), rel=1e-15
     )
 
 
@@ -170,12 +169,12 @@ def test_derived_window_holds_every_mode_the_minima_depend_on(seed, delta):
     ctx = draw_context(rng, n_max=60)
     derived = build_mode_table(ctx)
     wide = build_mode_table(ctx, 60)
-    shear = wide.propagating2
+    shear = wide.n[wide.prop2]
     assert derived.n_max == max(1 - shear[0], shear[-1] + 1) < 60
     assert derived.delta_minus == wide.delta_minus
     assert derived.delta_plus == wide.delta_plus
-    assert derived.propagating1 == wide.propagating1
-    assert derived.propagating2 == wide.propagating2
+    assert np.array_equal(derived.n[derived.prop1], wide.n[wide.prop1])
+    assert np.array_equal(derived.n[derived.prop2], shear)
     layer = make_pml(12.0 + 12.0j, 2, delta, ctx.gamma_height)
     assert np.array_equal(
         modeling_constants(ctx, derived, layer).terms,
