@@ -290,7 +290,8 @@ def write_summary(run_result: AdaptiveRun, path) -> None:
 
     A run of two or more iterations also reports the slopes of ``eps_fem``
     and, where it exists, of the true H1 error against dofs, fitted by
-    ``fit_slope`` over the last four iterations (optimal P1: -1/2).
+    ``fit_slope`` over the last four iterations (optimal P1: -1/2), and the
+    dofs at which that ``eps_fem`` slope reaches the tolerance.
     """
     cfg = run_result.config
     ctx = run_result.ctx
@@ -330,6 +331,13 @@ def write_summary(run_result: AdaptiveRun, path) -> None:
         dofs = [r.n_dofs for r in records]
         slope = fit_slope(dofs, [r.eps_fem for r in records], last=4)
         lines.append(f"eps_fem slope (last 4) = {slope!r}")
+        need = np.inf  # eps_fem ~ dofs**slope meets the tolerance only if it falls
+        if slope < 0.0:
+            with np.errstate(over="ignore"):
+                need = rec.n_dofs * np.power(cfg.tolerance / rec.eps_fem, 1 / slope)
+        verdict = "above" if need > cfg.max_dofs else "within"
+        lines.append(f"dofs projected for tolerance {cfg.tolerance!r} at that slope: "
+                     f"{need:.3g} ({verdict} max_dofs = {cfg.max_dofs})")
         if np.isfinite(rec.true_error):
             slope = fit_slope(dofs, [r.true_error for r in records], last=4)
             lines.append(f"true H1 slope (last 4) = {slope!r}")

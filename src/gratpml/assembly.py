@@ -38,17 +38,21 @@ on the truncation line, and quasi-periodicity u(period, y) =
 exp(i*alpha*period) * u(0, y) imposed by slaving each right node to its
 mirrored left node.  Both constraints act on the two components of a node
 alike, so ``DofMap`` holds one equation block eq_p and one weight w_p per
-node p, and the constraints fold once per node-pair block: constrained
-test functions carry the conjugate phase, so a block (p, q) takes the
-weights conj(w_p) * w_q and is added to the block (eq_p, eq_q) of the
-reduced matrix (a slave shares its master's block).  The reduced
-matrix is therefore structurally symmetric (its pattern equals that of its
-transpose) and A(alpha)^T = A(-alpha) for the Bloch parameter alpha; it is
-complex symmetric only at normal incidence.  The blocks of eliminated
-Dirichlet columns are folded into the right-hand side together with the
-volume data g = L u_inc of the layer, which ``layer_source`` evaluates at
-the points of the element rule; the residual estimator integrates the same
-values.
+node p, and the constraints fold as one index map: constrained test
+functions carry the conjugate phase, so entry e of the node-pair block
+(p, q) takes the weight conj(w_p) * w_q and goes to row 2*eq_p + e % 2 and
+column 2*eq_q + e // 2 (a slave shares its master's block).  One COO to
+CSC conversion sums the entries: an equation block holds at most a master
+and its slave, and no left-wall node neighbours a right-wall node (at
+least two element columns, which bisection only narrows), so at most two
+blocks meet in one entry and their sum does not depend on the order of
+summation.  The reduced matrix is therefore structurally symmetric (its
+pattern equals that of its transpose) and A(alpha)^T = A(-alpha) for the
+Bloch parameter alpha; it is complex symmetric only at normal incidence.
+The blocks of eliminated Dirichlet columns are folded into the right-hand
+side together with the volume data g = L u_inc of the layer, which
+``layer_source`` evaluates at the points of the element rule; the residual
+estimator integrates the same values.
 """
 
 from __future__ import annotations
@@ -358,41 +362,25 @@ def assemble(
         return np.concatenate([pairs[entry], pairs[(0, 2, 1, 3)[entry], n:]])
 
     # Node p holds the equations (2*eq[p], 2*eq[p] + 1), none if Dirichlet.
-    # Blocks with a Dirichlet trial node fold into the load.  The others
-    # take the constraint weights conj(w) (test) and w (trial) and are
-    # summed per pair of equation nodes (a slave shares its master's), in
-    # the order of the trial, then the test equation node.
+    # Blocks with a Dirichlet trial node fold into the load; the others
+    # take the weights conj(w) (test) and w (trial) and go through the
+    # index map of the module docstring, with at most two blocks per entry.
     eq, weight = dofmap.eq, dofmap.weight
     live = eq >= 0
     lifted = np.nonzero(live[test] & ~live[trial])[0]
     kept = np.nonzero(live[test] & live[trial])[0]
-    k = dofmap.n_free // 2
-    key = eq[trial[kept]].astype(np.int64) * k + eq[test[kept]]
-    order = np.argsort(key)
-    kept, key = kept[order], key[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
     wt = np.conj(weight[test[kept]]) * weight[trial[kept]]
     lift = np.empty((4, len(lifted)), dtype=complex)
-    blocks = np.empty((len(starts), 4), dtype=complex)
+    vals = np.empty((4, len(kept)), dtype=complex)
     for entry in range(4):
         v = ordered(entry)
         lift[entry] = v[lifted]
-        blocks[:, entry] = np.add.reduceat(v[kept] * wt, starts)
-
-    # Sorted by trial node, the blocks are the block rows of the transpose
-    # (each block transposed too), whose CSR arrays are the CSC arrays of
-    # the matrix.
-    j, i = np.divmod(key[starts], k)
-    transpose = sp.bsr_matrix(
-        (
-            blocks.reshape(-1, 2, 2),
-            i,
-            np.concatenate([[0], np.cumsum(np.bincount(j, minlength=k))]),
-        ),
-        shape=(dofmap.n_free, dofmap.n_free),
-    ).tocsr()
+        vals[entry] = v[kept] * wt
+    e = np.arange(4, dtype=eq.dtype)[:, None]
+    rows = (2 * eq[test[kept]] + e % 2).ravel()
+    cols = (2 * eq[trial[kept]] + e // 2).ravel()
     matrix = sp.csc_matrix(
-        (transpose.data, transpose.indices, transpose.indptr), shape=transpose.shape
+        (vals.ravel(), (rows, cols)), shape=(dofmap.n_free, dofmap.n_free)
     )
     matrix.eliminate_zeros()
 

@@ -519,6 +519,47 @@ def test_summary_mentions_the_key_results(tmp_path, small_run):
     }
 
 
+def _projection(run_result, tmp_path):
+    path = tmp_path / "summary.txt"
+    write_summary(run_result, path)
+    (line,) = [
+        l for l in path.read_text(encoding="utf-8").splitlines()
+        if l.startswith("dofs projected")
+    ]
+    match = re.fullmatch(
+        r"dofs projected for tolerance (.+) at that slope: (.+) "
+        r"\((above|within) max_dofs = (\d+)\)",
+        line,
+    )
+    assert match, line
+    assert float(match[1]) == run_result.config.tolerance
+    assert int(match[4]) == run_result.config.max_dofs
+    return float(match[2]), match[3]
+
+
+def test_summary_projects_the_dofs_the_tolerance_needs(tmp_path, small_run):
+    # dofs * (tolerance / eps_fem)**(1 / slope) on the last record
+    cfg, records = small_run.config, small_run.records
+    slope = fit_slope([r.n_dofs for r in records], [r.eps_fem for r in records])
+    rec = records[-1]
+    want = rec.n_dofs * (cfg.tolerance / rec.eps_fem) ** (1.0 / slope)
+    need, verdict = _projection(small_run, tmp_path)
+    assert need == pytest.approx(want, rel=5e-3)
+    assert verdict == "above" and want > cfg.max_dofs
+    # within the budget once the tolerance is eased to the last estimate
+    eased = dataclasses.replace(
+        small_run, config=dataclasses.replace(cfg, tolerance=rec.eps_fem)
+    )
+    assert _projection(eased, tmp_path) == (pytest.approx(rec.n_dofs), "within")
+    # out of reach: an estimate that rises, one that falls so slowly that
+    # the power overflows
+    for power in (1.0, -0.01):
+        slow = dataclasses.replace(small_run, records=[
+            dataclasses.replace(r, eps_fem=r.n_dofs**power) for r in records
+        ])
+        assert _projection(slow, tmp_path) == (math.inf, "above")
+
+
 def test_summary_prints_efficiencies_as_plain_floats(tmp_path, small_run):
     path = tmp_path / "summary.txt"
     write_summary(small_run, path)
@@ -796,16 +837,17 @@ def test_cli_pml_calibrate_exit_3_when_no_thickness_meets_the_target(
 # theta = 40.91428 degrees.
 THETA_CUT_DEG = math.degrees(math.asin(math.sqrt(5.0) * (1.0 - math.sqrt(0.5))))
 
+# At omega = 3*pi (kappa1 = 3*pi/sqrt(5)) the compressional order n = -1
+# reaches its cut-off alpha_-1 = -kappa1 where sin(theta) = 2*sqrt(5)/3 - 1,
+# at theta = 29.39 degrees; the BASE wave has no compressional cut-off
+# below 90 degrees.
+THETA_CUT1_DEG = math.degrees(math.asin(2.0 * math.sqrt(5.0) / 3.0 - 1.0))
 
-@settings(max_examples=20, deadline=None)
-@example(rel=1e-9)
-@example(rel=-1e-9)
-@given(rel=st.floats(-1e-2, 1e-2))
-def test_cli_solve_near_a_rayleigh_cut_off(tmp_path_factory, rel):
+
+def _solve_near_a_cut_off(tmp, branch, **overrides):
     # near a cut-off the run either absorbs the slow mode or reports a
     # numerical failure; it never raises and never keeps a leaky layer
-    tmp = tmp_path_factory.mktemp("cutoff")
-    cfg = _cli_config(tmp, theta_deg=THETA_CUT_DEG * (1.0 + rel))
+    cfg = _cli_config(tmp, **overrides)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["solve", "--config", str(cfg), "--out", str(tmp / "o"),
@@ -817,7 +859,30 @@ def test_cli_solve_near_a_rayleigh_cut_off(tmp_path_factory, rel):
         assert float(final["eps_pml"]) <= 1e-3 * float(final["eps_fem"])
     else:
         assert ("F_hat*sqrt(period) <= 1e-08; best was" in err.getvalue()
-                or "sits at the branch-2 cut-off" in err.getvalue())
+                or f"sits at the branch-{branch} cut-off" in err.getvalue())
+
+
+@settings(max_examples=20, deadline=None)
+@example(rel=1e-9)
+@example(rel=-1e-9)
+@given(rel=st.floats(-1e-2, 1e-2))
+def test_cli_solve_near_a_rayleigh_cut_off(tmp_path_factory, rel):
+    _solve_near_a_cut_off(
+        tmp_path_factory.mktemp("cutoff"), 2, theta_deg=THETA_CUT_DEG * (1.0 + rel)
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@example(rel=1e-9)
+@example(rel=-1e-9)
+@given(rel=st.floats(-1e-2, 1e-2))
+def test_cli_solve_near_a_compressional_cut_off(tmp_path_factory, rel):
+    _solve_near_a_cut_off(
+        tmp_path_factory.mktemp("cutoff1"),
+        1,
+        omega=3.0 * math.pi,
+        theta_deg=THETA_CUT1_DEG * (1.0 + rel),
+    )
 
 
 def test_cli_exit_3_for_numerical_failures(tmp_path, capsys):

@@ -457,6 +457,27 @@ def test_assembled_system_matches_dense_reference(
     assert np.abs(system.rhs - b_ref).max() <= 1e-12 * np.abs(b_ref).max()
 
 
+@pytest.mark.parametrize("which", ["small_mesh", "refined_mesh"])
+def test_at_most_two_node_pair_blocks_meet_in_one_equation_block(
+    ctx1, profile1, which, request
+):
+    # assemble sums the weighted node-pair blocks in one sparse conversion;
+    # its summation order cannot change a sum of two.  A master and its
+    # slave share an equation block, and no left-wall node neighbours a
+    # right-wall node (small_mesh has the fewest columns allowed, two)
+    mesh = request.getfixturevalue(which)
+    dm = build_dofmap(mesh, ctx1)
+    lo, hi = mesh.edge_structure()[0].T
+    nodes = np.arange(mesh.n_nodes)
+    test = np.concatenate([nodes, lo, hi])
+    trial = np.concatenate([nodes, hi, lo])
+    kept = (dm.eq[test] >= 0) & (dm.eq[trial] >= 0)
+    pairs = np.stack([dm.eq[test[kept]], dm.eq[trial[kept]]], axis=1)
+    _, counts = np.unique(pairs, axis=0, return_counts=True)
+    assert counts.max() == 2  # reached: a master's and its slave's diagonal
+    assert assemble(mesh, ctx1, profile1, dm).matrix.has_canonical_format
+
+
 def test_mixed_term_groupings_assemble_identically(ctx1, profile1, small_mesh):
     # element-wise the two groupings differ, but the difference is a null
     # Lagrangian: the reduced systems must coincide
