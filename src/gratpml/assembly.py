@@ -236,12 +236,10 @@ def _pair_integrals(
     ga, gb = grads[:, _PAIR_A], grads[:, _PAIR_B]
     gxx = ga[..., 0] * gb[..., 0]
     gyy = ga[..., 1] * gb[..., 1]
-    # in place: on large blocks the temporaries, not the flops, set the cost
-    diag = np.empty((2,) + mass.shape, dtype=complex)
-    for out, cx, cy in ((diag[0], lam + 2 * mu, mu), (diag[1], mu, lam + 2 * mu)):
-        np.multiply((cx * int_rho)[:, None], gxx, out=out)
-        out += (cy * int_inv)[:, None] * gyy
-        out += mass
+    diag = np.stack([
+        (cx * int_rho)[:, None] * gxx + (cy * int_inv)[:, None] * gyy + mass
+        for cx, cy in ((lam + 2 * mu, mu), (mu, lam + 2 * mu))
+    ])
     mixed = area[:, None] * np.stack(
         [ga[..., 0] * gb[..., 1], gb[..., 0] * ga[..., 1]]
     )

@@ -102,14 +102,14 @@ def _residuals(
         r = rho(profile, y)
         rp = rho_prime(profile, y)
         dy = jac[blk, :, 1, None]  # dy(u_c), (B, 2, 1)
-        uq1, uq2 = vals[:, :, 0] @ bary.T, vals[:, :, 1] @ bary.T
-        r1 = -ctx.mu * rp / r**2 * dy[:, 0] + om2 * r * uq1 - source[blk, :, 0]
-        r2 = (
-            -(ctx.lam + 2.0 * ctx.mu) * rp / r**2 * dy[:, 1]
-            + om2 * r * uq2 - source[blk, :, 1]
-        )
-        dens = np.abs(r1) ** 2 + np.abs(r2) ** 2
-        out[blk] = np.sqrt(area[blk] * (dens @ w).real)
+        dens = np.zeros(r.shape)
+        for k, coef in enumerate((ctx.mu, ctx.lam + 2.0 * ctx.mu)):
+            res = (
+                -coef * rp / r**2 * dy[:, k]
+                + om2 * r * (vals[:, :, k] @ bary.T) - source[blk, :, k]
+            )
+            dens += np.abs(res) ** 2
+        out[blk] = np.sqrt(area[blk] * (dens @ w))
     return out
 
 
@@ -141,15 +141,12 @@ def _jumps(
 
     ``jac`` holds the element Jacobians of the field.  The jump along an
     edge is P*rho(y) + C + Q/rho(y) with constant parts P, C, Q
-    (``_flux_parts``).  The 5-point edge rule of its squared modulus is
-    evaluated in expanded form, per component:
+    (``_flux_parts``), and ||J_e||^2 is the 5-point ``edge_rule`` of its
+    squared modulus summed over the two components:
 
-        |P|^2 m(|rho|^2) + |C|^2 m(1) + |Q|^2 m(|rho|^-2)
-        + 2 Re(conj(C) * (P m(rho) + Q m(1/rho)) + P conj(Q) m(rho/conj(rho))),
+        ||J_e||^2 ~= h_e * sum_q w_q sum_k |P_k rho(y_q) + Q_k/rho(y_q) + C_k|^2
 
-    with the six field-independent moments m(f) = sum_q w_q f(rho(y_q)) of
-    the edge.  Round-off can leave a vanishing jump slightly negative, so
-    each edge's value is clamped at 0.
+    at the points y_q of the edge.
     """
     edges, _, edge_tri = mesh.edge_structure()
     dvec = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
@@ -172,18 +169,10 @@ def _jumps(
     eids = np.concatenate([interior, left])
     tq, wq = edge_rule()
     r = rho(profile, mesh.nodes[edges[eids, 0], 1, None] + dvec[eids, 1, None] * tq)
-    r2 = np.abs(r) ** 2
-    # 1/rho and rho/conj(rho) as conj(rho)/|rho|^2 and rho^2/|rho|^2
-    m_sq, m_inv_sq, m_rho, m_inv, m_phase = (
-        (f @ wq)[:, None] for f in (r2, 1.0 / r2, r, np.conj(r) / r2, r * r / r2)
-    )
-    dens = (
-        np.abs(p) ** 2 * m_sq
-        + np.abs(c) ** 2 * wq.sum()
-        + np.abs(q) ** 2 * m_inv_sq
-        + 2.0 * (np.conj(c) * (p * m_rho + q * m_inv) + p * np.conj(q) * m_phase).real
-    ).sum(axis=1)
-    q_e = h[eids] ** 2 * np.maximum(dens, 0.0)
+    dens = np.zeros(r.shape)
+    for k in range(2):
+        dens += np.abs(p[:, k, None] * r + q[:, k, None] / r + c[:, k, None]) ** 2
+    q_e = h[eids] ** 2 * (dens @ wq)
     n = mesh.n_tris
     return np.bincount(np.concatenate([t1, tl]), q_e, minlength=n) + np.bincount(
         np.concatenate([t2, tr]), q_e, minlength=n

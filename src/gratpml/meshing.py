@@ -34,6 +34,7 @@ the total, break ties by lower element index.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from math import ceil, hypot
 
@@ -150,9 +151,14 @@ def sharp_profile(period: float) -> GratingProfile:
 def load_profile(path) -> GratingProfile:
     """Read a two-column (x, y) text file ('#' comments) into a profile."""
     try:
-        data = np.loadtxt(path, comments="#", ndmin=2)
+        with warnings.catch_warnings():
+            # a file without points is reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, comments="#", ndmin=2)
     except (OSError, ValueError) as exc:
         raise GeometryError(f"cannot read profile file {path!r}: {exc}") from exc
+    if data.size == 0:
+        raise GeometryError(f"profile file {path!r} holds no points")
     if data.shape[1] != 2:
         raise GeometryError(
             f"profile file {path!r} must have two columns, got {data.shape[1]}"

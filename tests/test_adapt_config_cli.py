@@ -820,16 +820,26 @@ def test_cli_pml_calibrate_exit_3_when_no_thickness_meets_the_target(
     # order decays too slowly: at delta = 64, the thickest,
     # F_hat*sqrt(period) is still 26.9
     cfg = _cli_config(tmp_path, theta_deg=40.918)
+    failure = "F_hat*sqrt(period) <= 1e-08; best was 26.9 at delta = 64.0"
     assert main(["pml-calibrate", "--config", str(cfg)]) == 3
     captured = capsys.readouterr()
     assert "numerical failure" in captured.err
-    assert "F_hat*sqrt(period) <= 1e-08; best was 26.9" in captured.err
+    assert failure in captured.err
     # the table is printed before the failure, without a selected row
     rows = captured.out.splitlines()[2:]
     assert [float(row.split()[0]) for row in rows] == [
         0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0
     ]
     assert "selected" not in captured.out
+    # the other commands calibrate first and fail alike, before any output
+    out = tmp_path / "out"
+    for command in ("solve", "mesh-info"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "numerical failure" in captured.err
+        assert failure in captured.err
+        assert captured.out == ""
+    assert list(out.iterdir()) == []  # no report, no mesh
 
 
 # With the BASE wave the shear order n = -1 reaches its cut-off
@@ -893,8 +903,15 @@ def test_cli_exit_3_for_numerical_failures(tmp_path, capsys):
     )
     path = tmp_path / "resonant.cfg"
     write_config(resonant, path)
-    assert main(["solve", "--config", str(path), "--quiet"]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    for command in ("solve", "mesh-info", "pml-calibrate"):
+        argv = [command, "--config", str(path)]
+        if command != "pml-calibrate":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 3, command
+        captured = capsys.readouterr()
+        assert "numerical failure" in captured.err
+        assert "sits at the branch-2 cut-off" in captured.err
+        assert captured.out == ""
 
 
 def test_cli_help_and_usage_errors(capsys):

@@ -11,7 +11,7 @@ import gratpml.estimator
 from gratpml import flat_profile, generate_initial, indicators, layer_source, make_pml
 from gratpml.meshing import p1_jacobian
 from gratpml.pml import rho
-from gratpml.quadrature import element_rule
+from gratpml.quadrature import edge_rule, element_rule
 
 from conftest import draw_context, gratings, reference_rule
 
@@ -192,8 +192,18 @@ def _naive_flux(j, nx, ny, ctx):
     return p, c, q
 
 
-def _naive_jump_terms(mesh, field, ctx, profile):
-    grads = _naive_gradients(mesh, field)
+def _adaptive_quad(dens):
+    return quad(dens, 0.0, 1.0, limit=200)[0]
+
+
+def _edge_rule_sum(dens):
+    t, w = edge_rule()
+    return sum(wq * dens(tq) for tq, wq in zip(t, w))
+
+
+def _naive_jump_terms(mesh, grads, ctx, profile, integrate):
+    # grads (M, 2, 2) are the element gradients; integrate(dens) integrates
+    # dens(s) over the edge parameter s in [0, 1]
     edges, _, edge_tri = mesh.edge_structure()
     out = np.zeros(mesh.n_tris)
 
@@ -206,7 +216,7 @@ def _naive_jump_terms(mesh, field, ctx, profile):
             val = dp * r + dc + dq / r
             return float((np.abs(val) ** 2).sum())
 
-        q_e = h**2 * quad(dens, 0.0, 1.0, limit=200)[0]
+        q_e = h**2 * integrate(dens)
         for t in tris:
             out[t] += q_e
 
@@ -218,9 +228,8 @@ def _naive_jump_terms(mesh, field, ctx, profile):
         d = pb - pa
         h = float(np.hypot(*d))
         nx, ny = d[1] / h, -d[0] / h
-        pcq1 = _naive_flux(grads[t1], nx, ny, ctx)
-        pcq2 = _naive_flux(grads[t2], nx, ny, ctx)
-        add(eid, *(a - b for a, b in zip(pcq1, pcq2)), (t1, t2))
+        # the flux is linear: the flux of the gradient jump
+        add(eid, *_naive_flux(grads[t1] - grads[t2], nx, ny, ctx), (t1, t2))
 
     # pair up wall edges by their y-interval
     def wall_edges(flags):
@@ -239,25 +248,41 @@ def _naive_jump_terms(mesh, field, ctx, profile):
     for key, eid in lefts.items():
         mate = rights[key]
         tl, tr = edge_tri[eid, 0], edge_tri[mate, 0]
-        pcql = _naive_flux(grads[tl], 1.0, 0.0, ctx)
-        pcqr = _naive_flux(grads[tr], 1.0, 0.0, ctx)
-        add(eid, *(a - phase * b for a, b in zip(pcql, pcqr)), (tl, tr))
+        jump = grads[tl] - phase * grads[tr]
+        add(eid, *_naive_flux(jump, 1.0, 0.0, ctx), (tl, tr))
     return out
 
 
 def test_jump_terms_match_naive_edge_loop(ctx1, profile1, small_mesh, refined_mesh):
+    rng = np.random.default_rng(5)
+    gx, gy, u0 = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
     for mesh in (small_mesh, refined_mesh):
+        # the exact edge integrals, from independently computed gradients
         field = _random_field(mesh, 3)
         got = _jumps(mesh, field, ctx1, profile1)
-        want = _naive_jump_terms(mesh, field, ctx1, profile1)
+        want = _naive_jump_terms(
+            mesh, _naive_gradients(mesh, field), ctx1, profile1, _adaptive_quad
+        )
         assert np.allclose(got, want, rtol=1e-10, atol=1e-13)
+        # the kernel is the 5-point edge rule of |P*rho + C + Q/rho|^2, to
+        # round-off, also where the jumps are small against the gradients
+        # (affine fields with little noise); the element gradients are the
+        # kernel's, so only the rule is compared
+        x, y = mesh.nodes.T
+        for noise in (1e-9, 1e-6, 1.0):
+            field = u0 + x[:, None] * gx + y[:, None] * gy
+            field += noise * _random_field(mesh, 3)
+            got = _jumps(mesh, field, ctx1, profile1)
+            jac = p1_jacobian(field[mesh.tris], mesh.grads())
+            want = _naive_jump_terms(mesh, jac, ctx1, profile1, _edge_rule_sum)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_jump_terms_are_finite_and_nonnegative(seed, data):
-    # an affine field has only round-off jumps inside, where the terms of
-    # the expanded form cancel; the noise makes them genuine
+    # an affine field has only round-off jumps inside, where the flux parts
+    # of the gradient jump are round-off; the noise makes them genuine
     rng = np.random.default_rng(seed)
     ctx = draw_context(rng, n_max=5)
     geom = data.draw(gratings(ctx.period))

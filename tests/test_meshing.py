@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from math import ceil
 
@@ -25,6 +26,7 @@ from gratpml import (
     sharp_profile,
     write_vtk,
 )
+from gratpml.cli import main
 from gratpml.meshing import PML, PHYSICAL, GratingProfile, Mesh
 
 from conftest import gratings, rebuilt
@@ -80,6 +82,27 @@ def test_profile_file_errors(tmp_path):
     bad.write_text("0.0 0.0 0.0\n1.0 0.0 0.0\n")
     with pytest.raises(GeometryError):
         load_profile(bad)
+
+
+@pytest.mark.parametrize(
+    "text", ["", "# a comment, no points\n\n"], ids=["empty", "comments-only"]
+)
+def test_profile_file_without_points(tmp_path, capsys, text):
+    # one error that says so, and no loadtxt warning on stderr
+    empty = tmp_path / "empty.txt"
+    empty.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match="holds no points"):
+            load_profile(empty)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "[wave]\nomega = 6.283185307179586\nlambda = 1.0\nmu = 2.0\n"
+        "theta_deg = 30.0\nperiod = 1.0\ngamma_height = 1.0\n"
+        f"[grating]\nfile = {empty}\n"
+    )
+    assert main(["mesh-info", "--config", str(cfg)]) == 2
+    assert "holds no points" in capsys.readouterr().err
 
 
 # a peak on the periodic seam: the profile falls from x = 0 and rises to x = 1
