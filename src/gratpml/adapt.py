@@ -73,17 +73,20 @@ __all__ = [
 
 @dataclass
 class IterationRecord:
-    """Everything measured on one mesh of the adaptive loop."""
+    """Everything measured on one mesh of the adaptive loop.
+
+    Stored: ``iteration``, ``true_error`` (NaN without an exact solution),
+    ``corner_fraction``, ``wall_time`` and the stage results ``solve``,
+    ``efficiency``, ``indicators``, ``mesh`` and ``field_values``.
+
+    Derived, read from those stage results: ``n_nodes`` and ``n_tris``
+    (``mesh``), ``n_dofs`` (``solve.n``, the size of the solved system),
+    ``global_eta``, ``eps_fem`` and ``eps_pml`` (``indicators``),
+    ``energy_total`` (``efficiency.total``) and ``energy_defect``
+    (``|efficiency.total - 1|``).
+    """
 
     iteration: int
-    n_nodes: int
-    n_tris: int
-    n_dofs: int
-    global_eta: float
-    eps_fem: float
-    eps_pml: float
-    energy_total: float
-    energy_defect: float
     true_error: float
     corner_fraction: float
     wall_time: float
@@ -92,6 +95,38 @@ class IterationRecord:
     indicators: ErrorIndicators = field(repr=False)
     mesh: Mesh = field(repr=False)
     field_values: np.ndarray = field(repr=False)
+
+    @property
+    def n_nodes(self) -> int:
+        return self.mesh.n_nodes
+
+    @property
+    def n_tris(self) -> int:
+        return self.mesh.n_tris
+
+    @property
+    def n_dofs(self) -> int:
+        return self.solve.n
+
+    @property
+    def global_eta(self) -> float:
+        return self.indicators.global_eta
+
+    @property
+    def eps_fem(self) -> float:
+        return self.indicators.eps_fem
+
+    @property
+    def eps_pml(self) -> float:
+        return self.indicators.eps_pml
+
+    @property
+    def energy_total(self) -> float:
+        return self.efficiency.total
+
+    @property
+    def energy_defect(self) -> float:
+        return abs(self.efficiency.total - 1.0)
 
 
 @dataclass
@@ -194,14 +229,6 @@ def run(cfg: RunConfig, progress=None) -> AdaptiveRun:
         fraction = locate_corner_fraction(mesh, corners, radius)
         record = IterationRecord(
             iteration=it,
-            n_nodes=mesh.n_nodes,
-            n_tris=mesh.n_tris,
-            n_dofs=dofmap.n_free,
-            global_eta=ind.global_eta,
-            eps_fem=ind.eps_fem,
-            eps_pml=ind.eps_pml,
-            energy_total=eff.total,
-            energy_defect=abs(eff.total - 1.0),
             true_error=true_error,
             corner_fraction=fraction,
             wall_time=time.perf_counter() - t0,

@@ -120,15 +120,15 @@ class DofMap:
 
 @dataclass
 class SparseSystem:
-    """Reduced linear system A x = rhs with its dof map.
+    """Reduced linear system A x = rhs.
 
     ``matrix`` is CSC (ready for sparse LU); ``rhs`` includes the folded
-    Dirichlet data and the layer volume data.
+    Dirichlet data and the layer volume data.  The ``DofMap`` that numbers
+    its equations stays with the caller, which expands the solution.
     """
 
     matrix: sp.csc_matrix
     rhs: np.ndarray
-    dofmap: DofMap
 
     @property
     def n(self) -> int:
@@ -394,4 +394,4 @@ def assemble(
         rows, f.imag.ravel(), minlength=dofmap.n_free
     )
 
-    return SparseSystem(matrix=matrix, rhs=rhs, dofmap=dofmap)
+    return SparseSystem(matrix=matrix, rhs=rhs)

@@ -16,6 +16,7 @@ calibration impossible, trace coverage).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -86,17 +87,42 @@ def _progress_printer(quiet: bool):
     return emit
 
 
+@contextlib.contextmanager
+def _output_dir(path):
+    """Create the directory ``path`` (if given) before the command's work,
+    so that an unwritable path fails first; when the command then fails,
+    remove the directories created here that are still empty."""
+    if not path:
+        yield
+        return
+    created = []  # deepest first
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        created.append(head)
+        head = os.path.dirname(head)
+    try:
+        os.makedirs(path, exist_ok=True)
+        yield
+    except BaseException:
+        for new in created:
+            try:
+                os.rmdir(new)
+            except OSError:  # not empty, or never made
+                break
+        raise
+
+
 def _cmd_solve(cfg: RunConfig, args) -> int:
     out = args.out if args.out else cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    result = run(cfg, _progress_printer(args.quiet))
-    write_convergence_csv(result, os.path.join(out, "convergence.csv"))
-    write_efficiency_csv(result.final.efficiency, os.path.join(out, "efficiency.csv"))
-    write_summary(result, os.path.join(out, "run_summary.txt"))
-    if cfg.write_vtk:
-        write_vtk_series(result, out)
-    if cfg.write_system:
-        result.system.write_matrix_market(os.path.join(out, "system.mtx"))
+    with _output_dir(out):
+        result = run(cfg, _progress_printer(args.quiet))
+        write_convergence_csv(result, os.path.join(out, "convergence.csv"))
+        write_efficiency_csv(result.final.efficiency, os.path.join(out, "efficiency.csv"))
+        write_summary(result, os.path.join(out, "run_summary.txt"))
+        if cfg.write_vtk:
+            write_vtk_series(result, out)
+        if cfg.write_system:
+            result.system.write_matrix_market(os.path.join(out, "system.mtx"))
     if not args.quiet:
         print(f"stopped: {result.stop_reason}; reports in {out}/")
     return 0
@@ -123,25 +149,24 @@ def _cmd_pml_calibrate(cfg: RunConfig, args) -> int:
 
 
 def _cmd_mesh_info(cfg: RunConfig, args) -> int:
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)  # fail before anything is printed
-    ctx, _, geom, profile, constants = setup(cfg)
-    mesh = generate_initial(geom, ctx, profile, cfg.h0)
-    mesh.validate(geom)
-    areas = mesh.areas()
-    print(f"nodes:    {mesh.n_nodes}")
-    print(f"elements: {mesh.n_tris} "
-          f"(physical {int((mesh.region == PHYSICAL).sum())}, "
-          f"layer {int((mesh.region == PML).sum())})")
-    print(f"area:     min {areas.min():.6g}, max {areas.max():.6g}, "
-          f"total {areas.sum():.6g}")
-    print(f"diameter: max {mesh.diameters().max():.6g}")
-    print(f"layer:    delta = {profile.delta!r}, zeta = {profile.zeta!r}, "
-          f"F_hat = {constants.f_hat:.4e}")
-    if args.out:
-        path = os.path.join(args.out, "mesh_initial.vtk")
-        write_vtk(mesh, path, cell_data={"region": mesh.region.astype(float)})
-        print(f"wrote {path}")
+    with _output_dir(args.out):  # fail before anything is printed
+        ctx, _, geom, profile, constants = setup(cfg)
+        mesh = generate_initial(geom, ctx, profile, cfg.h0)
+        mesh.validate(geom)
+        areas = mesh.areas()
+        print(f"nodes:    {mesh.n_nodes}")
+        print(f"elements: {mesh.n_tris} "
+              f"(physical {int((mesh.region == PHYSICAL).sum())}, "
+              f"layer {int((mesh.region == PML).sum())})")
+        print(f"area:     min {areas.min():.6g}, max {areas.max():.6g}, "
+              f"total {areas.sum():.6g}")
+        print(f"diameter: max {mesh.diameters().max():.6g}")
+        print(f"layer:    delta = {profile.delta!r}, zeta = {profile.zeta!r}, "
+              f"F_hat = {constants.f_hat:.4e}")
+        if args.out:
+            path = os.path.join(args.out, "mesh_initial.vtk")
+            write_vtk(mesh, path, cell_data={"region": mesh.region.astype(float)})
+            print(f"wrote {path}")
     return 0
 
 

@@ -75,12 +75,14 @@ def _residuals(
     ctx: WaveContext,
     profile: PmlProfile,
     source: np.ndarray,
+    amplitude: float,
     jac: np.ndarray,
 ) -> np.ndarray:
     """||R_T||_{L2(T)} per element.
 
     R_T,c = -coef_c * rho'/rho^2 * dy(u_c) + omega^2 * rho * u_c - g_c with
-    coef = (mu, lam+2mu) and g = ``source`` the layer volume data,
+    coef = (mu, lam+2mu) and g = ``amplitude * source`` the layer volume
+    data (scaled block by block, so no scaled copy of ``source`` is held),
     integrated on every element with ``element_rule``.  Below the mesh line
     y = b this is omega^2 * u_h (rho = 1, rho' = 0, g = 0), whose squared
     modulus is quadratic, so the rule is exact there.  dy(u_c) is read from
@@ -106,7 +108,8 @@ def _residuals(
         for k, coef in enumerate((ctx.mu, ctx.lam + 2.0 * ctx.mu)):
             res = (
                 -coef * rp / r**2 * dy[:, k]
-                + om2 * r * (vals[:, :, k] @ bary.T) - source[blk, :, k]
+                + om2 * r * (vals[:, :, k] @ bary.T)
+                - amplitude * source[blk, :, k]
             )
             dens += np.abs(res) ** 2
         out[blk] = np.sqrt(area[blk] * (dens @ w))
@@ -236,7 +239,7 @@ def indicators(
     # one Jacobian per field: the residuals read its dy column, the jumps
     # all of it
     jac = p1_jacobian(field[mesh.tris], mesh.grads())
-    res = _residuals(mesh, field, ctx, profile, amplitude * source, jac)
+    res = _residuals(mesh, field, ctx, profile, source, amplitude, jac)
     jumps = _jumps(mesh, ctx, profile, jac)
     eta = mesh.diameters() * res + np.sqrt(0.5 * jumps)
 

@@ -555,7 +555,10 @@ def test_summary_projects_the_dofs_the_tolerance_needs(tmp_path, small_run):
     # the power overflows
     for power in (1.0, -0.01):
         slow = dataclasses.replace(small_run, records=[
-            dataclasses.replace(r, eps_fem=r.n_dofs**power) for r in records
+            dataclasses.replace(r, indicators=dataclasses.replace(
+                r.indicators, eps_fem=r.n_dofs**power
+            ))
+            for r in records
         ])
         assert _projection(slow, tmp_path) == (math.inf, "above")
 
@@ -831,15 +834,20 @@ def test_cli_pml_calibrate_exit_3_when_no_thickness_meets_the_target(
         0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0
     ]
     assert "selected" not in captured.out
-    # the other commands calibrate first and fail alike, before any output
-    out = tmp_path / "out"
+    # the other commands calibrate first and fail alike, before any output;
+    # the output directory they made goes again, one that existed stays
+    kept = tmp_path / "kept"
+    kept.mkdir()
     for command in ("solve", "mesh-info"):
-        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
-        captured = capsys.readouterr()
-        assert "numerical failure" in captured.err
-        assert failure in captured.err
-        assert captured.out == ""
-    assert list(out.iterdir()) == []  # no report, no mesh
+        for out in (tmp_path / "out", tmp_path / "new" / "deeper", kept):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+            captured = capsys.readouterr()
+            assert "numerical failure" in captured.err
+            assert failure in captured.err
+            assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "new").exists()
+        assert list(kept.iterdir()) == []  # no report, no mesh
 
 
 # With the BASE wave the shear order n = -1 reaches its cut-off
@@ -912,6 +920,7 @@ def test_cli_exit_3_for_numerical_failures(tmp_path, capsys):
         assert "numerical failure" in captured.err
         assert "sits at the branch-2 cut-off" in captured.err
         assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_help_and_usage_errors(capsys):

@@ -26,7 +26,7 @@ CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def _system(matrix, rhs):
-    return SparseSystem(matrix=sp.csc_matrix(matrix), rhs=np.asarray(rhs), dofmap=None)
+    return SparseSystem(matrix=sp.csc_matrix(matrix), rhs=np.asarray(rhs))
 
 
 def test_solves_small_complex_system_exactly():
