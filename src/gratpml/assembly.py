@@ -266,7 +266,7 @@ def _pair_sums(
     """
     n = mesh.n_nodes
     edges, tri_edges, _ = mesh.edge_structure()
-    area, grads = mesh.areas(), mesh.grads()
+    area, grads = mesh.areas, mesh.grads
     bary, w = element_rule()
     wb = -(w[:, None] * bary)
     # rows: Re diag, Im diag, then mixed with a the lower node of the pair

@@ -153,14 +153,14 @@ def _cmd_mesh_info(cfg: RunConfig, args) -> int:
         ctx, _, geom, profile, constants = setup(cfg)
         mesh = generate_initial(geom, ctx, profile, cfg.h0)
         mesh.validate(geom)
-        areas = mesh.areas()
+        areas = mesh.areas
         print(f"nodes:    {mesh.n_nodes}")
         print(f"elements: {mesh.n_tris} "
               f"(physical {int((mesh.region == PHYSICAL).sum())}, "
               f"layer {int((mesh.region == PML).sum())})")
         print(f"area:     min {areas.min():.6g}, max {areas.max():.6g}, "
               f"total {areas.sum():.6g}")
-        print(f"diameter: max {mesh.diameters().max():.6g}")
+        print(f"diameter: max {mesh.diameters.max():.6g}")
         print(f"layer:    delta = {profile.delta!r}, zeta = {profile.zeta!r}, "
               f"F_hat = {constants.f_hat:.4e}")
         if args.out:

@@ -92,7 +92,7 @@ def _residuals(
     the block size.
     """
     bary, w = element_rule()
-    area = mesh.areas()
+    area = mesh.areas
     om2 = ctx.omega**2
     out = np.empty(mesh.n_tris)
     block = assembly.BLOCK_SIZE
@@ -158,7 +158,7 @@ def _jumps(
     interior = np.nonzero(edge_tri[:, 1] >= 0)[0]
     t1, t2 = edge_tri[interior, 0], edge_tri[interior, 1]
     # a left wall edge is jumped against its mirror; the wall normal is e_x
-    left, mate = mesh.edge_partners().T
+    left, mate = mesh.edge_partners.T
     tl, tr = edge_tri[left, 0], edge_tri[mate, 0]
     # the flux is linear in the gradient, so its jump is the flux of the
     # gradient jump
@@ -238,10 +238,10 @@ def indicators(
         source = layer_source(mesh, ctx, profile)
     # one Jacobian per field: the residuals read its dy column, the jumps
     # all of it
-    jac = p1_jacobian(field[mesh.tris], mesh.grads())
+    jac = p1_jacobian(field[mesh.tris], mesh.grads)
     res = _residuals(mesh, field, ctx, profile, source, amplitude, jac)
     jumps = _jumps(mesh, ctx, profile, jac)
-    eta = mesh.diameters() * res + np.sqrt(0.5 * jumps)
+    eta = mesh.diameters * res + np.sqrt(0.5 * jumps)
 
     def incident(x, y):
         return amplitude * incident_field(ctx, x, y)

@@ -114,8 +114,8 @@ def h1_seminorm_error(mesh, field: np.ndarray, solution: FlatSolution) -> float:
     if phys.size == 0:
         return 0.0
     tris = mesh.tris[phys]
-    areas = mesh.areas()[phys]          # (M,)
-    jac_h = p1_jacobian(field[tris], mesh.grads()[phys])  # (M, 2, 2)
+    areas = mesh.areas[phys]            # (M,)
+    jac_h = p1_jacobian(field[tris], mesh.grads[phys])  # (M, 2, 2)
 
     bary, w = element_rule()
     coords = mesh.nodes[tris]           # (M, 3, 2)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil, hypot
 
 import numpy as np
@@ -210,8 +211,8 @@ class Mesh:
         The right wall x = period, the interface y = b and the truncation
         line y = top.
 
-    Derived attributes (computed from the stored ones, never carried)
-    -----------------------------------------------------------------
+    Derived attributes (computed from the stored ones on first read)
+    ----------------------------------------------------------------
     on_left, on_right, on_gamma, on_top : ndarray (N,) bool
         x == 0, x == period, y == b, y == top.  Exact: ``generate_initial``
         writes these lines exactly, and the midpoint 0.5 * (p + q) of two
@@ -223,19 +224,21 @@ class Mesh:
     periodic_pairs : ndarray (P, 2) int
         Rows (left node, right node) of the wall nodes matched by height,
         ascending; RuntimeError when the heights on the two walls differ.
+    areas : ndarray (M,) float
+        Element areas (positive for the stored CCW orientation).
+    grads : ndarray (M, 3, 2) float
+        P1 basis gradients: grads[t, i] = grad(phi_i).
+    diameters : ndarray (M,) float
+        Longest edge length per element (the mesh-size h_T).
+    edge_partners : ndarray (Q, 2) int
+        Rows (left boundary edge id, id of its mirror edge on the right),
+        ascending in the left edge id; RuntimeError when the walls do not
+        match or a left edge has no mirror edge.
 
-    Notes
-    -----
-    ``_cache`` holds what is derived from geometry and topology, computed on
-    first use (the four coordinate flags cost one comparison and are not
-    cached).  Data of the physics (layer coefficients, volume data, anything
-    complex) is not cached here.  The adaptive loop keeps every mesh with
-    its record, but as a new ``Mesh`` on the same stored arrays, with an
-    empty cache: derived data lives only on the loop's working mesh and is
-    dropped with it, and a record's mesh computes what is asked of it on
-    first use.  The layer volume data is carried from mesh to mesh by the
-    loop instead (``assembly.layer_source`` and the ``kept`` indices of
-    ``bisect``), and is dropped with the loop.
+    Each is a ``functools.cached_property``: computed on first read and then
+    kept in the instance ``__dict__``.  ``edge_structure()`` returns the edge
+    triple kept the same way.  Only geometry and topology are derived here,
+    nothing of the physics.
     """
 
     def __init__(
@@ -253,7 +256,6 @@ class Mesh:
         self.period = float(period)
         self.b = float(b)
         self.top = float(top)
-        self._cache: dict = {}
 
     # -- sizes ---------------------------------------------------------
 
@@ -267,84 +269,99 @@ class Mesh:
 
     # -- boundary lines, regions, periodic pairs -------------------------
 
-    @property
+    @cached_property
     def on_left(self) -> np.ndarray:
         return self.nodes[:, 0] == 0.0
 
-    @property
+    @cached_property
     def on_right(self) -> np.ndarray:
         return self.nodes[:, 0] == self.period
 
-    @property
+    @cached_property
     def on_gamma(self) -> np.ndarray:
         return self.nodes[:, 1] == self.b
 
-    @property
+    @cached_property
     def on_top(self) -> np.ndarray:
         return self.nodes[:, 1] == self.top
 
     def _on_walls_or_top(self) -> np.ndarray:
-        """Per edge: True when it lies on a wall or on the top line."""
+        """Per edge: True when it lies on a wall or on the top line.
+
+        Not kept: ``on_surface`` reads it once per mesh, ``validate`` only
+        in checks.
+        """
         a, c = self.edge_structure()[0].T
         left, right, top = self.on_left, self.on_right, self.on_top
         return (left[a] & left[c]) | (right[a] & right[c]) | (top[a] & top[c])
 
-    @property
+    @cached_property
     def on_surface(self) -> np.ndarray:
-        if "surface" not in self._cache:
-            edges, _, edge_tri = self.edge_structure()
-            flag = np.zeros(self.n_nodes, dtype=bool)
-            flag[edges[(edge_tri[:, 1] < 0) & ~self._on_walls_or_top()]] = True
-            self._cache["surface"] = flag
-        return self._cache["surface"]
+        edges, _, edge_tri = self.edge_structure()
+        flag = np.zeros(self.n_nodes, dtype=bool)
+        flag[edges[(edge_tri[:, 1] < 0) & ~self._on_walls_or_top()]] = True
+        return flag
 
-    @property
+    @cached_property
     def region(self) -> np.ndarray:
-        if "region" not in self._cache:
-            layer = (self.nodes[self.tris, 1] > self.b).any(axis=1)
-            self._cache["region"] = np.where(layer, PML, PHYSICAL).astype(np.uint8)
-        return self._cache["region"]
+        layer = (self.nodes[self.tris, 1] > self.b).any(axis=1)
+        return np.where(layer, PML, PHYSICAL).astype(np.uint8)
 
-    @property
+    @cached_property
     def periodic_pairs(self) -> np.ndarray:
-        if "pairs" not in self._cache:
-            y = self.nodes[:, 1]
-            left, right = (
-                np.nonzero(wall)[0][np.argsort(y[wall], kind="stable")]
-                for wall in (self.on_left, self.on_right)
+        y = self.nodes[:, 1]
+        left, right = (
+            np.nonzero(wall)[0][np.argsort(y[wall], kind="stable")]
+            for wall in (self.on_left, self.on_right)
+        )
+        if left.size != right.size or np.any(y[left] != y[right]):
+            raise RuntimeError(
+                "periodic walls do not match: the heights of the "
+                f"{left.size} left and {right.size} right wall nodes differ"
             )
-            if left.size != right.size or np.any(y[left] != y[right]):
-                raise RuntimeError(
-                    "periodic walls do not match: the heights of the "
-                    f"{left.size} left and {right.size} right wall nodes differ"
-                )
-            self._cache["pairs"] = np.stack([left, right], axis=1)
-        return self._cache["pairs"]
+        return np.stack([left, right], axis=1)
 
     # -- geometry ------------------------------------------------------
 
+    @cached_property
+    def _p1(self) -> tuple[np.ndarray, np.ndarray]:
+        return p1_geometry(self.nodes[self.tris])
+
+    @cached_property
     def areas(self) -> np.ndarray:
-        """Element areas (positive for the stored CCW orientation)."""
-        if "areas" not in self._cache:
-            self._signed_geometry()
-        return self._cache["areas"]
+        return self._p1[0]
 
+    @cached_property
     def grads(self) -> np.ndarray:
-        """P1 basis gradients, shape (M, 3, 2): grads[t, i] = grad(phi_i)."""
-        if "grads" not in self._cache:
-            self._signed_geometry()
-        return self._cache["grads"]
+        return self._p1[1]
 
+    @cached_property
     def diameters(self) -> np.ndarray:
-        """Longest edge length per element (the mesh-size h_T)."""
-        if "diam" not in self._cache:
-            self._cache["diam"] = _edge_lengths(self.nodes[self.tris]).max(axis=1)
-        return self._cache["diam"]
+        return _edge_lengths(self.nodes[self.tris]).max(axis=1)
 
-    def _signed_geometry(self) -> None:
-        self._cache["areas"], self._cache["grads"] = p1_geometry(
-            self.nodes[self.tris]
-        )
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        t = self.tris
+        m = t.shape[0]
+        pairs = np.stack(
+            [t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=1
+        ).reshape(-1, 2)
+        pairs = np.sort(pairs, axis=1)
+        key = pairs[:, 0] * np.int64(self.n_nodes) + pairs[:, 1]
+        ukey, inv = np.unique(key, return_inverse=True)
+        edges = np.stack([ukey // self.n_nodes, ukey % self.n_nodes], axis=1)
+        tri_edges = inv.reshape(m, 3)
+        counts = np.bincount(inv, minlength=len(ukey))
+        if counts.max(initial=0) > 2:
+            raise RuntimeError("non-manifold edge detected")
+        order = np.argsort(inv, kind="stable")
+        tri_of = order // 3
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        edge_tri = np.full((len(ukey), 2), -1, dtype=np.int64)
+        edge_tri[:, 0] = tri_of[starts]
+        two = counts == 2
+        edge_tri[two, 1] = tri_of[starts[two] + 1]
+        return edges, tri_edges, edge_tri
 
     def edge_structure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Unique edges, per-triangle edge ids, edge-to-triangle adjacency.
@@ -358,54 +375,24 @@ class Mesh:
         edge_tri : ndarray (E, 2) int
             Adjacent triangle ids (-1 for the missing side of boundary edges).
         """
-        if "edges" not in self._cache:
-            t = self.tris
-            m = t.shape[0]
-            pairs = np.stack(
-                [t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=1
-            ).reshape(-1, 2)
-            pairs = np.sort(pairs, axis=1)
-            key = pairs[:, 0] * np.int64(self.n_nodes) + pairs[:, 1]
-            ukey, inv = np.unique(key, return_inverse=True)
-            edges = np.stack([ukey // self.n_nodes, ukey % self.n_nodes], axis=1)
-            tri_edges = inv.reshape(m, 3)
-            counts = np.bincount(inv, minlength=len(ukey))
-            if counts.max(initial=0) > 2:
-                raise RuntimeError("non-manifold edge detected")
-            order = np.argsort(inv, kind="stable")
-            tri_of = order // 3
-            starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            edge_tri = np.full((len(ukey), 2), -1, dtype=np.int64)
-            edge_tri[:, 0] = tri_of[starts]
-            two = counts == 2
-            edge_tri[two, 1] = tri_of[starts[two] + 1]
-            self._cache["edges"] = edges
-            self._cache["tri_edges"] = tri_edges
-            self._cache["edge_tri"] = edge_tri
-        return self._cache["edges"], self._cache["tri_edges"], self._cache["edge_tri"]
+        return self._edges
 
+    @cached_property
     def edge_partners(self) -> np.ndarray:
-        """Rows (left boundary edge id, id of its mirror edge on the right).
-
-        Rows ascend in the left edge id.  RuntimeError when the walls do not
-        match (see ``periodic_pairs``) or a left edge has no mirror edge.
-        """
-        if "partners" not in self._cache:
-            edges = self.edge_structure()[0]
-            n = np.int64(self.n_nodes)
-            right_of = np.full(self.n_nodes, -1, dtype=np.int64)
-            right_of[self.periodic_pairs[:, 0]] = self.periodic_pairs[:, 1]
-            on_left = self.on_left
-            left = np.nonzero(on_left[edges[:, 0]] & on_left[edges[:, 1]])[0]
-            mirror = np.sort(right_of[edges[left]], axis=1)
-            # edge_structure returns the edges sorted by this key
-            key = edges[:, 0] * n + edges[:, 1]
-            want = mirror[:, 0] * n + mirror[:, 1]
-            right = np.searchsorted(key, want).clip(max=len(key) - 1)
-            if np.any(key[right] != want):
-                raise RuntimeError("left boundary edge without mirrored right edge")
-            self._cache["partners"] = np.stack([left, right], axis=1)
-        return self._cache["partners"]
+        edges = self.edge_structure()[0]
+        n = np.int64(self.n_nodes)
+        right_of = np.full(self.n_nodes, -1, dtype=np.int64)
+        right_of[self.periodic_pairs[:, 0]] = self.periodic_pairs[:, 1]
+        on_left = self.on_left
+        left = np.nonzero(on_left[edges[:, 0]] & on_left[edges[:, 1]])[0]
+        mirror = np.sort(right_of[edges[left]], axis=1)
+        # edge_structure returns the edges sorted by this key
+        key = edges[:, 0] * n + edges[:, 1]
+        want = mirror[:, 0] * n + mirror[:, 1]
+        right = np.searchsorted(key, want).clip(max=len(key) - 1)
+        if np.any(key[right] != want):
+            raise RuntimeError("left boundary edge without mirrored right edge")
+        return np.stack([left, right], axis=1)
 
     # -- integrity (used by the tests and `mesh-info`) ------------------
 
@@ -414,7 +401,7 @@ class Mesh:
 
         Raised explicitly, so the checks also run under ``python -O``.
         """
-        if not np.all(self.areas() > 0.0):
+        if not np.all(self.areas > 0.0):
             raise AssertionError("non-CCW or degenerate element")
         edges, _, edge_tri = self.edge_structure()
         boundary = edge_tri[:, 1] < 0
@@ -472,19 +459,13 @@ def generate_initial(
 
     # column breakpoints: profile vertices plus chord-length subdivision
     verts = geom.vertices
-    xs: list[float] = [float(verts[0, 0])]
-    ys: list[float] = [float(verts[0, 1])]
-    for k in range(len(verts) - 1):
-        x0, y0 = verts[k]
-        x1, y1 = verts[k + 1]
-        nseg = max(1, ceil(hypot(x1 - x0, y1 - y0) / h0))
-        for j in range(1, nseg + 1):
-            xs.append(float(x0 + (x1 - x0) * j / nseg))
-            ys.append(float(y0 + (y1 - y0) * j / nseg))
-    xs[-1] = float(ctx.period)  # exact right boundary
-    ys[-1] = ys[0]              # exact mirror of the left column
-    col_x = np.array(xs)
-    col_y = np.array(ys)
+    cols = [verts[:1]]
+    for p, q in zip(verts[:-1], verts[1:]):
+        nseg = max(1, ceil(hypot(*(q - p)) / h0))
+        cols.append(p + (q - p) * np.arange(1, nseg + 1)[:, None] / nseg)
+    col_x, col_y = np.concatenate(cols).T
+    col_x[-1] = ctx.period  # exact right boundary
+    col_y[-1] = col_y[0]    # exact mirror of the left column
     nx = len(col_x) - 1
     if nx < 2:
         raise GeometryError(
@@ -561,7 +542,7 @@ def bisect(mesh: Mesh, marked: np.ndarray) -> tuple[Mesh, np.ndarray]:
         raise IndexError("marked element index out of range")
 
     edges, tri_edges, _ = mesh.edge_structure()
-    left_e, right_e = mesh.edge_partners().T
+    left_e, right_e = mesh.edge_partners.T
     n_edges = len(edges)
 
     split = np.zeros(n_edges, dtype=bool)
@@ -645,7 +626,7 @@ def mark(eta_hat: np.ndarray, tau: float = 0.5) -> np.ndarray:
     total = float(eta2.sum())
     if total <= 0.0:
         return np.empty(0, dtype=np.int64)
-    order = np.lexsort((np.arange(eta2.size), -eta2))
+    order = np.argsort(-eta2, kind="stable")
     csum = np.cumsum(eta2[order])
     k = int(np.searchsorted(csum, tau * tau * total, side="right"))
     k = min(k, eta2.size - 1)
@@ -675,18 +656,6 @@ def write_vtk(
 
     Complex arrays are split automatically into ``name_re`` / ``name_im``.
     """
-
-    def _split(data: dict | None) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for name, arr in (data or {}).items():
-            arr = np.asarray(arr)
-            if np.iscomplexobj(arr):
-                out.append((f"{name}_re", arr.real))
-                out.append((f"{name}_im", arr.imag))
-            else:
-                out.append((name, arr.astype(float)))
-        return out
-
     lines = [
         "# vtk DataFile Version 3.0",
         "periodic grating mesh",
@@ -700,20 +669,21 @@ def write_vtk(
     lines.append(f"CELL_TYPES {mesh.n_tris}")
     lines.extend("5" for _ in range(mesh.n_tris))
 
-    pdata = _split(point_data)
-    if pdata:
-        lines.append(f"POINT_DATA {mesh.n_nodes}")
-        for name, arr in pdata:
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{v:.17g}" for v in arr)
-    cdata = _split(cell_data)
-    if cdata:
-        lines.append(f"CELL_DATA {mesh.n_tris}")
-        for name, arr in cdata:
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{v:.17g}" for v in arr)
+    for section, size, data in (
+        ("POINT_DATA", mesh.n_nodes, point_data),
+        ("CELL_DATA", mesh.n_tris, cell_data),
+    ):
+        if data:
+            lines.append(f"{section} {size}")
+        for name, arr in (data or {}).items():
+            arr = np.asarray(arr)
+            if np.iscomplexobj(arr):
+                parts = [(f"{name}_re", arr.real), (f"{name}_im", arr.imag)]
+            else:
+                parts = [(name, arr.astype(float))]
+            for label, values in parts:
+                lines += [f"SCALARS {label} double 1", "LOOKUP_TABLE default"]
+                lines.extend(f"{v:.17g}" for v in values)
 
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")

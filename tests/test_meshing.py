@@ -6,7 +6,7 @@ import subprocess
 import sys
 import warnings
 from fractions import Fraction
-from math import ceil
+from math import ceil, hypot
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gratpml
+import gratpml.meshing
 from gratpml import (
     GeometryError,
     bisect,
@@ -173,6 +174,30 @@ def test_initial_mesh_exact_boundary_lines(ctx1, profile1, flat_mesh1):
     assert np.all(m.nodes[left, 1] == m.nodes[right, 1])
 
 
+def _breakpoints_reference(geom: GratingProfile, period: float, h0: float):
+    """Column breakpoints (x, s(x)) by a plain loop over the segments."""
+    v = geom.vertices
+    xs, ys = [float(v[0, 0])], [float(v[0, 1])]
+    for k in range(len(v) - 1):
+        (x0, y0), (x1, y1) = v[k], v[k + 1]
+        nseg = max(1, ceil(hypot(x1 - x0, y1 - y0) / h0))
+        for j in range(1, nseg + 1):
+            xs.append(float(x0 + (x1 - x0) * j / nseg))
+            ys.append(float(y0 + (y1 - y0) * j / nseg))
+    xs[-1], ys[-1] = period, ys[0]
+    return np.column_stack([xs, ys])
+
+
+@settings(max_examples=100, deadline=None)
+@given(geom=gratings(), h0=st.floats(min_value=0.05, max_value=0.5))
+def test_initial_columns_stand_on_the_chord_breakpoints(ctx1, geom, h0):
+    layer = make_pml(12 + 12j, 2, 1.0, b=ctx1.gamma_height)
+    mesh = generate_initial(geom, ctx1, layer, h0)
+    rows = int(np.count_nonzero(mesh.on_left))  # nodes per column
+    want = _breakpoints_reference(geom, ctx1.period, h0)
+    assert np.array_equal(mesh.nodes[::rows], want)
+
+
 def test_initial_mesh_regions_split_at_interface(flat_mesh1):
     cy = flat_mesh1.nodes[flat_mesh1.tris].mean(axis=1)[:, 1]
     assert np.all(cy[flat_mesh1.region == 0] < flat_mesh1.b)
@@ -322,6 +347,33 @@ def test_bisect_empty_marking_returns_identical_copy(flat_mesh1):
         assert not np.shares_memory(got, want), name
     for name in ("period", "b", "top"):
         assert getattr(out, name) == getattr(flat_mesh1, name)
+
+
+STORED = {"nodes", "tris", "ref_edge", "period", "b", "top"}
+DERIVED = (
+    "on_left", "on_right", "on_gamma", "on_top", "on_surface", "region",
+    "periodic_pairs", "areas", "grads", "diameters", "edge_partners",
+)
+
+
+def test_derived_attributes_are_computed_once_per_mesh(monkeypatch, flat_mesh1):
+    calls = []
+    geometry = gratpml.meshing.p1_geometry
+
+    def counting(coords):
+        calls.append(len(coords))
+        return geometry(coords)
+
+    monkeypatch.setattr(gratpml.meshing, "p1_geometry", counting)
+    child, _ = bisect(flat_mesh1, [0])
+    assert vars(child).keys() == STORED  # a child derives nothing up front
+    for name in DERIVED:
+        assert getattr(child, name) is getattr(child, name), name
+    # areas and grads come from one shared p1_geometry call
+    assert len(calls) == 1
+    first, again = child.edge_structure(), child.edge_structure()
+    assert all(a is b for a, b in zip(first, again))
+    assert STORED < vars(child).keys()
 
 
 def test_bisect_single_element_stays_conforming(ctx1, flat_mesh1):
@@ -567,9 +619,9 @@ def test_edge_partners_match_dict_reference(ctx1, profile1, builder):
         partner = _edge_partners_reference(mesh, mesh.periodic_pairs, mesh.on_left)
         edges = mesh.edge_structure()[0]
         left = np.nonzero((partner >= 0) & mesh.on_left[edges[:, 0]])[0]
-        pairs = mesh.edge_partners()
+        pairs = mesh.edge_partners
         assert np.array_equal(pairs, np.stack([left, partner[left]], axis=1))
-        assert mesh.edge_partners() is pairs  # cached with the mesh
+        assert mesh.edge_partners is pairs  # cached with the mesh
 
 
 def test_edge_partners_report_broken_pairing(flat_mesh1):
@@ -579,7 +631,7 @@ def test_edge_partners_report_broken_pairing(flat_mesh1):
     nodes = flat_mesh1.nodes.copy()
     nodes[right[len(right) // 2], 1] += 0.01
     with pytest.raises(RuntimeError, match="periodic walls do not match"):
-        rebuilt(flat_mesh1, nodes=nodes).edge_partners()
+        rebuilt(flat_mesh1, nodes=nodes).edge_partners
 
     # the walls pair up, but a triangle on the right wall is gone, and with
     # it the mirror image of a left wall edge
@@ -592,7 +644,7 @@ def test_edge_partners_report_broken_pairing(flat_mesh1):
     with pytest.raises(
         RuntimeError, match="left boundary edge without mirrored right edge"
     ):
-        cut.edge_partners()
+        cut.edge_partners
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +687,27 @@ def test_mark_selects_minimal_bulk_prefix(values, tau):
     assert got - weakest <= tau * tau * total
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=60),
+    st.floats(min_value=0.05, max_value=0.95),
+)
+def test_mark_is_the_doerfler_prefix_with_ties_by_index(values, tau):
+    # integer indicators tie often and sum exactly in any order
+    eta2 = [float(v) ** 2 for v in values]
+    total = sum(eta2)
+    want = []
+    if total > 0.0:
+        order = sorted(range(len(eta2)), key=lambda i: (-eta2[i], i))
+        acc = 0.0
+        for k, i in enumerate(order):
+            acc += eta2[i]
+            if acc > tau * tau * total:
+                break
+        want = sorted(order[: k + 1])
+    assert mark(np.array(values, dtype=float), tau).tolist() == want
+
+
 # ---------------------------------------------------------------------------
 # diagnostics and output
 # ---------------------------------------------------------------------------
@@ -675,6 +748,8 @@ def test_vtk_output_is_parseable(tmp_path, flat_mesh1):
     assert text[0].startswith("# vtk DataFile")
     assert f"POINTS {flat_mesh1.n_nodes} double" in text
     assert f"CELLS {flat_mesh1.n_tris} {4 * flat_mesh1.n_tris}" in text
+    assert f"POINT_DATA {flat_mesh1.n_nodes}" in text
+    assert f"CELL_DATA {flat_mesh1.n_tris}" in text
     # complex data split into real and imaginary scalars
     assert "SCALARS u1_re double 1" in text
     assert "SCALARS u1_im double 1" in text
