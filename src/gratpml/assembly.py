@@ -51,8 +51,9 @@ pattern equals that of its transpose) and A(alpha)^T = A(-alpha) for the
 Bloch parameter alpha; it is complex symmetric only at normal incidence.
 The blocks of eliminated Dirichlet columns are folded into the right-hand
 side together with the volume data g = L u_inc of the layer, which
-``layer_source`` evaluates at the points of the element rule; the residual
-estimator integrates the same values.
+``layer_source`` evaluates at the points of the element rule, also in
+blocks of ``BLOCK_SIZE`` elements; the residual estimator integrates the
+same values.
 """
 
 from __future__ import annotations
@@ -315,13 +316,19 @@ def layer_source(
     -------
     ndarray (M, Q, 2) complex
         g at the Q points of ``element_rule``; exactly 0 below y = b.
-        Evaluated pointwise, so carried and fresh values are bit-identical.
+        Evaluated pointwise, so carried and fresh values are bit-identical;
+        over blocks of ``BLOCK_SIZE`` elements, so the temporaries of
+        ``pml_source`` do not grow with the mesh.
     """
     done = 0 if carried is None else len(carried)
-    coords = mesh.nodes[mesh.tris[done:]]
+    blocks = [] if carried is None else [carried]
     bary, _ = element_rule()
-    g = pml_source(ctx, profile, coords[..., 0] @ bary.T, coords[..., 1] @ bary.T)
-    return g if carried is None else np.concatenate([carried, g])
+    for first in range(done, mesh.n_tris, BLOCK_SIZE):
+        coords = mesh.nodes[mesh.tris[first:first + BLOCK_SIZE]]
+        blocks.append(
+            pml_source(ctx, profile, coords[..., 0] @ bary.T, coords[..., 1] @ bary.T)
+        )
+    return np.concatenate(blocks)
 
 
 def assemble(

@@ -29,8 +29,8 @@ delta on 0.25 * 2^k (k = 0..8) with Re zeta >= 1 and F_hat * sqrt(period)
 tracking: a run marks with the bulk fraction 0.5 and tracks the peaks of
 its profile (``GratingProfile.reentrant_corners``).
 Unknown sections or keys are rejected (typos should fail loudly, not fall
-back to defaults), and so are NaN and infinite numbers.  Every key except
-the six wave parameters has a default.
+back to defaults), and so are NaN and infinite numbers and an empty
+``[output] dir``.  Every key except the six wave parameters has a default.
 """
 
 from __future__ import annotations
@@ -101,6 +101,8 @@ class RunConfig:
             problems.append("adapt.max_dofs must be >= 1")
         if self.h0 <= 0.0:
             problems.append("adapt.h0 must be positive")
+        if not self.out_dir:
+            problems.append("output.dir must not be empty")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -125,8 +127,7 @@ _SCHEMA = [
     ("output", "write_system", "write_system", bool),
 ]
 
-_REQUIRED = {("wave", k) for k in
-             ("omega", "lambda", "mu", "theta_deg", "period", "gamma_height")}
+_REQUIRED = {(section, key) for section, key, _, _ in _SCHEMA if section == "wave"}
 
 
 def _to_bool(text: str) -> bool:

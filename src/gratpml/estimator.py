@@ -125,15 +125,10 @@ def _flux_parts(
     P*rho(y) + C + Q/rho(y).
     """
     lam, mu = ctx.lam, ctx.mu
-    p = np.empty(j.shape[:1] + (2,), dtype=complex)
-    c = np.empty_like(p)
-    q = np.empty_like(p)
-    p[:, 0] = (lam + 2 * mu) * j[:, 0, 0] * nx
-    p[:, 1] = mu * j[:, 1, 0] * nx
-    c[:, 0] = (lam + mu) * j[:, 1, 1] * nx
-    c[:, 1] = (lam + mu) * j[:, 0, 0] * ny
-    q[:, 0] = mu * j[:, 0, 1] * ny
-    q[:, 1] = (lam + 2 * mu) * j[:, 1, 1] * ny
+    j00, j01, j10, j11 = j[:, 0, 0], j[:, 0, 1], j[:, 1, 0], j[:, 1, 1]
+    p = np.stack([(lam + 2 * mu) * j00 * nx, mu * j10 * nx], axis=1)
+    c = np.stack([(lam + mu) * j11 * nx, (lam + mu) * j00 * ny], axis=1)
+    q = np.stack([mu * j01 * ny, (lam + 2 * mu) * j11 * ny], axis=1)
     return p, c, q
 
 
@@ -182,24 +177,26 @@ def _jumps(
     )
 
 
-def _edge_l2_sq_against_data(
-    mesh: Mesh, field: np.ndarray, data, eids: np.ndarray, edges: np.ndarray
-) -> np.ndarray:
-    """int_e |lerp(field) - data(x, y)|^2 for each given edge."""
-    if eids.size == 0:
-        return np.zeros(0)
+def _line_terms(
+    mesh: Mesh, field: np.ndarray, ctx: WaveContext, amplitude: float,
+    on_line: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The edges with both nodes in ``on_line``: each one's element and its
+    int_e |I_h u - amplitude * u_inc|^2, by the 5-point ``edge_rule``."""
+    edges, _, edge_tri = mesh.edge_structure()
+    eids = np.nonzero(on_line[edges[:, 0]] & on_line[edges[:, 1]])[0]
     a, b = edges[eids, 0], edges[eids, 1]
     pa, pb = mesh.nodes[a], mesh.nodes[b]
     h = np.linalg.norm(pb - pa, axis=1)
     tq, wq = edge_rule()
     pts = pa[:, None, :] + (pb - pa)[:, None, :] * tq[None, :, None]
-    target = data(pts[..., 0], pts[..., 1])
+    target = amplitude * incident_field(ctx, pts[..., 0], pts[..., 1])
     lerp = (
         field[a][:, None, :] * (1.0 - tq)[None, :, None]
         + field[b][:, None, :] * tq[None, :, None]
     )
     dens = (np.abs(lerp - target) ** 2).sum(axis=2)
-    return h * (dens @ wq).real
+    return edge_tri[eids, 0], h * (dens @ wq)
 
 
 def indicators(
@@ -243,23 +240,10 @@ def indicators(
     jumps = _jumps(mesh, ctx, profile, jac)
     eta = mesh.diameters * res + np.sqrt(0.5 * jumps)
 
-    def incident(x, y):
-        return amplitude * incident_field(ctx, x, y)
-
-    edges, _, edge_tri = mesh.edge_structure()
-    top_edges = np.nonzero(
-        mesh.on_top[edges[:, 0]] & mesh.on_top[edges[:, 1]]
-    )[0]
-    top_sq = _edge_l2_sq_against_data(mesh, field, incident, top_edges, edges)
-    top_terms = np.sqrt(
-        np.bincount(edge_tri[top_edges, 0], top_sq, minlength=mesh.n_tris)
-    )
+    top_tris, top_sq = _line_terms(mesh, field, ctx, amplitude, mesh.on_top)
+    top_terms = np.sqrt(np.bincount(top_tris, top_sq, minlength=mesh.n_tris))
     eta_hat = eta + top_terms
-
-    gamma_edges = np.nonzero(
-        mesh.on_gamma[edges[:, 0]] & mesh.on_gamma[edges[:, 1]]
-    )[0]
-    gamma_sq = _edge_l2_sq_against_data(mesh, field, incident, gamma_edges, edges)
+    _, gamma_sq = _line_terms(mesh, field, ctx, amplitude, mesh.on_gamma)
     l2_top = float(np.sqrt(top_sq.sum()))
     l2_gamma = float(np.sqrt(gamma_sq.sum()))
     global_eta = float(np.sqrt((eta_hat**2).sum()))

@@ -156,7 +156,7 @@ def rho(profile: PmlProfile, y: np.ndarray) -> np.ndarray:
     """Medium function rho(y); identically 1 at and below y = b."""
     y = np.asarray(y, dtype=float)
     t = np.clip((y - profile.b) / profile.delta, 0.0, None)
-    return np.where(y > profile.b, 1.0 + profile.sigma * t**profile.m, 1.0 + 0.0j)
+    return 1.0 + profile.sigma * t**profile.m  # 1 + sigma*0 = 1+0j at and below b
 
 
 def rho_prime(profile: PmlProfile, y: np.ndarray) -> np.ndarray:
@@ -164,6 +164,7 @@ def rho_prime(profile: PmlProfile, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     t = np.clip((y - profile.b) / profile.delta, 0.0, None)
     val = profile.sigma * profile.m * t ** (profile.m - 1) / profile.delta
+    # the mask is needed for m = 1, where t**0 = 1 at and below b
     return np.where(y > profile.b, val, 0.0 + 0.0j)
 
 
@@ -205,12 +206,10 @@ def modeling_constants(
     )
     re_half = profile.zeta.real / 2.0
     im_half = profile.zeta.imag / 2.0
-    terms = np.array(
-        [
-            [_fluct_ratio(modes.delta_minus[0], im_half), _fluct_ratio(modes.delta_plus[0], re_half)],
-            [_fluct_ratio(modes.delta_minus[1], im_half), _fluct_ratio(modes.delta_plus[1], re_half)],
-        ]
-    )
+    terms = np.array([
+        [_fluct_ratio(d_minus, im_half), _fluct_ratio(d_plus, re_half)]
+        for d_minus, d_plus in zip(modes.delta_minus, modes.delta_plus)
+    ])
     f = float(terms.max()) * cmax
     f_hat = 17.0 * ctx.omega**2 * f / k1**4
     return ModelingConstants(
@@ -344,11 +343,10 @@ def pml_source(
     diag2 = -mu * al**2 * r - (lam + 2 * mu) * be**2 / r + 1j * (lam + 2 * mu) * be * rp / r**2 + om2 * r
     off = (lam + mu) * al * be
 
-    g = np.empty(u.shape, dtype=complex)
-    g[..., 0] = diag1 * u[..., 0] + off * u[..., 1]
-    g[..., 1] = off * u[..., 0] + diag2 * u[..., 1]
+    g = np.stack(
+        [diag1 * u[..., 0] + off * u[..., 1], off * u[..., 0] + diag2 * u[..., 1]],
+        axis=-1,
+    )
     # Exactly zero outside the layer (the formulas already cancel there in
     # exact arithmetic; enforce bit-exact zero for the physical region).
-    inside = (y > profile.b)
-    g *= inside[..., None]
-    return g
+    return g * (y > profile.b)[..., None]

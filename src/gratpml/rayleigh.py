@@ -245,15 +245,8 @@ def dtn_matrix(modes: ModeTable, n: int) -> np.ndarray:
     )
 
 
-def _cexpm1(z: np.ndarray) -> np.ndarray:
-    """expm1 for complex arguments, accurate near zero."""
-    z = np.asarray(z, dtype=complex)
-    x, y = z.real, z.imag
-    return np.expm1(x) * np.cos(y) - 2.0 * np.sin(y / 2.0) ** 2 + 1j * np.exp(
-        x
-    ) * np.sin(y)
-
-#: Re(2 t) beyond which coth(t) - 1 is exactly 0 in double precision.
+#: Re(2 t) beyond which coth(t) - 1 is exactly 0 in double precision; below
+#: it np.expm1(2 t) stays finite.
 _SATURATE = 700.0
 
 
@@ -277,9 +270,9 @@ def _layer_ratios(
     if 2.0 * t1.real > _SATURATE:
         eps1 = 0.0 + 0.0j  # coth has reached 1 in double precision
     else:
-        eps1 = 2.0 / complex(_cexpm1(2.0 * t1))
-    den1 = -_cexpm1(-2.0 * t1)
-    den2 = -_cexpm1(-2.0 * t2)
+        eps1 = 2.0 / complex(np.expm1(2.0 * t1))
+    den1 = -np.expm1(-2.0 * t1)
+    den2 = -np.expm1(-2.0 * t2)
     num = np.exp(-(t1 + t2))
     delta1 = (num - np.exp(-2.0 * t1)) / den1
     delta2 = (np.exp(-2.0 * t2) - num) / den2

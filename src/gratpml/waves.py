@@ -17,6 +17,9 @@ wavenumbers are
 
 and mu > 0, lam + mu > 0 imply kappa1 < kappa2.  The incident wave vector is
 (alpha, -beta) with alpha = kappa1*sin(theta), beta = kappa1*cos(theta).
+A ``WaveContext`` holds the six physical inputs (omega, lam, mu, theta,
+period, gamma_height); it computes kappa1, kappa2, alpha and beta from
+them on first read and keeps them.
 
 Quasi-periodicity splits any field into Rayleigh modes exp(i*alpha_n*x) with
 
@@ -37,7 +40,8 @@ tables refuse to build within a relative tolerance of such a resonance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import ceil, cos, floor, pi, sin, sqrt
 
 import numpy as np
@@ -65,6 +69,9 @@ class ResonanceError(ValueError):
 class WaveContext:
     """Physical parameters of one scattering problem plus derived constants.
 
+    The six inputs are the fields, which equality and hashing compare;
+    kappa1, kappa2, alpha and beta are computed on first read and kept.
+
     Attributes
     ----------
     omega : float
@@ -91,16 +98,22 @@ class WaveContext:
     theta: float
     period: float
     gamma_height: float
-    kappa1: float = field(init=False, default=0.0)
-    kappa2: float = field(init=False, default=0.0)
-    alpha: float = field(init=False, default=0.0)
-    beta: float = field(init=False, default=0.0)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kappa1", self.omega / sqrt(self.lam + 2.0 * self.mu))
-        object.__setattr__(self, "kappa2", self.omega / sqrt(self.mu))
-        object.__setattr__(self, "alpha", self.kappa1 * sin(self.theta))
-        object.__setattr__(self, "beta", self.kappa1 * cos(self.theta))
+    @cached_property
+    def kappa1(self) -> float:
+        return self.omega / sqrt(self.lam + 2.0 * self.mu)
+
+    @cached_property
+    def kappa2(self) -> float:
+        return self.omega / sqrt(self.mu)
+
+    @cached_property
+    def alpha(self) -> float:
+        return self.kappa1 * sin(self.theta)
+
+    @cached_property
+    def beta(self) -> float:
+        return self.kappa1 * cos(self.theta)
 
     @property
     def phase(self) -> complex:
@@ -276,14 +289,10 @@ def build_mode_table(ctx: WaveContext, n_max: int | None = None) -> ModeTable:
     prop1 = np.abs(alpha_n) < ctx.kappa1
     prop2 = np.abs(alpha_n) < ctx.kappa2
 
-    delta1 = np.sqrt(np.abs(ctx.kappa1**2 - alpha_n**2))
-    delta2 = np.sqrt(np.abs(ctx.kappa2**2 - alpha_n**2))
-    d_minus = []
-    d_plus = []
-    for delta_j, prop_j in ((delta1, prop1), (delta2, prop2)):
-        d_minus.append(float(delta_j[prop_j].min()))
-        evan = ~prop_j
-        d_plus.append(float(delta_j[evan].min()) if evan.any() else float("inf"))
+    branches = [
+        (np.sqrt(np.abs(kappa**2 - alpha_n**2)), prop)
+        for kappa, prop in ((ctx.kappa1, prop1), (ctx.kappa2, prop2))
+    ]
 
     return ModeTable(
         ctx=ctx,
@@ -295,8 +304,8 @@ def build_mode_table(ctx: WaveContext, n_max: int | None = None) -> ModeTable:
         chi=chi,
         prop1=prop1,
         prop2=prop2,
-        delta_minus=(d_minus[0], d_minus[1]),
-        delta_plus=(d_plus[0], d_plus[1]),
+        delta_minus=tuple(float(d[p].min()) for d, p in branches),
+        delta_plus=tuple(float(d[~p].min(initial=np.inf)) for d, p in branches),
     )
 
 

@@ -92,6 +92,21 @@ def test_minimal_config_uses_documented_defaults(tmp_path):
     assert cfg.write_vtk is False
 
 
+def test_package_exports_every_module_list_once():
+    modules = [getattr(gratpml, name) for name in (
+        "adapt", "assembly", "config", "estimator", "exact", "meshing", "pml",
+        "rayleigh", "solver", "waves")]
+    names = [name for module in modules for name in module.__all__]
+    assert gratpml.__all__ == names + ["__version__"]
+    assert len(set(gratpml.__all__)) == len(gratpml.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(gratpml, name) is getattr(module, name), name
+    from gratpml import calibration_walk
+
+    assert calibration_walk is gratpml.pml.calibration_walk
+
+
 def test_schema_keys_are_exactly_the_config_fields():
     # a key removed from one of the two cannot leave half of itself behind
     attrs = sorted(attr for _, _, attr, _ in gratpml.config._SCHEMA)
@@ -710,6 +725,20 @@ def test_cli_exit_2_when_the_output_directory_cannot_be_made(
     captured = capsys.readouterr()
     assert "configuration error" in captured.err
     assert captured.out == ""
+
+
+def test_cli_exit_2_for_an_empty_output_directory(tmp_path, capsys, monkeypatch):
+    # an empty [output] dir would put the reports in the working directory
+    path = _write(tmp_path, MINIMAL_CFG + "\n[output]\ndir =\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["solve", "--config", str(path), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "output.dir must not be empty" in captured.err
+    assert captured.out == ""
+    assert list(work.iterdir()) == []
 
 
 def test_cli_mesh_info(tmp_path, capsys):

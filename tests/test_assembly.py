@@ -556,12 +556,14 @@ def test_results_do_not_depend_on_the_block_size(
     def results():
         system = assemble(refined_mesh, ctx1, profile1, dm)
         res = indicators(refined_mesh, field, ctx1, profile1, 1e-9).residual_terms
-        return system.matrix, system.rhs, res
+        source = layer_source(refined_mesh, ctx1, profile1)
+        return system.matrix, system.rhs, res, source
 
-    matrix, rhs, res = results()
+    matrix, rhs, res, source = results()
     monkeypatch.setattr(gratpml.assembly, "BLOCK_SIZE", 5)
     assert refined_mesh.n_tris % 5 != 0
-    blk_matrix, blk_rhs, blk_res = results()
+    blk_matrix, blk_rhs, blk_res, blk_source = results()
+    assert np.array_equal(blk_source, source)  # pointwise, so bit for bit
     assert abs(blk_matrix - matrix).max() <= 1e-14 * abs(matrix).max()
     assert np.abs(blk_rhs - rhs).max() <= 1e-14 * np.abs(rhs).max()
     assert np.abs(blk_res - res).max() <= 1e-14 * np.abs(res).max()

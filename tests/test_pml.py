@@ -60,17 +60,20 @@ def test_make_pml_rejects_bad_parameters(sigma, m, delta):
         make_pml(sigma, m, delta, b=1.0)
 
 
-def test_medium_function_values():
-    profile = make_pml(SIGMA, 2, 2.0, b=1.0)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_medium_function_values(m):
+    profile = make_pml(SIGMA, m, 2.0, b=1.0)
     y = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
     r = rho(profile, y)
-    # exactly 1 at and below the interface
-    assert np.all(r[:3] == 1.0 + 0.0j)
-    assert r[3] == 1.0 + SIGMA * 0.25  # t = 1/2, m = 2
-    assert r[4] == 1.0 + SIGMA  # top of the layer
     rp = rho_prime(profile, y)
-    assert np.all(rp[:3] == 0.0)
-    assert rp[3] == SIGMA * 2 * 0.5 / 2.0
+    # exactly 1+0j and 0 at and below the interface, signs of zero included
+    # (for m = 1, t**0 = 1 there, so rho' needs its mask)
+    assert np.all(r[:3] == 1.0 + 0.0j) and np.all(rp[:3] == 0.0)
+    for zeros in (r[:3].imag, rp[:3].real, rp[:3].imag):
+        assert not np.signbit(zeros).any()
+    assert r[3] == 1.0 + SIGMA * 0.5**m  # t = 1/2
+    assert r[4] == 1.0 + SIGMA  # top of the layer
+    assert rp[3] == SIGMA * m * 0.5 ** (m - 1) / 2.0
 
 
 def test_medium_function_derivative_matches_finite_differences():

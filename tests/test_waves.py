@@ -1,5 +1,7 @@
 """Wave context, Rayleigh mode table, and incident-field checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,25 @@ def test_derived_wavenumbers_small_example():
     assert ctx.kappa2 == pytest.approx(1.0, rel=1e-15)
     assert ctx.alpha == pytest.approx(0.44721359549995794, rel=1e-14)
     assert ctx.beta == pytest.approx(0.44721359549995794, rel=1e-14)
+
+
+def test_derived_constants_are_kept_after_the_first_read():
+    inputs = dict(omega=1.3, lam=0.7, mu=1.9, theta=-0.4, period=1.1,
+                  gamma_height=0.8)
+    ctx = derive_context(**inputs)
+    derived = ("kappa1", "kappa2", "alpha", "beta")
+    assert vars(ctx) == inputs  # nothing is derived before it is read
+    kappa1 = 1.3 / math.sqrt(0.7 + 2.0 * 1.9)
+    closed = {"kappa1": kappa1, "kappa2": 1.3 / math.sqrt(1.9),
+              "alpha": kappa1 * math.sin(-0.4), "beta": kappa1 * math.cos(-0.4)}
+    for name in derived:
+        assert getattr(ctx, name) == closed[name]  # bit for bit
+        assert vars(ctx)[name] == closed[name]
+    assert set(vars(ctx)) == set(inputs) | set(derived)
+    # equality and hashing see the six inputs only
+    twin = derive_context(**inputs)
+    assert twin == ctx and hash(twin) == hash(ctx)
+    assert "kappa1" not in vars(twin)
 
 
 def test_derived_wavenumbers_reference_problem(ctx1):
