@@ -26,18 +26,37 @@ formed in double precision, and corrections A d = r are solved with the
 factor until ||r||_inf <= ||x||_inf ||A||_inf eps_64 sqrt(n), at most
 ``ITERMAX`` = 30 of them.  A correction that does not reduce ||r||_inf ends
 the refinement as a failure.  When the single-precision attempt fails (the
-factorization raises, a pivot trips the gate, refinement fails, a value is
-not finite, or the residual exceeds ``RESIDUAL_RTOL``), the system is
+factorization raises, refinement fails, the resonance gate trips, a value
+is not finite, or the residual exceeds ``RESIDUAL_RTOL``), the system is
 factored once more in double precision with SuperLU's default COLAMD column
 ordering and partial pivoting, refined by the same rule; its first check
 normally passes with no correction.
 
+A vanishing pivot signals a discrete resonance (the truncated problem can
+be singular for unlucky parameter combinations even when the continuous one
+is well posed).  The two attempts gate on it differently:
+
+- The single-precision attempt never extracts the factors: reading
+  ``SuperLU.L`` or ``SuperLU.U`` makes SuperLU build CSC copies of both,
+  which stay alive with the factor and on a large system set the peak
+  memory of the solve.  Its gate is ||b||_inf / (||A||_inf ||x||_inf) of
+  the refined solution and the unscaled A, which costs nothing.  Since
+  ||x|| <= ||A^-1|| ||b|| for the exact solution, it is an upper bound on
+  1 / kappa_inf(A), so a value <= ``PIVOT_RTOL`` proves kappa_inf(A) >=
+  1 / ``PIVOT_RTOL``.  The bound depends on b: a right-hand side with no
+  component along the near-null direction of A gets a correct solution
+  and passes.  A solution x = 0 (b = 0, or a refinement that failed at
+  its first step) certifies nothing, and goes to the fallback.  zcgesv
+  itself tests no pivot: refinement with a single-precision factor fails
+  once kappa eps_32 nears 1, and that failure already sends the solve to
+  the fallback; the bound catches a factor that is exact in single
+  precision but singular in double, such as diag(1, 1e-16).
+- The double-precision fallback reads ``U`` and gates on its smallest
+  pivot, min |U_jj| of the normalized matrix.
+
 Besides the solution we report the relative residual, the number of
-corrections, the fill-in and the smallest pivot of the factor that produced
-the solution (``pivot_ratio`` is min |U_jj| of the normalized matrix), and
-its ordering.  A vanishing pivot signals a discrete resonance (the truncated
-problem can be singular for unlucky parameter combinations even when the
-continuous one is well posed).
+corrections, the fill-in, the gated ratio (``pivot_ratio``) and the
+ordering of the factor that produced the solution.
 """
 
 from __future__ import annotations
@@ -51,8 +70,10 @@ from .assembly import SparseSystem
 
 __all__ = ["SolverError", "SolveReport", "solve_system"]
 
-#: Pivot threshold, relative to max |A_ij|, below which the factorization is
-#: treated as numerically singular.
+#: Threshold of the resonance gate: a system whose ||b||_inf / (||A||_inf
+#: ||x||_inf) (single-precision factor) or smallest pivot of A / max|A_ij|
+#: (double-precision factor) is at or below it is treated as numerically
+#: singular.
 PIVOT_RTOL = 1e-14
 
 #: Relative residual above which the report is flagged as suspect.
@@ -80,12 +101,13 @@ class SolverError(RuntimeError):
 class SolveReport:
     """Diagnostics of one sparse direct solve.
 
-    ``lu_nnz`` is ``L.nnz + U.nnz`` of the extracted factors.  SuperLU's own
-    count, ``SuperLU.nnz``, is not the same number: it also counts the
-    padding of its supernodes, which depends on the equation order, and the
-    entries that are exactly zero.  On the single-precision factors of the
-    final systems of the shipped runs it is about 0.7 % (flat) and 0.3 %
-    (sharp) larger (scipy 1.17).
+    ``lu_nnz`` is SuperLU's own count, ``SuperLU.nnz``, of the
+    single-precision factor, and ``L.nnz + U.nnz`` of the extracted factors
+    after a fallback.  ``pivot_ratio`` is the value the resonance gate
+    compared with ``PIVOT_RTOL``: ||b||_inf / (||A||_inf ||x||_inf), an upper
+    bound on 1 / kappa_inf(A), for the single-precision factor, and the
+    smallest pivot min |U_jj| of A / max|A_ij| after a fallback (``inf``
+    for an empty system).
     """
 
     n: int
@@ -109,7 +131,7 @@ class SolveReport:
         flag = "ok" if self.ok else "SUSPECT"
         return (
             f"n={self.n} nnz={self.nnz} fill={self.fill_factor:.1f}x "
-            f"residual={self.residual:.2e} min_pivot={self.pivot_ratio:.2e} "
+            f"residual={self.residual:.2e} pivot_ratio={self.pivot_ratio:.2e} "
             f"ordering={self.ordering} refinements={self.refinements} "
             f"[{flag}]"
         )
@@ -119,8 +141,8 @@ def solve_system(system: SparseSystem) -> tuple[np.ndarray, SolveReport]:
     """LU-factor and solve ``system``; raise SolverError when singular.
 
     The single-precision symmetric-mode attempt is tried first; the
-    double-precision COLAMD fallback runs only when it raises, trips the
-    pivot gate, fails to refine or leaves a residual above
+    double-precision COLAMD fallback runs only when it raises, fails to
+    refine, trips the resonance gate or leaves a residual above
     ``RESIDUAL_RTOL``.
 
     Returns
@@ -133,32 +155,36 @@ def solve_system(system: SparseSystem) -> tuple[np.ndarray, SolveReport]:
     """
     a = system.matrix.tocsc()
     b = system.rhs
-    if a.shape[0] == 0:
+    n = a.shape[0]
+    if n == 0:
         empty = SolveReport(0, 0, 0, 0.0, np.inf, True, "none", 0)
         return np.zeros(0, dtype=complex), empty
     scale = np.abs(a.data).max() if a.nnz else 0.0
     if scale == 0.0:
         raise SolverError("assembled matrix is identically zero")
+    # ||A||_inf, the largest row sum of |A|; |A_ij| is not kept, since an
+    # array of size nnz alive during the factorization adds to its peak
+    norm_a = np.bincount(a.indices, weights=np.abs(a.data), minlength=n).max()
 
     try:
-        x, report = _factor_and_solve(a, b, scale, *_SYMMETRIC)
+        x, report = _factor_and_solve(a, b, scale, norm_a, *_SYMMETRIC)
         if report.ok:
             return x, report
     except SolverError:
         pass
-    return _factor_and_solve(a, b, scale, *_FALLBACK)
+    return _factor_and_solve(a, b, scale, norm_a, *_FALLBACK)
 
 
 def _factor_and_solve(
-    a, b, scale: float, ordering: str, kwargs: dict, dtype
+    a, b, scale: float, norm_a: float, ordering: str, kwargs: dict, dtype
 ) -> tuple[np.ndarray, SolveReport]:
     """Factor ``a / scale`` in ``dtype`` and refine; raise SolverError when
-    singular.
+    the resonance gate trips.
 
-    ``lu.U`` is read once, for the pivots.  That access makes SuperLU build
-    CSC copies of both factors, L and U, which stay alive with ``lu``: on a
-    large system they set the peak memory of the solve.  ``lu.L`` then
-    returns the copy already built.
+    A double-precision factor is gated on its smallest pivot before the
+    solve, which extracts both factors; a single-precision one on
+    ||b||_inf / (||A||_inf ||x||_inf) after refinement, without extracting
+    them (see the module docstring).
     """
     try:
         lu = splu(
@@ -167,17 +193,21 @@ def _factor_and_solve(
     except RuntimeError as exc:  # SuperLU signals exact singularity this way
         raise SolverError(f"sparse factorization failed: {exc}") from exc
 
-    u = lu.U
-    pivot_ratio = float(np.abs(u.diagonal()).min())
-    if pivot_ratio <= PIVOT_RTOL:
-        raise SolverError(
-            "numerically singular system (min |pivot| = "
-            f"{pivot_ratio * scale:.3e} vs scale {scale:.3e}); the discrete "
-            "problem appears resonant -- perturb the frequency or refine the "
-            "mesh"
+    if dtype == np.complex128:
+        u = lu.U
+        lu_nnz = lu.L.nnz + u.nnz
+        pivot_ratio = _gate(np.abs(u.diagonal()).min(), "min |U_jj|")
+        x, r, corrections, converged = _refine(a, b, lu, scale, norm_a, dtype)
+    else:
+        lu_nnz = lu.nnz
+        x, r, corrections, converged = _refine(a, b, lu, scale, norm_a, dtype)
+        norm_x = np.abs(x).max()
+        if norm_x == 0.0:  # b = 0, or refinement failed at its first step
+            raise SolverError("zero solution: no resonance certificate")
+        pivot_ratio = _gate(
+            np.abs(b).max() / norm_a / norm_x, "||b|| / (||A|| ||x||)"
         )
 
-    x, r, corrections, converged = _refine(a, b, lu, scale, dtype)
     norm_b = float(np.linalg.norm(b))
     residual = float(np.linalg.norm(r))
     if norm_b > 0.0:
@@ -185,7 +215,7 @@ def _factor_and_solve(
     report = SolveReport(
         n=a.shape[0],
         nnz=int(a.nnz),
-        lu_nnz=int(lu.L.nnz + u.nnz),
+        lu_nnz=int(lu_nnz),
         residual=residual,
         pivot_ratio=pivot_ratio,
         ok=converged and residual <= RESIDUAL_RTOL,
@@ -195,20 +225,31 @@ def _factor_and_solve(
     return x, report
 
 
+def _gate(ratio, what: str) -> float:
+    """``ratio`` as a float; raise SolverError when it is <= ``PIVOT_RTOL``."""
+    ratio = float(ratio)
+    if ratio <= PIVOT_RTOL:
+        raise SolverError(
+            f"numerically singular system ({what} = {ratio:.3e}); the "
+            "discrete problem appears resonant -- perturb the frequency or "
+            "refine the mesh"
+        )
+    return ratio
+
+
 def _refine(
-    a, b: np.ndarray, lu, scale: float, dtype
+    a, b: np.ndarray, lu, scale: float, norm_a: float, dtype
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """Iterative refinement of A x = b by the stopping rule of ``zcgesv``.
 
-    ``lu`` factors ``a / scale`` in ``dtype``.  Starts from x = 0, so the
-    first step is the plain solve.  Returns the last iterate that reduced
-    the residual, that residual, the number of corrections after the first
-    solve, and whether the stopping test ||r||_inf <= ||x||_inf ||A||_inf
-    eps_64 sqrt(n) was met.
+    ``lu`` factors ``a / scale`` in ``dtype``, and ``norm_a`` is
+    ||A||_inf.  Starts from x = 0, so the first step is the plain solve.
+    Returns the last iterate that reduced the residual, that residual, the
+    number of corrections after the first solve, and whether the stopping
+    test ||r||_inf <= ||x||_inf ||A||_inf eps_64 sqrt(n) was met.
     """
     n = a.shape[0]
-    row_sums = np.bincount(a.indices, weights=np.abs(a.data), minlength=n)
-    tol = row_sums.max() * np.finfo(np.float64).eps * np.sqrt(n)
+    tol = norm_a * np.finfo(np.float64).eps * np.sqrt(n)
     x = np.zeros(n, dtype=complex)
     r = np.asarray(b, dtype=complex)
     r_norm = np.abs(r).max()

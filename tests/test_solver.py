@@ -215,16 +215,88 @@ def test_refined_solution_matches_a_double_precision_factor(name, theta_deg):
     assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
-def test_lu_nnz_counts_the_nonzeros_of_both_factors(ctx1, profile1):
-    # on this system SuperLU's own count, SuperLU.nnz, is larger
+def _normalized(system):
+    a = system.matrix.tocsc()
+    return a / np.abs(a.data).max()
+
+
+def test_lu_nnz_is_superlu_count_of_the_single_precision_factor(ctx1, profile1):
     mesh = generate_initial(sharp_profile(ctx1.period), ctx1, profile1, h0=0.125)
     system = assemble(mesh, ctx1, profile1, build_dofmap(mesh, ctx1))
     _, report = solve_system(system)
     # an independent factorization of the same normalized matrix with the
     # same settings
     ordering, kwargs, dtype = solver_module._SYMMETRIC
-    a = system.matrix.tocsc()
-    lu = splu((a / np.abs(a.data).max()).astype(dtype), permc_spec=ordering, **kwargs)
+    lu = splu(_normalized(system).astype(dtype), permc_spec=ordering, **kwargs)
+    assert report.ordering == ordering
+    assert report.lu_nnz == lu.nnz
+    assert report.fill_factor == report.lu_nnz / system.matrix.nnz
+
+
+def test_lu_nnz_counts_the_extracted_factors_after_a_fallback(monkeypatch):
+    system = _well_posed_system()
+    _patch_symmetric_attempt(monkeypatch, _raise)
+    _, report = solve_system(system)
+    ordering, kwargs, dtype = solver_module._FALLBACK
+    lu = splu(_normalized(system).astype(dtype), permc_spec=ordering, **kwargs)
     assert report.ordering == ordering
     assert report.lu_nnz == lu.L.nnz + lu.U.nnz
-    assert report.fill_factor == report.lu_nnz / system.matrix.nnz
+    assert report.pivot_ratio == np.abs(lu.U.diagonal()).min()
+
+
+class _UnextractableLU:
+    """A SuperLU factor whose L and U must not be read."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    @property
+    def L(self):
+        raise AssertionError("the factor L was extracted")
+
+    @property
+    def U(self):
+        raise AssertionError("the factor U was extracted")
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+def test_symmetric_attempt_never_extracts_the_factors(
+    monkeypatch, ctx1, profile1, flat_mesh1
+):
+    real = solver_module.splu
+    monkeypatch.setattr(
+        solver_module, "splu", lambda *a, **kw: _UnextractableLU(real(*a, **kw))
+    )
+    system = assemble(flat_mesh1, ctx1, profile1, build_dofmap(flat_mesh1, ctx1))
+    x, report = solve_system(system)
+    assert report.ordering == "MMD_AT_PLUS_A"
+    assert report.ok
+    # the gate's certificate, an upper bound on 1 / cond_inf(A)
+    a = system.matrix.tocsc()
+    norm_a = np.abs(a).sum(axis=1).max()
+    assert report.pivot_ratio == pytest.approx(
+        np.abs(system.rhs).max() / (norm_a * np.abs(x).max()), rel=1e-12
+    )
+
+
+def test_zero_rhs_on_a_resonant_matrix_still_raises():
+    # x = 0 certifies nothing, so the fallback's pivot gate decides
+    a = np.eye(5, dtype=complex)
+    a[3, 3] = 1e-16
+    with pytest.raises(SolverError, match="resonant"):
+        solve_system(_system(a, np.zeros(5, dtype=complex)))
+
+
+def test_rhs_without_the_near_null_component_is_solved():
+    # the certificate depends on b: away from the near-null direction the
+    # single-precision attempt solves the system exactly and passes
+    a = np.eye(5, dtype=complex)
+    a[3, 3] = 1e-16
+    b = np.array([1, 2, 3, 0, 4], dtype=complex)
+    x, report = solve_system(_system(a, b))
+    assert np.array_equal(x, b)
+    assert report.ordering == "MMD_AT_PLUS_A"
+    assert report.ok
+    assert report.pivot_ratio == 1.0
