@@ -154,6 +154,11 @@ def solve_system(system: SparseSystem) -> tuple[np.ndarray, SolveReport]:
         still returned).
     """
     a = system.matrix.tocsc()
+    if not a.has_canonical_format:
+        # the factored matrix shares a's index arrays, which splu would sort
+        # and merge in place
+        a = a.copy()
+        a.sum_duplicates()
     b = system.rhs
     n = a.shape[0]
     if n == 0:
@@ -186,9 +191,17 @@ def _factor_and_solve(
     ||b||_inf / (||A||_inf ||x||_inf) after refinement, without extracting
     them (see the module docstring).
     """
+    # the values of a / scale are cast straight into the factor's precision
+    # (the product rounds as scipy's a / scale does), and the index arrays
+    # are shared with a, not copied
+    scaled = np.multiply(
+        a.data, 1.0 / scale, out=np.empty(a.nnz, dtype), casting="same_kind"
+    )
     try:
         lu = splu(
-            (a / scale).astype(dtype, copy=False), permc_spec=ordering, **kwargs
+            type(a)((scaled, a.indices, a.indptr), shape=a.shape),
+            permc_spec=ordering,
+            **kwargs,
         )
     except RuntimeError as exc:  # SuperLU signals exact singularity this way
         raise SolverError(f"sparse factorization failed: {exc}") from exc

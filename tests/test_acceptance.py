@@ -11,24 +11,26 @@ import mpmath as mp
 import numpy as np
 import pytest
 from conftest import CONFIG_DIR, draw_context
+from layer_free import (
+    ab_coefficients,
+    dtn_matrix,
+    layer_dtn_matrix,
+    layer_system,
+    spectral_norm_2x2,
+)
 
 from gratpml import (
     CalibrationError,
     build_mode_table,
     calibrate,
-    dtn_matrix,
     flat_solution,
     fit_slope,
     indicators,
-    layer_dtn_matrix,
-    layer_system,
     load_config,
     make_pml,
     modeling_constants,
     run,
-    spectral_norm_2x2,
 )
-from gratpml.rayleigh import ab_coefficients
 
 SLOPE_BAND = (-0.65, -0.35)
 

@@ -107,6 +107,16 @@ def test_package_exports_every_module_list_once():
     assert calibration_walk is gratpml.pml.calibration_walk
 
 
+def test_package_defines_no_layer_free_operator():
+    # the half-space and layer operators are test oracles (tests/layer_free.py);
+    # the adaptive method reads only the closed-form modeling constants
+    for name in ("ParameterRegimeError", "dtn_matrix", "layer_dtn_matrix",
+                 "ab_coefficients", "layer_system", "spectral_norm_2x2"):
+        assert name not in gratpml.__all__, name
+        assert not hasattr(gratpml, name), name
+        assert not hasattr(gratpml.rayleigh, name), name
+
+
 def test_schema_keys_are_exactly_the_config_fields():
     # a key removed from one of the two cannot leave half of itself behind
     attrs = sorted(attr for _, _, attr, _ in gratpml.config._SCHEMA)

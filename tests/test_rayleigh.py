@@ -13,25 +13,27 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gratpml import (
-    ParameterRegimeError,
     TraceError,
-    ab_coefficients,
     build_mode_table,
     calibrate,
-    dtn_matrix,
     efficiencies,
     flat_solution,
     fourier_trace,
-    layer_dtn_matrix,
-    layer_system,
     make_pml,
     recover_potentials,
-    spectral_norm_2x2,
 )
 from gratpml.meshing import Mesh, bisect
 from gratpml.rayleigh import EfficiencyReport, _segment_integrals
 
 from conftest import rebuilt
+from layer_free import (
+    ParameterRegimeError,
+    ab_coefficients,
+    dtn_matrix,
+    layer_dtn_matrix,
+    layer_system,
+    spectral_norm_2x2,
+)
 
 SIGMA = 12.0 + 12.0j
 

@@ -281,6 +281,46 @@ def test_symmetric_attempt_never_extracts_the_factors(
     )
 
 
+def _same_bits(x, y):
+    return x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def test_factor_receives_the_normalized_matrix_in_single_precision(
+    monkeypatch, ctx1, profile1, flat_mesh1
+):
+    real = solver_module.splu
+    received = []
+
+    def spy(a, **kwargs):
+        received.append(a)
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(solver_module, "splu", spy)
+    system = assemble(flat_mesh1, ctx1, profile1, build_dofmap(flat_mesh1, ctx1))
+    before = system.matrix.copy()
+    solve_system(system)
+    (got,) = received
+    want = _normalized(system).astype(np.complex64)
+    for name in ("data", "indices", "indptr"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+        assert _same_bits(getattr(system.matrix, name), getattr(before, name)), name
+
+
+def test_unsorted_matrix_is_solved_and_left_as_given():
+    # column 0 lists row 1 before row 0, and column 1 holds row 1 twice
+    data = np.array([1 + 1j, 4, 2, 1, 2], dtype=complex)
+    indices = np.array([1, 0, 0, 1, 1], dtype=np.int32)
+    indptr = np.array([0, 2, 5], dtype=np.int32)
+    matrix = sp.csc_matrix((data.copy(), indices.copy(), indptr), shape=(2, 2))
+    dense = matrix.toarray()
+    rhs = np.array([1, 2], dtype=complex)
+    x, report = solve_system(SparseSystem(matrix=matrix, rhs=rhs))
+    assert report.ordering == "MMD_AT_PLUS_A"
+    assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=1e-14, atol=0)
+    assert np.array_equal(matrix.indices, indices)
+    assert np.array_equal(matrix.data, data)
+
+
 def test_zero_rhs_on_a_resonant_matrix_still_raises():
     # x = 0 certifies nothing, so the fallback's pivot gate decides
     a = np.eye(5, dtype=complex)
