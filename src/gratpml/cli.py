@@ -33,7 +33,13 @@ from .adapt import (
 )
 from .config import ConfigError, RunConfig, load_config
 from .meshing import PHYSICAL, PML, GeometryError, generate_initial, write_vtk
-from .pml import TARGET_FHAT, CalibrationError, calibration_walk, select_thickness
+from .pml import (
+    TARGET_FHAT,
+    CalibrationError,
+    calibrate,
+    modeling_constants,
+    thickness_bound,
+)
 from .rayleigh import TraceError
 from .solver import SolverError
 from .waves import ResonanceError
@@ -55,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {
         "solve": "run the adaptive loop and write reports",
-        "pml-calibrate": "tabulate layer constants over the thickness grid",
+        "pml-calibrate": "print the layer that pml.calibrate selects, and why",
         "mesh-info": "generate the initial mesh and print its statistics",
     }
     # each command registers only the options its handler reads
@@ -130,21 +136,15 @@ def _cmd_solve(cfg: RunConfig, args) -> int:
 
 def _cmd_pml_calibrate(cfg: RunConfig, args) -> int:
     ctx, modes = wave_setup(cfg)
-    steps = list(calibration_walk(ctx, modes))
-    chosen = None
-    try:
-        chosen = select_thickness(steps)  # the layer ``calibrate`` returns
-    finally:
-        # the table is printed also when no thickness meets the target
-        print(f"target: F_hat * sqrt(period) <= {TARGET_FHAT:.3g}")
-        print(f"{'delta':>10} {'Re zeta':>10} {'F':>12} {'F_hat':>12} "
-              f"{'F_hat*sqrtP':>12} {'coercive':>9}")
-        for profile, mc, achieved, _ in steps:
-            tag = "  <- selected" if profile == chosen else ""
-            print(f"{profile.delta:10.4g} {profile.zeta.real:10.4g} "
-                  f"{mc.f:12.4e} {mc.f_hat:12.4e} {achieved:12.4e} "
-                  f"{str(mc.coercive):>9}{tag}")
-    print(f"zeta at delta = {chosen.delta}: {chosen.zeta}")
+    # the bound is printed first, so that a failed calibration explains itself
+    print(f"target:   F_hat * sqrt(period) <= {TARGET_FHAT:.3g}")
+    print(f"bound:    delta >= {thickness_bound(ctx, modes):.5g}")
+    profile = calibrate(ctx, modes)
+    mc = modeling_constants(ctx, modes, profile)
+    print(f"layer:    delta = {profile.delta!r}, zeta = {profile.zeta!r}, "
+          f"F = {mc.f:.4e}, F_hat = {mc.f_hat:.4e}, "
+          f"F_hat*sqrtP = {mc.f_hat * np.sqrt(ctx.period):.4e}, "
+          f"coercive = {mc.coercive}")
     return 0
 
 

@@ -23,11 +23,9 @@ The grating is either a built-in profile (``builtin = flat | sharp``, flat
 by default) or a profile file (``file = path``, which alone selects it);
 setting both is an error.  A relative profile path is read from the
 config file's directory.  The layer is not configured: every run
-calibrates it by one fixed rule, sigma = 12 + 12i, m = 2 and the first
-delta on 0.25 * 2^k (k = 0..8) with Re zeta >= 1 and F_hat * sqrt(period)
-<= 1e-8 (``gratpml.pml.calibrate``).  Nor are marking and corner
-tracking: a run marks with the bulk fraction 0.5 and tracks the peaks of
-its profile (``GratingProfile.reentrant_corners``).
+calibrates it by the one rule of ``gratpml.pml.calibrate``.  Nor are
+marking and corner tracking: a run marks with the bulk fraction 0.5 and
+tracks the peaks of its profile (``GratingProfile.reentrant_corners``).
 Unknown sections or keys are rejected (typos should fail loudly, not fall
 back to defaults), and so are NaN and infinite numbers and an empty
 ``[output] dir``.  Every key except the six wave parameters has a default.

@@ -30,9 +30,19 @@ modes, over all integers n.  The derived boundary-operator bound is
     F_hat = 17 * omega^2 * F / kappa1^4,
 
 and F <= kappa1^2/2 guarantees coercivity-style control of the truncated
-problem.  Calibration takes the first delta on the fixed grid
-DELTA_GRID = 0.25 * 2^k (k = 0..8, so 0.25 to 64) with Re zeta >= 1 and
-F_hat * sqrt(period) <= TARGET_FHAT = 1e-8.
+problem.  Calibration asks Re zeta >= 1 and F_hat * sqrt(period) <=
+TARGET_FHAT = 1e-8.  A branch term meets its share, D/(exp(D*Z/2) - 1) <=
+t = TARGET_FHAT * kappa1^4 / (17 * omega^2 * Cmax * sqrt(period)), exactly
+when Z >= (2/D) * log(1 + D/t).  So Im zeta must reach need_Im, the largest
+such Z over the Dj-, and Re zeta need_Re, the largest over 1 and the finite
+Dj+; with zeta = delta * (1 + sigma/(m+1)) the thinnest layer is
+
+    delta* = max( need_Im / (Im sigma/(m+1)), need_Re / (1 + Re sigma/(m+1)) ),
+
+infinite for Im sigma = 0.  Every term of F is nonincreasing in delta and Re
+zeta grows with it, so exactly the delta >= delta* meet both conditions, and
+the first of the fixed grid DELTA_GRID = 0.25 * 2^k (k = 0..8, so 0.25 to
+64) at or above delta* is the first grid delta that does.
 
 Inside the layer the incident wave is no longer a solution of the stretched
 Navier operator L; its image g = L u_inc (zero below y = b) is the volume
@@ -41,7 +51,6 @@ data of the PML formulation and is available here in closed form.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +67,8 @@ __all__ = [
     "rho",
     "rho_prime",
     "modeling_constants",
-    "calibration_walk",
+    "thickness_bound",
     "calibrate",
-    "select_thickness",
     "pml_source",
 ]
 
@@ -178,6 +186,18 @@ def _fluct_ratio(delta_cut: float, depth: float) -> float:
     return float(delta_cut / np.expm1(min(arg, _EXP_CLAMP)))
 
 
+def _cmax(ctx: WaveContext) -> float:
+    """The wavenumber factor Cmax of the fluctuation constant."""
+    k1, k2 = ctx.kappa1, ctx.kappa2
+    return max(
+        12.0 * k2,
+        16.0 * k2**4,
+        8.0 + 2.0 * k2**2,
+        16.0 * k2**3 / k1**2,
+        24.0 * (16.0 + k2**2) ** 2 / k1**2,
+    )
+
+
 def modeling_constants(
     ctx: WaveContext, modes: ModeTable, profile: PmlProfile
 ) -> ModelingConstants:
@@ -196,14 +216,8 @@ def modeling_constants(
     -------
     ModelingConstants
     """
-    k1, k2 = ctx.kappa1, ctx.kappa2
-    cmax = max(
-        12.0 * k2,
-        16.0 * k2**4,
-        8.0 + 2.0 * k2**2,
-        16.0 * k2**3 / k1**2,
-        24.0 * (16.0 + k2**2) ** 2 / k1**2,
-    )
+    k1 = ctx.kappa1
+    cmax = _cmax(ctx)
     re_half = profile.zeta.real / 2.0
     im_half = profile.zeta.imag / 2.0
     terms = np.array([
@@ -221,25 +235,27 @@ def modeling_constants(
     )
 
 
-def calibration_walk(
+def thickness_bound(
     ctx: WaveContext,
     modes: ModeTable,
     sigma: complex = 12.0 + 12.0j,
     m: int = 2,
-) -> Iterator[tuple[PmlProfile, ModelingConstants, float, bool]]:
-    """Walk delta through DELTA_GRID (0.25, 0.5, ..., 64).
+) -> float:
+    """The thinnest layer delta* meeting both conditions of calibration (see
+    the module docstring); inf for Im sigma = 0.  Arguments as for
+    :func:`calibrate`."""
+    if sigma.imag == 0.0:
+        return float("inf")
+    t = TARGET_FHAT * ctx.kappa1**4 / (
+        17.0 * ctx.omega**2 * _cmax(ctx) * np.sqrt(ctx.period)
+    )
 
-    Yields (profile, constants, achieved, accepted) per thickness, with
-    achieved = F_hat * sqrt(period) and accepted = (Re zeta >= 1 and
-    achieved <= TARGET_FHAT).  Arguments as for :func:`calibrate`.
-    """
-    sqrt_period = float(np.sqrt(ctx.period))
-    for delta in DELTA_GRID:
-        profile = make_pml(sigma, m, delta, ctx.gamma_height)
-        mc = modeling_constants(ctx, modes, profile)
-        achieved = mc.f_hat * sqrt_period
-        accepted = profile.zeta.real >= 1.0 and achieved <= TARGET_FHAT
-        yield profile, mc, achieved, accepted
+    def need(cuts, floor=0.0):  # the depth Z that every finite cut-off needs
+        return max([floor] + [2.0 / d * np.log1p(d / t)
+                              for d in cuts if np.isfinite(d)])
+
+    return float(max(need(modes.delta_minus) / (sigma.imag / (m + 1)),
+                     need(modes.delta_plus, 1.0) / (1.0 + sigma.real / (m + 1))))
 
 
 def calibrate(
@@ -248,58 +264,30 @@ def calibrate(
     sigma: complex = 12.0 + 12.0j,
     m: int = 2,
 ) -> PmlProfile:
-    """Pick the smallest layer thickness meeting the fluctuation target.
-
-    Returns the first profile that :func:`calibration_walk` accepts: the
-    first delta on DELTA_GRID with Re zeta >= 1 and F_hat * sqrt(period) <=
-    TARGET_FHAT = 1e-8.
-
-    Parameters
-    ----------
-    ctx, modes
-        Wave context and mode table (fixed across the grid).
-    sigma, m
-        Layer strength and power.
-
-    Returns
-    -------
-    PmlProfile
+    """The layer whose thickness is :func:`thickness_bound` rounded up to
+    DELTA_GRID, for the strength sigma and power m that :func:`make_pml`
+    validates.
 
     Raises
     ------
     CalibrationError
-        If no grid point satisfies both conditions; the message reports the
-        best F_hat * sqrt(period) reached.
+        If the bound lies beyond the grid.  The message names the best
+        F_hat * sqrt(period) reached, at the thickest delta as F_hat falls
+        with delta, and the thickness the target needs.
     """
-    return select_thickness(calibration_walk(ctx, modes, sigma, m))
-
-
-def select_thickness(
-    steps: Iterable[tuple[PmlProfile, ModelingConstants, float, bool]],
-) -> PmlProfile:
-    """The profile of the first accepted step of a :func:`calibration_walk`.
-
-    Consumes ``steps`` only up to that step, so :func:`calibrate` stops its
-    walk there; ``pml-calibrate`` passes the whole walk it tabulates.
-
-    Raises
-    ------
-    CalibrationError
-        If no step is accepted; the message reports the best F_hat *
-        sqrt(period) reached with Re zeta >= 1.
-    """
-    best = float("inf")
-    best_delta = None
-    for profile, _, achieved, accepted in steps:
-        if accepted:
-            return profile
-        if profile.zeta.real >= 1.0 and achieved < best:
-            best, best_delta = achieved, profile.delta
-    raise CalibrationError(
-        f"no delta in [{DELTA_GRID[0]}, {DELTA_GRID[-1]}] reaches "
-        f"F_hat*sqrt(period) <= {TARGET_FHAT:.3g}; best was {best:.3g} at "
-        f"delta = {best_delta}"
-    )
+    thickest = make_pml(sigma, m, DELTA_GRID[-1], ctx.gamma_height)  # validates
+    bound = thickness_bound(ctx, modes, sigma, m)
+    if bound <= thickest.delta:
+        delta = min(d for d in DELTA_GRID if d >= bound)
+        return make_pml(sigma, m, delta, ctx.gamma_height)
+    failure = (f"no delta in [{DELTA_GRID[0]}, {DELTA_GRID[-1]}] reaches "
+               f"F_hat*sqrt(period) <= {TARGET_FHAT:.3g}")
+    if thickest.sigma.imag == 0.0:
+        raise CalibrationError(f"{failure}: with Im sigma = 0, Im zeta = 0 and "
+                               f"the propagating modes are not damped")
+    best = modeling_constants(ctx, modes, thickest).f_hat * float(np.sqrt(ctx.period))
+    raise CalibrationError(f"{failure}; best was {best:.3g} at delta = "
+                           f"{thickest.delta}; the target needs delta >= {bound:.5g}")
 
 
 def pml_source(

@@ -102,9 +102,9 @@ def test_package_exports_every_module_list_once():
     for module in modules:
         for name in module.__all__:
             assert getattr(gratpml, name) is getattr(module, name), name
-    from gratpml import calibration_walk
+    from gratpml import thickness_bound
 
-    assert calibration_walk is gratpml.pml.calibration_walk
+    assert thickness_bound is gratpml.pml.thickness_bound
 
 
 def test_package_defines_no_layer_free_operator():
@@ -675,20 +675,23 @@ def test_cli_exit_2_when_the_initial_mesh_exceeds_max_dofs(
     assert not (out / "convergence.csv").exists()
 
 
-def test_cli_pml_calibrate_tabulates_and_selects(tmp_path, capsys):
-    # the table tags the layer that mesh-info and solve use
+def test_cli_pml_calibrate_prints_the_bound_and_selects(tmp_path, capsys):
+    # target, bound, and the layer that mesh-info and solve use
     cfg = _cli_config(tmp_path)
     assert main(["pml-calibrate", "--config", str(cfg)]) == 0
-    stdout = capsys.readouterr().out
-    selected = [row for row in stdout.splitlines() if "<- selected" in row]
-    assert [float(row.split()[0]) for row in selected] == [8.0]
-    assert "zeta at delta = 8.0:" in stdout
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["target:   F_hat * sqrt(period) <= 1e-08",
+                         "bound:    delta >= 6.2512"]
+    assert len(lines) == 3
+    assert lines[2].startswith("layer:    delta = 8.0, zeta = (40+32j), F = ")
+    assert ", F_hat = 2.0117e-12, F_hat*sqrtP = 2.0117e-12, coercive = True" in lines[2]
     assert main(["mesh-info", "--config", str(cfg)]) == 0
-    assert "delta = 8.0," in capsys.readouterr().out
+    assert "layer:    delta = 8.0, zeta = (40+32j), F_hat = 2.0117e-12" in (
+        capsys.readouterr().out.splitlines())
 
 
-def test_cli_pml_calibrate_walks_the_grid_once(monkeypatch, capsys):
-    # the nine table rows hold every value the selection needs
+def test_cli_pml_calibrate_evaluates_the_constants_once(monkeypatch, capsys):
+    # the bound needs no constants; the selected layer's are printed
     calls = []
     real = gratpml.pml.modeling_constants
 
@@ -697,10 +700,11 @@ def test_cli_pml_calibrate_walks_the_grid_once(monkeypatch, capsys):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(gratpml.pml, "modeling_constants", counting)
+    monkeypatch.setattr(gratpml.cli, "modeling_constants", counting)
     config = str(CONFIG_DIR / "flat.cfg")
     assert main(["pml-calibrate", "--config", config]) == 0
-    assert "<- selected" in capsys.readouterr().out
-    assert calls == [0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+    assert "layer:    delta = 8.0," in capsys.readouterr().out
+    assert calls == [8.0]
 
 
 @pytest.mark.parametrize(
@@ -870,12 +874,11 @@ def test_cli_pml_calibrate_exit_3_when_no_thickness_meets_the_target(
     captured = capsys.readouterr()
     assert "numerical failure" in captured.err
     assert failure in captured.err
-    # the table is printed before the failure, without a selected row
-    rows = captured.out.splitlines()[2:]
-    assert [float(row.split()[0]) for row in rows] == [
-        0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0
+    assert "; the target needs delta >= 373.93" in captured.err
+    # the target and the bound are printed before the failure, no layer
+    assert captured.out.splitlines() == [
+        "target:   F_hat * sqrt(period) <= 1e-08", "bound:    delta >= 373.93"
     ]
-    assert "selected" not in captured.out
     # the other commands calibrate first and fail alike, before any output;
     # the output directory they made goes again, one that existed stays
     kept = tmp_path / "kept"

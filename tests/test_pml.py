@@ -1,6 +1,8 @@
 """Layer profile, fluctuation constants, calibration, and the layer source."""
 
 import inspect
+import re
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 import pytest
@@ -17,8 +19,16 @@ from gratpml import (
     pml_source,
     rho,
     rho_prime,
+    thickness_bound,
 )
-from gratpml.pml import DELTA_GRID, TARGET_FHAT, calibration_walk
+from gratpml.pml import (
+    DELTA_GRID,
+    TARGET_FHAT,
+    ModelingConstants,
+    PmlProfile,
+)
+
+from conftest import draw_context
 
 SIGMA = 12.0 + 12.0j
 
@@ -140,12 +150,141 @@ def test_calibration_grid_and_target_are_fixed(ctx1, modes1):
     assert TARGET_FHAT == 1e-8
     params = inspect.signature(calibrate).parameters
     assert list(params) == ["ctx", "modes", "sigma", "m"]
-    assert list(inspect.signature(calibration_walk).parameters) == list(params)
-    steps = list(calibration_walk(ctx1, modes1))
-    assert [p.delta for p, _, _, _ in steps] == list(DELTA_GRID)
-    assert [accepted for _, _, _, accepted in steps] == [
-        p.zeta.real >= 1.0 and a <= TARGET_FHAT for p, _, a, _ in steps
-    ]
+    assert inspect.signature(thickness_bound).parameters == params
+    # the shipped layer: the bound rounded up to the grid
+    bound = thickness_bound(ctx1, modes1)
+    assert bound == pytest.approx(6.2512, abs=1e-4)
+    assert calibrate(ctx1, modes1).delta == min(d for d in DELTA_GRID if d >= bound)
+
+
+def test_calibration_without_damping_names_the_cause(ctx1, modes1):
+    # Im sigma = 0 is an admissible layer, but Im zeta = 0 damps no
+    # propagating mode at any thickness
+    assert thickness_bound(ctx1, modes1, 12.0 + 0.0j) == np.inf
+    with pytest.raises(CalibrationError) as info:
+        calibrate(ctx1, modes1, 12.0 + 0.0j)
+    message = str(info.value)
+    assert "with Im sigma = 0, Im zeta = 0 and the propagating modes are not " \
+        "damped" in message
+    assert "None" not in message and "inf" not in message
+
+
+def _conditions(ctx, modes, sigma, delta):
+    """Re zeta >= 1, the target met, and the column (0 for the Dj-, 1 for
+    the Dj+) of the largest fluctuation term, at thickness delta."""
+    profile = make_pml(sigma, 2, delta, b=ctx.gamma_height)
+    mc = modeling_constants(ctx, modes, profile)
+    return (profile.zeta.real >= 1.0,
+            mc.f_hat * np.sqrt(ctx.period) <= TARGET_FHAT,
+            int(np.argmax(mc.terms.max(axis=0))))
+
+
+@pytest.mark.parametrize(
+    "sigma, n_max, below",
+    [
+        (SIGMA, 20, (True, False, 0)),  # shipped: Im zeta >= 25.0 binds
+        (12.0j, 20, (True, False, 1)),  # Re zeta >= 30.0 binds
+        (1000.0j, 0, (False, True, 0)),  # no evanescent mode: Re zeta >= 1
+    ],
+    ids=["im", "re", "floor"],
+)
+def test_thickness_bound_is_the_threshold(ctx1, sigma, n_max, below):
+    modes = build_mode_table(ctx1, n_max)
+    bound = thickness_bound(ctx1, modes, sigma, 2)
+    assert _conditions(ctx1, modes, sigma, bound * (1 + 1e-9))[:2] == (True, True)
+    assert _conditions(ctx1, modes, sigma, bound * (1 - 1e-9)) == below
+
+
+# The grid walk that calibration ran before the closed form, verbatim: an
+# oracle for the closed form's choice and for its failure message.
+
+
+def calibration_walk(
+    ctx,
+    modes,
+    sigma: complex = 12.0 + 12.0j,
+    m: int = 2,
+) -> Iterator[tuple[PmlProfile, ModelingConstants, float, bool]]:
+    """Walk delta through DELTA_GRID (0.25, 0.5, ..., 64).
+
+    Yields (profile, constants, achieved, accepted) per thickness, with
+    achieved = F_hat * sqrt(period) and accepted = (Re zeta >= 1 and
+    achieved <= TARGET_FHAT).  Arguments as for :func:`calibrate`.
+    """
+    sqrt_period = float(np.sqrt(ctx.period))
+    for delta in DELTA_GRID:
+        profile = make_pml(sigma, m, delta, ctx.gamma_height)
+        mc = modeling_constants(ctx, modes, profile)
+        achieved = mc.f_hat * sqrt_period
+        accepted = profile.zeta.real >= 1.0 and achieved <= TARGET_FHAT
+        yield profile, mc, achieved, accepted
+
+
+def select_thickness(
+    steps: Iterable[tuple[PmlProfile, ModelingConstants, float, bool]],
+) -> PmlProfile:
+    """The profile of the first accepted step of a :func:`calibration_walk`.
+
+    Consumes ``steps`` only up to that step, so :func:`calibrate` stops its
+    walk there; ``pml-calibrate`` passes the whole walk it tabulates.
+
+    Raises
+    ------
+    CalibrationError
+        If no step is accepted; the message reports the best F_hat *
+        sqrt(period) reached with Re zeta >= 1.
+    """
+    best = float("inf")
+    best_delta = None
+    for profile, _, achieved, accepted in steps:
+        if accepted:
+            return profile
+        if profile.zeta.real >= 1.0 and achieved < best:
+            best, best_delta = achieved, profile.delta
+    raise CalibrationError(
+        f"no delta in [{DELTA_GRID[0]}, {DELTA_GRID[-1]}] reaches "
+        f"F_hat*sqrt(period) <= {TARGET_FHAT:.3g}; best was {best:.3g} at "
+        f"delta = {best_delta}"
+    )
+
+
+def _outcome(choose):
+    try:
+        return choose()
+    except CalibrationError as exc:
+        return str(exc)
+
+
+def test_closed_form_calibration_matches_the_grid_walk():
+    rng = np.random.default_rng(28)
+    fixed = [SIGMA, 12.0j, 12.0 + 0.0j, 0.5 + 0.5j]
+    chosen, failed = 0, 0
+    for _ in range(2000):
+        ctx = draw_context(rng)
+        pick = rng.integers(len(fixed) + 1)
+        sigma = (fixed[pick] if pick < len(fixed)
+                 else complex(rng.uniform(0.0, 30.0), rng.uniform(0.0, 30.0)))
+        m = int(rng.integers(1, 4))
+        window = int(rng.integers(-1, 4))
+        modes = build_mode_table(ctx, None if window < 0 else window)
+        args = (ctx, modes, sigma, m)
+        want = _outcome(lambda: select_thickness(calibration_walk(*args)))
+        got = _outcome(lambda: calibrate(*args))
+        case = (ctx, sigma, m, modes.n_max)
+        if isinstance(want, PmlProfile):
+            chosen += 1
+            assert got == want, case
+            continue
+        failed += 1
+        assert isinstance(got, str), case
+        if sigma.imag == 0.0:
+            assert "best was inf at delta = None" in want
+            assert "with Im sigma = 0" in got, case
+        else:
+            best = re.search(r"best was \S+ at delta = 64\.0", want)
+            assert best is not None and got.startswith(want + "; the target "
+                                                       "needs delta >= "), case
+    assert chosen > 500 and failed > 500
 
 
 def test_huge_layer_saturates_instead_of_overflowing(ctx1, modes1):
