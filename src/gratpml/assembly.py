@@ -28,10 +28,16 @@ one element kernel, with ``quadrature.element_rule``): the (u1, v1) and
 (u2, v2) entries of a pair are symmetric in its two nodes, and the mixed
 entries are the real area*dx(phi_a)*dy(phi_b) taken in both orders, so
 every element matrix is complex symmetric by construction.  ``assemble``
-sums these per-pair values onto the nodes and edges of the mesh, in blocks
-of ``BLOCK_SIZE`` elements, so that it holds one 2x2 block for each of the
-N + 2E ordered node pairs (an edge in both orders).  Each summed value fills
-both transposed positions of the matrix.
+sums these per-pair values onto the nodes and edges of the mesh, so that it
+holds one 2x2 block for each of the N + 2E ordered node pairs (an edge in
+both orders).  Each summed value fills both transposed positions of the
+matrix.
+
+Every per-element pass, here and in the residual estimator, walks the mesh
+by the one sweep ``element_blocks``, in blocks of ``BLOCK_SIZE`` elements so
+that no temporary grows with the mesh, and takes the points of the element
+rule from their vertex coordinates by the one map
+``quadrature.at_rule_points``.
 
 Boundary conditions: u = 0 on the grating surface, u = u_inc (nodal values)
 on the truncation line, and quasi-periodicity u(period, y) =
@@ -51,9 +57,8 @@ pattern equals that of its transpose) and A(alpha)^T = A(-alpha) for the
 Bloch parameter alpha; it is complex symmetric only at normal incidence.
 The blocks of eliminated Dirichlet columns are folded into the right-hand
 side together with the volume data g = L u_inc of the layer, which
-``layer_source`` evaluates at the points of the element rule, also in
-blocks of ``BLOCK_SIZE`` elements; the residual estimator integrates the
-same values.
+``layer_source`` evaluates at the points of the element rule; the residual
+estimator integrates the same values.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ import scipy.sparse as sp
 
 from .meshing import Mesh
 from .pml import PmlProfile, pml_source, rho
-from .quadrature import element_rule
+from .quadrature import at_rule_points, element_rule
 from .waves import WaveContext, incident_field
 
 __all__ = [
@@ -189,10 +194,21 @@ def build_dofmap(mesh: Mesh, ctx: WaveContext) -> DofMap:
     return DofMap(eq=eq, weight=weight, value=value, n_free=2 * free.size)
 
 
-#: Elements per block of ``assemble`` and of the estimator's residuals:
-#: their per-element temporaries have this many rows whatever the size of
-#: the mesh (a few MB, which also keeps them in cache).  Read at call time.
+#: Elements per block of ``element_blocks``: the per-element temporaries of
+#: every sweep have this many rows whatever the size of the mesh (a few MB,
+#: which also keeps them in cache).  Read at call time.
 BLOCK_SIZE = 8192
+
+
+def element_blocks(mesh: Mesh, start: int = 0):
+    """Sweep the elements ``start``, ``start + 1``, ... in blocks of
+    ``BLOCK_SIZE``: yield each block's slice of the element arrays and its
+    vertex triples.  Each value is per element, so no result of a sweep
+    depends on the block size."""
+    for first in range(start, mesh.n_tris, BLOCK_SIZE):
+        blk = slice(first, first + BLOCK_SIZE)
+        yield blk, mesh.tris[blk]
+
 
 # The six node pairs (a, b) of an element: its vertices (a, a), then its
 # edges; slot 3 + k is edge k of ``Mesh.edge_structure`` (opposite vertex k).
@@ -228,7 +244,7 @@ def _pair_integrals(
         test function a and trial function b; the other order swaps them.
     """
     bary, w = element_rule()
-    rq = rho(profile, y @ bary.T)
+    rq = rho(profile, at_rule_points(y))
     int_rho = area * (rq @ w)
     int_inv = area * ((1.0 / rq) @ w)
     lam, mu, om2 = ctx.lam, ctx.mu, ctx.omega**2
@@ -252,8 +268,8 @@ def _pair_sums(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Element matrix and load summed on the node pairs of the mesh.
 
-    Runs over blocks of ``BLOCK_SIZE`` elements.  ``g`` is the layer volume
-    data (``layer_source``).
+    One ``element_blocks`` sweep.  ``g`` is the layer volume data
+    (``layer_source``).
 
     Returns
     -------
@@ -273,9 +289,7 @@ def _pair_sums(
     # rows: Re diag, Im diag, then mixed with a the lower node of the pair
     sums = np.zeros((6, n + len(edges)))
     load = np.zeros((4, n))
-    for first in range(0, mesh.n_tris, BLOCK_SIZE):
-        blk = slice(first, first + BLOCK_SIZE)
-        tris = mesh.tris[blk]
+    for blk, tris in element_blocks(mesh):
         diag, mixed = _pair_integrals(
             area[blk], grads[blk], mesh.nodes[tris, 1], ctx, profile
         )
@@ -317,17 +331,15 @@ def layer_source(
     ndarray (M, Q, 2) complex
         g at the Q points of ``element_rule``; exactly 0 below y = b.
         Evaluated pointwise, so carried and fresh values are bit-identical;
-        over blocks of ``BLOCK_SIZE`` elements, so the temporaries of
-        ``pml_source`` do not grow with the mesh.
+        by one ``element_blocks`` sweep from element K, so the temporaries
+        of ``pml_source`` do not grow with the mesh.
     """
     done = 0 if carried is None else len(carried)
     blocks = [] if carried is None else [carried]
-    bary, _ = element_rule()
-    for first in range(done, mesh.n_tris, BLOCK_SIZE):
-        coords = mesh.nodes[mesh.tris[first:first + BLOCK_SIZE]]
-        blocks.append(
-            pml_source(ctx, profile, coords[..., 0] @ bary.T, coords[..., 1] @ bary.T)
-        )
+    for _, tris in element_blocks(mesh, done):
+        coords = mesh.nodes[tris]
+        x, y = at_rule_points(coords[..., 0]), at_rule_points(coords[..., 1])
+        blocks.append(pml_source(ctx, profile, x, y))
     return np.concatenate(blocks)
 
 

@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from math import isfinite, radians
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "write_config"]
+__all__ = ["ConfigError", "RunConfig", "load_config"]
 
 
 class ConfigError(ValueError):
@@ -188,28 +188,3 @@ def load_config(path) -> RunConfig:
     cfg.validate()
     return cfg
 
-
-def write_config(cfg: RunConfig, path) -> None:
-    """Write a configuration file that ``load_config`` round-trips."""
-    parser = configparser.ConfigParser(interpolation=None)
-    defaults = {f.name: f.default for f in fields(RunConfig)}
-    for section, key, attr, conv in _SCHEMA:
-        value = getattr(cfg, attr)
-        required = (section, key) in _REQUIRED
-        if not required and value == defaults.get(attr):
-            continue
-        if key == "builtin" and cfg.grating_file:
-            continue  # the file key selects the profile on its own
-        if key == "file":
-            value = os.path.abspath(value)  # valid wherever the file is written
-        if not parser.has_section(section):
-            parser.add_section(section)
-        if conv is bool:
-            text = "true" if value else "false"
-        elif conv is float:
-            text = repr(float(value))
-        else:
-            text = str(value)
-        parser.set(section, key, text)
-    with open(path, "w", encoding="utf-8") as fh:
-        parser.write(fh)

@@ -33,7 +33,11 @@ small) layer-truncation part, with f_hat the layer modeling constant.
 
 ``indicators`` is the one entry point: it evaluates the element Jacobians
 of the field once, and the residual norms ||R_T|| and the jump sums
-sum_e h_e ||J_e||^2 are its ``residual_terms`` and ``jump_terms``.
+sum_e h_e ||J_e||^2 are its ``residual_terms`` and ``jump_terms``.  The
+geometry comes from where it is defined once: the residuals walk the
+elements by the sweep ``assembly.element_blocks``, every edge length h_e is
+``Mesh.edge_lengths`` (h_T, ``Mesh.diameters``, is their maximum over T),
+and the edges of a line are ``Mesh.edges_on``.
 """
 
 from __future__ import annotations
@@ -42,12 +46,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import assembly
-from .assembly import layer_source
+from .assembly import element_blocks, layer_source
 from .meshing import Mesh, p1_jacobian
 from .pml import PmlProfile, rho, rho_prime
 from .pml import pml_source  # noqa: F401  (rebound by benchmarks/tracing.py)
-from .quadrature import edge_rule, element_rule
+from .quadrature import at_rule_points, edge_rule, element_rule
 from .waves import WaveContext, incident_field
 
 __all__ = ["ErrorIndicators", "indicators"]
@@ -86,21 +89,16 @@ def _residuals(
     integrated on every element with ``element_rule``.  Below the mesh line
     y = b this is omega^2 * u_h (rho = 1, rho' = 0, g = 0), whose squared
     modulus is quadratic, so the rule is exact there.  dy(u_c) is read from
-    the element Jacobians ``jac``.  The points of the rule are evaluated in
-    blocks of ``assembly.BLOCK_SIZE`` elements, so no temporary grows with
-    the mesh; each value is per element, so the result does not depend on
-    the block size.
+    the element Jacobians ``jac``.  One ``assembly.element_blocks`` sweep,
+    so no temporary grows with the mesh.
     """
-    bary, w = element_rule()
+    _, w = element_rule()
     area = mesh.areas
     om2 = ctx.omega**2
     out = np.empty(mesh.n_tris)
-    block = assembly.BLOCK_SIZE
-    for first in range(0, mesh.n_tris, block):
-        blk = slice(first, first + block)
-        tris = mesh.tris[blk]
+    for blk, tris in element_blocks(mesh):
         vals = field[tris]
-        y = mesh.nodes[tris][..., 1] @ bary.T
+        y = at_rule_points(mesh.nodes[tris, 1])
         r = rho(profile, y)
         rp = rho_prime(profile, y)
         dy = jac[blk, :, 1, None]  # dy(u_c), (B, 2, 1)
@@ -108,7 +106,7 @@ def _residuals(
         for k, coef in enumerate((ctx.mu, ctx.lam + 2.0 * ctx.mu)):
             res = (
                 -coef * rp / r**2 * dy[:, k]
-                + om2 * r * (vals[:, :, k] @ bary.T)
+                + om2 * r * at_rule_points(vals[:, :, k])
                 - amplitude * source[blk, :, k]
             )
             dens += np.abs(res) ** 2
@@ -148,7 +146,7 @@ def _jumps(
     """
     edges, _, edge_tri = mesh.edge_structure()
     dvec = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
-    h = np.linalg.norm(dvec, axis=1)
+    h = mesh.edge_lengths
 
     interior = np.nonzero(edge_tri[:, 1] >= 0)[0]
     t1, t2 = edge_tri[interior, 0], edge_tri[interior, 1]
@@ -181,13 +179,13 @@ def _line_terms(
     mesh: Mesh, field: np.ndarray, ctx: WaveContext, amplitude: float,
     on_line: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The edges with both nodes in ``on_line``: each one's element and its
+    """The edges ``Mesh.edges_on(on_line)``: each one's element and its
     int_e |I_h u - amplitude * u_inc|^2, by the 5-point ``edge_rule``."""
     edges, _, edge_tri = mesh.edge_structure()
-    eids = np.nonzero(on_line[edges[:, 0]] & on_line[edges[:, 1]])[0]
+    eids = np.nonzero(mesh.edges_on(on_line))[0]
     a, b = edges[eids, 0], edges[eids, 1]
     pa, pb = mesh.nodes[a], mesh.nodes[b]
-    h = np.linalg.norm(pb - pa, axis=1)
+    h = mesh.edge_lengths[eids]
     tq, wq = edge_rule()
     pts = pa[:, None, :] + (pb - pa)[:, None, :] * tq[None, :, None]
     target = amplitude * incident_field(ctx, pts[..., 0], pts[..., 1])

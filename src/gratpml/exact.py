@@ -29,7 +29,7 @@ from math import cos, sin
 import numpy as np
 
 from .meshing import PHYSICAL, p1_jacobian
-from .quadrature import element_rule
+from .quadrature import at_rule_points, element_rule
 from .waves import WaveContext, incident_field, incident_gradient
 
 __all__ = ["FlatSolution", "flat_solution", "h1_seminorm_error", "fit_slope"]
@@ -95,7 +95,8 @@ def flat_solution(ctx: WaveContext) -> FlatSolution:
 def h1_seminorm_error(mesh, field: np.ndarray, solution: FlatSolution) -> float:
     """H1(Omega)-seminorm of (discrete field - reference) over y <= b.
 
-    Integrated with the element rule (``quadrature.element_rule``).
+    Integrated with the element rule (``quadrature.element_rule``) at the
+    points of ``quadrature.at_rule_points``.
 
     Parameters
     ----------
@@ -117,10 +118,10 @@ def h1_seminorm_error(mesh, field: np.ndarray, solution: FlatSolution) -> float:
     areas = mesh.areas[phys]            # (M,)
     jac_h = p1_jacobian(field[tris], mesh.grads[phys])  # (M, 2, 2)
 
-    bary, w = element_rule()
+    _, w = element_rule()
     coords = mesh.nodes[tris]           # (M, 3, 2)
     jac_u = solution.gradient(          # (M, Q, 2, 2)
-        coords[..., 0] @ bary.T, coords[..., 1] @ bary.T
+        at_rule_points(coords[..., 0]), at_rule_points(coords[..., 1])
     )
     diff = jac_h[:, None, :, :] - jac_u
     per_q = np.sum(np.abs(diff) ** 2, axis=(2, 3))          # (M, Q)

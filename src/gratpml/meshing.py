@@ -24,8 +24,10 @@ traces stay mirror images forever and quasi-periodic constraints remain
 exact.
 
 A ``Mesh`` stores only what bisection must carry: nodes, triangles and
-refinement edges.  Boundary flags, element regions and periodic pairs are
-derived from the node coordinates once per mesh (see ``Mesh``).
+refinement edges.  Boundary flags, element regions, periodic pairs and the
+geometry are derived from those once per mesh, each in one place (see
+``Mesh``): edge lengths are ``Mesh.edge_lengths`` and the edges on a line
+``Mesh.edges_on``.
 
 Marking uses the bulk (Dörfler) criterion on squared indicators: sort
 descending, take the smallest prefix whose squared sum exceeds tau^2 times
@@ -228,6 +230,8 @@ class Mesh:
         Element areas (positive for the stored CCW orientation).
     grads : ndarray (M, 3, 2) float
         P1 basis gradients: grads[t, i] = grad(phi_i).
+    edge_lengths : ndarray (E,) float
+        Length of each edge of ``edge_structure()``.
     diameters : ndarray (M,) float
         Longest edge length per element (the mesh-size h_T).
     edge_partners : ndarray (Q, 2) int
@@ -237,8 +241,9 @@ class Mesh:
 
     Each is a ``functools.cached_property``: computed on first read and then
     kept in the instance ``__dict__``.  ``edge_structure()`` returns the edge
-    triple kept the same way.  Only geometry and topology are derived here,
-    nothing of the physics.
+    triple kept the same way, and ``edges_on(flag)`` selects the edges of a
+    line.  Only geometry and topology are derived here, nothing of the
+    physics.
     """
 
     def __init__(
@@ -285,15 +290,16 @@ class Mesh:
     def on_top(self) -> np.ndarray:
         return self.nodes[:, 1] == self.top
 
-    def _on_walls_or_top(self) -> np.ndarray:
-        """Per edge: True when it lies on a wall or on the top line.
-
-        Not kept: ``on_surface`` reads it once per mesh, ``validate`` only
-        in checks.
-        """
+    def edges_on(self, on_line: np.ndarray) -> np.ndarray:
+        """Per edge: True when both its nodes are flagged in ``on_line`` (N,)."""
         a, c = self.edge_structure()[0].T
-        left, right, top = self.on_left, self.on_right, self.on_top
-        return (left[a] & left[c]) | (right[a] & right[c]) | (top[a] & top[c])
+        return on_line[a] & on_line[c]
+
+    def _on_walls_or_top(self) -> np.ndarray:
+        """Per edge: True on a wall or on the top line.  Not kept: ``on_surface``
+        reads it once per mesh, ``validate`` only in checks."""
+        on = self.edges_on
+        return on(self.on_left) | on(self.on_right) | on(self.on_top)
 
     @cached_property
     def on_surface(self) -> np.ndarray:
@@ -336,8 +342,13 @@ class Mesh:
         return self._p1[1]
 
     @cached_property
+    def edge_lengths(self) -> np.ndarray:
+        edges = self.edge_structure()[0]
+        return np.linalg.norm(self.nodes[edges[:, 1]] - self.nodes[edges[:, 0]], axis=1)
+
+    @cached_property
     def diameters(self) -> np.ndarray:
-        return _edge_lengths(self.nodes[self.tris]).max(axis=1)
+        return self.edge_lengths[self.edge_structure()[1]].max(axis=1)
 
     @cached_property
     def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -383,8 +394,7 @@ class Mesh:
         n = np.int64(self.n_nodes)
         right_of = np.full(self.n_nodes, -1, dtype=np.int64)
         right_of[self.periodic_pairs[:, 0]] = self.periodic_pairs[:, 1]
-        on_left = self.on_left
-        left = np.nonzero(on_left[edges[:, 0]] & on_left[edges[:, 1]])[0]
+        left = np.nonzero(self.edges_on(self.on_left))[0]
         mirror = np.sort(right_of[edges[left]], axis=1)
         # edge_structure returns the edges sorted by this key
         key = edges[:, 0] * n + edges[:, 1]
@@ -503,15 +513,11 @@ def generate_initial(
     return Mesh(nodes, tris, _longest_edge(nodes[tris]), ctx.period, b, top)
 
 
-def _edge_lengths(coords: np.ndarray) -> np.ndarray:
-    """Edge lengths (M, 3) of triangles (M, 3, 2); edge k is opposite vertex k."""
-    edges = coords[:, [2, 0, 1]] - coords[:, [1, 2, 0]]
-    return np.linalg.norm(edges, axis=2)
-
-
 def _longest_edge(coords: np.ndarray) -> np.ndarray:
-    """Local index of the longest edge of triangles (M, 3, 2) (ties: lowest)."""
-    return np.argmax(_edge_lengths(coords), axis=1).astype(np.uint8)
+    """Local index of the longest edge of triangles (M, 3, 2) (ties: lowest),
+    edge k opposite vertex k; for the initial mesh, before a ``Mesh`` exists."""
+    lengths = np.linalg.norm(coords[:, [2, 0, 1]] - coords[:, [1, 2, 0]], axis=2)
+    return np.argmax(lengths, axis=1).astype(np.uint8)
 
 
 def bisect(mesh: Mesh, marked: np.ndarray) -> tuple[Mesh, np.ndarray]:

@@ -7,7 +7,8 @@ points are barycentric coordinates and its weights sum to one, so that
 
     integral_T f dx  ~=  area(T) * sum_q w_q * f(x_q),
 
-with x_q = sum_i bary[q, i] * P_i for vertices P_i.
+with x_q = sum_i bary[q, i] * P_i for vertices P_i.  ``at_rule_points`` is
+that map: every element-rule point, and every P1 value at one, comes from it.
 
 Edge integrals use one rule, the 5-point Gauss-Legendre rule on [0, 1]
 (exact through degree 9).  Both rules are built once at import and shared by
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["element_rule", "edge_rule"]
+__all__ = ["element_rule", "at_rule_points", "edge_rule"]
 
 _SQRT15 = np.sqrt(15.0)
 
@@ -55,6 +56,13 @@ def element_rule() -> tuple[np.ndarray, np.ndarray]:
         Positive weights summing to 1.
     """
     return _DUNAVANT5_BARY, _DUNAVANT5_W
+
+
+def at_rule_points(vertex_values: np.ndarray) -> np.ndarray:
+    """Values (M, Q) at the points of ``element_rule`` of data linear on each
+    of M elements, from its values (M, 3) at the vertices; of a vertex
+    coordinate, that coordinate of the points themselves."""
+    return vertex_values @ element_rule()[0].T
 
 
 # 5-point Gauss-Legendre on [0, 1]; every caller shares these arrays, so

@@ -82,8 +82,7 @@ def fourier_trace(mesh: Mesh, field: np.ndarray, modes: ModeTable) -> np.ndarray
     if field.shape != (mesh.n_nodes, 2):
         raise ValueError("field must be nodal values of shape (n_nodes, 2)")
     edges, _, _ = mesh.edge_structure()
-    on_gamma = mesh.on_gamma
-    gamma = np.nonzero(on_gamma[edges[:, 0]] & on_gamma[edges[:, 1]])[0]
+    gamma = np.nonzero(mesh.edges_on(mesh.on_gamma))[0]
     if gamma.size == 0:
         raise TraceError("no mesh edges on the interface line")
 

@@ -1,8 +1,12 @@
 """Shared fixtures: the reference scattering problem, random-context and
-random-grating draws, and a reference quadrature rule of any degree."""
+random-grating draws, a reference quadrature rule of any degree, and a
+configuration writer."""
 
 from __future__ import annotations
 
+import configparser
+import dataclasses
+import os
 import pathlib
 
 import numpy as np
@@ -20,6 +24,7 @@ from gratpml import (
     generate_initial,
     sharp_profile,
 )
+from gratpml.config import _REQUIRED, _SCHEMA, RunConfig
 from gratpml.meshing import bisect
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -144,3 +149,29 @@ def gratings(draw, period: float = 1.0):
     x = [0.0] + sorted(i / 20 for i in inner) + [1.0]
     y = [h / 20 for h in heights] + [heights[0] / 20]
     return GratingProfile(np.column_stack([np.multiply(x, period), y]))
+
+
+def write_config(cfg: RunConfig, path) -> None:
+    """Write a configuration file that ``gratpml.load_config`` round-trips."""
+    parser = configparser.ConfigParser(interpolation=None)
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    for section, key, attr, conv in _SCHEMA:
+        value = getattr(cfg, attr)
+        required = (section, key) in _REQUIRED
+        if not required and value == defaults.get(attr):
+            continue
+        if key == "builtin" and cfg.grating_file:
+            continue  # the file key selects the profile on its own
+        if key == "file":
+            value = os.path.abspath(value)  # valid wherever the file is written
+        if not parser.has_section(section):
+            parser.add_section(section)
+        if conv is bool:
+            text = "true" if value else "false"
+        elif conv is float:
+            text = repr(float(value))
+        else:
+            text = str(value)
+        parser.set(section, key, text)
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)

@@ -30,13 +30,14 @@ from gratpml import (
     load_config,
     run,
     setup,
-    write_config,
     write_convergence_csv,
     write_efficiency_csv,
     write_summary,
     write_vtk_series,
 )
 from gratpml.cli import main
+
+from conftest import write_config
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -115,6 +116,13 @@ def test_package_defines_no_layer_free_operator():
         assert name not in gratpml.__all__, name
         assert not hasattr(gratpml, name), name
         assert not hasattr(gratpml.rayleigh, name), name
+
+
+def test_package_carries_no_config_writer():
+    # writing a configuration is a test helper (tests/conftest.py)
+    assert "write_config" not in gratpml.__all__
+    assert not hasattr(gratpml, "write_config")
+    assert not hasattr(gratpml.config, "write_config")
 
 
 def test_schema_keys_are_exactly_the_config_fields():
@@ -212,6 +220,18 @@ def test_readme_config_reference_names_only_config_keys(tmp_path):
     assert sorted(schema - named) == []
 
 
+def _without_redirections(words: list[str]) -> list[str]:
+    """Shell words without the redirections: ``> file``, ``2> file``,
+    ``>> file``, ``>file`` and ``2>&1``."""
+    kept, target = [], False
+    for word in words:
+        redirection = re.fullmatch(r"\d*>>?(.*)", word)
+        if not (target or redirection):
+            kept.append(word)
+        target = bool(redirection) and not redirection.group(1)
+    return kept
+
+
 def test_documented_command_lines_parse():
     # every command line the README, the shipped configs and CI name must
     # still be accepted by the parser (parsed only, not run)
@@ -221,14 +241,17 @@ def test_documented_command_lines_parse():
         text = path.read_text(encoding="utf-8")
         lines += re.findall(r"(?:^|`)gratpml ([^`\n]+)", text, re.M)
     workflow = root / ".github" / "workflows" / "tier1.yml"
-    ci = re.findall(r"python -m gratpml\.cli (.+)$",
+    # interpreter flags (python -O) may come before -m
+    ci = re.findall(r"python(?: -\w+)* -m gratpml\.cli (.+)$",
                     workflow.read_text(encoding="utf-8"), re.M)
     assert len(ci) >= 3
+    assert any(">" in line for line in ci)  # a redirected line is parsed too
     parser = gratpml.cli._build_parser()
     commands, rejected = set(), []
     for line in lines + ci:
         try:
-            commands.add(parser.parse_args(shlex.split(line)).command)
+            words = _without_redirections(shlex.split(line))
+            commands.add(parser.parse_args(words).command)
         except SystemExit:
             rejected.append(line)
     assert rejected == []

@@ -29,10 +29,11 @@ from gratpml.assembly import (
     _PAIR_A,
     _PAIR_B,
     _pair_integrals,
+    element_blocks,
     layer_source,
 )
 from gratpml.meshing import PHYSICAL, PML, bisect, p1_geometry
-from gratpml.quadrature import element_rule
+from gratpml.quadrature import at_rule_points, element_rule
 
 from conftest import REFERENCE, draw_context, gratings, rebuilt, reference_rule
 
@@ -567,6 +568,25 @@ def test_results_do_not_depend_on_the_block_size(
     assert abs(blk_matrix - matrix).max() <= 1e-14 * abs(matrix).max()
     assert np.abs(blk_rhs - rhs).max() <= 1e-14 * np.abs(rhs).max()
     assert np.abs(blk_res - res).max() <= 1e-14 * np.abs(res).max()
+
+
+@pytest.mark.parametrize("start", [0, 7])
+def test_element_sweep_covers_every_element_in_ragged_blocks(
+    refined_mesh, monkeypatch, start
+):
+    monkeypatch.setattr(gratpml.assembly, "BLOCK_SIZE", 5)
+    n = refined_mesh.n_tris
+    assert (n - start) % 5 != 0  # a ragged last block
+    blk, tris = zip(*element_blocks(refined_mesh, start))
+    assert [b.start for b in blk] == list(range(start, n, 5))
+    assert [len(t) for t in tris] == [5] * (len(tris) - 1) + [(n - start) % 5]
+    assert np.array_equal(np.concatenate(tris), refined_mesh.tris[start:])
+    # the rule points of the blocks are those of the whole mesh, bit for bit
+    bary, _ = element_rule()
+    coords = refined_mesh.nodes[refined_mesh.tris[start:]]
+    for d in range(2):
+        got = [at_rule_points(refined_mesh.nodes[t, d]) for t in tris]
+        assert np.array_equal(np.concatenate(got), coords[..., d] @ bary.T)
 
 
 # ---------------------------------------------------------------------------

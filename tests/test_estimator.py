@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 import gratpml.assembly
 import gratpml.estimator
+import gratpml.quadrature
 from gratpml import flat_profile, generate_initial, indicators, layer_source, make_pml
 from gratpml.meshing import p1_jacobian
 from gratpml.pml import rho
@@ -328,11 +329,12 @@ def test_layer_residual_is_quadrature_converged(
     field = _random_field(flat_mesh1, 9)
     coarse = _residuals(flat_mesh1, field, ctx1, profile1)
 
-    # the reference: the same residual evaluated with a degree-12 rule, for
-    # the field terms (estimator) and the layer volume data (assembly)
+    # the reference: the same residual evaluated with a degree-12 rule, at
+    # its points (quadrature, for the field terms and the layer volume data)
+    # and with its weights (estimator)
     rule = reference_rule(12)
+    monkeypatch.setattr(gratpml.quadrature, "element_rule", lambda: rule)
     monkeypatch.setattr(gratpml.estimator, "element_rule", lambda: rule)
-    monkeypatch.setattr(gratpml.assembly, "element_rule", lambda: rule)
     fine = _residuals(flat_mesh1, field, ctx1, profile1)
     layer = flat_mesh1.region != 0
     assert not np.array_equal(coarse[layer], fine[layer])  # the rule changed

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import warnings
 from fractions import Fraction
-from math import ceil, hypot
+from math import ceil, hypot, sqrt
 
 import numpy as np
 import pytest
@@ -307,6 +307,52 @@ def test_edge_structure_invariants(flat_mesh1):
         assert on_walls or on_caps
 
 
+def _random_bisected(ctx, geom, seed):
+    """The initial mesh of ``geom`` bisected three times at random."""
+    layer = make_pml(12 + 12j, 2, 1.0, b=ctx.gamma_height)  # a thin layer
+    mesh = generate_initial(geom, ctx, layer, h0=0.25)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        marked = rng.choice(mesh.n_tris, size=mesh.n_tris // 5, replace=False)
+        mesh, _ = bisect(mesh, marked)
+    return mesh
+
+
+@settings(max_examples=20, deadline=None)
+@given(geom=gratings(), seed=st.integers(0, 2**32 - 1))
+def test_edge_lengths_are_the_per_edge_norms(ctx1, geom, seed):
+    mesh = _random_bisected(ctx1, geom, seed)
+    edges, tri_edges, _ = mesh.edge_structure()
+    brute = []
+    for (xa, ya), (xb, yb) in mesh.nodes[edges].tolist():
+        dx, dy = xb - xa, yb - ya
+        brute.append(sqrt(dx * dx + dy * dy))
+    assert np.array_equal(mesh.edge_lengths, brute)
+    assert mesh.edge_lengths is mesh.edge_lengths  # cached with the mesh
+    # h_T is the longest edge of T, bit for bit, and so the longest distance
+    # between two of its vertices
+    assert np.array_equal(mesh.diameters, mesh.edge_lengths[tri_edges].max(axis=1))
+    corners = mesh.nodes[mesh.tris]
+    sides = np.linalg.norm(corners - np.roll(corners, 1, axis=1), axis=2)
+    assert np.array_equal(mesh.diameters, sides.max(axis=1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(geom=gratings(), seed=st.integers(0, 2**32 - 1))
+def test_edges_on_a_line_match_a_scan_of_the_end_points(ctx1, geom, seed):
+    mesh = _random_bisected(ctx1, geom, seed)
+    ends = mesh.nodes[mesh.edge_structure()[0]].tolist()
+    for flag, axis, value in (
+        (mesh.on_left, 0, 0.0),
+        (mesh.on_right, 0, mesh.period),
+        (mesh.on_top, 1, mesh.top),
+        (mesh.on_gamma, 1, mesh.b),
+    ):
+        want = [p[axis] == value and q[axis] == value for p, q in ends]
+        assert any(want)
+        assert np.array_equal(mesh.edges_on(flag), want)
+
+
 def test_edge_structure_detects_nonmanifold_input():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.5]])
     tris = np.array([[0, 1, 2], [0, 3, 1], [0, 1, 3]])
@@ -352,7 +398,8 @@ def test_bisect_empty_marking_returns_identical_copy(flat_mesh1):
 STORED = {"nodes", "tris", "ref_edge", "period", "b", "top"}
 DERIVED = (
     "on_left", "on_right", "on_gamma", "on_top", "on_surface", "region",
-    "periodic_pairs", "areas", "grads", "diameters", "edge_partners",
+    "periodic_pairs", "areas", "grads", "edge_lengths", "diameters",
+    "edge_partners",
 )
 
 
