@@ -58,18 +58,24 @@ __all__ = ["ErrorIndicators", "indicators"]
 
 @dataclass(frozen=True)
 class ErrorIndicators:
-    """Per-element indicators and the derived global error measures."""
+    """Per-element indicators and the derived global error measures.
+
+    ``eta_hat`` is not stored but read from its parts, ``eta + top_terms``.
+    The boundary norms on the truncation and interface lines are reported
+    only as parts of ``eps_fem`` and ``eps_pml``.
+    """
 
     eta: np.ndarray
-    eta_hat: np.ndarray
     residual_terms: np.ndarray
     jump_terms: np.ndarray
     top_terms: np.ndarray
     global_eta: float
     eps_fem: float
     eps_pml: float
-    boundary_l2_top: float
-    boundary_l2_interface: float
+
+    @property
+    def eta_hat(self) -> np.ndarray:
+        return self.eta + self.top_terms
 
 
 def _residuals(
@@ -240,20 +246,14 @@ def indicators(
 
     top_tris, top_sq = _line_terms(mesh, field, ctx, amplitude, mesh.on_top)
     top_terms = np.sqrt(np.bincount(top_tris, top_sq, minlength=mesh.n_tris))
-    eta_hat = eta + top_terms
     _, gamma_sq = _line_terms(mesh, field, ctx, amplitude, mesh.on_gamma)
-    l2_top = float(np.sqrt(top_sq.sum()))
-    l2_gamma = float(np.sqrt(gamma_sq.sum()))
-    global_eta = float(np.sqrt((eta_hat**2).sum()))
+    global_eta = float(np.sqrt(((eta + top_terms) ** 2).sum()))
     return ErrorIndicators(
         eta=eta,
-        eta_hat=eta_hat,
         residual_terms=res,
         jump_terms=jumps,
         top_terms=top_terms,
         global_eta=global_eta,
-        eps_fem=l2_top + global_eta,
-        eps_pml=f_hat * l2_gamma,
-        boundary_l2_top=l2_top,
-        boundary_l2_interface=l2_gamma,
+        eps_fem=float(np.sqrt(top_sq.sum())) + global_eta,
+        eps_pml=f_hat * float(np.sqrt(gamma_sq.sum())),
     )

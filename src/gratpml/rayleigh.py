@@ -72,8 +72,10 @@ def fourier_trace(mesh: Mesh, field: np.ndarray, modes: ModeTable) -> np.ndarray
     Returns the (K, 2) coefficients of exp(i*alpha_n*x) for the alpha_n of
     ``modes``; row k belongs to the order modes.n[k].
     The piecewise-linear nodal field is integrated edge by edge in closed
-    form against exp(-i*alpha_n*x).  The incident trace is the single mode
-    n = 0 and is subtracted exactly, so no interpolation error enters it.
+    form against exp(-i*alpha_n*x), each edge running from its left node
+    over its length ``Mesh.edge_lengths``.  The incident trace is the
+    single mode n = 0 and is subtracted exactly, so no interpolation error
+    enters it.
 
     Raises TraceError if the interface edges do not exactly tile one period.
     """
@@ -92,7 +94,7 @@ def fourier_trace(mesh: Mesh, field: np.ndarray, modes: ModeTable) -> np.ndarray
     n0 = np.where(flip, edges[gamma, 1], edges[gamma, 0])
     n1 = np.where(flip, edges[gamma, 0], edges[gamma, 1])
     x0 = mesh.nodes[n0, 0]
-    h = mesh.nodes[n1, 0] - x0
+    h = mesh.edge_lengths[gamma]
     if np.any(h <= 0.0):
         raise TraceError("degenerate interface edge")
     span = float(np.sum(h))

@@ -101,13 +101,12 @@ class SolverError(RuntimeError):
 class SolveReport:
     """Diagnostics of one sparse direct solve.
 
-    ``lu_nnz`` is SuperLU's own count, ``SuperLU.nnz``, of the
-    single-precision factor, and ``L.nnz + U.nnz`` of the extracted factors
-    after a fallback.  ``pivot_ratio`` is the value the resonance gate
-    compared with ``PIVOT_RTOL``: ||b||_inf / (||A||_inf ||x||_inf), an upper
-    bound on 1 / kappa_inf(A), for the single-precision factor, and the
-    smallest pivot min |U_jj| of A / max|A_ij| after a fallback (``inf``
-    for an empty system).
+    ``lu_nnz`` is SuperLU's own count of the factor's entries,
+    ``SuperLU.nnz``, on either attempt.  ``pivot_ratio`` is the value the
+    resonance gate compared with ``PIVOT_RTOL``: ||b||_inf / (||A||_inf
+    ||x||_inf), an upper bound on 1 / kappa_inf(A), for the single-precision
+    factor, and the smallest pivot min |U_jj| of A / max|A_ij| after a
+    fallback (``inf`` for an empty system).
     """
 
     n: int
@@ -207,12 +206,9 @@ def _factor_and_solve(
         raise SolverError(f"sparse factorization failed: {exc}") from exc
 
     if dtype == np.complex128:
-        u = lu.U
-        lu_nnz = lu.L.nnz + u.nnz
-        pivot_ratio = _gate(np.abs(u.diagonal()).min(), "min |U_jj|")
+        pivot_ratio = _gate(np.abs(lu.U.diagonal()).min(), "min |U_jj|")
         x, r, corrections, converged = _refine(a, b, lu, scale, norm_a, dtype)
     else:
-        lu_nnz = lu.nnz
         x, r, corrections, converged = _refine(a, b, lu, scale, norm_a, dtype)
         norm_x = np.abs(x).max()
         if norm_x == 0.0:  # b = 0, or refinement failed at its first step
@@ -228,7 +224,7 @@ def _factor_and_solve(
     report = SolveReport(
         n=a.shape[0],
         nnz=int(a.nnz),
-        lu_nnz=int(lu_nnz),
+        lu_nnz=int(lu.nnz),
         residual=residual,
         pivot_ratio=pivot_ratio,
         ok=converged and residual <= RESIDUAL_RTOL,

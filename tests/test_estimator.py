@@ -1,5 +1,7 @@
 """Residual error estimation: indicators, jumps, and global measures."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,15 @@ from scipy.integrate import quad
 import gratpml.assembly
 import gratpml.estimator
 import gratpml.quadrature
-from gratpml import flat_profile, generate_initial, indicators, layer_source, make_pml
+from gratpml import (
+    ErrorIndicators,
+    flat_profile,
+    generate_initial,
+    incident_field,
+    indicators,
+    layer_source,
+    make_pml,
+)
 from gratpml.meshing import p1_jacobian
 from gratpml.pml import rho
 from gratpml.quadrature import edge_rule, element_rule
@@ -86,6 +96,30 @@ def test_amplitude_scales_every_data_term_together(seed, data):
     assert unit.eps_pml > 0.0 and np.any(unit.top_terms > 0.0)
 
 
+def _naive_line_integrals(mesh, field, ctx, on_line):
+    # per edge with both nodes flagged in on_line: the triangles holding it
+    # and int_e |I_h u - u_inc|^2 by the 5-point Gauss-Legendre rule, from
+    # a loop over the triangles' own node pairs
+    t, w = np.polynomial.legendre.leggauss(5)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    found = {}
+    for tri, nodes in enumerate(mesh.tris):
+        for k in range(3):
+            a, b = sorted((nodes[k], nodes[(k + 1) % 3]))
+            if on_line[a] and on_line[b]:
+                found.setdefault((a, b), []).append(tri)
+    out = []
+    for (a, b), tris in found.items():
+        pa, pb = mesh.nodes[a], mesh.nodes[b]
+        total = 0.0
+        for tq, wq in zip(t, w):
+            x, y = pa + (pb - pa) * tq
+            lerp = (1.0 - tq) * field[a] + tq * field[b]
+            total += wq * float((np.abs(lerp - incident_field(ctx, x, y)) ** 2).sum())
+        out.append((tris, float(np.hypot(*(pb - pa))) * total))
+    return out
+
+
 def test_reported_quantities_are_mutually_consistent(ctx1, profile1, flat_mesh1):
     field = _random_field(flat_mesh1, 5)
     f_hat = 3.25e-9
@@ -96,16 +130,34 @@ def test_reported_quantities_are_mutually_consistent(ctx1, profile1, flat_mesh1)
         + np.sqrt(0.5 * ind.jump_terms),
         rtol=1e-14,
     )
-    assert np.allclose(ind.eta_hat, ind.eta + ind.top_terms, rtol=1e-14)
     assert ind.global_eta == pytest.approx(
         float(np.sqrt((ind.eta_hat**2).sum())), rel=1e-14
     )
-    assert ind.eps_fem == pytest.approx(
-        ind.boundary_l2_top + ind.global_eta, rel=1e-14
+    # the boundary data terms against an edge-by-edge evaluation: each top
+    # edge belongs to one element, and the totals are the line norms
+    top = _naive_line_integrals(flat_mesh1, field, ctx1, flat_mesh1.on_top)
+    want = np.zeros(flat_mesh1.n_tris)
+    for tris, value in top:
+        assert len(tris) == 1
+        want[tris[0]] += value
+    np.testing.assert_allclose(ind.top_terms, np.sqrt(want), rtol=1e-12, atol=0.0)
+    assert ind.eps_fem - ind.global_eta == pytest.approx(
+        np.sqrt(sum(value for _, value in top)), rel=1e-12
     )
-    assert ind.eps_pml == pytest.approx(
-        f_hat * ind.boundary_l2_interface, rel=1e-14
+    gamma = _naive_line_integrals(flat_mesh1, field, ctx1, flat_mesh1.on_gamma)
+    assert len(gamma) > 0
+    assert ind.eps_pml / f_hat == pytest.approx(
+        np.sqrt(sum(value for _, value in gamma)), rel=1e-12
     )
+
+
+def test_eta_hat_is_read_from_its_parts(ctx1, profile1, flat_mesh1):
+    # one stored copy: eta_hat is eta plus the truncation-line terms, and
+    # no boundary norm is kept beside the totals that report it
+    names = {f.name for f in dataclasses.fields(ErrorIndicators)}
+    assert not names & {"eta_hat", "boundary_l2_top", "boundary_l2_interface"}
+    ind = indicators(flat_mesh1, _random_field(flat_mesh1, 13), ctx1, profile1, 1e-9)
+    assert np.array_equal(ind.eta_hat, ind.eta + ind.top_terms)
 
 
 def test_data_term_lives_exactly_on_truncation_line_elements(

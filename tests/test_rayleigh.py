@@ -176,6 +176,20 @@ def test_fourier_trace_requires_full_interface_coverage(ctx1, flat_mesh1):
         fourier_trace(rebuilt(m, nodes=nodes), field, modes)
 
 
+def test_fourier_trace_rejects_a_degenerate_interface_edge(ctx1, flat_mesh1):
+    # an interface node moved onto its neighbour: one edge of length zero
+    m = flat_mesh1
+    edges = m.edge_structure()[0][m.edges_on(m.on_gamma)]
+    a, b = edges[~(m.on_left[edges] | m.on_right[edges]).any(axis=1)][0]
+    nodes = m.nodes.copy()
+    nodes[a] = nodes[b]
+    mesh = rebuilt(m, nodes=nodes)
+    assert mesh.edge_lengths[mesh.edges_on(mesh.on_gamma)].min() == 0.0
+    with pytest.raises(TraceError, match="degenerate"):
+        fourier_trace(mesh, np.zeros((m.n_nodes, 2), dtype=complex),
+                      build_mode_table(ctx1, 2))
+
+
 # ---------------------------------------------------------------------------
 # potentials
 # ---------------------------------------------------------------------------
