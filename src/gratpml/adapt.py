@@ -280,7 +280,7 @@ _CONVERGENCE_COLUMNS = [
     ("wall_time", lambda r: r.wall_time),
     ("fill_factor", lambda r: r.solve.fill_factor),
     ("pivot_ratio", lambda r: r.solve.pivot_ratio),
-    ("ordering", lambda r: r.solve.ordering),
+    ("precision", lambda r: r.solve.precision),
     ("refinements", lambda r: r.solve.refinements),
 ]
 

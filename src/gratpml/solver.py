@@ -28,35 +28,32 @@ factor until ||r||_inf <= ||x||_inf ||A||_inf eps_64 sqrt(n), at most
 the refinement as a failure.  When the single-precision attempt fails (the
 factorization raises, refinement fails, the resonance gate trips, a value
 is not finite, or the residual exceeds ``RESIDUAL_RTOL``), the system is
-factored once more in double precision with SuperLU's default COLAMD column
-ordering and partial pivoting, refined by the same rule; its first check
-normally passes with no correction.
+factored once more in double precision with the same ordering and partial
+pivoting, refined by the same rule; its first check normally passes with
+no correction.
 
 A vanishing pivot signals a discrete resonance (the truncated problem can
 be singular for unlucky parameter combinations even when the continuous one
-is well posed).  The two attempts gate on it differently:
-
-- The single-precision attempt never extracts the factors: reading
-  ``SuperLU.L`` or ``SuperLU.U`` makes SuperLU build CSC copies of both,
-  which stay alive with the factor and on a large system set the peak
-  memory of the solve.  Its gate is ||b||_inf / (||A||_inf ||x||_inf) of
-  the refined solution and the unscaled A, which costs nothing.  Since
-  ||x|| <= ||A^-1|| ||b|| for the exact solution, it is an upper bound on
-  1 / kappa_inf(A), so a value <= ``PIVOT_RTOL`` proves kappa_inf(A) >=
-  1 / ``PIVOT_RTOL``.  The bound depends on b: a right-hand side with no
-  component along the near-null direction of A gets a correct solution
-  and passes.  A solution x = 0 (b = 0, or a refinement that failed at
-  its first step) certifies nothing, and goes to the fallback.  zcgesv
-  itself tests no pivot: refinement with a single-precision factor fails
-  once kappa eps_32 nears 1, and that failure already sends the solve to
-  the fallback; the bound catches a factor that is exact in single
-  precision but singular in double, such as diag(1, 1e-16).
-- The double-precision fallback reads ``U`` and gates on its smallest
-  pivot, min |U_jj| of the normalized matrix.
+is well posed).  No attempt extracts the factors: reading ``SuperLU.L`` or
+``SuperLU.U`` makes SuperLU build CSC copies of both, which stay alive with
+the factor and on a large system set the peak memory of the solve.  Both
+attempts gate on ||b||_inf / (||A||_inf ||x||_inf) of the refined solution
+and the unscaled A, which costs nothing.  Since ||x|| <= ||A^-1|| ||b|| for
+the exact solution, it is an upper bound on 1 / kappa_inf(A), so a value
+<= ``PIVOT_RTOL`` proves kappa_inf(A) >= 1 / ``PIVOT_RTOL``.  The bound
+depends on b: a right-hand side with no component along the near-null
+direction of A gets a correct solution and passes.  A solution x = 0 (b = 0,
+or a refinement that failed at its first step) certifies nothing, so the
+certificate then comes from one probe solve with the factor, y = A^-1 1
+for the right-hand side of all ones, as ||1||_inf / (||A||_inf ||y||_inf).
+zcgesv itself tests no pivot: refinement with a single-precision factor
+fails once kappa eps_32 nears 1, and that failure already sends the solve
+to the fallback; the bound catches a factor that is exact in single
+precision but singular in double, such as diag(1, 1e-16).
 
 Besides the solution we report the relative residual, the number of
-corrections, the fill-in, the gated ratio (``pivot_ratio``) and the
-ordering of the factor that produced the solution.
+corrections, the fill-in, the certificate (``pivot_ratio``) and the
+precision of the factor that produced the solution.
 """
 
 from __future__ import annotations
@@ -71,9 +68,7 @@ from .assembly import SparseSystem
 __all__ = ["SolverError", "SolveReport", "solve_system"]
 
 #: Threshold of the resonance gate: a system whose ||b||_inf / (||A||_inf
-#: ||x||_inf) (single-precision factor) or smallest pivot of A / max|A_ij|
-#: (double-precision factor) is at or below it is treated as numerically
-#: singular.
+#: ||x||_inf) is at or below it is treated as numerically singular.
 PIVOT_RTOL = 1e-14
 
 #: Relative residual above which the report is flagged as suspect.
@@ -82,15 +77,16 @@ RESIDUAL_RTOL = 1e-10
 #: Most refinement corrections per solve (LAPACK zcgesv's ITERMAX).
 ITERMAX = 30
 
-#: SuperLU settings tried in turn: (ordering, keyword arguments of splu,
-#: precision of the factor).  The threshold stays above zero because the
-#: matrix is indefinite.
+#: SuperLU settings tried in turn, both with the ordering of
+#: ``_factor_and_solve``: (precision, keyword arguments of splu, dtype of
+#: the factor).  The threshold stays above zero because the matrix is
+#: indefinite.
 _SYMMETRIC = (
-    "MMD_AT_PLUS_A",
+    "single",
     {"diag_pivot_thresh": 0.01, "options": {"SymmetricMode": True}},
     np.complex64,
 )
-_FALLBACK = ("COLAMD", {}, np.complex128)
+_FALLBACK = ("double", {"diag_pivot_thresh": 1.0}, np.complex128)
 
 
 class SolverError(RuntimeError):
@@ -104,9 +100,9 @@ class SolveReport:
     ``lu_nnz`` is SuperLU's own count of the factor's entries,
     ``SuperLU.nnz``, on either attempt.  ``pivot_ratio`` is the value the
     resonance gate compared with ``PIVOT_RTOL``: ||b||_inf / (||A||_inf
-    ||x||_inf), an upper bound on 1 / kappa_inf(A), for the single-precision
-    factor, and the smallest pivot min |U_jj| of A / max|A_ij| after a
-    fallback (``inf`` for an empty system).
+    ||x||_inf), an upper bound on 1 / kappa_inf(A), with b and x replaced by
+    the all-ones vector and its probe solve when x = 0 (``inf`` for an empty
+    system).
     """
 
     n: int
@@ -115,10 +111,9 @@ class SolveReport:
     residual: float
     pivot_ratio: float
     ok: bool
-    #: SuperLU column ordering of the factorization that produced the
-    #: solution: "MMD_AT_PLUS_A" (single-precision factor), or "COLAMD"
-    #: (double precision) after a fallback ("none" for an empty system).
-    ordering: str
+    #: Precision of the factor that produced the solution: "single", or
+    #: "double" after a fallback ("none" for an empty system).
+    precision: str
     #: Refinement corrections after the first solve with the factor.
     refinements: int
 
@@ -131,7 +126,7 @@ class SolveReport:
         return (
             f"n={self.n} nnz={self.nnz} fill={self.fill_factor:.1f}x "
             f"residual={self.residual:.2e} pivot_ratio={self.pivot_ratio:.2e} "
-            f"ordering={self.ordering} refinements={self.refinements} "
+            f"precision={self.precision} refinements={self.refinements} "
             f"[{flag}]"
         )
 
@@ -140,9 +135,10 @@ def solve_system(system: SparseSystem) -> tuple[np.ndarray, SolveReport]:
     """LU-factor and solve ``system``; raise SolverError when singular.
 
     The single-precision symmetric-mode attempt is tried first; the
-    double-precision COLAMD fallback runs only when it raises, fails to
-    refine, trips the resonance gate or leaves a residual above
-    ``RESIDUAL_RTOL``.
+    double-precision fallback, with the same ordering and partial pivoting,
+    runs only when it raises, fails to refine, trips the resonance gate or
+    leaves a residual above ``RESIDUAL_RTOL``.  Both attempts gate on the
+    same certificate (see the module docstring).
 
     Returns
     -------
@@ -150,7 +146,7 @@ def solve_system(system: SparseSystem) -> tuple[np.ndarray, SolveReport]:
         Solution vector of length ``system.n`` and the diagnostics record.
         ``report.ok`` is False when the fallback's refinement fails too or
         its relative residual exceeds ``RESIDUAL_RTOL`` (the solution is
-        still returned).
+        still returned, with ``report.precision == "double"``).
     """
     a = system.matrix.tocsc()
     if not a.has_canonical_format:
@@ -180,16 +176,10 @@ def solve_system(system: SparseSystem) -> tuple[np.ndarray, SolveReport]:
 
 
 def _factor_and_solve(
-    a, b, scale: float, norm_a: float, ordering: str, kwargs: dict, dtype
+    a, b, scale: float, norm_a: float, precision: str, kwargs: dict, dtype
 ) -> tuple[np.ndarray, SolveReport]:
     """Factor ``a / scale`` in ``dtype`` and refine; raise SolverError when
-    the resonance gate trips.
-
-    A double-precision factor is gated on its smallest pivot before the
-    solve, which extracts both factors; a single-precision one on
-    ||b||_inf / (||A||_inf ||x||_inf) after refinement, without extracting
-    them (see the module docstring).
-    """
+    the resonance gate trips (see the module docstring)."""
     # the values of a / scale are cast straight into the factor's precision
     # (the product rounds as scipy's a / scale does), and the index arrays
     # are shared with a, not copied
@@ -199,23 +189,18 @@ def _factor_and_solve(
     try:
         lu = splu(
             type(a)((scaled, a.indices, a.indptr), shape=a.shape),
-            permc_spec=ordering,
+            permc_spec="MMD_AT_PLUS_A",
             **kwargs,
         )
     except RuntimeError as exc:  # SuperLU signals exact singularity this way
         raise SolverError(f"sparse factorization failed: {exc}") from exc
 
-    if dtype == np.complex128:
-        pivot_ratio = _gate(np.abs(lu.U.diagonal()).min(), "min |U_jj|")
-        x, r, corrections, converged = _refine(a, b, lu, scale, norm_a, dtype)
-    else:
-        x, r, corrections, converged = _refine(a, b, lu, scale, norm_a, dtype)
-        norm_x = np.abs(x).max()
-        if norm_x == 0.0:  # b = 0, or refinement failed at its first step
-            raise SolverError("zero solution: no resonance certificate")
-        pivot_ratio = _gate(
-            np.abs(b).max() / norm_a / norm_x, "||b|| / (||A|| ||x||)"
-        )
+    x, r, corrections, converged = _refine(a, b, lu, scale, norm_a, dtype)
+    b_inf, x_inf = np.abs(b).max(), np.abs(x).max()
+    if x_inf == 0.0:  # b = 0, or refinement failed at its first step
+        probe = lu.solve(np.ones(a.shape[0], dtype))
+        b_inf, x_inf = 1.0, np.abs(probe).max() / scale
+    pivot_ratio = _gate(b_inf / norm_a / x_inf)
 
     norm_b = float(np.linalg.norm(b))
     residual = float(np.linalg.norm(r))
@@ -228,20 +213,21 @@ def _factor_and_solve(
         residual=residual,
         pivot_ratio=pivot_ratio,
         ok=converged and residual <= RESIDUAL_RTOL,
-        ordering=ordering,
+        precision=precision,
         refinements=corrections,
     )
     return x, report
 
 
-def _gate(ratio, what: str) -> float:
-    """``ratio`` as a float; raise SolverError when it is <= ``PIVOT_RTOL``."""
+def _gate(ratio) -> float:
+    """``ratio`` as a float; raise SolverError when it is <= ``PIVOT_RTOL``
+    or not a number."""
     ratio = float(ratio)
-    if ratio <= PIVOT_RTOL:
+    if not ratio > PIVOT_RTOL:
         raise SolverError(
-            f"numerically singular system ({what} = {ratio:.3e}); the "
-            "discrete problem appears resonant -- perturb the frequency or "
-            "refine the mesh"
+            f"numerically singular system (||b|| / (||A|| ||x||) = "
+            f"{ratio:.3e}); the discrete problem appears resonant -- perturb "
+            "the frequency or refine the mesh"
         )
     return ratio
 

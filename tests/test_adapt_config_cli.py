@@ -521,7 +521,7 @@ def test_convergence_csv_roundtrips_exactly(tmp_path, small_run):
         "iteration", "nodes", "elements", "dofs", "global_eta", "eps_fem",
         "eps_pml", "energy_total", "energy_defect", "true_error",
         "corner_fraction", "solve_residual", "wall_time", "fill_factor",
-        "pivot_ratio", "ordering", "refinements",
+        "pivot_ratio", "precision", "refinements",
     ]
     assert len(rows) == 1 + len(small_run.records)
     for row, rec in zip(rows[1:], small_run.records):
@@ -532,7 +532,7 @@ def test_convergence_csv_roundtrips_exactly(tmp_path, small_run):
         assert float(row[9]) == rec.true_error
         assert float(row[13]) == rec.solve.fill_factor
         assert float(row[14]) == rec.solve.pivot_ratio
-        assert row[15] == rec.solve.ordering == "MMD_AT_PLUS_A"
+        assert row[15] == rec.solve.precision == "single"
         assert int(row[16]) == rec.solve.refinements
 
 

@@ -86,7 +86,8 @@ def test_report_string_mentions_health():
 
 
 # ---------------------------------------------------------------------------
-# single-precision symmetric-mode factorization, refinement, COLAMD fallback
+# single-precision symmetric-mode factorization, refinement, double-precision
+# fallback
 # ---------------------------------------------------------------------------
 
 
@@ -98,13 +99,15 @@ def _well_posed_system(n=12, seed=2):
 
 
 def _patch_symmetric_attempt(monkeypatch, replace):
-    """Route the symmetric-mode splu call through ``replace``; count calls."""
+    """Route the single-precision splu call through ``replace``; record the
+    precision of every call."""
     real = solver_module.splu
     calls = []
 
     def fake(a, permc_spec=None, **kwargs):
-        calls.append(permc_spec)
-        if permc_spec == "MMD_AT_PLUS_A":
+        single = a.dtype == np.complex64
+        calls.append("single" if single else "double")
+        if single:
             return replace(real, a, permc_spec, kwargs)
         return real(a, permc_spec=permc_spec, **kwargs)
 
@@ -135,24 +138,26 @@ def _perturbed_matrix(real, a, permc_spec, kwargs):
 
 
 @pytest.mark.parametrize("replace", [_raise, _tiny_pivots, _wrong_matrix])
-def test_failed_symmetric_attempt_falls_back_to_colamd(monkeypatch, replace):
+def test_failed_symmetric_attempt_falls_back_to_double_precision(
+    monkeypatch, replace
+):
     system = _well_posed_system()
     calls = _patch_symmetric_attempt(monkeypatch, replace)
     x, report = solve_system(system)
-    assert calls == ["MMD_AT_PLUS_A", "COLAMD"]
-    assert report.ordering == "COLAMD"
+    assert calls == ["single", "double"]
+    assert report.precision == "double"
     assert report.ok
     assert report.residual <= 1e-12
     assert np.allclose(system.matrix @ x, system.rhs, rtol=1e-12, atol=1e-12)
-    assert "COLAMD" in str(report)
+    assert "precision=double" in str(report)
 
 
 def test_refinement_repairs_a_perturbed_factor(monkeypatch):
     system = _well_posed_system()
     calls = _patch_symmetric_attempt(monkeypatch, _perturbed_matrix)
     x, report = solve_system(system)
-    assert calls == ["MMD_AT_PLUS_A"]
-    assert report.ordering == "MMD_AT_PLUS_A"
+    assert calls == ["single"]
+    assert report.precision == "single"
     assert report.refinements >= 1
     assert report.ok
     assert report.residual <= 1e-12
@@ -173,7 +178,7 @@ def test_magnitudes_outside_single_precision_stay_on_the_first_attempt(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         x, report = solve_system(_system(a, base.rhs * rhs_scale))
-    assert calls == ["MMD_AT_PLUS_A"]
+    assert calls == ["single"]
     assert report.ok
     assert report.residual <= 1e-12
     assert np.linalg.norm(x - x_true) <= 1e-12 * np.linalg.norm(x_true)
@@ -185,7 +190,7 @@ def test_failed_fallback_raises_the_usual_error(monkeypatch):
     a[3, 3] = 1e-16
     with pytest.raises(SolverError, match="resonant"):
         solve_system(_system(a, np.ones(5, dtype=complex)))
-    assert calls == ["MMD_AT_PLUS_A", "COLAMD"]
+    assert calls == ["single", "double"]
 
 
 def test_assembled_system_takes_the_symmetric_path(
@@ -194,8 +199,8 @@ def test_assembled_system_takes_the_symmetric_path(
     calls = _patch_symmetric_attempt(monkeypatch, _unchanged)
     system = assemble(flat_mesh1, ctx1, profile1, build_dofmap(flat_mesh1, ctx1))
     _, report = solve_system(system)
-    assert calls == ["MMD_AT_PLUS_A"]
-    assert report.ordering == "MMD_AT_PLUS_A"
+    assert calls == ["single"]
+    assert report.precision == "single"
     assert report.ok
     assert report.residual <= 1e-12
 
@@ -210,7 +215,7 @@ def test_refined_solution_matches_a_double_precision_factor(name, theta_deg):
     system = assemble(mesh, ctx, profile, build_dofmap(mesh, ctx))
     x, report = solve_system(system)
     reference = splu(system.matrix.tocsc()).solve(system.rhs)
-    assert report.ordering == "MMD_AT_PLUS_A"
+    assert report.precision == "single"
     assert report.ok
     assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
 
@@ -220,15 +225,23 @@ def _normalized(system):
     return a / np.abs(a.data).max()
 
 
+def _certificate(system, x):
+    """The gate's certificate, an upper bound on 1 / cond_inf(A)."""
+    norm_a = np.abs(system.matrix.tocsc()).sum(axis=1).max()
+    return np.abs(system.rhs).max() / (norm_a * np.abs(x).max())
+
+
 def test_lu_nnz_is_superlu_count_of_the_single_precision_factor(ctx1, profile1):
     mesh = generate_initial(sharp_profile(ctx1.period), ctx1, profile1, h0=0.125)
     system = assemble(mesh, ctx1, profile1, build_dofmap(mesh, ctx1))
     _, report = solve_system(system)
     # an independent factorization of the same normalized matrix with the
     # same settings
-    ordering, kwargs, dtype = solver_module._SYMMETRIC
-    lu = splu(_normalized(system).astype(dtype), permc_spec=ordering, **kwargs)
-    assert report.ordering == ordering
+    precision, kwargs, dtype = solver_module._SYMMETRIC
+    lu = splu(
+        _normalized(system).astype(dtype), permc_spec="MMD_AT_PLUS_A", **kwargs
+    )
+    assert report.precision == precision == "single"
     assert report.lu_nnz == lu.nnz
     assert report.fill_factor == report.lu_nnz / system.matrix.nnz
 
@@ -236,19 +249,22 @@ def test_lu_nnz_is_superlu_count_of_the_single_precision_factor(ctx1, profile1):
 def test_lu_nnz_is_superlu_count_of_the_fallback_factor(
     ctx1, profile1, monkeypatch
 ):
-    # one definition of the fill on both attempts, although the fallback
-    # extracts U for its pivot gate; on this system SuperLU's count differs
-    # from the entries of the extracted factors, so the two are told apart
+    # one definition of the fill on both attempts; on this system SuperLU's
+    # count differs from the entries of the extracted factors, so the two are
+    # told apart
     mesh = generate_initial(sharp_profile(ctx1.period), ctx1, profile1, h0=0.5)
     system = assemble(mesh, ctx1, profile1, build_dofmap(mesh, ctx1))
     _patch_symmetric_attempt(monkeypatch, _raise)
-    _, report = solve_system(system)
-    ordering, kwargs, dtype = solver_module._FALLBACK
-    lu = splu(_normalized(system).astype(dtype), permc_spec=ordering, **kwargs)
-    assert report.ordering == ordering
+    x, report = solve_system(system)
+    precision, kwargs, dtype = solver_module._FALLBACK
+    lu = splu(
+        _normalized(system).astype(dtype), permc_spec="MMD_AT_PLUS_A", **kwargs
+    )
+    assert report.precision == precision == "double"
     assert lu.nnz != lu.L.nnz + lu.U.nnz
     assert report.lu_nnz == lu.nnz
-    assert report.pivot_ratio == np.abs(lu.U.diagonal()).min()
+    # the gate's certificate, as on the single-precision attempt
+    assert report.pivot_ratio == pytest.approx(_certificate(system, x), rel=1e-12)
 
 
 class _UnextractableLU:
@@ -278,14 +294,25 @@ def test_symmetric_attempt_never_extracts_the_factors(
     )
     system = assemble(flat_mesh1, ctx1, profile1, build_dofmap(flat_mesh1, ctx1))
     x, report = solve_system(system)
-    assert report.ordering == "MMD_AT_PLUS_A"
+    assert report.precision == "single"
     assert report.ok
-    # the gate's certificate, an upper bound on 1 / cond_inf(A)
-    a = system.matrix.tocsc()
-    norm_a = np.abs(a).sum(axis=1).max()
-    assert report.pivot_ratio == pytest.approx(
-        np.abs(system.rhs).max() / (norm_a * np.abs(x).max()), rel=1e-12
+    assert report.pivot_ratio == pytest.approx(_certificate(system, x), rel=1e-12)
+
+
+def test_fallback_never_extracts_the_factors(
+    monkeypatch, ctx1, profile1, flat_mesh1
+):
+    calls = _patch_symmetric_attempt(monkeypatch, _raise)
+    patched = solver_module.splu
+    monkeypatch.setattr(
+        solver_module, "splu", lambda *a, **kw: _UnextractableLU(patched(*a, **kw))
     )
+    system = assemble(flat_mesh1, ctx1, profile1, build_dofmap(flat_mesh1, ctx1))
+    x, report = solve_system(system)
+    assert calls == ["single", "double"]
+    assert report.precision == "double"
+    assert report.ok
+    assert report.pivot_ratio == pytest.approx(_certificate(system, x), rel=1e-12)
 
 
 def _same_bits(x, y):
@@ -322,18 +349,27 @@ def test_unsorted_matrix_is_solved_and_left_as_given():
     dense = matrix.toarray()
     rhs = np.array([1, 2], dtype=complex)
     x, report = solve_system(SparseSystem(matrix=matrix, rhs=rhs))
-    assert report.ordering == "MMD_AT_PLUS_A"
+    assert report.precision == "single"
     assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=1e-14, atol=0)
     assert np.array_equal(matrix.indices, indices)
     assert np.array_equal(matrix.data, data)
 
 
 def test_zero_rhs_on_a_resonant_matrix_still_raises():
-    # x = 0 certifies nothing, so the fallback's pivot gate decides
+    # x = 0 certifies nothing, so a probe solve with b = 1 decides
     a = np.eye(5, dtype=complex)
     a[3, 3] = 1e-16
     with pytest.raises(SolverError, match="resonant"):
         solve_system(_system(a, np.zeros(5, dtype=complex)))
+
+
+def test_zero_rhs_with_a_probe_that_overflows_raises():
+    # cond ~ 1e40: the single-precision probe solve overflows to NaN, which
+    # the gate must not pass
+    n = 6
+    a = (1 + 1j) * np.eye(n) + np.diag(np.full(n - 1, 1e8), -1)
+    with pytest.raises(SolverError, match="resonant"):
+        solve_system(_system(a, np.zeros(n, dtype=complex)))
 
 
 def test_rhs_without_the_near_null_component_is_solved():
@@ -344,6 +380,28 @@ def test_rhs_without_the_near_null_component_is_solved():
     b = np.array([1, 2, 3, 0, 4], dtype=complex)
     x, report = solve_system(_system(a, b))
     assert np.array_equal(x, b)
-    assert report.ordering == "MMD_AT_PLUS_A"
+    assert report.precision == "single"
     assert report.ok
     assert report.pivot_ratio == 1.0
+
+
+def test_failed_fallback_refinement_returns_a_suspect_solution(monkeypatch):
+    # both attempts factor -A: refinement fails at its first step, so x = 0
+    # and the certificate comes from the probe solve
+    real = solver_module.splu
+    monkeypatch.setattr(
+        solver_module, "splu", lambda a, **kwargs: real(-a, **kwargs)
+    )
+    system = _well_posed_system()
+    x, report = solve_system(system)
+    assert np.all(x == 0.0)
+    assert report.ok is False
+    assert "[SUSPECT]" in str(report)
+    assert report.precision == "double"
+    assert report.residual == 1.0
+    # ||1|| / (||A|| ||A^-1 1||), as the factor of -A sees it
+    a = system.matrix.toarray()
+    probe = np.linalg.solve(a, np.ones(a.shape[0]))
+    want = 1.0 / (np.abs(a).sum(axis=1).max() * np.abs(probe).max())
+    assert np.isfinite(report.pivot_ratio)
+    assert report.pivot_ratio == pytest.approx(want, rel=1e-12)
