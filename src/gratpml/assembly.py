@@ -1,37 +1,19 @@
 """P1 finite-element assembly of the stretched (PML) Navier problem.
 
-The sesquilinear form on one period D (physical region plus layer) is
-
-    b(u, v) = integral_D  (lam+2mu) * (rho*dx(u1)*dx(conj v1)
-                                       + 1/rho*dy(u2)*dy(conj v2))
-                        + mu * (1/rho*dy(u1)*dy(conj v1)
-                                + rho*dx(u2)*dx(conj v2))
-                        + (lam+mu) * (mixed term)
-                        - omega^2 * rho * u . conj(v),
-
-with the medium function rho = rho(y) of the layer (1 below y = b).  The
-mixed term is assembled in the transpose-equivalent grouping
-
-    (lam+mu) * (dy(u2)*dx(conj v1) + dx(u1)*dy(conj v2)),
-
-which differs from the grouping (lam+mu)*(dx(u2)*dy(conj v1) +
-dx(u1)*dy(conj v2)) by a constant-coefficient null Lagrangian: the two
-assembled systems coincide (the difference integrates by parts onto boundary
-terms that cancel under the quasi-periodic and Dirichlet constraints), while
-the grouping used here makes every element matrix complex symmetric.  The
-literal grouping is kept as a dense reference in ``tests/test_assembly.py``,
-which checks that both assemble to the same reduced system.
+The sesquilinear form on one period (physical region plus layer), with the
+medium function rho = rho(y) of the layer (1 below y = b), is the one that
+``pml.flux_terms`` defines by its six terms; that docstring also gives the
+reason for the transpose grouping of its mixed terms.
 
 The element matrix exists only as its entries on the six node pairs of each
 element, its three vertices and its three edges (``_pair_integrals``, the
 one element kernel, with ``quadrature.element_rule``): the (u1, v1) and
-(u2, v2) entries of a pair are symmetric in its two nodes, and the mixed
-entries are the real area*dx(phi_a)*dy(phi_b) taken in both orders, so
-every element matrix is complex symmetric by construction.  ``assemble``
-sums these per-pair values onto the nodes and edges of the mesh, so that it
-holds one 2x2 block for each of the N + 2E ordered node pairs (an edge in
-both orders).  Each summed value fills both transposed positions of the
-matrix.
+(u2, v2) entries of a pair are symmetric in its two nodes, and the two
+mixed entries swap when the pair does, so every element matrix is complex
+symmetric by construction.  ``assemble`` sums these per-pair values onto
+the nodes and edges of the mesh, so that it holds one 2x2 block for each
+of the N + 2E ordered node pairs (an edge in both orders).  Each summed
+value fills both transposed positions of the matrix.
 
 Every per-element pass, here and in the residual estimator, walks the mesh
 by the one sweep ``element_blocks``, in blocks of ``BLOCK_SIZE`` elements so
@@ -69,7 +51,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .meshing import Mesh
-from .pml import PmlProfile, pml_source, rho
+from .pml import PmlProfile, flux_terms, pml_source, rho
 from .quadrature import at_rule_points, element_rule
 from .waves import WaveContext, incident_field
 
@@ -222,7 +204,7 @@ def _pair_integrals(
     y: np.ndarray,
     ctx: WaveContext,
     profile: PmlProfile,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> list[np.ndarray]:
     """Element matrix entries on the six node pairs of every element.
 
     ``area`` and ``grads`` are the element areas and P1 gradients and ``y``
@@ -233,34 +215,27 @@ def _pair_integrals(
 
     Returns
     -------
-    diag : ndarray (2, M, 6) complex
-        The (u1, v1) and (u2, v2) entries of pair s = (a, b):
-        c1 * int rho dx(phi_a) dx(phi_b) + c2 * int 1/rho dy(phi_a) dy(phi_b)
-        - omega^2 * int rho phi_a phi_b, with (c1, c2) = (lam+2mu, mu) and
-        (mu, lam+2mu); the same in both orders of the pair.
-    mixed : ndarray (2, M, 6) float
-        area * dx(phi_a) dy(phi_b) and area * dx(phi_b) dy(phi_a).  Times
-        lam+mu they are the (u2, v1) and (u1, v2) entries of the pair with
-        test function a and trial function b; the other order swaps them.
+    list of four ndarray (M, 6)
+        Entry c + 2*e is the (test component c, trial component e) entry of
+        pair s = (a, b) with test function a and trial function b: the sum
+        of coef * int rho^p dx_d(phi_a) dx_f(phi_b) over the terms of
+        ``pml.flux_terms``, minus omega^2 * int rho phi_a phi_b for c = e.
+        The mixed entries (c != e, rho^p = 1) are real; the other order of
+        the pair swaps them and keeps the others.
     """
     bary, w = element_rule()
     rq = rho(profile, at_rule_points(y))
-    int_rho = area * (rq @ w)
-    int_inv = area * ((1.0 / rq) @ w)
-    lam, mu, om2 = ctx.lam, ctx.mu, ctx.omega**2
-    outer = bary[:, _PAIR_A] * bary[:, _PAIR_B]
-    mass = area[:, None] * ((rq * w) @ (-om2 * outer))
+    int_w = {1: area * (rq @ w), 0: area, -1: area * ((1.0 / rq) @ w)}
     ga, gb = grads[:, _PAIR_A], grads[:, _PAIR_B]
-    gxx = ga[..., 0] * gb[..., 0]
-    gyy = ga[..., 1] * gb[..., 1]
-    diag = np.stack([
-        (cx * int_rho)[:, None] * gxx + (cy * int_inv)[:, None] * gyy + mass
-        for cx, cy in ((lam + 2 * mu, mu), (mu, lam + 2 * mu))
-    ])
-    mixed = area[:, None] * np.stack(
-        [ga[..., 0] * gb[..., 1], gb[..., 0] * ga[..., 1]]
-    )
-    return diag, mixed
+    entries = [0.0] * 4
+    for p, c, d, e, f, coef in flux_terms(ctx):
+        part = (coef * int_w[p])[:, None] * (ga[..., d] * gb[..., f])
+        entries[c + 2 * e] = entries[c + 2 * e] + part
+    outer = bary[:, _PAIR_A] * bary[:, _PAIR_B]
+    mass = area[:, None] * ((rq * w) @ (-ctx.omega**2 * outer))
+    entries[0] += mass
+    entries[3] += mass
+    return entries
 
 
 def _pair_sums(
@@ -286,27 +261,28 @@ def _pair_sums(
     area, grads = mesh.areas, mesh.grads
     bary, w = element_rule()
     wb = -(w[:, None] * bary)
-    # rows: Re diag, Im diag, then mixed with a the lower node of the pair
-    sums = np.zeros((6, n + len(edges)))
+    size = n + len(edges)
+    sums = np.zeros((2, 4, size))  # real and imaginary parts
     load = np.zeros((4, n))
     for blk, tris in element_blocks(mesh):
-        diag, mixed = _pair_integrals(
+        entries = _pair_integrals(
             area[blk], grads[blk], mesh.nodes[tris, 1], ctx, profile
         )
-        mixed = np.where(tris[:, _PAIR_A] > tris[:, _PAIR_B], mixed[::-1], mixed)
+        # store each edge's block with a the lower node of the pair
+        swap = tris[:, _PAIR_A] > tris[:, _PAIR_B]
+        entries[1], entries[2] = (np.where(swap, entries[2], entries[1]),
+                                  np.where(swap, entries[1], entries[2]))
         ids = np.concatenate([tris, n + tri_edges[blk]], axis=1).ravel()
-        for total, part in zip(sums, (*diag.real, *diag.imag, *mixed)):
-            total += np.bincount(ids, part.ravel(), minlength=len(total))
+        for k, part in enumerate(entries):
+            sums[0, k] += np.bincount(ids, part.real.ravel(), minlength=size)
+            if np.iscomplexobj(part):
+                sums[1, k] += np.bincount(ids, part.imag.ravel(), minlength=size)
         nodes = tris.ravel()
         for d in range(2):
             f = (area[blk, None] * (g[blk, :, d] @ wb)).ravel()
             load[d] += np.bincount(nodes, f.real, minlength=n)
             load[2 + d] += np.bincount(nodes, f.imag, minlength=n)
-    c = ctx.lam + ctx.mu
-    pairs = np.stack(
-        [sums[0] + 1j * sums[2], c * sums[5], c * sums[4], sums[1] + 1j * sums[3]]
-    )
-    return pairs, (load[:2] + 1j * load[2:]).T
+    return sums[0] + 1j * sums[1], (load[:2] + 1j * load[2:]).T
 
 
 def layer_source(

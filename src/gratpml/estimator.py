@@ -6,15 +6,9 @@ Each element T receives the indicator
 
 where R_T is the strong residual (for P1 nothing but the zero-order and the
 variable-coefficient first-order terms survive) and J_e the jump of the
-discrete flux of the assembled bilinear form across the edges of T.  The
-flux consistent with the assembled form is
-
-    W1 = (lam+2mu)*rho*dx(u1)*nx + mu/rho*dy(u1)*ny + (lam+mu)*dy(u2)*nx
-    W2 = mu*rho*dx(u2)*nx + (lam+2mu)/rho*dy(u2)*ny + (lam+mu)*dx(u1)*ny
-
-with the mixed term in the transpose grouping that ``assembly`` integrates
-(see its docstring for why that grouping assembles the same system as the
-literal one).
+discrete flux of the assembled bilinear form across the edges of T.  Both
+come from the six terms of ``pml.flux_terms``, the one definition of the
+operator, its form and its flux, that ``assembly`` integrates too.
 
 Quasi-periodic boundary edges are jumped against their mirrored partner
 with the phase exp(-i*alpha*period) on the right trace; Dirichlet edges
@@ -48,7 +42,7 @@ import numpy as np
 
 from .assembly import element_blocks, layer_source
 from .meshing import Mesh, p1_jacobian
-from .pml import PmlProfile, rho, rho_prime
+from .pml import PmlProfile, flux_terms, rho, rho_prime
 from .pml import pml_source  # noqa: F401  (rebound by benchmarks/tracing.py)
 from .quadrature import at_rule_points, edge_rule, element_rule
 from .waves import WaveContext, incident_field
@@ -89,14 +83,14 @@ def _residuals(
 ) -> np.ndarray:
     """||R_T||_{L2(T)} per element.
 
-    R_T,c = -coef_c * rho'/rho^2 * dy(u_c) + omega^2 * rho * u_c - g_c with
-    coef = (mu, lam+2mu) and g = ``amplitude * source`` the layer volume
-    data (scaled block by block, so no scaled copy of ``source`` is held),
-    integrated on every element with ``element_rule``.  Below the mesh line
-    y = b this is omega^2 * u_h (rho = 1, rho' = 0, g = 0), whose squared
-    modulus is quadratic, so the rule is exact there.  dy(u_c) is read from
-    the element Jacobians ``jac``.  One ``assembly.element_blocks`` sweep,
-    so no temporary grows with the mesh.
+    R_T = L u_h - g with L of ``pml.flux_terms``: for P1, omega^2*rho*u_c
+    and the terms with d = 1, coef * dy(rho^p) * dx_f(u_e), remain, with
+    dx_f(u_e) read from the element Jacobians ``jac``.  g = ``amplitude *
+    source`` is the layer volume data, scaled block by block so that no
+    scaled copy is held.  Integrated on every element with ``element_rule``,
+    which is exact below the mesh line y = b, where R_T = omega^2 * u_h
+    (rho = 1, rho' = 0, g = 0) has a quadratic squared modulus.  One
+    ``assembly.element_blocks`` sweep, so no temporary grows with the mesh.
     """
     _, w = element_rule()
     area = mesh.areas
@@ -107,33 +101,18 @@ def _residuals(
         y = at_rule_points(mesh.nodes[tris, 1])
         r = rho(profile, y)
         rp = rho_prime(profile, y)
-        dy = jac[blk, :, 1, None]  # dy(u_c), (B, 2, 1)
+        first = [0.0, 0.0]
+        for p, c, d, e, f, coef in flux_terms(ctx):
+            if d == 1 and p:  # dy(rho^p) = p * rho'/rho^(1-p)
+                term = p * coef * rp / r ** (1 - p) * jac[blk, e, f, None]
+                first[c] = first[c] + term
         dens = np.zeros(r.shape)
-        for k, coef in enumerate((ctx.mu, ctx.lam + 2.0 * ctx.mu)):
-            res = (
-                -coef * rp / r**2 * dy[:, k]
-                + om2 * r * at_rule_points(vals[:, :, k])
-                - amplitude * source[blk, :, k]
-            )
+        for c in range(2):
+            res = (first[c] + om2 * r * at_rule_points(vals[:, :, c])
+                   - amplitude * source[blk, :, c])
             dens += np.abs(res) ** 2
         out[blk] = np.sqrt(area[blk] * (dens @ w))
     return out
-
-
-def _flux_parts(
-    j: np.ndarray, nx: np.ndarray, ny: np.ndarray, ctx: WaveContext
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split the flux of the gradients ``j`` (E, 2, 2) by its rho weights.
-
-    Returns (P, C, Q), each (E, 2) complex, so the flux along an edge is
-    P*rho(y) + C + Q/rho(y).
-    """
-    lam, mu = ctx.lam, ctx.mu
-    j00, j01, j10, j11 = j[:, 0, 0], j[:, 0, 1], j[:, 1, 0], j[:, 1, 1]
-    p = np.stack([(lam + 2 * mu) * j00 * nx, mu * j10 * nx], axis=1)
-    c = np.stack([(lam + mu) * j11 * nx, (lam + mu) * j00 * ny], axis=1)
-    q = np.stack([mu * j01 * ny, (lam + 2 * mu) * j11 * ny], axis=1)
-    return p, c, q
 
 
 def _jumps(
@@ -141,10 +120,12 @@ def _jumps(
 ) -> np.ndarray:
     """sum_e h_e ||J_e||^2_{L2(e)} per element (Dirichlet edges excluded).
 
-    ``jac`` holds the element Jacobians of the field.  The jump along an
-    edge is P*rho(y) + C + Q/rho(y) with constant parts P, C, Q
-    (``_flux_parts``), and ||J_e||^2 is the 5-point ``edge_rule`` of its
-    squared modulus summed over the two components:
+    ``jac`` holds the element Jacobians of the field.  The flux of
+    ``pml.flux_terms`` is linear in the gradient, so the jump along an edge
+    is the flux of the gradient jump, P*rho(y) + C + Q/rho(y) with the
+    constant parts P, C and Q of its terms of weight rho, 1 and 1/rho, and
+    ||J_e||^2 is the 5-point ``edge_rule`` of its squared modulus summed
+    over the two components:
 
         ||J_e||^2 ~= h_e * sum_q w_q sum_k |P_k rho(y_q) + Q_k/rho(y_q) + C_k|^2
 
@@ -159,21 +140,22 @@ def _jumps(
     # a left wall edge is jumped against its mirror; the wall normal is e_x
     left, mate = mesh.edge_partners.T
     tl, tr = edge_tri[left, 0], edge_tri[mate, 0]
-    # the flux is linear in the gradient, so its jump is the flux of the
-    # gradient jump
-    p, c, q = _flux_parts(
-        np.concatenate([jac[t1] - jac[t2], jac[tl] - np.conj(ctx.phase) * jac[tr]]),
+    j = np.concatenate([jac[t1] - jac[t2], jac[tl] - np.conj(ctx.phase) * jac[tr]])
+    normal = (
         np.concatenate([dvec[interior, 1] / h[interior], np.ones(left.size)]),
         np.concatenate([-dvec[interior, 0] / h[interior], np.zeros(left.size)]),
-        ctx,
     )
+    parts = {p: np.zeros((len(j), 2), dtype=complex) for p in (1, 0, -1)}
+    for p, c, d, e, f, coef in flux_terms(ctx):
+        parts[p][:, c] += coef * j[:, e, f] * normal[d]
 
     eids = np.concatenate([interior, left])
     tq, wq = edge_rule()
     r = rho(profile, mesh.nodes[edges[eids, 0], 1, None] + dvec[eids, 1, None] * tq)
     dens = np.zeros(r.shape)
     for k in range(2):
-        dens += np.abs(p[:, k, None] * r + q[:, k, None] / r + c[:, k, None]) ** 2
+        pk, ck, qk = (parts[p][:, k, None] for p in (1, 0, -1))
+        dens += np.abs(pk * r + qk / r + ck) ** 2
     q_e = h[eids] ** 2 * (dens @ wq)
     n = mesh.n_tris
     return np.bincount(np.concatenate([t1, tl]), q_e, minlength=n) + np.bincount(

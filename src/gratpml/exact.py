@@ -111,6 +111,9 @@ def h1_seminorm_error(mesh, field: np.ndarray, solution: FlatSolution) -> float:
     float
         sqrt( sum_T integral_T |grad(u_h - u)|_F^2 ).
     """
+    field = np.asarray(field)
+    if field.shape != (mesh.n_nodes, 2):
+        raise ValueError("field must be nodal values of shape (n_nodes, 2)")
     phys = np.nonzero(mesh.region == PHYSICAL)[0]
     if phys.size == 0:
         return 0.0

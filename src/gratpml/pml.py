@@ -45,8 +45,8 @@ the first of the fixed grid DELTA_GRID = 0.25 * 2^k (k = 0..8, so 0.25 to
 64) at or above delta* is the first grid delta that does.
 
 Inside the layer the incident wave is no longer a solution of the stretched
-Navier operator L; its image g = L u_inc (zero below y = b) is the volume
-data of the PML formulation and is available here in closed form.
+Navier operator L, written once as the six terms of ``flux_terms``; its
+image g = L u_inc (zero below y = b), ``pml_source``, is the volume data.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ __all__ = [
     "make_pml",
     "rho",
     "rho_prime",
+    "flux_terms",
     "modeling_constants",
     "thickness_bound",
     "calibrate",
@@ -145,9 +146,17 @@ def make_pml(sigma: complex, m: int, delta: float, b: float) -> PmlProfile:
         For non-positive delta, m < 1, or sigma non-finite or outside the
         closed right upper quadrant (Re >= 0, Im >= 0, sigma != 0).
     """
-    sigma = complex(sigma)
     if not (delta > 0.0 and np.isfinite(delta)):
         raise ValueError(f"delta must be positive and finite, got {delta}")
+    sigma, m = _strength(sigma, m)
+    if not np.isfinite(b):
+        raise ValueError(f"b must be finite, got {b}")
+    return PmlProfile(sigma=sigma, m=m, delta=float(delta), b=float(b))
+
+
+def _strength(sigma: complex, m: int) -> tuple[complex, int]:
+    """The strength sigma and power m, checked as :func:`make_pml` states."""
+    sigma = complex(sigma)
     if int(m) != m or m < 1:
         raise ValueError(f"m must be an integer >= 1, got {m}")
     if not (np.isfinite(sigma) and sigma.real >= 0.0 and sigma.imag >= 0.0
@@ -155,9 +164,7 @@ def make_pml(sigma: complex, m: int, delta: float, b: float) -> PmlProfile:
         raise ValueError(
             f"sigma must be finite with Re >= 0, Im >= 0, sigma != 0, got {sigma}"
         )
-    if not np.isfinite(b):
-        raise ValueError(f"b must be finite, got {b}")
-    return PmlProfile(sigma=sigma, m=int(m), delta=float(delta), b=float(b))
+    return sigma, int(m)
 
 
 def rho(profile: PmlProfile, y: np.ndarray) -> np.ndarray:
@@ -174,6 +181,43 @@ def rho_prime(profile: PmlProfile, y: np.ndarray) -> np.ndarray:
     val = profile.sigma * profile.m * t ** (profile.m - 1) / profile.delta
     # the mask is needed for m = 1, where t**0 = 1 at and below b
     return np.where(y > profile.b, val, 0.0 + 0.0j)
+
+
+def flux_terms(ctx: WaveContext) -> tuple[tuple[int, int, int, int, int, float], ...]:
+    """The stretched Navier operator L: the six terms (p, c, d, e, f, coef)
+    of its flux W_c . n = sum coef * rho^p * dx_f(u_e) * n_d, with the
+    weight rho^p = rho, 1 or 1/rho (p = 1, 0, -1) and dx_0 = dx, dx_1 = dy:
+
+        W1 = (lam+2mu)*rho*dx(u1)*nx + mu/rho*dy(u1)*ny + (lam+mu)*dy(u2)*nx
+        W2 = mu*rho*dx(u2)*nx + (lam+2mu)/rho*dy(u2)*ny + (lam+mu)*dx(u1)*ny
+
+    Summed over the terms, (L u)_c = dx_d(coef * rho^p * dx_f(u_e)) +
+    omega^2*rho*u_c, and the form of the truncated problem on one period D
+    is b(u, v) = integral_D coef * rho^p * dx_f(u_e) * dx_d(conj v_c) -
+    omega^2*rho*u.conj(v).  As rho depends on y alone, dx_d(rho^p) =
+    [d = 1] * p * rho'/rho^(1-p): rho', 0 and -rho'/rho^2.  ``assembly``,
+    the residual and jumps of ``estimator`` and ``pml_source`` all loop
+    over these terms.
+
+    The mixed terms are in the transpose grouping
+    (lam+mu)*(dy(u2)*dx(conj v1) + dx(u1)*dy(conj v2)).  It differs from
+    the literal grouping (lam+mu)*(dx(u2)*dy(conj v1) + dx(u1)*dy(conj v2))
+    by a constant-coefficient null Lagrangian: the two assembled systems
+    coincide (the difference integrates by parts onto boundary terms that
+    cancel under the quasi-periodic and Dirichlet constraints), while the
+    grouping used here makes every element matrix complex symmetric.
+    ``tests/test_assembly.py`` keeps the literal grouping as a dense
+    reference and checks that both assemble to the same reduced system.
+    """
+    lam, mu = ctx.lam, ctx.mu
+    return (
+        (1, 0, 0, 0, 0, lam + 2 * mu),
+        (-1, 0, 1, 0, 1, mu),
+        (0, 0, 0, 1, 1, lam + mu),
+        (1, 1, 0, 1, 0, mu),
+        (-1, 1, 1, 1, 1, lam + 2 * mu),
+        (0, 1, 1, 0, 0, lam + mu),
+    )
 
 
 def _fluct_ratio(delta_cut: float, depth: float) -> float:
@@ -243,7 +287,9 @@ def thickness_bound(
 ) -> float:
     """The thinnest layer delta* meeting both conditions of calibration (see
     the module docstring); inf for Im sigma = 0.  Arguments as for
-    :func:`calibrate`."""
+    :func:`calibrate`; ValueError for a sigma or m that :func:`make_pml`
+    rejects."""
+    sigma, m = _strength(sigma, m)
     if sigma.imag == 0.0:
         return float("inf")
     t = TARGET_FHAT * ctx.kappa1**4 / (
@@ -295,18 +341,11 @@ def pml_source(
 ) -> np.ndarray:
     """Volume data g = L u_inc of the stretched formulation, in closed form.
 
-    For the plane wave u_inc = (u1, u2) * exp(i*(alpha*x - beta*y)) the
-    stretched Navier operator reduces to (rho = rho(y), rho' = rho'(y)):
-
-        g1 = [ -(lam+2mu)*alpha^2*rho - mu*beta^2/rho
-               + i*mu*beta*rho'/rho^2 + omega^2*rho ] * u1
-             + (lam+mu)*alpha*beta * u2,
-        g2 = (lam+mu)*alpha*beta * u1
-             + [ -mu*alpha^2*rho - (lam+2mu)*beta^2/rho
-                 + i*(lam+2mu)*beta*rho'/rho^2 + omega^2*rho ] * u2.
-
-    The result vanishes identically at and below y = b where rho = 1 and the
-    plane wave solves the unstretched equation.
+    The plane wave u_inc = (u1, u2) * exp(i*(alpha*x - beta*y)) has
+    dx_f(u_inc) = k_f * u_inc with k = i*(alpha, -beta), so each term of
+    ``flux_terms`` adds coef * k_f * (k_d * rho^p + dx_d(rho^p)) * u_e to
+    g_c, on top of omega^2 * rho * u_c; zero at and below y = b, where
+    rho = 1 and the plane wave solves the unstretched equation.
 
     Parameters
     ----------
@@ -321,20 +360,19 @@ def pml_source(
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    lam, mu, om2 = ctx.lam, ctx.mu, ctx.omega**2
-    al, be = ctx.alpha, ctx.beta
+    k = (1j * ctx.alpha, -1j * ctx.beta)
     r = rho(profile, y)
     rp = rho_prime(profile, y)
     u = incident_field(ctx, x, y)
-
-    diag1 = -(lam + 2 * mu) * al**2 * r - mu * be**2 / r + 1j * mu * be * rp / r**2 + om2 * r
-    diag2 = -mu * al**2 * r - (lam + 2 * mu) * be**2 / r + 1j * (lam + 2 * mu) * be * rp / r**2 + om2 * r
-    off = (lam + mu) * al * be
-
-    g = np.stack(
-        [diag1 * u[..., 0] + off * u[..., 1], off * u[..., 0] + diag2 * u[..., 1]],
-        axis=-1,
-    )
-    # Exactly zero outside the layer (the formulas already cancel there in
+    m = [[0.0, 0.0], [0.0, 0.0]]  # g_c = m[c][0] * u1 + m[c][1] * u2
+    for p, c, d, e, f, coef in flux_terms(ctx):
+        s = coef * k[d] * k[f]
+        m[c][e] = m[c][e] + (s * r if p == 1 else s / r if p == -1 else s)
+        if d == 1 and p:  # dy(rho^p) = p * rho'/rho^(1-p)
+            m[c][e] = m[c][e] + coef * k[f] * p * rp / r ** (1 - p)
+    for c in range(2):
+        m[c][c] = m[c][c] + ctx.omega**2 * r
+    g = np.stack([m[c][0] * u[..., 0] + m[c][1] * u[..., 1] for c in range(2)], -1)
+    # Exactly zero outside the layer (the terms already cancel there in
     # exact arithmetic; enforce bit-exact zero for the physical region).
     return g * (y > profile.b)[..., None]

@@ -56,8 +56,8 @@ def _element_by_quadrature(coords, region, ctx, profile, rule, literal_mixed):
     triangle rule (barycentric points, weights).
 
     ``literal_mixed`` selects the literal grouping of the mixed term instead
-    of the transpose grouping that ``assemble`` uses (see the module
-    docstring of ``gratpml.assembly``).
+    of the transpose grouping that ``assemble`` uses (see
+    ``gratpml.pml.flux_terms``).
     """
     from gratpml.pml import rho
 
@@ -113,9 +113,10 @@ def _pair_entries(coords, ctx, profile, oracle):
     values swapped.
     """
     xy = np.asarray(coords, dtype=float)[None]
-    diag, mixed = _pair_integrals(*p1_geometry(xy), xy[..., 1], ctx, profile)
-    diag, mixed = diag[:, 0], (ctx.lam + ctx.mu) * mixed[:, 0]
-    got = np.concatenate([diag, mixed, diag, mixed[::-1]])
+    b00, b10, b01, b11 = (
+        v[0] for v in _pair_integrals(*p1_geometry(xy), xy[..., 1], ctx, profile)
+    )
+    got = np.stack([b00, b11, b01, b10, b00, b11, b10, b01])
     want = []
     for test, trial in ((2 * _PAIR_A, 2 * _PAIR_B), (2 * _PAIR_B, 2 * _PAIR_A)):
         want += [oracle[test, trial], oracle[test + 1, trial + 1],

@@ -19,9 +19,11 @@ from gratpml import (
     indicators,
     layer_source,
     make_pml,
+    pml_source,
+    sharp_profile,
 )
 from gratpml.meshing import p1_jacobian
-from gratpml.pml import rho
+from gratpml.pml import rho, rho_prime
 from gratpml.quadrature import edge_rule, element_rule
 
 from conftest import draw_context, gratings, reference_rule
@@ -391,6 +393,33 @@ def test_layer_residual_is_quadrature_converged(
     layer = flat_mesh1.region != 0
     assert not np.array_equal(coarse[layer], fine[layer])  # the rule changed
     assert np.allclose(coarse[layer], fine[layer], rtol=1e-5)
+
+
+def test_layer_residual_matches_an_element_loop(ctx1, profile1):
+    # an independent loop: gradients from the edge vectors, rho, rho' and
+    # g at the points of the element rule, the first-order term written out
+    mesh = generate_initial(sharp_profile(1.0), ctx1, profile1, h0=0.5)
+    field = _random_field(mesh, 17)
+    got = _residuals(mesh, field, ctx1, profile1)
+    bary, w = element_rule()
+    coef = (ctx1.mu, ctx1.lam + 2.0 * ctx1.mu)
+    want = np.empty(mesh.n_tris)
+    for t, tri in enumerate(mesh.tris):
+        coords, vals = mesh.nodes[tri], field[tri]
+        edges = coords[1:] - coords[0]
+        grad = np.linalg.solve(edges, vals[1:] - vals[0])  # grad[d, c]
+        pts = bary @ coords
+        r, rp = rho(profile1, pts[:, 1]), rho_prime(profile1, pts[:, 1])
+        g = pml_source(ctx1, profile1, pts[:, 0], pts[:, 1])
+        dens = 0.0
+        for c in range(2):
+            res = (-coef[c] * rp / r**2 * grad[1, c]
+                   + ctx1.omega**2 * r * (bary @ vals[:, c]) - g[:, c])
+            dens = dens + np.abs(res) ** 2
+        area = 0.5 * abs(edges[0, 0] * edges[1, 1] - edges[0, 1] * edges[1, 0])
+        want[t] = np.sqrt(area * np.sum(w * dens))
+    assert np.any(rho_prime(profile1, mesh.nodes[:, 1]) != 0.0)  # a layer
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_residual_scales_linearly_in_the_field_when_undriven(

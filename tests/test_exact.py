@@ -104,6 +104,14 @@ def test_error_ignores_layer_elements(ctx1, flat_mesh1):
     )
 
 
+def test_error_rejects_a_field_that_is_not_nodal(ctx1, flat_mesh1):
+    sol = flat_solution(ctx1)
+    field = sol(flat_mesh1.nodes[:, 0], flat_mesh1.nodes[:, 1])
+    for bad in (np.concatenate([field, field[:5]]), field[:, :1], field.ravel()):
+        with pytest.raises(ValueError, match=r"shape \(n_nodes, 2\)"):
+            h1_seminorm_error(flat_mesh1, bad, sol)
+
+
 # ---------------------------------------------------------------------------
 # slope fitting
 # ---------------------------------------------------------------------------

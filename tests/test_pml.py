@@ -157,6 +157,16 @@ def test_calibration_grid_and_target_are_fixed(ctx1, modes1):
     assert calibrate(ctx1, modes1).delta == min(d for d in DELTA_GRID if d >= bound)
 
 
+@pytest.mark.parametrize(
+    "sigma,m", [(12.0 - 12.0j, 2), (-12.0 + 12.0j, 2), (SIGMA, -1)]
+)
+def test_thickness_bound_rejects_what_make_pml_rejects(ctx1, modes1, sigma, m):
+    with pytest.raises(ValueError):
+        make_pml(sigma, m, 1.0, b=1.0)
+    with pytest.raises(ValueError):
+        thickness_bound(ctx1, modes1, sigma, m)
+
+
 def test_calibration_without_damping_names_the_cause(ctx1, modes1):
     # Im sigma = 0 is an admissible layer, but Im zeta = 0 damps no
     # propagating mode at any thickness
