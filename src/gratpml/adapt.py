@@ -61,7 +61,6 @@ _CORNER_RADIUS = 0.1
 __all__ = [
     "IterationRecord",
     "AdaptiveRun",
-    "wave_setup",
     "setup",
     "run",
     "write_convergence_csv",
@@ -149,8 +148,10 @@ class AdaptiveRun:
         return self.records[-1]
 
 
-def wave_setup(cfg: RunConfig) -> tuple[WaveContext, ModeTable]:
-    """Derive the wave context and the mode table of a config."""
+def setup(
+    cfg: RunConfig,
+) -> tuple[WaveContext, ModeTable, GratingProfile, PmlProfile, ModelingConstants]:
+    """Derive context, modes, geometry and the calibrated layer of a config."""
     ctx = derive_context(
         omega=cfg.omega,
         lam=cfg.lam,
@@ -159,14 +160,7 @@ def wave_setup(cfg: RunConfig) -> tuple[WaveContext, ModeTable]:
         period=cfg.period,
         gamma_height=cfg.gamma_height,
     )
-    return ctx, build_mode_table(ctx)
-
-
-def setup(
-    cfg: RunConfig,
-) -> tuple[WaveContext, ModeTable, GratingProfile, PmlProfile, ModelingConstants]:
-    """Derive context, modes, geometry and the calibrated layer of a config."""
-    ctx, modes = wave_setup(cfg)
+    modes = build_mode_table(ctx)
     if cfg.grating == "flat":
         geom = flat_profile(cfg.period)
     elif cfg.grating == "sharp":

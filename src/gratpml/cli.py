@@ -1,14 +1,14 @@
 """Command-line interface.
 
-    gratpml solve         --config run.cfg [--out DIR] [--quiet]
-    gratpml pml-calibrate --config run.cfg
-    gratpml mesh-info     --config run.cfg [--out DIR]
+    gratpml solve     --config run.cfg [--out DIR] [--quiet]
+    gratpml mesh-info --config run.cfg [--out DIR]
 
 ``solve`` is the one adaptive run: a flat grating gives the true-error
-study and ``max_iters = 1`` the single solve on the initial mesh.  Every
-command that needs the absorbing layer calibrates it (``pml.calibrate``);
-a config cannot set it.  Exit codes: 0 success, 2 configuration problem
-(bad file, bad geometry, inadmissible parameters, an output directory that
+study and ``max_iters = 1`` the single solve on the initial mesh.
+``mesh-info`` is the one setup report: the target, the thickness bound and
+the layer that ``pml.calibrate`` selects, then the initial mesh.  A config
+cannot set the layer.  Exit codes: 0 success, 2 configuration problem (bad
+file, bad geometry, inadmissible parameters, an output directory that
 cannot be written), 3 numerical failure (resonance, singular system,
 calibration impossible, trace coverage).
 """
@@ -25,7 +25,6 @@ import numpy as np
 from .adapt import (
     run,
     setup,
-    wave_setup,
     write_convergence_csv,
     write_efficiency_csv,
     write_summary,
@@ -33,13 +32,7 @@ from .adapt import (
 )
 from .config import ConfigError, RunConfig, load_config
 from .meshing import PHYSICAL, PML, GeometryError, generate_initial, write_vtk
-from .pml import (
-    TARGET_FHAT,
-    CalibrationError,
-    calibrate,
-    modeling_constants,
-    thickness_bound,
-)
+from .pml import TARGET_FHAT, CalibrationError, thickness_bound
 from .rayleigh import TraceError
 from .solver import SolverError
 from .waves import ResonanceError
@@ -59,19 +52,17 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "solve": "run the adaptive loop and write reports",
-        "pml-calibrate": "print the layer that pml.calibrate selects, and why",
-        "mesh-info": "generate the initial mesh and print its statistics",
-    }
     # each command registers only the options its handler reads
-    for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
+    solve = sub.add_parser("solve", help="run the adaptive loop and write reports")
+    info = sub.add_parser("mesh-info", help="print the calibrated layer, and why, "
+                          "and the initial mesh's statistics")
+    solve.set_defaults(handler=_cmd_solve)
+    info.set_defaults(handler=_cmd_mesh_info)
+    for p, out_help in ((solve, "output directory (overrides [output] dir)"),
+                        (info, "write mesh_initial.vtk into this directory")):
         p.add_argument("--config", required=True, help="configuration file")
-        if name != "pml-calibrate":
-            p.add_argument("--out", help="output directory (overrides config)")
-        if name == "solve":
-            p.add_argument("--quiet", action="store_true", help="suppress progress")
+        p.add_argument("--out", help=out_help)
+    solve.add_argument("--quiet", action="store_true", help="suppress progress")
     return parser
 
 
@@ -134,26 +125,19 @@ def _cmd_solve(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_pml_calibrate(cfg: RunConfig, args) -> int:
-    ctx, modes = wave_setup(cfg)
-    # the bound is printed first, so that a failed calibration explains itself
-    print(f"target:   F_hat * sqrt(period) <= {TARGET_FHAT:.3g}")
-    print(f"bound:    delta >= {thickness_bound(ctx, modes):.5g}")
-    profile = calibrate(ctx, modes)
-    mc = modeling_constants(ctx, modes, profile)
-    print(f"layer:    delta = {profile.delta!r}, zeta = {profile.zeta!r}, "
-          f"F = {mc.f:.4e}, F_hat = {mc.f_hat:.4e}, "
-          f"F_hat*sqrtP = {mc.f_hat * np.sqrt(ctx.period):.4e}, "
-          f"coercive = {mc.coercive}")
-    return 0
-
-
 def _cmd_mesh_info(cfg: RunConfig, args) -> int:
+    # a failed calibration names the target, the best F_hat and the bound
     with _output_dir(args.out):  # fail before anything is printed
-        ctx, _, geom, profile, constants = setup(cfg)
+        ctx, modes, geom, profile, mc = setup(cfg)
         mesh = generate_initial(geom, ctx, profile, cfg.h0)
         mesh.validate(geom)
         areas = mesh.areas
+        print(f"target:   F_hat * sqrt(period) <= {TARGET_FHAT:.3g}")
+        print(f"bound:    delta >= {thickness_bound(ctx, modes):.5g}")
+        print(f"layer:    delta = {profile.delta!r}, zeta = {profile.zeta!r}, "
+              f"F = {mc.f:.4e}, F_hat = {mc.f_hat:.4e}, "
+              f"F_hat*sqrtP = {mc.f_hat * np.sqrt(ctx.period):.4e}, "
+              f"coercive = {mc.coercive}")
         print(f"nodes:    {mesh.n_nodes}")
         print(f"elements: {mesh.n_tris} "
               f"(physical {int((mesh.region == PHYSICAL).sum())}, "
@@ -161,20 +145,11 @@ def _cmd_mesh_info(cfg: RunConfig, args) -> int:
         print(f"area:     min {areas.min():.6g}, max {areas.max():.6g}, "
               f"total {areas.sum():.6g}")
         print(f"diameter: max {mesh.diameters.max():.6g}")
-        print(f"layer:    delta = {profile.delta!r}, zeta = {profile.zeta!r}, "
-              f"F_hat = {constants.f_hat:.4e}")
         if args.out:
             path = os.path.join(args.out, "mesh_initial.vtk")
             write_vtk(mesh, path, cell_data={"region": mesh.region.astype(float)})
             print(f"wrote {path}")
     return 0
-
-
-_DISPATCH = {
-    "solve": _cmd_solve,
-    "pml-calibrate": _cmd_pml_calibrate,
-    "mesh-info": _cmd_mesh_info,
-}
 
 
 def main(argv=None) -> int:
@@ -185,7 +160,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _DISPATCH[args.command](cfg, args)
+        return args.handler(cfg, args)
     except _NUMERICAL_ERRORS as exc:
         # checked first: ResonanceError is a ValueError but not a user error
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gratpml
+import gratpml.adapt
 import gratpml.cli
 import gratpml.pml
 from gratpml import (
@@ -255,7 +256,7 @@ def test_documented_command_lines_parse():
         except SystemExit:
             rejected.append(line)
     assert rejected == []
-    assert commands >= {"solve", "pml-calibrate", "mesh-info"}
+    assert commands == {"solve", "mesh-info"}
 
 
 def test_readme_custom_loop_carries_the_layer_source(monkeypatch):
@@ -373,6 +374,25 @@ def test_validation_rejects_inconsistent_values():
         _quick_config(grating="file").validate()
     with pytest.raises(ConfigError, match="file"):
         _quick_config(grating="sharp", grating_file="prof.txt").validate()
+
+
+@pytest.mark.parametrize(
+    "line, problem",
+    [
+        ("tolerance = 0.0", "adapt.tolerance must be positive"),
+        ("max_iters = 0", "adapt.max_iters must be >= 1"),
+        ("max_dofs = 0", "adapt.max_dofs must be >= 1"),
+    ],
+    ids=["tolerance", "max_iters", "max_dofs"],
+)
+def test_adapt_budgets_must_be_positive(tmp_path, capsys, line, problem):
+    path = _write(tmp_path, MINIMAL_CFG + f"[adapt]\n{line}\n")
+    with pytest.raises(ConfigError, match=re.escape(problem)):
+        load_config(path)
+    assert main(["solve", "--config", str(path), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert problem in captured.err
+    assert captured.out == ""
 
 
 def test_shipped_flat_config(tmp_path):
@@ -698,22 +718,20 @@ def test_cli_exit_2_when_the_initial_mesh_exceeds_max_dofs(
     assert not (out / "convergence.csv").exists()
 
 
-def test_cli_pml_calibrate_prints_the_bound_and_selects(tmp_path, capsys):
-    # target, bound, and the layer that mesh-info and solve use
+def test_cli_mesh_info_prints_the_bound_and_selects(tmp_path, capsys):
+    # target, bound, the layer that solve uses, then the initial mesh
     cfg = _cli_config(tmp_path)
-    assert main(["pml-calibrate", "--config", str(cfg)]) == 0
+    assert main(["mesh-info", "--config", str(cfg)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["target:   F_hat * sqrt(period) <= 1e-08",
                          "bound:    delta >= 6.2512"]
-    assert len(lines) == 3
     assert lines[2].startswith("layer:    delta = 8.0, zeta = (40+32j), F = ")
     assert ", F_hat = 2.0117e-12, F_hat*sqrtP = 2.0117e-12, coercive = True" in lines[2]
-    assert main(["mesh-info", "--config", str(cfg)]) == 0
-    assert "layer:    delta = 8.0, zeta = (40+32j), F_hat = 2.0117e-12" in (
-        capsys.readouterr().out.splitlines())
+    assert [line.split(":")[0] for line in lines[3:]] == [
+        "nodes", "elements", "area", "diameter"]
 
 
-def test_cli_pml_calibrate_evaluates_the_constants_once(monkeypatch, capsys):
+def test_cli_mesh_info_evaluates_the_constants_once(monkeypatch, capsys):
     # the bound needs no constants; the selected layer's are printed
     calls = []
     real = gratpml.pml.modeling_constants
@@ -723,31 +741,35 @@ def test_cli_pml_calibrate_evaluates_the_constants_once(monkeypatch, capsys):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(gratpml.pml, "modeling_constants", counting)
-    monkeypatch.setattr(gratpml.cli, "modeling_constants", counting)
+    monkeypatch.setattr(gratpml.adapt, "modeling_constants", counting)
     config = str(CONFIG_DIR / "flat.cfg")
-    assert main(["pml-calibrate", "--config", config]) == 0
+    assert main(["mesh-info", "--config", config]) == 0
     assert "layer:    delta = 8.0," in capsys.readouterr().out
     assert calls == [8.0]
 
 
 @pytest.mark.parametrize(
-    "command, flag",
+    "command, help_text",
     [
-        ("pml-calibrate", "--out"),
-        ("pml-calibrate", "--quiet"),
-        ("mesh-info", "--quiet"),
+        ("solve", "output directory (overrides [output] dir)"),
+        ("mesh-info", "write mesh_initial.vtk into this directory"),
     ],
+    ids=["solve", "mesh-info"],
 )
+def test_cli_out_help_says_what_the_command_writes(capsys, command, help_text):
+    # mesh-info reads no [output] dir: it writes only where --out says
+    with pytest.raises(SystemExit) as info:
+        gratpml.cli._build_parser().parse_args([command, "--help"])
+    assert info.value.code == 0
+    assert f"--out OUT {help_text}" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("command, flag", [("mesh-info", "--quiet")])
 def test_cli_rejects_flags_the_command_does_not_read(tmp_path, command, flag):
     cfg = _cli_config(tmp_path)
-    out = tmp_path / "unused"
-    argv = [command, "--config", str(cfg), flag]
-    if flag == "--out":
-        argv.append(str(out))
     with pytest.raises(SystemExit) as info:
-        main(argv)
+        main([command, "--config", str(cfg), flag])
     assert info.value.code == 2
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "mesh-info"])
@@ -845,7 +867,7 @@ def test_cli_exit_2_for_configuration_problems(tmp_path, capsys):
         ("[pml]\nm = 3\n", "m"),
     ):
         layer = _write(tmp_path, MINIMAL_CFG + extra, "layer.cfg")
-        for command in ("solve", "mesh-info", "pml-calibrate"):
+        for command in ("solve", "mesh-info"):
             quiet = ["--quiet"] if command == "solve" else []
             assert main([command, "--config", str(layer)] + quiet) == 2
             captured = capsys.readouterr()
@@ -876,7 +898,7 @@ def test_cli_exit_2_for_bad_calibration_settings(tmp_path, capsys, pml):
     # failed calibration
     lines = "".join(f"{key} = {value}\n" for key, value in pml.items())
     cfg = _write(tmp_path, MINIMAL_CFG + "[pml]\n" + lines, "grid.cfg")
-    for command in ("pml-calibrate", "solve", "mesh-info"):
+    for command in ("solve", "mesh-info"):
         quiet = ["--quiet"] if command == "solve" else []
         assert main([command, "--config", str(cfg)] + quiet) == 2
         captured = capsys.readouterr()
@@ -885,25 +907,22 @@ def test_cli_exit_2_for_bad_calibration_settings(tmp_path, capsys, pml):
         assert captured.out == ""
 
 
-def test_cli_pml_calibrate_exit_3_when_no_thickness_meets_the_target(
-    tmp_path, capsys
-):
+def test_cli_exit_3_when_no_thickness_meets_the_target(tmp_path, capsys):
     # 0.004 degrees above the shear order -1 cut-off (40.91428 degrees) the
     # order decays too slowly: at delta = 64, the thickest,
     # F_hat*sqrt(period) is still 26.9
     cfg = _cli_config(tmp_path, theta_deg=40.918)
     failure = "F_hat*sqrt(period) <= 1e-08; best was 26.9 at delta = 64.0"
-    assert main(["pml-calibrate", "--config", str(cfg)]) == 3
+    # the failure names the target, the best value and the bound, so the
+    # report prints nothing
+    assert main(["mesh-info", "--config", str(cfg)]) == 3
     captured = capsys.readouterr()
     assert "numerical failure" in captured.err
     assert failure in captured.err
     assert "; the target needs delta >= 373.93" in captured.err
-    # the target and the bound are printed before the failure, no layer
-    assert captured.out.splitlines() == [
-        "target:   F_hat * sqrt(period) <= 1e-08", "bound:    delta >= 373.93"
-    ]
-    # the other commands calibrate first and fail alike, before any output;
-    # the output directory they made goes again, one that existed stays
+    assert captured.out == ""
+    # both commands calibrate first and fail before any output; the output
+    # directory they made goes again, one that existed stays
     kept = tmp_path / "kept"
     kept.mkdir()
     for command in ("solve", "mesh-info"):
@@ -979,10 +998,8 @@ def test_cli_exit_3_for_numerical_failures(tmp_path, capsys):
     )
     path = tmp_path / "resonant.cfg"
     write_config(resonant, path)
-    for command in ("solve", "mesh-info", "pml-calibrate"):
-        argv = [command, "--config", str(path)]
-        if command != "pml-calibrate":
-            argv += ["--out", str(tmp_path / "out")]
+    for command in ("solve", "mesh-info"):
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
         assert main(argv) == 3, command
         captured = capsys.readouterr()
         assert "numerical failure" in captured.err
@@ -995,10 +1012,11 @@ def test_cli_help_and_usage_errors(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--help"])
     assert info.value.code == 0
-    assert "{solve,pml-calibrate,mesh-info}" in capsys.readouterr().out
-    # the commands folded into ``solve`` are usage errors
+    assert "{solve,mesh-info}" in capsys.readouterr().out
+    # the commands folded into ``solve`` and ``mesh-info`` are usage errors
     for argv in ([], ["validate-flat", "--config", "flat.cfg"],
-                 ["efficiency", "--config", "flat.cfg"]):
+                 ["efficiency", "--config", "flat.cfg"],
+                 ["pml-calibrate", "--config", "flat.cfg"]):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2

@@ -70,6 +70,12 @@ def test_make_pml_rejects_bad_parameters(sigma, m, delta):
         make_pml(sigma, m, delta, b=1.0)
 
 
+@pytest.mark.parametrize("b", [float("nan"), float("inf"), -float("inf")])
+def test_make_pml_rejects_a_non_finite_interface_height(b):
+    with pytest.raises(ValueError, match="b must be finite"):
+        make_pml(SIGMA, 2, 1.0, b)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_medium_function_values(m):
     profile = make_pml(SIGMA, m, 2.0, b=1.0)
@@ -236,7 +242,7 @@ def select_thickness(
     """The profile of the first accepted step of a :func:`calibration_walk`.
 
     Consumes ``steps`` only up to that step, so :func:`calibrate` stops its
-    walk there; ``pml-calibrate`` passes the whole walk it tabulates.
+    walk there.
 
     Raises
     ------

@@ -152,6 +152,35 @@ def test_failed_symmetric_attempt_falls_back_to_double_precision(
     assert "precision=double" in str(report)
 
 
+class _HalfStep:
+    """A factor of ``a / scale`` whose solve returns half the exact
+    correction, so that each refinement step halves the residual."""
+
+    def __init__(self, a, scale):
+        self.dense = a.toarray() / scale
+
+    def solve(self, v):
+        return 0.5 * np.linalg.solve(self.dense, v)
+
+
+def test_refinement_gives_up_after_itermax_corrections():
+    system = _well_posed_system()
+    a, b = system.matrix, system.rhs
+    scale = abs(a).max()
+    norm_a = abs(a).sum(axis=1).max()
+    x, r, corrections, converged = solver_module._refine(
+        a, b, _HalfStep(a, scale), scale, norm_a, np.complex128
+    )
+    assert converged is False
+    assert corrections == solver_module.ITERMAX
+    # every step reduced the residual, so the last iterate is kept: the
+    # plain solve and ITERMAX corrections leave 2**-(ITERMAX + 1) of it
+    kept = 1.0 - 0.5 ** (solver_module.ITERMAX + 1)
+    exact = np.linalg.solve(a.toarray(), b)
+    assert np.allclose(x, kept * exact, rtol=1e-12, atol=0.0)
+    assert np.array_equal(r, b - a @ x)
+
+
 def test_refinement_repairs_a_perturbed_factor(monkeypatch):
     system = _well_posed_system()
     calls = _patch_symmetric_attempt(monkeypatch, _perturbed_matrix)

@@ -170,6 +170,11 @@ def test_mode_table_rejects_cutoff_resonance():
     assert build_mode_table(ctx, 0).n.size == 1
 
 
+def test_mode_table_rejects_a_negative_window(ctx1):
+    with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+        build_mode_table(ctx1, -1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_coupling_scalar_strictly_between_squared_wavenumbers(seed):
