@@ -53,7 +53,7 @@ from .meshing import (
 from .pml import ModelingConstants, PmlProfile, calibrate, modeling_constants
 from .rayleigh import EfficiencyReport, efficiencies, fourier_trace, recover_potentials
 from .solver import SolveReport, solve_system
-from .waves import ModeTable, WaveContext, build_mode_table, derive_context
+from .waves import ModeTable, WaveContext, build_mode_table
 
 #: radius of the disk counted around each tracked corner, in periods
 _CORNER_RADIUS = 0.1
@@ -152,7 +152,7 @@ def setup(
     cfg: RunConfig,
 ) -> tuple[WaveContext, ModeTable, GratingProfile, PmlProfile, ModelingConstants]:
     """Derive context, modes, geometry and the calibrated layer of a config."""
-    ctx = derive_context(
+    ctx = WaveContext(
         omega=cfg.omega,
         lam=cfg.lam,
         mu=cfg.mu,
@@ -328,7 +328,8 @@ def write_summary(run_result: AdaptiveRun, path) -> None:
         f"theta = {cfg.theta_deg!r} deg, period = {ctx.period!r}, "
         f"interface height = {ctx.gamma_height!r}",
         f"wavenumbers: kappa1 = {ctx.kappa1!r}, kappa2 = {ctx.kappa2!r}",
-        f"grating: {cfg.grating}",
+        f"grating: file {cfg.grating_file}" if cfg.grating_file
+        else f"grating: {cfg.grating}",
         f"corners: [{tracked}], radius {_CORNER_RADIUS * ctx.period!r}"
         if corners else "corners: none",
         f"layer: sigma = {prof.sigma!r}, m = {prof.m}, delta = {prof.delta!r}",

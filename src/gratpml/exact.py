@@ -16,6 +16,7 @@ order 0 and the reflection coefficients are
 The combination satisfies u(x, 0) = 0 identically and carries the exact
 energy balance kappa1^2 * (beta*|R1|^2 + beta2*|R2|^2) / beta = 1.  At
 normal incidence (theta = 0) the shear mode vanishes: R2 = 0, R1 = -1/kappa1.
+These three plane waves are ``FlatSolution.waves``.
 
 This module also measures the H1-seminorm error of a discrete field against
 the reference solution over the physical region (y <= b).
@@ -24,13 +25,14 @@ the reference solution over the physical region (y <= b).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import cos, sin
 
 import numpy as np
 
 from .meshing import PHYSICAL, p1_jacobian
 from .quadrature import at_rule_points, element_rule
-from .waves import WaveContext, incident_field, incident_gradient
+from .waves import WaveContext, plane_wave
 
 __all__ = ["FlatSolution", "flat_solution", "h1_seminorm_error", "fit_slope"]
 
@@ -47,6 +49,9 @@ class FlatSolution:
     beta2 : float
         Shear vertical wavenumber of mode 0 (real: the mode propagates for
         every admissible context because |alpha| < kappa1 < kappa2).
+    waves : tuple
+        (amplitude, polarization, wave vector) of the incident wave and the
+        reflected compressional and shear modes, evaluated by ``plane_wave``.
     """
 
     ctx: WaveContext
@@ -54,33 +59,25 @@ class FlatSolution:
     r2: float
     beta2: float
 
+    @cached_property
+    def waves(self) -> tuple:
+        ctx, a, b2 = self.ctx, self.ctx.alpha, self.beta2
+        return (
+            (1.0, ctx.polarization, ctx.wavevector),
+            (-self.r1, (a, ctx.beta), (a, ctx.beta)),
+            (-self.r2, (b2, -a), (a, b2)),
+        )
+
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Total displacement field, shape broadcast(x, y).shape + (2,)."""
-        ctx = self.ctx
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        u = incident_field(ctx, x, y)
-        ep = np.exp(1j * (ctx.alpha * x + ctx.beta * y))
-        es = np.exp(1j * (ctx.alpha * x + self.beta2 * y))
-        u[..., 0] -= ctx.alpha * self.r1 * ep + self.beta2 * self.r2 * es
-        u[..., 1] -= ctx.beta * self.r1 * ep - ctx.alpha * self.r2 * es
-        return u
+        return sum(amp * plane_wave(pol, k, x, y) for amp, pol, k in self.waves)
 
     def gradient(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Jacobian out[..., c, d] = d u_c / d x_d."""
-        ctx = self.ctx
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = incident_gradient(ctx, x, y)
-        ep = np.exp(1j * (ctx.alpha * x + ctx.beta * y))
-        es = np.exp(1j * (ctx.alpha * x + self.beta2 * y))
-        kp = np.array([1j * ctx.alpha, 1j * ctx.beta])
-        ks = np.array([1j * ctx.alpha, 1j * self.beta2])
-        pol_p = np.array([ctx.alpha, ctx.beta])
-        pol_s = np.array([self.beta2, -ctx.alpha])
-        out -= self.r1 * ep[..., None, None] * pol_p[:, None] * kp[None, :]
-        out -= self.r2 * es[..., None, None] * pol_s[:, None] * ks[None, :]
-        return out
+        """Jacobian out[..., c, d] = d u_c / d x_d, each wave's value * i*k_d."""
+        return sum(
+            (amp * plane_wave(pol, k, x, y))[..., :, None] * (1j * np.asarray(k))
+            for amp, pol, k in self.waves
+        )
 
 
 def flat_solution(ctx: WaveContext) -> FlatSolution:
@@ -140,7 +137,7 @@ def fit_slope(sizes: np.ndarray, errors: np.ndarray, last: int = 4) -> float:
     sizes, errors : array_like
         Positive sequences (e.g. node counts and error values).
     last : int
-        Number of trailing entries to fit (clipped to the available length).
+        Number of trailing entries to fit, >= 2, clipped to the available length.
 
     Returns
     -------
@@ -151,6 +148,8 @@ def fit_slope(sizes: np.ndarray, errors: np.ndarray, last: int = 4) -> float:
     errors = np.asarray(errors, dtype=float)
     if sizes.shape != errors.shape or sizes.size < 2:
         raise ValueError("need two equal-length sequences of at least 2 points")
+    if last < 2:
+        raise ValueError(f"a slope needs last >= 2 points, got {last}")
     k = min(int(last), sizes.size)
     xs = np.log(sizes[-k:])
     ys = np.log(errors[-k:])

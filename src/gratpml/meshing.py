@@ -625,6 +625,8 @@ def mark(eta_hat: np.ndarray, tau: float = 0.5) -> np.ndarray:
         Sorted indices of the marked elements (empty when all indicators
         vanish).
     """
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must lie in [0, 1], got {tau}")
     eta = np.asarray(eta_hat, dtype=float)
     if np.any(eta < 0) or not np.all(np.isfinite(eta)):
         raise ValueError("indicators must be finite and non-negative")

@@ -360,7 +360,7 @@ def pml_source(
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    k = (1j * ctx.alpha, -1j * ctx.beta)
+    k = [1j * c for c in ctx.wavevector]
     r = rho(profile, y)
     rp = rho_prime(profile, y)
     u = incident_field(ctx, x, y)

@@ -17,9 +17,10 @@ wavenumbers are
 
 and mu > 0, lam + mu > 0 imply kappa1 < kappa2.  The incident wave vector is
 (alpha, -beta) with alpha = kappa1*sin(theta), beta = kappa1*cos(theta).
-A ``WaveContext`` holds the six physical inputs (omega, lam, mu, theta,
-period, gamma_height); it computes kappa1, kappa2, alpha and beta from
-them on first read and keeps them.
+A ``WaveContext`` checks and holds the six physical inputs (omega, lam,
+mu, theta, period, gamma_height); it computes kappa1, kappa2, alpha, beta
+and the incident polarization and wave vector on first read and keeps them.
+``plane_wave`` is the one plane-wave formula of the package.
 
 Quasi-periodicity splits any field into Rayleigh modes exp(i*alpha_n*x) with
 
@@ -40,9 +41,10 @@ tables refuse to build within a relative tolerance of such a resonance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from math import ceil, cos, floor, pi, sin, sqrt
+from math import ceil, cos, floor, isfinite, pi, sin, sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -50,10 +52,8 @@ __all__ = [
     "WaveContext",
     "ModeTable",
     "ResonanceError",
-    "derive_context",
     "build_mode_table",
     "incident_field",
-    "incident_gradient",
 ]
 
 #: Relative cut-off guard of the mode table: it refuses to build when some
@@ -69,27 +69,32 @@ class ResonanceError(ValueError):
 class WaveContext:
     """Physical parameters of one scattering problem plus derived constants.
 
-    The six inputs are the fields, which equality and hashing compare;
-    kappa1, kappa2, alpha and beta are computed on first read and kept.
+    The six inputs are the fields, which equality and hashing compare; they
+    are stored as floats, and building a context (also by
+    ``dataclasses.replace``) raises ValueError for an inadmissible one.
+    The derived constants are computed on first read and kept.
 
     Attributes
     ----------
     omega : float
         Angular frequency, > 0.
     lam, mu : float
-        Lamé constants with mu > 0 and lam + mu > 0.
+        Lamé constants with mu > 0 and lam + mu > 0 (they make the
+        elasticity tensor positive and imply kappa1 < kappa2).
     theta : float
         Incidence angle in radians, |theta| < pi/2 (measured from the
         downward vertical; theta = 0 is normal incidence).
     period : float
         Grating period in x, > 0.
     gamma_height : float
-        Height y = b of the horizontal line Gamma where the transparent
+        Height y = b > 0 of the horizontal line Gamma where the transparent
         boundary / PML starts; must lie strictly above the grating.
     kappa1, kappa2 : float
         Compressional and shear wavenumbers.
     alpha, beta : float
         Horizontal and vertical components of the incident wave vector.
+    polarization, wavevector : tuple of float
+        (sin(theta), -cos(theta)) and (alpha, -beta) of the incident wave.
     """
 
     omega: float
@@ -98,6 +103,25 @@ class WaveContext:
     theta: float
     period: float
     gamma_height: float
+
+    def __post_init__(self) -> None:
+        values = [float(getattr(self, f.name)) for f in fields(self)]
+        if not all(map(isfinite, values)):
+            raise ValueError("all wave parameters must be finite numbers")
+        for f, value in zip(fields(self), values):
+            object.__setattr__(self, f.name, value)
+        if self.omega <= 0.0:
+            raise ValueError(f"omega must be positive, got {self.omega}")
+        if self.mu <= 0.0:
+            raise ValueError(f"mu must be positive, got {self.mu}")
+        if self.lam + self.mu <= 0.0:
+            raise ValueError(f"lam + mu must be positive, got {self.lam + self.mu}")
+        if not abs(self.theta) < pi / 2.0:
+            raise ValueError(f"|theta| must be < pi/2, got {self.theta}")
+        if self.period <= 0.0:
+            raise ValueError(f"period must be positive, got {self.period}")
+        if self.gamma_height <= 0.0:
+            raise ValueError(f"gamma_height must be positive, got {self.gamma_height}")
 
     @cached_property
     def kappa1(self) -> float:
@@ -115,68 +139,18 @@ class WaveContext:
     def beta(self) -> float:
         return self.kappa1 * cos(self.theta)
 
+    @cached_property
+    def polarization(self) -> tuple[float, float]:
+        return (sin(self.theta), -cos(self.theta))
+
+    @cached_property
+    def wavevector(self) -> tuple[float, float]:
+        return (self.alpha, -self.beta)
+
     @property
     def phase(self) -> complex:
         """Quasi-periodicity factor exp(i*alpha*period)."""
         return complex(np.exp(1j * self.alpha * self.period))
-
-
-def derive_context(
-    omega: float,
-    lam: float,
-    mu: float,
-    theta: float,
-    period: float,
-    gamma_height: float,
-) -> WaveContext:
-    """Validate physical parameters and derive the wave constants.
-
-    Parameters
-    ----------
-    omega : float
-        Angular frequency, must be > 0.
-    lam, mu : float
-        Lamé constants; mu > 0 and lam + mu > 0 are required (they make the
-        elasticity tensor positive and imply kappa1 < kappa2).
-    theta : float
-        Incidence angle in radians, |theta| < pi/2.
-    period : float
-        Grating period, > 0.
-    gamma_height : float
-        Height of the transparent boundary line, > 0.
-
-    Returns
-    -------
-    WaveContext
-
-    Raises
-    ------
-    ValueError
-        If any parameter lies outside its admissible range.
-    """
-    vals = [omega, lam, mu, theta, period, gamma_height]
-    if not all(np.isfinite(v) for v in vals):
-        raise ValueError("all wave parameters must be finite numbers")
-    if omega <= 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    if lam + mu <= 0.0:
-        raise ValueError(f"lam + mu must be positive, got {lam + mu}")
-    if not abs(theta) < pi / 2.0:
-        raise ValueError(f"|theta| must be < pi/2, got {theta}")
-    if period <= 0.0:
-        raise ValueError(f"period must be positive, got {period}")
-    if gamma_height <= 0.0:
-        raise ValueError(f"gamma_height must be positive, got {gamma_height}")
-    return WaveContext(
-        omega=float(omega),
-        lam=float(lam),
-        mu=float(mu),
-        theta=float(theta),
-        period=float(period),
-        gamma_height=float(gamma_height),
-    )
 
 
 @dataclass(frozen=True)
@@ -261,6 +235,8 @@ def build_mode_table(ctx: WaveContext, n_max: int | None = None) -> ModeTable:
 
     Raises
     ------
+    ValueError
+        When ``n_max`` is not an integer >= 0.
     ResonanceError
         When a mode sits within ``RESONANCE_RTOL`` of a cut-off.
     """
@@ -268,6 +244,8 @@ def build_mode_table(ctx: WaveContext, n_max: int | None = None) -> ModeTable:
         s = 2.0 * pi / ctx.period
         n_max = max(-floor((-ctx.kappa2 - ctx.alpha) / s),
                     ceil((ctx.kappa2 - ctx.alpha) / s))
+    if not isinstance(n_max, Integral):
+        raise ValueError(f"n_max must be an integer, got {n_max!r}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     n = np.arange(-n_max, n_max + 1)
@@ -309,29 +287,17 @@ def build_mode_table(ctx: WaveContext, n_max: int | None = None) -> ModeTable:
     )
 
 
-def incident_field(ctx: WaveContext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Evaluate the incident compressional plane wave of unit amplitude.
+def plane_wave(pol, k, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """pol * exp(i*(k[0]*x + k[1]*y)), shape broadcast(x, y).shape + (2,).
 
-    Parameters
-    ----------
-    ctx : WaveContext
-    x, y : ndarray
-        Coordinates (broadcast together).
-
-    Returns
-    -------
-    ndarray of complex, shape broadcast(x, y).shape + (2,)
-        Displacement components (u1, u2).
+    Its Jacobian d u_c / d x_d is value[..., c] * i*k[d].
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    phase = np.exp(1j * (ctx.alpha * x - ctx.beta * y))
-    pol = np.array([sin(ctx.theta), -cos(ctx.theta)])
-    return phase[..., None] * pol
+    phase = np.exp(1j * (k[0] * x + k[1] * y))
+    return phase[..., None] * np.asarray(pol)
 
 
-def incident_gradient(ctx: WaveContext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of the incident wave: out[..., c, d] = d u_c / d x_d."""
-    u = incident_field(ctx, x, y)
-    wavevec = np.array([1j * ctx.alpha, -1j * ctx.beta])
-    return u[..., :, None] * wavevec
+def incident_field(ctx: WaveContext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The incident compressional plane wave of unit amplitude, (u1, u2)."""
+    return plane_wave(ctx.polarization, ctx.wavevector, x, y)

@@ -17,9 +17,9 @@ from gratpml import (
     GratingProfile,
     Mesh,
     ResonanceError,
+    WaveContext,
     build_mode_table,
     calibrate,
-    derive_context,
     flat_profile,
     generate_initial,
     sharp_profile,
@@ -43,7 +43,7 @@ REFERENCE = dict(
 
 @pytest.fixture(scope="session")
 def ctx1():
-    return derive_context(**REFERENCE)
+    return WaveContext(**REFERENCE)
 
 
 @pytest.fixture(scope="session")
@@ -123,7 +123,7 @@ def draw_context(
         theta = rng.uniform(-1.3, 1.3)
         drawn_period = rng.uniform(0.4, 3.0)
         try:
-            ctx = derive_context(
+            ctx = WaveContext(
                 omega=omega,
                 lam=lam,
                 mu=mu,

@@ -298,6 +298,17 @@ def test_grating_file_alone_selects_the_profile(tmp_path, capsys):
     assert from_file != from_flat
 
 
+def test_summary_names_the_profile_file(tmp_path):
+    prof = tmp_path / "saw.txt"
+    prof.write_text(PROFILE_TEXT, encoding="utf-8")
+    path = _write(tmp_path, MINIMAL_CFG + "[grating]\nfile = saw.txt\n"
+                  "[adapt]\nh0 = 0.5\nmax_iters = 1\n")
+    out = tmp_path / "results"
+    assert main(["solve", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+    lines = (out / "run_summary.txt").read_text(encoding="utf-8").splitlines()
+    assert f"grating: file {prof}" in lines
+
+
 def test_relative_grating_file_is_read_beside_the_config(
     tmp_path, monkeypatch, capsys
 ):

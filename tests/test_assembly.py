@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 import gratpml.assembly
 from gratpml import (
     Mesh,
+    WaveContext,
     assemble,
     build_dofmap,
     build_mode_table,
     calibrate,
-    derive_context,
     flat_profile,
     generate_initial,
     indicators,
@@ -497,7 +497,7 @@ def test_mixed_term_groupings_assemble_identically(ctx1, profile1, small_mesh):
 def test_assembled_matrix_is_complex_symmetric_at_normal_incidence(ctx1):
     # the unreduced weak form is complex symmetric; the quasi-periodic fold
     # keeps that only when the Bloch phase is real, i.e. at normal incidence
-    ctx = derive_context(
+    ctx = WaveContext(
         omega=ctx1.omega,
         lam=ctx1.lam,
         mu=ctx1.mu,
@@ -515,7 +515,7 @@ def test_assembled_matrix_is_complex_symmetric_at_normal_incidence(ctx1):
 
 
 def _reduced_matrix(geom, theta):
-    ctx = derive_context(**{**REFERENCE, "theta": theta})
+    ctx = WaveContext(**{**REFERENCE, "theta": theta})
     profile = calibrate(ctx, build_mode_table(ctx, 20))
     mesh = generate_initial(geom, ctx, profile, h0=0.25)
     return assemble(mesh, ctx, profile, build_dofmap(mesh, ctx)).matrix.tocsr()

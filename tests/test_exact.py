@@ -25,9 +25,9 @@ def test_reflection_coefficients_reference_values(ctx1):
 
 
 def test_normal_incidence_has_no_shear_reflection():
-    from gratpml import derive_context
+    from gratpml import WaveContext
 
-    ctx = derive_context(
+    ctx = WaveContext(
         omega=2 * np.pi, lam=1.0, mu=2.0, theta=0.0, period=1.0, gamma_height=1.0
     )
     sol = flat_solution(ctx)
@@ -62,6 +62,51 @@ def test_solution_gradient_matches_finite_differences(ctx1):
     dy = (sol(x, y + h) - sol(x, y - h)) / (2 * h)
     assert np.allclose(grad[..., 0], dx, rtol=1e-7, atol=1e-9)
     assert np.allclose(grad[..., 1], dy, rtol=1e-7, atol=1e-9)
+
+
+def _closed_form(ctx, sol, x, y):
+    """The field and Jacobian of the flat solution written term by term."""
+    a, b, b2, r1, r2 = ctx.alpha, ctx.beta, sol.beta2, sol.r1, sol.r2
+    ei = np.exp(1j * (a * x - b * y))
+    ep = np.exp(1j * (a * x + b * y))
+    es = np.exp(1j * (a * x + b2 * y))
+    s, c = np.sin(ctx.theta), np.cos(ctx.theta)
+    u = np.stack([s * ei - a * r1 * ep - b2 * r2 * es,
+                  -c * ei - b * r1 * ep + a * r2 * es], -1)
+    jac = np.empty(x.shape + (2, 2), dtype=complex)
+    jac[..., 0, 0] = 1j * a * (s * ei - a * r1 * ep - b2 * r2 * es)
+    jac[..., 0, 1] = 1j * (-b * s * ei - b * a * r1 * ep - b2 * b2 * r2 * es)
+    jac[..., 1, 0] = 1j * a * (-c * ei - b * r1 * ep + a * r2 * es)
+    jac[..., 1, 1] = 1j * (b * c * ei - b * b * r1 * ep + b2 * a * r2 * es)
+    return u, jac
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_flat_solution_waves_solve_the_navier_equation(seed):
+    rng = np.random.default_rng(seed)
+    ctx = draw_context(rng, n_max=1)
+    sol = flat_solution(ctx)
+    kinds = []
+    for _, pol, k in sol.waves:
+        p, k = np.asarray(pol), np.asarray(k)
+        kk, scale = k @ k, np.hypot(*p) * np.hypot(*k)
+        parallel = abs(p[0] * k[1] - p[1] * k[0]) <= 1e-12 * scale
+        kinds.append("p" if parallel else "s")
+        if parallel:
+            assert kk == pytest.approx(ctx.kappa1**2, rel=1e-13)
+        else:
+            assert abs(p @ k) <= 1e-12 * scale
+            assert kk == pytest.approx(ctx.kappa2**2, rel=1e-13)
+        # mu*Lap(u) + (lam + mu)*grad(div(u)) + omega^2*u for u = p*exp(i k.x)
+        residual = (ctx.omega**2 - ctx.mu * kk) * p - (ctx.lam + ctx.mu) * (k @ p) * k
+        assert np.abs(residual).max() <= 1e-12 * ctx.omega**2 * np.abs(p).max()
+    assert kinds == ["p", "p", "s"]
+    x = rng.uniform(-1.0, 2.0, 7)
+    y = rng.uniform(-0.5, 1.5, 7)
+    u, jac = _closed_form(ctx, sol, x, y)
+    assert np.abs(sol(x, y) - u).max() <= 1e-13 * np.abs(u).max()
+    assert np.abs(sol.gradient(x, y) - jac).max() <= 1e-13 * np.abs(jac).max()
 
 
 @settings(max_examples=80, deadline=None)
@@ -137,3 +182,9 @@ def test_fit_slope_clips_window_and_validates_input():
         fit_slope(np.array([1.0]), np.array([1.0]))
     with pytest.raises(ValueError):
         fit_slope(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("last", [0, 1, -3])
+def test_fit_slope_needs_a_window_of_two_points(last):
+    with pytest.raises(ValueError, match="last >= 2"):
+        fit_slope(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.5, 0.3]), last=last)

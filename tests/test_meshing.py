@@ -234,11 +234,11 @@ def test_validate_rejects_a_deleted_triangle(ctx1, flat_mesh1):
 
 _VALIDATE_UNDER_O = """
 import numpy as np
-from gratpml import derive_context, flat_profile, generate_initial, make_pml
+from gratpml import WaveContext, flat_profile, generate_initial, make_pml
 from gratpml.meshing import Mesh
 
-ctx = derive_context(omega=2 * np.pi, lam=1.0, mu=2.0, theta=np.pi / 6,
-                     period=1.0, gamma_height=1.0)
+ctx = WaveContext(omega=2 * np.pi, lam=1.0, mu=2.0, theta=np.pi / 6,
+                  period=1.0, gamma_height=1.0)
 mesh = generate_initial(flat_profile(1.0), ctx, make_pml(12 + 12j, 2, 8.0, b=1.0),
                         h0=0.25)
 outer = mesh.on_surface | mesh.on_top | mesh.on_left | mesh.on_right
@@ -265,7 +265,7 @@ def test_validate_checks_under_python_optimize():
 
 
 def test_generate_initial_parameter_errors(ctx1, profile1):
-    from gratpml import derive_context, make_pml
+    from gratpml import WaveContext, make_pml
 
     flat = flat_profile(1.0)
     with pytest.raises(GeometryError):
@@ -275,7 +275,7 @@ def test_generate_initial_parameter_errors(ctx1, profile1):
     with pytest.raises(GeometryError):
         generate_initial(flat, ctx1, make_pml(12 + 12j, 2, 8.0, b=0.5), h0=0.25)
     # surface reaching the interface line
-    low_ctx = derive_context(
+    low_ctx = WaveContext(
         omega=2 * np.pi, lam=1.0, mu=2.0, theta=0.0, period=1.0, gamma_height=0.4
     )
     with pytest.raises(GeometryError):
@@ -713,6 +713,18 @@ def test_mark_rejects_invalid_indicators():
         mark(np.array([1.0, float("nan")]))
     with pytest.raises(ValueError):
         mark(np.array([1.0, float("inf")]))
+
+
+@pytest.mark.parametrize("tau", [float("nan"), -0.5, 1.5])
+def test_mark_rejects_a_bulk_parameter_outside_the_unit_interval(tau):
+    with pytest.raises(ValueError, match=r"tau must lie in \[0, 1\]"):
+        mark(np.array([3.0, 2.0, 1.0, 0.5]), tau)
+
+
+def test_mark_accepts_the_ends_of_the_unit_interval():
+    eta = np.array([3.0, 2.0, 1.0, 0.5])
+    assert mark(eta, 0.0).tolist() == [0]
+    assert mark(eta, 1.0).tolist() == [0, 1, 2, 3]
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,9 +10,9 @@ from scipy.integrate import quad
 
 from gratpml import (
     CalibrationError,
+    WaveContext,
     build_mode_table,
     calibrate,
-    derive_context,
     incident_field,
     make_pml,
     modeling_constants,
@@ -378,7 +378,7 @@ def test_layer_source_nonzero_inside_layer(ctx1, profile1):
 
 
 def test_resonance_error_mentions_offending_mode():
-    ctx = derive_context(
+    ctx = WaveContext(
         omega=2 * np.pi * np.sqrt(2.0),
         lam=1.0,
         mu=2.0,

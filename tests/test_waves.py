@@ -1,5 +1,6 @@
 """Wave context, Rayleigh mode table, and incident-field checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,26 +10,26 @@ from hypothesis import strategies as st
 
 from gratpml import (
     ResonanceError,
+    WaveContext,
     build_mode_table,
-    derive_context,
     incident_field,
-    incident_gradient,
     make_pml,
     modeling_constants,
 )
+from gratpml.waves import plane_wave
 
 from conftest import draw_context
 
 
 # ---------------------------------------------------------------------------
-# derive_context
+# WaveContext
 # ---------------------------------------------------------------------------
 
 
 def test_derived_wavenumbers_small_example():
     # omega = 1, lambda = 0.5, mu = 1, theta = pi/4:
     # kappa1 = 1/sqrt(2.5), kappa2 = 1, alpha = beta = kappa1/sqrt(2)
-    ctx = derive_context(
+    ctx = WaveContext(
         omega=1.0, lam=0.5, mu=1.0, theta=np.pi / 4, period=1.0, gamma_height=1.0
     )
     assert ctx.kappa1 == pytest.approx(0.63245553203367587, rel=1e-15)
@@ -40,7 +41,7 @@ def test_derived_wavenumbers_small_example():
 def test_derived_constants_are_kept_after_the_first_read():
     inputs = dict(omega=1.3, lam=0.7, mu=1.9, theta=-0.4, period=1.1,
                   gamma_height=0.8)
-    ctx = derive_context(**inputs)
+    ctx = WaveContext(**inputs)
     derived = ("kappa1", "kappa2", "alpha", "beta")
     assert vars(ctx) == inputs  # nothing is derived before it is read
     kappa1 = 1.3 / math.sqrt(0.7 + 2.0 * 1.9)
@@ -51,7 +52,7 @@ def test_derived_constants_are_kept_after_the_first_read():
         assert vars(ctx)[name] == closed[name]
     assert set(vars(ctx)) == set(inputs) | set(derived)
     # equality and hashing see the six inputs only
-    twin = derive_context(**inputs)
+    twin = WaveContext(**inputs)
     assert twin == ctx and hash(twin) == hash(ctx)
     assert "kappa1" not in vars(twin)
 
@@ -78,15 +79,28 @@ def test_derived_wavenumbers_reference_problem(ctx1):
         dict(period=0.0),
         dict(gamma_height=-1.0),
         dict(omega=float("nan")),
+        dict(theta=2.0),
     ],
 )
 def test_derive_context_rejects_inadmissible_parameters(bad):
+    # WaveContext checks its inputs itself, so neither building one nor
+    # replacing a field of an admissible one gets past the checks
     params = dict(
         omega=2 * np.pi, lam=1.0, mu=2.0, theta=np.pi / 6, period=1.0, gamma_height=1.0
     )
-    params.update(bad)
+    ctx = WaveContext(**params)
     with pytest.raises(ValueError):
-        derive_context(**params)
+        WaveContext(**{**params, **bad})
+    with pytest.raises(ValueError):
+        dataclasses.replace(ctx, **bad)
+
+
+def test_wave_context_stores_floats_and_the_incident_wave(ctx1):
+    ctx = WaveContext(omega=2, lam=1, mu=2, theta=0, period=1, gamma_height=1)
+    assert all(type(v) is float for v in vars(ctx).values())
+    assert ctx == WaveContext(2.0, 1.0, 2.0, 0.0, 1.0, 1.0)
+    assert ctx1.polarization == (math.sin(ctx1.theta), -math.cos(ctx1.theta))
+    assert ctx1.wavevector == (ctx1.alpha, -ctx1.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +170,7 @@ def test_mode_table_cutoff_distances(modes1):
 def test_mode_table_rejects_cutoff_resonance():
     # omega = 2*pi*sqrt(2), mu = 2 puts kappa2 = 2*pi exactly at |alpha_1|
     # for normal incidence on a unit period.
-    ctx = derive_context(
+    ctx = WaveContext(
         omega=2 * np.pi * np.sqrt(2.0),
         lam=1.0,
         mu=2.0,
@@ -173,6 +187,13 @@ def test_mode_table_rejects_cutoff_resonance():
 def test_mode_table_rejects_a_negative_window(ctx1):
     with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
         build_mode_table(ctx1, -1)
+
+
+def test_mode_table_rejects_a_fractional_window(ctx1):
+    for n_max in (2.5, 2.0, np.float64(3.0)):
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            build_mode_table(ctx1, n_max)
+    assert build_mode_table(ctx1, np.int64(2)).n.tolist() == [-2, -1, 0, 1, 2]
 
 
 @settings(max_examples=60, deadline=None)
@@ -229,14 +250,20 @@ def test_incident_field_phase_factors(ctx1):
     assert np.allclose(val, expect[:, None] * pol, rtol=1e-14)
 
 
-def test_incident_gradient_matches_finite_differences(ctx1):
+@pytest.mark.parametrize("wave", ["incident", "oblique"])
+def test_plane_wave_jacobian_matches_finite_differences(ctx1, wave):
+    # d u_c / d x_d = value[c] * i*k[d], the rule FlatSolution.gradient sums
+    pol, k = {
+        "incident": (ctx1.polarization, ctx1.wavevector),
+        "oblique": ((0.3, -1.7), (2.1, 0.8)),
+    }[wave]
     rng = np.random.default_rng(7)
     x = rng.uniform(-1, 2, 6)
     y = rng.uniform(0, 2, 6)
-    grad = incident_gradient(ctx1, x, y)
+    grad = plane_wave(pol, k, x, y)[:, :, None] * (1j * np.asarray(k))
     h = 1e-6
-    dx = (incident_field(ctx1, x + h, y) - incident_field(ctx1, x - h, y)) / (2 * h)
-    dy = (incident_field(ctx1, x, y + h) - incident_field(ctx1, x, y - h)) / (2 * h)
+    dx = (plane_wave(pol, k, x + h, y) - plane_wave(pol, k, x - h, y)) / (2 * h)
+    dy = (plane_wave(pol, k, x, y + h) - plane_wave(pol, k, x, y - h)) / (2 * h)
     assert np.allclose(grad[:, :, 0], dx, rtol=1e-8, atol=1e-10)
     assert np.allclose(grad[:, :, 1], dy, rtol=1e-8, atol=1e-10)
 
