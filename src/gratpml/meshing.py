@@ -26,8 +26,8 @@ exact.
 A ``Mesh`` stores only what bisection must carry: nodes, triangles and
 refinement edges.  Boundary flags, element regions, periodic pairs and the
 geometry are derived from those once per mesh, each in one place (see
-``Mesh``): edge lengths are ``Mesh.edge_lengths`` and the edges on a line
-``Mesh.edges_on``.
+``Mesh``): one sort of the half-edge keys numbers the edges, edge lengths
+are ``Mesh.edge_lengths`` and the edges on a line ``Mesh.edges_on``.
 
 Marking uses the bulk (Dörfler) criterion on squared indicators: sort
 descending, take the smallest prefix whose squared sum exceeds tau^2 times
@@ -175,14 +175,12 @@ def p1_geometry(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``coords`` (M, 3, 2) holds the vertices, counter-clockwise for a
     positive area; grads[t, i] = grad(phi_i) on triangle t.
     """
-    d1 = coords[:, 1] - coords[:, 0]
-    d2 = coords[:, 2] - coords[:, 0]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    nxt = coords[:, [1, 2, 0]]  # vertex j = i + 1
-    prv = coords[:, [2, 0, 1]]  # vertex k = i + 2
+    (x0, y0), (x1, y1), (x2, y2) = coords.transpose(1, 2, 0)
+    det = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+    # grad(phi_i) = (y_j - y_k, x_k - x_j) / det with j = i + 1, k = i + 2
     grads = np.stack(
-        [nxt[..., 1] - prv[..., 1], prv[..., 0] - nxt[..., 0]], axis=2
-    ) / det[:, None, None]
+        [y1 - y2, x2 - x1, y2 - y0, x0 - x2, y0 - y1, x1 - x0], axis=1
+    ).reshape(-1, 3, 2) / det[:, None, None]
     return 0.5 * det, grads
 
 
@@ -310,8 +308,8 @@ class Mesh:
 
     @cached_property
     def region(self) -> np.ndarray:
-        layer = (self.nodes[self.tris, 1] > self.b).any(axis=1)
-        return np.where(layer, PML, PHYSICAL).astype(np.uint8)
+        a0, a1, a2 = (self.nodes[:, 1] > self.b)[self.tris.T]
+        return np.where(a0 | a1 | a2, PML, PHYSICAL).astype(np.uint8)
 
     @cached_property
     def periodic_pairs(self) -> np.ndarray:
@@ -343,36 +341,34 @@ class Mesh:
 
     @cached_property
     def edge_lengths(self) -> np.ndarray:
-        edges = self.edge_structure()[0]
-        return np.linalg.norm(self.nodes[edges[:, 1]] - self.nodes[edges[:, 0]], axis=1)
+        (xa, ya), (xc, yc) = self.nodes[self.edge_structure()[0]].transpose(1, 2, 0)
+        return np.sqrt((xc - xa) ** 2 + (yc - ya) ** 2)
 
     @cached_property
     def diameters(self) -> np.ndarray:
-        return self.edge_lengths[self.edge_structure()[1]].max(axis=1)
+        l0, l1, l2 = self.edge_lengths[self.edge_structure()[1].T]
+        return np.maximum(np.maximum(l0, l1), l2)
 
     @cached_property
     def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        t = self.tris
-        m = t.shape[0]
-        pairs = np.stack(
-            [t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=1
-        ).reshape(-1, 2)
-        pairs = np.sort(pairs, axis=1)
-        key = pairs[:, 0] * np.int64(self.n_nodes) + pairs[:, 1]
-        ukey, inv = np.unique(key, return_inverse=True)
-        edges = np.stack([ukey // self.n_nodes, ukey % self.n_nodes], axis=1)
-        tri_edges = inv.reshape(m, 3)
-        counts = np.bincount(inv, minlength=len(ukey))
-        if counts.max(initial=0) > 2:
+        # half-edge 3t + k is the edge of triangle t opposite vertex k
+        a, c = self.tris[:, [1, 2, 0]].ravel(), self.tris[:, [2, 0, 1]].ravel()
+        n = np.int64(self.n_nodes)
+        key = np.minimum(a, c) * n + np.maximum(a, c)
+        order = np.argsort(key)  # the one sort: edges numbered by ascending key
+        new = np.diff(key[order], prepend=-1) != 0  # first half-edge of an edge
+        first = np.flatnonzero(new)
+        last = np.append(first, key.size)[1:] - 1
+        if np.any(last - first > 1):
             raise RuntimeError("non-manifold edge detected")
-        order = np.argsort(inv, kind="stable")
-        tri_of = order // 3
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        edge_tri = np.full((len(ukey), 2), -1, dtype=np.int64)
-        edge_tri[:, 0] = tri_of[starts]
-        two = counts == 2
-        edge_tri[two, 1] = tri_of[starts[two] + 1]
-        return edges, tri_edges, edge_tri
+        tri_edges = np.empty_like(order)
+        tri_edges[order] = np.cumsum(new) - 1
+        # an edge's triangles ascending, whatever order its equal keys sorted in
+        t_a, t_b = order[first] // 3, order[last] // 3
+        lo, hi = np.minimum(t_a, t_b), np.maximum(t_a, t_b)
+        edges = np.stack(np.divmod(key[order[first]], n), axis=1)
+        edge_tri = np.stack([lo, np.where(last > first, hi, -1)], axis=1)
+        return edges, tri_edges.reshape(-1, 3), edge_tri
 
     def edge_structure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Unique edges, per-triangle edge ids, edge-to-triangle adjacency.
@@ -384,7 +380,7 @@ class Mesh:
         tri_edges : ndarray (M, 3) int
             tri_edges[t, k] is the edge id opposite local vertex k.
         edge_tri : ndarray (E, 2) int
-            Adjacent triangle ids (-1 for the missing side of boundary edges).
+            Adjacent triangle ids, ascending; -1 for a boundary edge's missing side.
         """
         return self._edges
 
@@ -395,10 +391,10 @@ class Mesh:
         right_of = np.full(self.n_nodes, -1, dtype=np.int64)
         right_of[self.periodic_pairs[:, 0]] = self.periodic_pairs[:, 1]
         left = np.nonzero(self.edges_on(self.on_left))[0]
-        mirror = np.sort(right_of[edges[left]], axis=1)
+        a, c = right_of[edges[left]].T
         # edge_structure returns the edges sorted by this key
         key = edges[:, 0] * n + edges[:, 1]
-        want = mirror[:, 0] * n + mirror[:, 1]
+        want = np.minimum(a, c) * n + np.maximum(a, c)
         right = np.searchsorted(key, want).clip(max=len(key) - 1)
         if np.any(key[right] != want):
             raise RuntimeError("left boundary edge without mirrored right edge")
@@ -516,8 +512,11 @@ def generate_initial(
 def _longest_edge(coords: np.ndarray) -> np.ndarray:
     """Local index of the longest edge of triangles (M, 3, 2) (ties: lowest),
     edge k opposite vertex k; for the initial mesh, before a ``Mesh`` exists."""
-    lengths = np.linalg.norm(coords[:, [2, 0, 1]] - coords[:, [1, 2, 0]], axis=2)
-    return np.argmax(lengths, axis=1).astype(np.uint8)
+    (x0, y0), (x1, y1), (x2, y2) = coords.transpose(1, 2, 0)
+    l0 = np.sqrt((x2 - x1) ** 2 + (y2 - y1) ** 2)
+    l1 = np.sqrt((x0 - x2) ** 2 + (y0 - y2) ** 2)
+    l2 = np.sqrt((x1 - x0) ** 2 + (y1 - y0) ** 2)
+    return np.where(l2 > np.maximum(l0, l1), 2, l1 > l0).astype(np.uint8)
 
 
 def bisect(mesh: Mesh, marked: np.ndarray) -> tuple[Mesh, np.ndarray]:
@@ -532,6 +531,7 @@ def bisect(mesh: Mesh, marked: np.ndarray) -> tuple[Mesh, np.ndarray]:
     mesh : Mesh
     marked : array_like of int
         Element indices to refine (empty input returns an identical copy).
+        A boolean mask is rejected: pass ``np.nonzero(mask)[0]``.
 
     Returns
     -------
@@ -543,6 +543,9 @@ def bisect(mesh: Mesh, marked: np.ndarray) -> tuple[Mesh, np.ndarray]:
         the old mesh carries over as ``data[kept]``, and only the children
         need new values.
     """
+    if np.asarray(marked).dtype == bool:
+        raise ValueError("marked holds element indices, not a boolean mask: "
+                         "pass np.nonzero(mask)[0]")
     marked = np.unique(np.asarray(marked, dtype=np.int64))
     if marked.size and (marked[0] < 0 or marked[-1] >= mesh.n_tris):
         raise IndexError("marked element index out of range")
@@ -644,13 +647,14 @@ def mark(eta_hat: np.ndarray, tau: float = 0.5) -> np.ndarray:
 def locate_corner_fraction(mesh: Mesh, point, radius: float) -> float:
     """Fraction of elements whose centroid lies within ``radius`` of point,
     one (x, y) or the nearest of (K, 2) points; NaN for K = 0."""
-    if radius < 0.0:
+    if not radius >= 0.0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    points = np.asarray(point, dtype=float).reshape(-1, 2)
-    if len(points) == 0:
+    px, py = np.asarray(point, dtype=float).reshape(-1, 2).T
+    if px.size == 0:
         return float("nan")
-    centroids = mesh.nodes[mesh.tris].mean(axis=1)
-    d = np.linalg.norm(centroids[:, None] - points, axis=2).min(axis=1)
+    (x0, y0), (x1, y1), (x2, y2) = mesh.nodes[mesh.tris].transpose(1, 2, 0)
+    cx, cy = (x0 + x1 + x2) / 3, (y0 + y1 + y2) / 3
+    d = np.sqrt((cx[:, None] - px) ** 2 + (cy[:, None] - py) ** 2).min(axis=1)
     return float(np.count_nonzero(d <= radius)) / mesh.n_tris
 
 
@@ -663,6 +667,8 @@ def write_vtk(
     """Write the mesh (legacy ASCII VTK) with optional scalar fields.
 
     Complex arrays are split automatically into ``name_re`` / ``name_im``.
+    An array without one value per node (point) or element (cell) raises
+    ValueError, and no file is written.
     """
     lines = [
         "# vtk DataFile Version 3.0",
@@ -685,6 +691,8 @@ def write_vtk(
             lines.append(f"{section} {size}")
         for name, arr in (data or {}).items():
             arr = np.asarray(arr)
+            if arr.shape != (size,):
+                raise ValueError(f"{section} {name!r} has shape {arr.shape}, not ({size},)")
             if np.iscomplexobj(arr):
                 parts = [(f"{name}_re", arr.real), (f"{name}_im", arr.imag)]
             else:

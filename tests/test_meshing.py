@@ -30,7 +30,7 @@ from gratpml import (
 from gratpml.cli import main
 from gratpml.meshing import PML, PHYSICAL, GratingProfile, Mesh
 
-from conftest import gratings, rebuilt
+from conftest import draw_context, gratings, rebuilt
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +361,121 @@ def test_edge_structure_detects_nonmanifold_input():
         mesh.edge_structure()
 
 
+# Reference forms of the mesh bookkeeping: np.unique with a stable argsort of
+# its inverse, rotated index copies, norms and axis reductions.  Mesh writes
+# each quantity per vertex and numbers the edges with one sort; every
+# quantity must agree with these bit for bit.
+
+
+def _edges_reference(mesh: Mesh):
+    t = mesh.tris
+    pairs = np.sort(
+        np.stack([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=1).reshape(-1, 2),
+        axis=1,
+    )
+    key = pairs[:, 0] * np.int64(mesh.n_nodes) + pairs[:, 1]
+    ukey, inv = np.unique(key, return_inverse=True)
+    edges = np.stack([ukey // mesh.n_nodes, ukey % mesh.n_nodes], axis=1)
+    counts = np.bincount(inv, minlength=len(ukey))
+    if counts.max(initial=0) > 2:
+        raise RuntimeError("non-manifold edge detected")
+    tri_of = np.argsort(inv, kind="stable") // 3
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    edge_tri = np.full((len(ukey), 2), -1, dtype=np.int64)
+    edge_tri[:, 0] = tri_of[starts]
+    two = counts == 2
+    edge_tri[two, 1] = tri_of[starts[two] + 1]
+    return edges, inv.reshape(-1, 3), edge_tri
+
+
+def _p1_geometry_reference(coords):
+    d1 = coords[:, 1] - coords[:, 0]
+    d2 = coords[:, 2] - coords[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    nxt, prv = coords[:, [1, 2, 0]], coords[:, [2, 0, 1]]
+    grads = np.stack(
+        [nxt[..., 1] - prv[..., 1], prv[..., 0] - nxt[..., 0]], axis=2
+    ) / det[:, None, None]
+    return 0.5 * det, grads
+
+
+def _derived_reference(mesh: Mesh) -> dict:
+    edges, tri_edges, _ = _edges_reference(mesh)
+    nodes, n = mesh.nodes, np.int64(mesh.n_nodes)
+    lengths = np.linalg.norm(nodes[edges[:, 1]] - nodes[edges[:, 0]], axis=1)
+    right_of = np.full(mesh.n_nodes, -1, dtype=np.int64)
+    right_of[mesh.periodic_pairs[:, 0]] = mesh.periodic_pairs[:, 1]
+    left = np.nonzero(mesh.edges_on(mesh.on_left))[0]
+    mirror = np.sort(right_of[edges[left]], axis=1)
+    key = edges[:, 0] * n + edges[:, 1]
+    right = np.searchsorted(key, mirror[:, 0] * n + mirror[:, 1])
+    areas, grads = _p1_geometry_reference(nodes[mesh.tris])
+    layer = (nodes[mesh.tris, 1] > mesh.b).any(axis=1)
+    return {
+        "areas": areas,
+        "grads": grads,
+        "edge_lengths": lengths,
+        "diameters": lengths[tri_edges].max(axis=1),
+        "region": np.where(layer, PML, PHYSICAL).astype(np.uint8),
+        "edge_partners": np.stack([left, right], axis=1),
+    }
+
+
+def _longest_edge_reference(coords):
+    lengths = np.linalg.norm(coords[:, [2, 0, 1]] - coords[:, [1, 2, 0]], axis=2)
+    return np.argmax(lengths, axis=1).astype(np.uint8)
+
+
+def _corner_fraction_reference(mesh: Mesh, points, radius: float) -> float:
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    if len(points) == 0:
+        return float("nan")
+    centroids = mesh.nodes[mesh.tris].mean(axis=1)
+    d = np.linalg.norm(centroids[:, None] - points, axis=2).min(axis=1)
+    return float(np.count_nonzero(d <= radius)) / mesh.n_tris
+
+
+def _assert_same_array(got, want, name):
+    assert got.dtype == want.dtype, name
+    assert np.array_equal(got, want), name
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_bookkeeping_equals_the_array_form_bit_for_bit(seed, data):
+    rng = np.random.default_rng(seed)
+    ctx = draw_context(rng, n_max=5)
+    geom = data.draw(gratings(ctx.period))
+    layer = make_pml(12 + 12j, 2, 1.0, b=ctx.gamma_height)  # a thin layer
+    mesh = generate_initial(geom, ctx, layer, h0=0.25)
+    coords = mesh.nodes[mesh.tris]
+    _assert_same_array(mesh.ref_edge, _longest_edge_reference(coords), "ref_edge")
+    for _ in range(data.draw(st.integers(2, 4))):
+        mesh, _ = bisect(mesh, mark(rng.random(mesh.n_tris), 0.5))
+        for got, want, name in zip(
+            mesh.edge_structure(), _edges_reference(mesh),
+            ("edges", "tri_edges", "edge_tri"),
+        ):
+            _assert_same_array(got, want, name)
+        for name, want in _derived_reference(mesh).items():
+            _assert_same_array(getattr(mesh, name), want, name)
+        coords = mesh.nodes[mesh.tris]
+        _assert_same_array(
+            gratpml.meshing._longest_edge(coords), _longest_edge_reference(coords),
+            "longest edge",
+        )
+        radius = data.draw(st.floats(0.0, 0.5))
+        for points in (geom.vertices, geom.reentrant_corners, geom.vertices[1]):
+            got = locate_corner_fraction(mesh, points, radius)
+            want = _corner_fraction_reference(mesh, points, radius)
+            assert got == want or (np.isnan(got) and np.isnan(want)), points
+    # a triangle listed twice puts three triangles on each of its interior edges
+    doubled = rebuilt(mesh, keep=np.append(np.arange(mesh.n_tris), mesh.n_tris // 2))
+    for edge_structure in (doubled.edge_structure, lambda: _edges_reference(doubled)):
+        with pytest.raises(RuntimeError, match="non-manifold"):
+            edge_structure()
+
+
 # ---------------------------------------------------------------------------
 # bisection
 # ---------------------------------------------------------------------------
@@ -432,6 +547,24 @@ def test_bisect_single_element_stays_conforming(ctx1, flat_mesh1):
 def test_bisect_rejects_out_of_range_marking(flat_mesh1):
     with pytest.raises(IndexError):
         bisect(flat_mesh1, [flat_mesh1.n_tris])
+
+
+def test_bisect_rejects_a_boolean_mask(ctx1, profile1):
+    # read as indices, a mask of the last three elements would refine
+    # elements 0 and 1 and leave element 71 alone
+    mesh = generate_initial(flat_profile(1.0), ctx1, profile1, h0=0.5)
+    assert mesh.n_tris == 72
+    mask = np.arange(mesh.n_tris) >= 69
+    with pytest.raises(ValueError, match=r"np\.nonzero\(mask\)\[0\]"):
+        bisect(mesh, mask)
+    with pytest.raises(ValueError, match="boolean mask"):
+        bisect(mesh, mask.tolist())
+    _, kept = bisect(mesh, np.nonzero(mask)[0])
+    assert 71 not in kept and 0 in kept
+    # an empty list is no mask: still an identical copy
+    same, kept = bisect(mesh, [])
+    assert same is not mesh and np.array_equal(same.tris, mesh.tris)
+    assert np.array_equal(kept, np.arange(mesh.n_tris))
 
 
 @pytest.mark.parametrize("builder", [flat_profile, sharp_profile])
@@ -780,6 +913,12 @@ def test_corner_fraction_limits(flat_mesh1):
         locate_corner_fraction(flat_mesh1, (0.0, 0.0), radius=-1.0)
 
 
+@pytest.mark.parametrize("radius", [float("nan"), -float("inf"), -1e-300])
+def test_corner_fraction_rejects_a_radius_not_at_least_zero(flat_mesh1, radius):
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        locate_corner_fraction(flat_mesh1, (0.5, 0.5), radius)
+
+
 def test_corner_fraction_counts_both_images_of_a_seam_peak(ctx1, profile1):
     geom = GratingProfile(SEAM_PEAK)
     mesh = generate_initial(geom, ctx1, profile1, h0=0.25)
@@ -817,3 +956,28 @@ def test_vtk_output_is_parseable(tmp_path, flat_mesh1):
     first = text[text.index(f"POINTS {flat_mesh1.n_nodes} double") + 1]
     x, y, z = (float(v) for v in first.split())
     assert (x, y, z) == (flat_mesh1.nodes[0, 0], flat_mesh1.nodes[0, 1], 0.0)
+
+
+@pytest.mark.parametrize(
+    "point_data, cell_data",
+    [
+        ({"u": np.zeros(3)}, None),
+        ({"u": np.zeros((57, 2))}, None),
+        (None, {"region": np.zeros(57)}),
+        ({"u": np.zeros(57)}, {"eta": np.zeros(73, dtype=complex)}),
+    ],
+    ids=["short-point", "point-columns", "cell-per-node", "long-cell"],
+)
+def test_vtk_rejects_data_of_the_wrong_length(ctx1, profile1, tmp_path,
+                                             point_data, cell_data):
+    mesh = generate_initial(flat_profile(1.0), ctx1, profile1, h0=0.5)
+    assert (mesh.n_nodes, mesh.n_tris) == (57, 72)
+    path = tmp_path / "mesh.vtk"
+    with pytest.raises(ValueError, match="has shape"):
+        write_vtk(mesh, path, point_data=point_data, cell_data=cell_data)
+    assert not path.exists()
+    # the same call with one value per node and per element writes the file
+    write_vtk(mesh, path, point_data={"u": np.zeros(57)},
+              cell_data={"eta": np.zeros(72, dtype=complex)})
+    lines = path.read_text(encoding="ascii").splitlines()
+    assert lines.count("LOOKUP_TABLE default") == 3
