@@ -7,18 +7,18 @@ mesh, then iterate
     assemble -> solve -> estimate -> analyze modes -> mark -> bisect
 
 until the discretization error measure eps_fem falls below the configured
-tolerance, the iteration budget is exhausted, or the next solve would
-exceed the dof budget (an initial mesh over that budget is a configuration
-error).  The layer volume data g = L u_inc is evaluated once
-per element: assembly and estimator share it within an iteration, and the
-rows of the elements that ``bisect`` leaves unrefined carry over to the
-next mesh.  Every iteration is retained as an IterationRecord
-(with its mesh and nodal field), so reports and convergence studies can be
-produced after the fact without re-running.  A record's mesh shares the
-stored arrays (nodes, triangles, refinement edges) of the loop's working
-mesh but none of its derived data: edges, geometry and flags live only on
-the working mesh, which is dropped when the loop moves to the next mesh.
-A record's mesh computes whatever is asked of it on first use.
+tolerance, the iteration budget is exhausted, or the next solve would exceed
+the dof budget (an initial mesh over that budget is a configuration error,
+found from ``initial_dofs`` before the mesh is built).  The layer volume
+data g = L u_inc is evaluated once per element: assembly and estimator share
+it within an iteration, and the rows of the elements that ``bisect`` leaves
+unrefined carry over to the next mesh.  Every iteration is retained as an
+IterationRecord (with its mesh and nodal field), so reports and convergence
+studies can be produced after the fact without re-running.  A record's mesh
+shares the stored arrays (nodes, triangles, refinement edges) of the loop's
+working mesh but none of its derived data: edges, geometry and flags live
+only on the working mesh, which is dropped when the loop moves to the next
+mesh.  A record's mesh computes whatever is asked of it on first use.
 
 Marking takes the bulk fraction 0.5.  Each record counts the elements near
 the profile's peaks (NaN for a profile without one).  For a flat grating
@@ -44,6 +44,7 @@ from .meshing import (
     bisect,
     flat_profile,
     generate_initial,
+    initial_dofs,
     load_profile,
     locate_corner_fraction,
     mark,
@@ -190,6 +191,9 @@ def run(cfg: RunConfig, progress=None) -> AdaptiveRun:
     """
     cfg.validate()
     ctx, modes, geom, profile, constants = setup(cfg)
+    if initial_dofs(geom, ctx, profile, cfg.h0) > cfg.max_dofs:
+        raise ConfigError("the initial mesh has more dofs than "
+                          f"[adapt] max_dofs = {cfg.max_dofs}")
     exact: FlatSolution | None = (
         flat_solution(ctx) if geom.is_flat_at_zero else None
     )
@@ -203,9 +207,6 @@ def run(cfg: RunConfig, progress=None) -> AdaptiveRun:
         t0 = time.perf_counter()
         dofmap = build_dofmap(mesh, ctx)
         if dofmap.n_free > cfg.max_dofs:
-            if not records:
-                raise ConfigError("the initial mesh has more dofs than "
-                                  f"[adapt] max_dofs = {cfg.max_dofs}")
             stop_reason = "max_dofs"
             break
         source = layer_source(mesh, ctx, profile, carried=source)

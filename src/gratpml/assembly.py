@@ -51,7 +51,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .meshing import Mesh
-from .pml import PmlProfile, flux_terms, pml_source, rho
+from .pml import PmlProfile, flux_terms, layer_weights, pml_source, rho
 from .quadrature import at_rule_points, element_rule
 from .waves import WaveContext, incident_field
 
@@ -208,10 +208,11 @@ def _pair_integrals(
     """Element matrix entries on the six node pairs of every element.
 
     ``area`` and ``grads`` are the element areas and P1 gradients and ``y``
-    (M, 3) the vertex heights.  The integrals of rho, 1/rho and
-    rho*phi_a*phi_b use ``element_rule`` on every element.  rho = 1 below
-    the mesh line y = b, where the P1 integrands are at most quadratic, so
-    the rule is exact on physical elements.
+    (M, 3) the vertex heights.  The integrals of the weights rho^p of
+    ``pml.layer_weights`` and of rho*phi_a*phi_b use ``element_rule`` on
+    every element.  rho = 1 below the mesh line y = b, where the P1
+    integrands are at most quadratic, so the rule is exact on physical
+    elements.
 
     Returns
     -------
@@ -225,11 +226,12 @@ def _pair_integrals(
     """
     bary, w = element_rule()
     rq = rho(profile, at_rule_points(y))
-    int_w = {1: area * (rq @ w), 0: area, -1: area * ((1.0 / rq) @ w)}
+    weight = layer_weights(rq, 0.0)  # no derivative is read
     ga, gb = grads[:, _PAIR_A], grads[:, _PAIR_B]
     entries = [0.0] * 4
     for p, c, d, e, f, coef in flux_terms(ctx):
-        part = (coef * int_w[p])[:, None] * (ga[..., d] * gb[..., f])
+        integral = area * (weight[p][0] @ w)  # of rho^p over the element
+        part = (coef * integral)[:, None] * (ga[..., d] * gb[..., f])
         entries[c + 2 * e] = entries[c + 2 * e] + part
     outer = bary[:, _PAIR_A] * bary[:, _PAIR_B]
     mass = area[:, None] * ((rq * w) @ (-ctx.omega**2 * outer))

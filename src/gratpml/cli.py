@@ -31,7 +31,14 @@ from .adapt import (
     write_vtk_series,
 )
 from .config import ConfigError, RunConfig, load_config
-from .meshing import PHYSICAL, PML, GeometryError, generate_initial, write_vtk
+from .meshing import (
+    PHYSICAL,
+    PML,
+    GeometryError,
+    generate_initial,
+    initial_dofs,
+    write_vtk,
+)
 from .pml import TARGET_FHAT, CalibrationError, thickness_bound
 from .rayleigh import TraceError
 from .solver import SolverError
@@ -142,6 +149,7 @@ def _cmd_mesh_info(cfg: RunConfig, args) -> int:
         print(f"elements: {mesh.n_tris} "
               f"(physical {int((mesh.region == PHYSICAL).sum())}, "
               f"layer {int((mesh.region == PML).sum())})")
+        print(f"dofs:     {initial_dofs(geom, ctx, profile, cfg.h0)}")
         print(f"area:     min {areas.min():.6g}, max {areas.max():.6g}, "
               f"total {areas.sum():.6g}")
         print(f"diameter: max {mesh.diameters.max():.6g}")

@@ -42,7 +42,7 @@ import numpy as np
 
 from .assembly import element_blocks, layer_source
 from .meshing import Mesh, p1_jacobian
-from .pml import PmlProfile, flux_terms, rho, rho_prime
+from .pml import PmlProfile, flux_terms, layer_weights, rho, rho_prime
 from .pml import pml_source  # noqa: F401  (rebound by benchmarks/tracing.py)
 from .quadrature import at_rule_points, edge_rule, element_rule
 from .waves import WaveContext, incident_field
@@ -85,12 +85,13 @@ def _residuals(
 
     R_T = L u_h - g with L of ``pml.flux_terms``: for P1, omega^2*rho*u_c
     and the terms with d = 1, coef * dy(rho^p) * dx_f(u_e), remain, with
-    dx_f(u_e) read from the element Jacobians ``jac``.  g = ``amplitude *
-    source`` is the layer volume data, scaled block by block so that no
-    scaled copy is held.  Integrated on every element with ``element_rule``,
-    which is exact below the mesh line y = b, where R_T = omega^2 * u_h
-    (rho = 1, rho' = 0, g = 0) has a quadratic squared modulus.  One
-    ``assembly.element_blocks`` sweep, so no temporary grows with the mesh.
+    dy(rho^p) from ``pml.layer_weights`` and dx_f(u_e) read from the
+    element Jacobians ``jac``.  g = ``amplitude * source`` is the layer
+    volume data, scaled block by block so that no scaled copy is held.
+    Integrated on every element with ``element_rule``, which is exact below
+    the mesh line y = b, where R_T = omega^2 * u_h (rho = 1, rho' = 0,
+    g = 0) has a quadratic squared modulus.  One ``assembly.element_blocks``
+    sweep, so no temporary grows with the mesh.
     """
     _, w = element_rule()
     area = mesh.areas
@@ -100,12 +101,11 @@ def _residuals(
         vals = field[tris]
         y = at_rule_points(mesh.nodes[tris, 1])
         r = rho(profile, y)
-        rp = rho_prime(profile, y)
+        weight = layer_weights(r, rho_prime(profile, y))
         first = [0.0, 0.0]
         for p, c, d, e, f, coef in flux_terms(ctx):
-            if d == 1 and p:  # dy(rho^p) = p * rho'/rho^(1-p)
-                term = p * coef * rp / r ** (1 - p) * jac[blk, e, f, None]
-                first[c] = first[c] + term
+            if d == 1:
+                first[c] = first[c] + coef * weight[p][1] * jac[blk, e, f, None]
         dens = np.zeros(r.shape)
         for c in range(2):
             res = (first[c] + om2 * r * at_rule_points(vals[:, :, c])
@@ -121,15 +121,12 @@ def _jumps(
     """sum_e h_e ||J_e||^2_{L2(e)} per element (Dirichlet edges excluded).
 
     ``jac`` holds the element Jacobians of the field.  The flux of
-    ``pml.flux_terms`` is linear in the gradient, so the jump along an edge
-    is the flux of the gradient jump, P*rho(y) + C + Q/rho(y) with the
-    constant parts P, C and Q of its terms of weight rho, 1 and 1/rho, and
-    ||J_e||^2 is the 5-point ``edge_rule`` of its squared modulus summed
-    over the two components:
+    ``pml.flux_terms`` is linear in the gradient, so the jump J_e along an
+    edge is the flux of the gradient jump, each term weighted by rho^p of
+    ``pml.layer_weights`` at the points y_q of the 5-point ``edge_rule``,
+    and ||J_e||^2 is that rule of |J_e|^2 summed over the two components:
 
-        ||J_e||^2 ~= h_e * sum_q w_q sum_k |P_k rho(y_q) + Q_k/rho(y_q) + C_k|^2
-
-    at the points y_q of the edge.
+        ||J_e||^2 ~= h_e * sum_q w_q sum_c |J_e,c(y_q)|^2
     """
     edges, _, edge_tri = mesh.edge_structure()
     dvec = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
@@ -145,17 +142,14 @@ def _jumps(
         np.concatenate([dvec[interior, 1] / h[interior], np.ones(left.size)]),
         np.concatenate([-dvec[interior, 0] / h[interior], np.zeros(left.size)]),
     )
-    parts = {p: np.zeros((len(j), 2), dtype=complex) for p in (1, 0, -1)}
-    for p, c, d, e, f, coef in flux_terms(ctx):
-        parts[p][:, c] += coef * j[:, e, f] * normal[d]
-
     eids = np.concatenate([interior, left])
     tq, wq = edge_rule()
     r = rho(profile, mesh.nodes[edges[eids, 0], 1, None] + dvec[eids, 1, None] * tq)
-    dens = np.zeros(r.shape)
-    for k in range(2):
-        pk, ck, qk = (parts[p][:, k, None] for p in (1, 0, -1))
-        dens += np.abs(pk * r + qk / r + ck) ** 2
+    weight = layer_weights(r, 0.0)  # no derivative is read
+    flux = [0.0, 0.0]
+    for p, c, d, e, f, coef in flux_terms(ctx):
+        flux[c] = flux[c] + (coef * j[:, e, f] * normal[d])[:, None] * weight[p][0]
+    dens = np.abs(flux[0]) ** 2 + np.abs(flux[1]) ** 2
     q_e = h[eids] ** 2 * (dens @ wq)
     n = mesh.n_tris
     return np.bincount(np.concatenate([t1, tl]), q_e, minlength=n) + np.bincount(

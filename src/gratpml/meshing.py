@@ -54,6 +54,7 @@ __all__ = [
     "sharp_profile",
     "load_profile",
     "generate_initial",
+    "initial_dofs",
     "bisect",
     "mark",
     "locate_corner_fraction",
@@ -418,6 +419,52 @@ class Mesh:
             raise AssertionError("hanging node: interior edge with one neighbor")
 
 
+def _grid_shape(
+    geom: GratingProfile, ctx: WaveContext, pml_profile: PmlProfile, h0: float
+) -> tuple[list[int], int, int]:
+    """Check the arguments of :func:`generate_initial` and size its grid
+    without building it: the columns on each profile segment (nx in all),
+    and the rows of quads k1 below y = b and k2 in the layer."""
+    if h0 <= 0.0:
+        raise GeometryError(f"h0 must be positive, got {h0}")
+    if abs(geom.period - ctx.period) > 1e-12 * max(1.0, ctx.period):
+        raise GeometryError(
+            f"profile period {geom.period} != context period {ctx.period}"
+        )
+    b = ctx.gamma_height
+    if abs(pml_profile.b - b) > 1e-12 * max(1.0, abs(b)):
+        raise GeometryError(
+            f"pml profile starts at {pml_profile.b}, context has b = {b}"
+        )
+    if geom.max_height >= b:
+        raise GeometryError(
+            f"surface reaches height {geom.max_height} >= gamma_height {b}"
+        )
+    verts = geom.vertices
+    nseg = [max(1, ceil(hypot(*(q - p)) / h0))
+            for p, q in zip(verts[:-1], verts[1:])]
+    if sum(nseg) < 2:
+        raise GeometryError(
+            f"h0 = {h0} yields fewer than two columns across the period"
+        )
+    k1 = max(1, ceil((b - geom.min_height) / h0))
+    k2 = max(1, ceil(pml_profile.delta / h0))
+    return nseg, k1, k2
+
+
+def initial_dofs(
+    geom: GratingProfile, ctx: WaveContext, pml_profile: PmlProfile, h0: float
+) -> int:
+    """The free dofs 2 * nx * (k1 + k2 - 1) of the mesh that
+    :func:`generate_initial` builds from the same arguments, counted without
+    building it: of its nx + 1 columns of k1 + k2 + 1 nodes, the right one
+    is slaved to the left, and every column ends on the surface and on the
+    truncation line, where the nodes are Dirichlet.  Raises as
+    :func:`generate_initial` does."""
+    nseg, k1, k2 = _grid_shape(geom, ctx, pml_profile, h0)
+    return 2 * sum(nseg) * (k1 + k2 - 1)
+
+
 def generate_initial(
     geom: GratingProfile,
     ctx: WaveContext,
@@ -445,43 +492,22 @@ def generate_initial(
     Raises
     ------
     GeometryError
-        For mismatched periods/heights or a surface reaching y = b.
+        For a non-positive h0, mismatched periods/heights, a surface
+        reaching y = b or fewer than two columns.
     """
-    if h0 <= 0.0:
-        raise GeometryError(f"h0 must be positive, got {h0}")
-    if abs(geom.period - ctx.period) > 1e-12 * max(1.0, ctx.period):
-        raise GeometryError(
-            f"profile period {geom.period} != context period {ctx.period}"
-        )
+    nseg, k1, k2 = _grid_shape(geom, ctx, pml_profile, h0)
+    nx, rows = sum(nseg), k1 + k2 + 1
     b = ctx.gamma_height
-    if abs(pml_profile.b - b) > 1e-12 * max(1.0, abs(b)):
-        raise GeometryError(
-            f"pml profile starts at {pml_profile.b}, context has b = {b}"
-        )
-    if geom.max_height >= b:
-        raise GeometryError(
-            f"surface reaches height {geom.max_height} >= gamma_height {b}"
-        )
+    top = b + pml_profile.delta
 
     # column breakpoints: profile vertices plus chord-length subdivision
     verts = geom.vertices
     cols = [verts[:1]]
-    for p, q in zip(verts[:-1], verts[1:]):
-        nseg = max(1, ceil(hypot(*(q - p)) / h0))
-        cols.append(p + (q - p) * np.arange(1, nseg + 1)[:, None] / nseg)
+    for p, q, n in zip(verts[:-1], verts[1:], nseg):
+        cols.append(p + (q - p) * np.arange(1, n + 1)[:, None] / n)
     col_x, col_y = np.concatenate(cols).T
     col_x[-1] = ctx.period  # exact right boundary
     col_y[-1] = col_y[0]    # exact mirror of the left column
-    nx = len(col_x) - 1
-    if nx < 2:
-        raise GeometryError(
-            f"h0 = {h0} yields fewer than two columns across the period"
-        )
-
-    k1 = max(1, ceil((b - geom.min_height) / h0))
-    k2 = max(1, ceil(pml_profile.delta / h0))
-    rows = k1 + k2 + 1
-    top = b + pml_profile.delta
 
     # node grid, column-major: node id = column * rows + row
     y_grid = np.empty((nx + 1, rows))

@@ -67,6 +67,7 @@ __all__ = [
     "rho",
     "rho_prime",
     "flux_terms",
+    "layer_weights",
     "modeling_constants",
     "thickness_bound",
     "calibrate",
@@ -195,9 +196,9 @@ def flux_terms(ctx: WaveContext) -> tuple[tuple[int, int, int, int, int, float],
     omega^2*rho*u_c, and the form of the truncated problem on one period D
     is b(u, v) = integral_D coef * rho^p * dx_f(u_e) * dx_d(conj v_c) -
     omega^2*rho*u.conj(v).  As rho depends on y alone, dx_d(rho^p) =
-    [d = 1] * p * rho'/rho^(1-p): rho', 0 and -rho'/rho^2.  ``assembly``,
-    the residual and jumps of ``estimator`` and ``pml_source`` all loop
-    over these terms.
+    [d = 1] * p * rho'/rho^(1-p), and ``layer_weights`` tabulates both by
+    p.  ``assembly``, the residual and jumps of ``estimator`` and
+    ``pml_source`` all loop over these terms and read that table.
 
     The mixed terms are in the transpose grouping
     (lam+mu)*(dy(u2)*dx(conj v1) + dx(u1)*dy(conj v2)).  It differs from
@@ -218,6 +219,20 @@ def flux_terms(ctx: WaveContext) -> tuple[tuple[int, int, int, int, int, float],
         (-1, 1, 1, 1, 1, lam + 2 * mu),
         (0, 1, 1, 0, 0, lam + mu),
     )
+
+
+def layer_weights(r: np.ndarray, rp: np.ndarray | float) -> dict[int, tuple]:
+    """The weight rho^p of the terms of ``flux_terms`` and its y-derivative
+    p * rho'/rho^(1-p), by the term's p, at the points where rho = r and
+    rho' = rp:
+
+        {1: (rho, rho'),  0: (1, 0),  -1: (1/rho, -rho'/rho^2)}
+
+    Each weight is an array of the shape of r, which ``assembly``
+    integrates; the derivative of the weight 1 is the scalar 0.
+    """
+    inv = 1.0 / r
+    return {1: (r, rp), 0: (np.ones(np.shape(r)), 0.0), -1: (inv, -rp * inv**2)}
 
 
 def _fluct_ratio(delta_cut: float, depth: float) -> float:
@@ -362,14 +377,12 @@ def pml_source(
     y = np.asarray(y, dtype=float)
     k = [1j * c for c in ctx.wavevector]
     r = rho(profile, y)
-    rp = rho_prime(profile, y)
+    weight = layer_weights(r, rho_prime(profile, y))
     u = incident_field(ctx, x, y)
     m = [[0.0, 0.0], [0.0, 0.0]]  # g_c = m[c][0] * u1 + m[c][1] * u2
     for p, c, d, e, f, coef in flux_terms(ctx):
-        s = coef * k[d] * k[f]
-        m[c][e] = m[c][e] + (s * r if p == 1 else s / r if p == -1 else s)
-        if d == 1 and p:  # dy(rho^p) = p * rho'/rho^(1-p)
-            m[c][e] = m[c][e] + coef * k[f] * p * rp / r ** (1 - p)
+        w, dy_w = weight[p]  # k_d * rho^p + dx_d(rho^p), where dx(rho^p) = 0
+        m[c][e] = m[c][e] + coef * k[f] * ((k[d] * w + dy_w) if d else k[d] * w)
     for c in range(2):
         m[c][c] = m[c][c] + ctx.omega**2 * r
     g = np.stack([m[c][0] * u[..., 0] + m[c][1] * u[..., 1] for c in range(2)], -1)

@@ -507,6 +507,19 @@ def test_stop_reasons():
     assert partial.system.n == partial.final.n_dofs
 
 
+def test_an_over_budget_initial_mesh_is_refused_before_it_is_built(monkeypatch):
+    # at h0 = 0.001 the initial flat mesh would hold about 18 M dofs
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate_initial called")
+
+    monkeypatch.setattr(gratpml.adapt, "generate_initial", refuse)
+    cfg = dataclasses.replace(
+        load_config(CONFIG_DIR / "flat.cfg"), h0=0.001, max_dofs=1000
+    )
+    with pytest.raises(ConfigError, match=r"\[adapt\] max_dofs = 1000"):
+        run(cfg)
+
+
 def test_retained_meshes_cache_no_complex_data():
     # every record keeps its mesh alive until the run ends, so a per-mesh
     # cache of complex (physics) data would pile up over the iterations;
@@ -739,7 +752,9 @@ def test_cli_mesh_info_prints_the_bound_and_selects(tmp_path, capsys):
     assert lines[2].startswith("layer:    delta = 8.0, zeta = (40+32j), F = ")
     assert ", F_hat = 2.0117e-12, F_hat*sqrtP = 2.0117e-12, coercive = True" in lines[2]
     assert [line.split(":")[0] for line in lines[3:]] == [
-        "nodes", "elements", "area", "diameter"]
+        "nodes", "elements", "dofs", "area", "diameter"]
+    # 2 * nx * (k1 + k2 - 1) free dofs: 2 columns, 2 + 16 rows at h0 = 0.5
+    assert lines[5] == "dofs:     68"
 
 
 def test_cli_mesh_info_evaluates_the_constants_once(monkeypatch, capsys):

@@ -19,7 +19,9 @@ from gratpml import (
     GeometryError,
     bisect,
     flat_profile,
+    build_dofmap,
     generate_initial,
+    initial_dofs,
     load_profile,
     locate_corner_fraction,
     make_pml,
@@ -196,6 +198,34 @@ def test_initial_columns_stand_on_the_chord_breakpoints(ctx1, geom, h0):
     rows = int(np.count_nonzero(mesh.on_left))  # nodes per column
     want = _breakpoints_reference(geom, ctx1.period, h0)
     assert np.array_equal(mesh.nodes[::rows], want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(geom=gratings(), h0=st.floats(min_value=0.03, max_value=0.5),
+       delta=st.floats(min_value=0.1, max_value=2.0))
+def test_initial_dofs_are_the_free_dofs_of_the_initial_mesh(ctx1, geom, h0, delta):
+    layer = make_pml(12 + 12j, 2, delta, b=ctx1.gamma_height)
+    mesh = generate_initial(geom, ctx1, layer, h0)
+    assert initial_dofs(geom, ctx1, layer, h0) == build_dofmap(mesh, ctx1).n_free
+
+
+@pytest.mark.parametrize("h0, flat, sharp", [
+    (0.25, 280, 420), (0.1, 1780, 2848), (0.07, 3870, 5676), (0.033, 16926, 24024),
+])
+def test_initial_dofs_of_the_shipped_gratings(ctx1, profile1, h0, flat, sharp):
+    for geom, want in ((flat_profile(ctx1.period), flat),
+                       (sharp_profile(ctx1.period), sharp)):
+        assert initial_dofs(geom, ctx1, profile1, h0) == want
+        mesh = generate_initial(geom, ctx1, profile1, h0)
+        assert build_dofmap(mesh, ctx1).n_free == want
+
+
+@pytest.mark.parametrize("h0", [0.0, -0.1, 1.5])
+def test_initial_dofs_reject_what_generate_initial_rejects(ctx1, profile1, h0):
+    geom = flat_profile(ctx1.period)
+    for build in (initial_dofs, generate_initial):
+        with pytest.raises(GeometryError, match="h0"):
+            build(geom, ctx1, profile1, h0)
 
 
 def test_initial_mesh_regions_split_at_interface(flat_mesh1):

@@ -14,6 +14,7 @@ from gratpml import (
     build_mode_table,
     calibrate,
     incident_field,
+    layer_weights,
     make_pml,
     modeling_constants,
     pml_source,
@@ -98,6 +99,32 @@ def test_medium_function_derivative_matches_finite_differences():
     h = 1e-6
     fd = (rho(profile, y + h) - rho(profile, y - h)) / (2 * h)
     assert np.allclose(rho_prime(profile, y), fd, rtol=1e-8, atol=1e-9)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_layer_weights_are_the_powers_of_rho_and_their_y_derivatives(m):
+    rng = np.random.default_rng(m)
+    for _ in range(10):
+        # admissible: Re sigma >= 0, Im sigma >= 0, one of them drawn as 0 at times
+        sigma = complex(*(rng.uniform(0.0, 30.0, 2) * (rng.random(2) > 0.2)))
+        if sigma == 0:
+            continue
+        profile = make_pml(sigma, m, rng.uniform(0.5, 10.0), b=1.0)
+        y = profile.b + profile.delta * rng.uniform(0.05, 1.0, 40)
+        r, rp = rho(profile, y), rho_prime(profile, y)
+        weight = layer_weights(r, rp)
+        want = {1: (r, rp), 0: (1.0, 0.0), -1: (1.0 / r, -rp / r**2)}
+        assert sorted(weight) == [-1, 0, 1]
+        for p, (w, dy_w) in weight.items():
+            # the weights are integrated, so they have the points' shape
+            assert w.shape == y.shape
+            np.testing.assert_allclose(w, want[p][0], rtol=1e-15, atol=0)
+            np.testing.assert_allclose(dy_w, want[p][1], rtol=1e-15, atol=0)
+            # the derivative of rho^p in y, by central differences
+            h = 1e-6 * profile.delta
+            fd = (rho(profile, y + h) ** p - rho(profile, y - h) ** p) / (2 * h)
+            scale = np.abs(dy_w).max()
+            assert np.abs(dy_w - fd).max() <= 1e-6 * scale, (p, sigma)
 
 
 # ---------------------------------------------------------------------------
