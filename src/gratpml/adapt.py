@@ -33,8 +33,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from .assembly import SparseSystem, assemble, build_dofmap, layer_source
+from .assembly import assemble, build_dofmap, layer_source
 from .config import ConfigError, RunConfig
 from .estimator import ErrorIndicators, indicators
 from .exact import FlatSolution, fit_slope, flat_solution, h1_seminorm_error
@@ -141,8 +142,8 @@ class AdaptiveRun:
     constants: ModelingConstants
     records: list[IterationRecord]
     stop_reason: str
-    #: the reduced system the last iteration solved
-    system: SparseSystem
+    #: the reduced matrix the last iteration solved
+    matrix: sp.csc_matrix
 
     @property
     def final(self) -> IterationRecord:
@@ -210,8 +211,8 @@ def run(cfg: RunConfig, progress=None) -> AdaptiveRun:
             stop_reason = "max_dofs"
             break
         source = layer_source(mesh, ctx, profile, carried=source)
-        system = assemble(mesh, ctx, profile, dofmap, source=source)
-        x, report = solve_system(system)
+        matrix, rhs = assemble(mesh, ctx, profile, dofmap, source=source)
+        x, report = solve_system(matrix, rhs)
         values = dofmap.expand(x)
         ind = indicators(mesh, values, ctx, profile, constants.f_hat, source=source)
         trace = fourier_trace(mesh, values, modes)
@@ -255,7 +256,7 @@ def run(cfg: RunConfig, progress=None) -> AdaptiveRun:
         constants=constants,
         records=records,
         stop_reason=stop_reason,
-        system=system,
+        matrix=matrix,
     )
 
 

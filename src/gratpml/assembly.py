@@ -7,7 +7,7 @@ reason for the transpose grouping of its mixed terms.
 
 The element matrix exists only as its entries on the six node pairs of each
 element, its three vertices and its three edges (``_pair_integrals``, the
-one element kernel, with ``quadrature.element_rule``): the (u1, v1) and
+one element kernel, with ``quadrature.ELEMENT_RULE``): the (u1, v1) and
 (u2, v2) entries of a pair are symmetric in its two nodes, and the two
 mixed entries swap when the pair does, so every element matrix is complex
 symmetric by construction.  ``assemble`` sums these per-pair values onto
@@ -52,12 +52,11 @@ import scipy.sparse as sp
 
 from .meshing import Mesh
 from .pml import PmlProfile, flux_terms, layer_weights, pml_source, rho
-from .quadrature import at_rule_points, element_rule
+from .quadrature import ELEMENT_RULE, at_rule_points
 from .waves import WaveContext, incident_field
 
 __all__ = [
     "DofMap",
-    "SparseSystem",
     "build_dofmap",
     "layer_source",
     "assemble",
@@ -104,29 +103,6 @@ class DofMap:
         weight = np.repeat(self.weight, 2).reshape(-1, 2)
         out = weight * x.reshape(-1, 2)[self.eq]
         return np.where((self.eq >= 0)[:, None], out, self.value)
-
-
-@dataclass
-class SparseSystem:
-    """Reduced linear system A x = rhs.
-
-    ``matrix`` is CSC (ready for sparse LU); ``rhs`` includes the folded
-    Dirichlet data and the layer volume data.  The ``DofMap`` that numbers
-    its equations stays with the caller, which expands the solution.
-    """
-
-    matrix: sp.csc_matrix
-    rhs: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.rhs.shape[0]
-
-    def write_matrix_market(self, path) -> None:
-        """Dump the reduced matrix in Matrix Market coordinate format."""
-        import scipy.io  # deferred: only writing a system needs it
-
-        scipy.io.mmwrite(str(path), self.matrix.tocoo())
 
 
 def build_dofmap(mesh: Mesh, ctx: WaveContext) -> DofMap:
@@ -209,10 +185,11 @@ def _pair_integrals(
 
     ``area`` and ``grads`` are the element areas and P1 gradients and ``y``
     (M, 3) the vertex heights.  The integrals of the weights rho^p of
-    ``pml.layer_weights`` and of rho*phi_a*phi_b use ``element_rule`` on
-    every element.  rho = 1 below the mesh line y = b, where the P1
-    integrands are at most quadratic, so the rule is exact on physical
-    elements.
+    ``pml.layer_weights`` and of rho*phi_a*phi_b use ``ELEMENT_RULE`` on
+    every element, except that of rho^0 = 1, which is the area: the rule's
+    weights sum to exactly 1.0, so it gives the same.  rho = 1 below the
+    mesh line y = b, where the P1 integrands are at most quadratic, so the
+    rule is exact on physical elements.
 
     Returns
     -------
@@ -224,13 +201,13 @@ def _pair_integrals(
         The mixed entries (c != e, rho^p = 1) are real; the other order of
         the pair swaps them and keeps the others.
     """
-    bary, w = element_rule()
+    bary, w = ELEMENT_RULE
     rq = rho(profile, at_rule_points(y))
     weight = layer_weights(rq, 0.0)  # no derivative is read
     ga, gb = grads[:, _PAIR_A], grads[:, _PAIR_B]
     entries = [0.0] * 4
     for p, c, d, e, f, coef in flux_terms(ctx):
-        integral = area * (weight[p][0] @ w)  # of rho^p over the element
+        integral = area * (weight[p][0] @ w) if p else area  # of rho^p
         part = (coef * integral)[:, None] * (ga[..., d] * gb[..., f])
         entries[c + 2 * e] = entries[c + 2 * e] + part
     outer = bary[:, _PAIR_A] * bary[:, _PAIR_B]
@@ -259,9 +236,9 @@ def _pair_sums(
         -integral g_d phi_p per node p and component d.
     """
     n = mesh.n_nodes
-    edges, tri_edges, _ = mesh.edge_structure()
+    edges, tri_edges, _ = mesh.edge_structure
     area, grads = mesh.areas, mesh.grads
-    bary, w = element_rule()
+    bary, w = ELEMENT_RULE
     wb = -(w[:, None] * bary)
     size = n + len(edges)
     sums = np.zeros((2, 4, size))  # real and imaginary parts
@@ -307,7 +284,7 @@ def layer_source(
     Returns
     -------
     ndarray (M, Q, 2) complex
-        g at the Q points of ``element_rule``; exactly 0 below y = b.
+        g at the Q points of ``ELEMENT_RULE``; exactly 0 below y = b.
         Evaluated pointwise, so carried and fresh values are bit-identical;
         by one ``element_blocks`` sweep from element K, so the temporaries
         of ``pml_source`` do not grow with the mesh.
@@ -328,7 +305,7 @@ def assemble(
     dofmap: DofMap,
     *,
     source: np.ndarray | None = None,
-) -> SparseSystem:
+) -> tuple[sp.csc_matrix, np.ndarray]:
     """Assemble the reduced system (constraints folded, data lifted).
 
     Parameters
@@ -341,12 +318,16 @@ def assemble(
 
     Returns
     -------
-    SparseSystem
+    (matrix, rhs)
+        The reduced matrix, canonical CSC with int32 indices and no stored
+        zeros, and the right-hand side with the folded Dirichlet data and
+        the layer volume data.  The ``DofMap`` numbers their equations and
+        expands the solution.
     """
     n = mesh.n_nodes
     g = layer_source(mesh, ctx, profile) if source is None else source
     pairs, load = _pair_sums(mesh, ctx, profile, g)
-    edges = mesh.edge_structure()[0]
+    edges = mesh.edge_structure[0]
     lo, hi = edges.T
     test = np.concatenate([np.arange(n), lo, hi])
     trial = np.concatenate([np.arange(n), hi, lo])
@@ -391,4 +372,4 @@ def assemble(
         rows, f.imag.ravel(), minlength=dofmap.n_free
     )
 
-    return SparseSystem(matrix=matrix, rhs=rhs)
+    return matrix, rhs

@@ -126,7 +126,9 @@ def _cmd_solve(cfg: RunConfig, args) -> int:
         if cfg.write_vtk:
             write_vtk_series(result, out)
         if cfg.write_system:
-            result.system.write_matrix_market(os.path.join(out, "system.mtx"))
+            import scipy.io  # deferred: only writing the system needs it
+
+            scipy.io.mmwrite(os.path.join(out, "system.mtx"), result.matrix)
     if not args.quiet:
         print(f"stopped: {result.stop_reason}; reports in {out}/")
     return 0

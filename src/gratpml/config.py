@@ -153,10 +153,16 @@ def load_config(path) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path!r}: {exc}") from exc
 
+    # configparser copies [DEFAULT] keys into every section
+    for key in parser.defaults():
+        raise ConfigError(f"unknown key [DEFAULT] {key} in {path!r}")
     known = {(s, k): (attr, conv) for s, k, attr, conv in _SCHEMA}
     values: dict[str, object] = {}
     seen = set()
     for section in parser.sections():
+        # a key of an unknown section is reported as an unknown key below
+        if not parser.options(section) and section not in {s for s, *_ in _SCHEMA}:
+            raise ConfigError(f"unknown section [{section}] in {path!r}")
         for key, raw in parser.items(section):
             entry = known.get((section, key))
             if entry is None:

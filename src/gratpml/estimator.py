@@ -44,7 +44,7 @@ from .assembly import element_blocks, layer_source
 from .meshing import Mesh, p1_jacobian
 from .pml import PmlProfile, flux_terms, layer_weights, rho, rho_prime
 from .pml import pml_source  # noqa: F401  (rebound by benchmarks/tracing.py)
-from .quadrature import at_rule_points, edge_rule, element_rule
+from .quadrature import EDGE_RULE, ELEMENT_RULE, at_rule_points
 from .waves import WaveContext, incident_field
 
 __all__ = ["ErrorIndicators", "indicators"]
@@ -88,12 +88,12 @@ def _residuals(
     dy(rho^p) from ``pml.layer_weights`` and dx_f(u_e) read from the
     element Jacobians ``jac``.  g = ``amplitude * source`` is the layer
     volume data, scaled block by block so that no scaled copy is held.
-    Integrated on every element with ``element_rule``, which is exact below
+    Integrated on every element with ``ELEMENT_RULE``, which is exact below
     the mesh line y = b, where R_T = omega^2 * u_h (rho = 1, rho' = 0,
     g = 0) has a quadratic squared modulus.  One ``assembly.element_blocks``
     sweep, so no temporary grows with the mesh.
     """
-    _, w = element_rule()
+    w = ELEMENT_RULE[1]
     area = mesh.areas
     om2 = ctx.omega**2
     out = np.empty(mesh.n_tris)
@@ -123,12 +123,12 @@ def _jumps(
     ``jac`` holds the element Jacobians of the field.  The flux of
     ``pml.flux_terms`` is linear in the gradient, so the jump J_e along an
     edge is the flux of the gradient jump, each term weighted by rho^p of
-    ``pml.layer_weights`` at the points y_q of the 5-point ``edge_rule``,
+    ``pml.layer_weights`` at the points y_q of the 5-point ``EDGE_RULE``,
     and ||J_e||^2 is that rule of |J_e|^2 summed over the two components:
 
         ||J_e||^2 ~= h_e * sum_q w_q sum_c |J_e,c(y_q)|^2
     """
-    edges, _, edge_tri = mesh.edge_structure()
+    edges, _, edge_tri = mesh.edge_structure
     dvec = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
     h = mesh.edge_lengths
 
@@ -143,7 +143,7 @@ def _jumps(
         np.concatenate([-dvec[interior, 0] / h[interior], np.zeros(left.size)]),
     )
     eids = np.concatenate([interior, left])
-    tq, wq = edge_rule()
+    tq, wq = EDGE_RULE
     r = rho(profile, mesh.nodes[edges[eids, 0], 1, None] + dvec[eids, 1, None] * tq)
     weight = layer_weights(r, 0.0)  # no derivative is read
     flux = [0.0, 0.0]
@@ -162,13 +162,13 @@ def _line_terms(
     on_line: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The edges ``Mesh.edges_on(on_line)``: each one's element and its
-    int_e |I_h u - amplitude * u_inc|^2, by the 5-point ``edge_rule``."""
-    edges, _, edge_tri = mesh.edge_structure()
+    int_e |I_h u - amplitude * u_inc|^2, by the 5-point ``EDGE_RULE``."""
+    edges, _, edge_tri = mesh.edge_structure
     eids = np.nonzero(mesh.edges_on(on_line))[0]
     a, b = edges[eids, 0], edges[eids, 1]
     pa, pb = mesh.nodes[a], mesh.nodes[b]
     h = mesh.edge_lengths[eids]
-    tq, wq = edge_rule()
+    tq, wq = EDGE_RULE
     pts = pa[:, None, :] + (pb - pa)[:, None, :] * tq[None, :, None]
     target = amplitude * incident_field(ctx, pts[..., 0], pts[..., 1])
     lerp = (

@@ -31,7 +31,7 @@ from math import cos, sin
 import numpy as np
 
 from .meshing import PHYSICAL, p1_jacobian
-from .quadrature import at_rule_points, element_rule
+from .quadrature import ELEMENT_RULE, at_rule_points
 from .waves import WaveContext, plane_wave
 
 __all__ = ["FlatSolution", "flat_solution", "h1_seminorm_error", "fit_slope"]
@@ -92,7 +92,7 @@ def flat_solution(ctx: WaveContext) -> FlatSolution:
 def h1_seminorm_error(mesh, field: np.ndarray, solution: FlatSolution) -> float:
     """H1(Omega)-seminorm of (discrete field - reference) over y <= b.
 
-    Integrated with the element rule (``quadrature.element_rule``) at the
+    Integrated with the element rule (``quadrature.ELEMENT_RULE``) at the
     points of ``quadrature.at_rule_points``.
 
     Parameters
@@ -118,7 +118,7 @@ def h1_seminorm_error(mesh, field: np.ndarray, solution: FlatSolution) -> float:
     areas = mesh.areas[phys]            # (M,)
     jac_h = p1_jacobian(field[tris], mesh.grads[phys])  # (M, 2, 2)
 
-    _, w = element_rule()
+    w = ELEMENT_RULE[1]
     coords = mesh.nodes[tris]           # (M, 3, 2)
     jac_u = solution.gradient(          # (M, Q, 2, 2)
         at_rule_points(coords[..., 0]), at_rule_points(coords[..., 1])

@@ -229,8 +229,15 @@ class Mesh:
         Element areas (positive for the stored CCW orientation).
     grads : ndarray (M, 3, 2) float
         P1 basis gradients: grads[t, i] = grad(phi_i).
+    edge_structure : tuple (edges, tri_edges, edge_tri)
+        The unique edges, numbered by ascending node pair: ``edges`` (E, 2)
+        int, the node pairs sorted within each row; ``tri_edges`` (M, 3)
+        int, the id of the edge opposite local vertex k of each triangle;
+        ``edge_tri`` (E, 2) int, the adjacent triangle ids, ascending, -1
+        for a boundary edge's missing side.  RuntimeError on a non-manifold
+        edge.
     edge_lengths : ndarray (E,) float
-        Length of each edge of ``edge_structure()``.
+        Length of each edge of ``edge_structure``.
     diameters : ndarray (M,) float
         Longest edge length per element (the mesh-size h_T).
     edge_partners : ndarray (Q, 2) int
@@ -239,9 +246,8 @@ class Mesh:
         match or a left edge has no mirror edge.
 
     Each is a ``functools.cached_property``: computed on first read and then
-    kept in the instance ``__dict__``.  ``edge_structure()`` returns the edge
-    triple kept the same way, and ``edges_on(flag)`` selects the edges of a
-    line.  Only geometry and topology are derived here, nothing of the
+    kept in the instance ``__dict__``.  ``edges_on(flag)`` selects the edges
+    of a line.  Only geometry and topology are derived here, nothing of the
     physics.
     """
 
@@ -291,7 +297,7 @@ class Mesh:
 
     def edges_on(self, on_line: np.ndarray) -> np.ndarray:
         """Per edge: True when both its nodes are flagged in ``on_line`` (N,)."""
-        a, c = self.edge_structure()[0].T
+        a, c = self.edge_structure[0].T
         return on_line[a] & on_line[c]
 
     def _on_walls_or_top(self) -> np.ndarray:
@@ -302,7 +308,7 @@ class Mesh:
 
     @cached_property
     def on_surface(self) -> np.ndarray:
-        edges, _, edge_tri = self.edge_structure()
+        edges, _, edge_tri = self.edge_structure
         flag = np.zeros(self.n_nodes, dtype=bool)
         flag[edges[(edge_tri[:, 1] < 0) & ~self._on_walls_or_top()]] = True
         return flag
@@ -342,16 +348,16 @@ class Mesh:
 
     @cached_property
     def edge_lengths(self) -> np.ndarray:
-        (xa, ya), (xc, yc) = self.nodes[self.edge_structure()[0]].transpose(1, 2, 0)
+        (xa, ya), (xc, yc) = self.nodes[self.edge_structure[0]].transpose(1, 2, 0)
         return np.sqrt((xc - xa) ** 2 + (yc - ya) ** 2)
 
     @cached_property
     def diameters(self) -> np.ndarray:
-        l0, l1, l2 = self.edge_lengths[self.edge_structure()[1].T]
+        l0, l1, l2 = self.edge_lengths[self.edge_structure[1].T]
         return np.maximum(np.maximum(l0, l1), l2)
 
     @cached_property
-    def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def edge_structure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # half-edge 3t + k is the edge of triangle t opposite vertex k
         a, c = self.tris[:, [1, 2, 0]].ravel(), self.tris[:, [2, 0, 1]].ravel()
         n = np.int64(self.n_nodes)
@@ -371,29 +377,15 @@ class Mesh:
         edge_tri = np.stack([lo, np.where(last > first, hi, -1)], axis=1)
         return edges, tri_edges.reshape(-1, 3), edge_tri
 
-    def edge_structure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Unique edges, per-triangle edge ids, edge-to-triangle adjacency.
-
-        Returns
-        -------
-        edges : ndarray (E, 2) int
-            Node pairs, sorted within each row.
-        tri_edges : ndarray (M, 3) int
-            tri_edges[t, k] is the edge id opposite local vertex k.
-        edge_tri : ndarray (E, 2) int
-            Adjacent triangle ids, ascending; -1 for a boundary edge's missing side.
-        """
-        return self._edges
-
     @cached_property
     def edge_partners(self) -> np.ndarray:
-        edges = self.edge_structure()[0]
+        edges = self.edge_structure[0]
         n = np.int64(self.n_nodes)
         right_of = np.full(self.n_nodes, -1, dtype=np.int64)
         right_of[self.periodic_pairs[:, 0]] = self.periodic_pairs[:, 1]
         left = np.nonzero(self.edges_on(self.on_left))[0]
         a, c = right_of[edges[left]].T
-        # edge_structure returns the edges sorted by this key
+        # edge_structure holds the edges sorted by this key
         key = edges[:, 0] * n + edges[:, 1]
         want = np.minimum(a, c) * n + np.maximum(a, c)
         right = np.searchsorted(key, want).clip(max=len(key) - 1)
@@ -410,7 +402,7 @@ class Mesh:
         """
         if not np.all(self.areas > 0.0):
             raise AssertionError("non-CCW or degenerate element")
-        edges, _, edge_tri = self.edge_structure()
+        edges, _, edge_tri = self.edge_structure
         boundary = edge_tri[:, 1] < 0
         mid = 0.5 * (self.nodes[edges[:, 0]] + self.nodes[edges[:, 1]])
         ok = self._on_walls_or_top()
@@ -480,8 +472,8 @@ def generate_initial(
         must stay strictly below ctx.gamma_height.
     ctx : WaveContext
     pml_profile : PmlProfile
-        Supplies the layer thickness; pml_profile.b must equal
-        ctx.gamma_height.
+        Supplies the layer thickness and the truncation line y = top;
+        pml_profile.b must equal ctx.gamma_height.
     h0 : float
         Target edge size of the initial mesh.
 
@@ -498,7 +490,7 @@ def generate_initial(
     nseg, k1, k2 = _grid_shape(geom, ctx, pml_profile, h0)
     nx, rows = sum(nseg), k1 + k2 + 1
     b = ctx.gamma_height
-    top = b + pml_profile.delta
+    top = pml_profile.top
 
     # column breakpoints: profile vertices plus chord-length subdivision
     verts = geom.vertices
@@ -576,7 +568,7 @@ def bisect(mesh: Mesh, marked: np.ndarray) -> tuple[Mesh, np.ndarray]:
     if marked.size and (marked[0] < 0 or marked[-1] >= mesh.n_tris):
         raise IndexError("marked element index out of range")
 
-    edges, tri_edges, _ = mesh.edge_structure()
+    edges, tri_edges, _ = mesh.edge_structure
     left_e, right_e = mesh.edge_partners.T
     n_edges = len(edges)
 

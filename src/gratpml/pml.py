@@ -228,11 +228,11 @@ def layer_weights(r: np.ndarray, rp: np.ndarray | float) -> dict[int, tuple]:
 
         {1: (rho, rho'),  0: (1, 0),  -1: (1/rho, -rho'/rho^2)}
 
-    Each weight is an array of the shape of r, which ``assembly``
-    integrates; the derivative of the weight 1 is the scalar 0.
+    The weight 1 and its derivative 0 are scalars, so the terms with p = 0
+    stay scalars too.
     """
     inv = 1.0 / r
-    return {1: (r, rp), 0: (np.ones(np.shape(r)), 0.0), -1: (inv, -rp * inv**2)}
+    return {1: (r, rp), 0: (1.0, 0.0), -1: (inv, -rp * inv**2)}
 
 
 def _fluct_ratio(delta_cut: float, depth: float) -> float:

@@ -83,7 +83,7 @@ def fourier_trace(mesh: Mesh, field: np.ndarray, modes: ModeTable) -> np.ndarray
     field = np.asarray(field)
     if field.shape != (mesh.n_nodes, 2):
         raise ValueError("field must be nodal values of shape (n_nodes, 2)")
-    edges, _, _ = mesh.edge_structure()
+    edges, _, _ = mesh.edge_structure
     gamma = np.nonzero(mesh.edges_on(mesh.on_gamma))[0]
     if gamma.size == 0:
         raise TraceError("no mesh edges on the interface line")

@@ -63,8 +63,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .assembly import SparseSystem
-
 __all__ = ["SolverError", "SolveReport", "solve_system"]
 
 #: Threshold of the resonance gate: a system whose ||b||_inf / (||A||_inf
@@ -131,8 +129,9 @@ class SolveReport:
         )
 
 
-def solve_system(system: SparseSystem) -> tuple[np.ndarray, SolveReport]:
-    """LU-factor and solve ``system``; raise SolverError when singular.
+def solve_system(matrix, rhs: np.ndarray) -> tuple[np.ndarray, SolveReport]:
+    """LU-factor ``matrix`` and solve for ``rhs``; raise SolverError when
+    singular.
 
     The single-precision symmetric-mode attempt is tried first; the
     double-precision fallback, with the same ordering and partial pivoting,
@@ -143,18 +142,17 @@ def solve_system(system: SparseSystem) -> tuple[np.ndarray, SolveReport]:
     Returns
     -------
     (x, report)
-        Solution vector of length ``system.n`` and the diagnostics record.
+        Solution vector of length ``len(rhs)`` and the diagnostics record.
         ``report.ok`` is False when the fallback's refinement fails too or
         its relative residual exceeds ``RESIDUAL_RTOL`` (the solution is
         still returned, with ``report.precision == "double"``).
     """
-    a = system.matrix.tocsc()
+    a = matrix.tocsc()
     if not a.has_canonical_format:
         # the factored matrix shares a's index arrays, which splu would sort
         # and merge in place
         a = a.copy()
         a.sum_duplicates()
-    b = system.rhs
     n = a.shape[0]
     if n == 0:
         empty = SolveReport(0, 0, 0, 0.0, np.inf, True, "none", 0)
@@ -167,12 +165,12 @@ def solve_system(system: SparseSystem) -> tuple[np.ndarray, SolveReport]:
     norm_a = np.bincount(a.indices, weights=np.abs(a.data), minlength=n).max()
 
     try:
-        x, report = _factor_and_solve(a, b, scale, norm_a, *_SYMMETRIC)
+        x, report = _factor_and_solve(a, rhs, scale, norm_a, *_SYMMETRIC)
         if report.ok:
             return x, report
     except SolverError:
         pass
-    return _factor_and_solve(a, b, scale, norm_a, *_FALLBACK)
+    return _factor_and_solve(a, rhs, scale, norm_a, *_FALLBACK)
 
 
 def _factor_and_solve(

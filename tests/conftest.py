@@ -87,12 +87,12 @@ def rebuilt(mesh, nodes=None, keep=None):
 def reference_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Collapsed Gauss-Legendre rule on the triangle, exact to ``degree``.
 
-    An independent check of ``gratpml.quadrature.element_rule`` and a finer
+    An independent check of ``gratpml.quadrature.ELEMENT_RULE`` and a finer
     rule for convergence tests.  With x = s, y = t*(1-s) mapping the unit
     square to the reference triangle {x, y >= 0, x + y <= 1}, a monomial
     x^p y^q becomes s^p t^q (1-s)^(q+1); n-point Gauss-Legendre per axis is
     exact for per-axis degree 2n - 1, so n = ceil((degree + 2) / 2)
-    suffices.  Returned like ``element_rule``: barycentric points (Q, 3)
+    suffices.  Returned like ``ELEMENT_RULE``: barycentric points (Q, 3)
     and weights (Q,) summing to 1.
     """
     n = int(np.ceil((degree + 2) / 2.0))

@@ -316,7 +316,7 @@ def test_criterion_7_estimator_consistency_and_effectivity(flat_run):
     eff_ok = bool(np.all((effs >= 0.1) & (effs <= 100.0)))
 
     rec = result.final
-    edges, _, edge_tri = rec.mesh.edge_structure()
+    edges, _, edge_tri = rec.mesh.edge_structure
     top_edge = rec.mesh.on_top[edges[:, 0]] & rec.mesh.on_top[edges[:, 1]]
     expected = np.zeros(rec.mesh.n_tris, dtype=bool)
     expected[edge_tri[top_edge, 0]] = True

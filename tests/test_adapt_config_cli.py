@@ -163,6 +163,22 @@ def test_unknown_keys_are_rejected_by_name(tmp_path):
         load_config(path3)
 
 
+def test_an_empty_unknown_section_is_rejected_by_name(tmp_path):
+    path = _write(tmp_path, MINIMAL_CFG + "\n[adpat]\n")
+    with pytest.raises(ConfigError, match=r"unknown section \[adpat\]"):
+        load_config(path)
+    # an empty known section sets nothing and is accepted
+    assert load_config(_write(tmp_path, MINIMAL_CFG + "\n[adapt]\n", "k.cfg"))
+
+
+def test_keys_under_default_are_rejected_by_name(tmp_path):
+    # configparser copies omega into every section: it would pass under
+    # [wave], silently with no other section, and fail under any other
+    path = _write(tmp_path, "[DEFAULT]\nomega = 6.0\n" + MINIMAL_CFG)
+    with pytest.raises(ConfigError, match=r"unknown key \[DEFAULT\] omega"):
+        load_config(path)
+
+
 def test_only_indicators_takes_an_amplitude():
     # the incident wave has unit amplitude; ``indicators`` keeps the keyword
     # only to switch its data terms off
@@ -503,8 +519,8 @@ def test_stop_reasons():
     assert partial.stop_reason == "max_dofs"
     assert len(partial.records) >= 1
     assert partial.final.n_dofs <= 100
-    # the kept system is the one the final record solved, not the refused one
-    assert partial.system.n == partial.final.n_dofs
+    # the kept matrix is the one the final record solved, not the refused one
+    assert partial.matrix.shape == (partial.final.n_dofs,) * 2
 
 
 def test_an_over_budget_initial_mesh_is_refused_before_it_is_built(monkeypatch):
@@ -530,7 +546,7 @@ def test_retained_meshes_cache_no_complex_data():
     for rec in result.records:
         assert vars(rec.mesh).keys() == stored
     for rec in result.records:
-        rec.mesh.edge_structure()
+        rec.mesh.edge_structure
         rec.mesh.grads
         assert rec.mesh.region.shape == (rec.n_tris,)
         cached = {k: v for k, v in vars(rec.mesh).items() if k not in stored}
@@ -722,7 +738,7 @@ def test_cli_solve_quiet_and_optional_outputs(tmp_path, capsys):
     # system.mtx holds the reduced system of the last iteration's mesh
     result = run(load_config(cfg))
     dofmap = build_dofmap(result.final.mesh, result.ctx)
-    want = assemble(result.final.mesh, result.ctx, result.profile, dofmap).matrix
+    want, _ = assemble(result.final.mesh, result.ctx, result.profile, dofmap)
     got = scipy.io.mmread(out / "system.mtx").tocsc()
     assert got.shape == want.shape
     assert np.abs(got - want).max() == 0.0

@@ -4,7 +4,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.io
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +19,11 @@ from gratpml import (
     flat_profile,
     generate_initial,
     indicators,
+    load_config,
     make_pml,
+    mark,
     pml_source,
+    setup,
     sharp_profile,
     solve_system,
 )
@@ -33,9 +35,11 @@ from gratpml.assembly import (
     layer_source,
 )
 from gratpml.meshing import PHYSICAL, PML, bisect, p1_geometry
-from gratpml.quadrature import at_rule_points, element_rule
+from gratpml.quadrature import ELEMENT_RULE, at_rule_points
 
-from conftest import REFERENCE, draw_context, gratings, rebuilt, reference_rule
+from conftest import (
+    CONFIG_DIR, REFERENCE, draw_context, gratings, rebuilt, reference_rule,
+)
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +142,7 @@ def test_element_matrix_matches_direct_quadrature_layer(ctx1, profile1, flat_mes
     for t in (layer[0], layer[-1]):  # bottom and top of the layer
         coords = flat_mesh1.nodes[flat_mesh1.tris[t]]
         oracle = _element_by_quadrature(
-            coords, 1, ctx1, profile1, element_rule(), False
+            coords, 1, ctx1, profile1, ELEMENT_RULE, False
         )
         got, want = _pair_entries(coords, ctx1, profile1, oracle)
         assert np.allclose(got, want, rtol=1e-13, atol=1e-14)
@@ -158,8 +162,8 @@ def test_assembly_and_estimator_ignore_region_labels(
     fixture = {"flat": "flat_mesh1", "sharp": "refined_mesh"}[which]
     mesh = request.getfixturevalue(fixture)
     dm = build_dofmap(mesh, ctx1)
-    system = assemble(mesh, ctx1, profile1, dm)
-    values = dm.expand(solve_system(system)[0])
+    matrix, rhs = assemble(mesh, ctx1, profile1, dm)
+    values = dm.expand(solve_system(matrix, rhs)[0])
     eta = indicators(mesh, values, ctx1, profile1, 1e-9).eta_hat
 
     # every label flipped
@@ -167,9 +171,9 @@ def test_assembly_and_estimator_ignore_region_labels(
     flipped = np.where(labels == PHYSICAL, PML, PHYSICAL).astype(np.uint8)
     monkeypatch.setattr(Mesh, "region", property(lambda self: flipped))
     assert np.all(mesh.region != labels)
-    other = assemble(mesh, ctx1, profile1, build_dofmap(mesh, ctx1))
-    assert np.array_equal(system.matrix.toarray(), other.matrix.toarray())
-    assert np.array_equal(system.rhs, other.rhs)
+    other, other_rhs = assemble(mesh, ctx1, profile1, build_dofmap(mesh, ctx1))
+    assert np.array_equal(matrix.toarray(), other.toarray())
+    assert np.array_equal(rhs, other_rhs)
     eta_flipped = indicators(mesh, values, ctx1, profile1, 1e-9).eta_hat
     assert np.array_equal(eta, eta_flipped)
 
@@ -263,7 +267,7 @@ def test_solution_does_not_depend_on_the_numbering(ctx1, profile1, refined_mesh)
     by_node = _node_order_dofmap(dm, refined_mesh)
     assert not np.array_equal(by_node.eq, dm.eq)
     fields = [
-        d.expand(solve_system(assemble(refined_mesh, ctx1, profile1, d))[0])
+        d.expand(solve_system(*assemble(refined_mesh, ctx1, profile1, d))[0])
         for d in (dm, by_node)
     ]
     assert np.abs(fields[0] - fields[1]).max() <= 1e-12 * np.abs(fields[1]).max()
@@ -321,7 +325,7 @@ def _without_left_wall_triangles(mesh, count):
     the right partners of those wall nodes do not.  Returns the new mesh
     and the left wall nodes of each removed triangle, bottom to top.
     """
-    edges, tri_edges, _ = mesh.edge_structure()
+    edges, tri_edges, _ = mesh.edge_structure
     on_left = mesh.on_left
     wall = on_left[edges[:, 0]] & on_left[edges[:, 1]]
     tris = np.nonzero(wall[tri_edges].any(axis=1))[0]
@@ -397,7 +401,7 @@ def _dense_reference_system(mesh, ctx, profile, dofmap, literal_mixed):
     n = mesh.n_nodes
     kfull = np.zeros((2 * n, 2 * n), dtype=complex)
     ffull = np.zeros(2 * n, dtype=complex)
-    bary, w = element_rule()
+    bary, w = ELEMENT_RULE
     for t in range(mesh.n_tris):
         tri = mesh.tris[t]
         coords = mesh.nodes[tri]
@@ -451,12 +455,12 @@ def test_assembled_system_matches_dense_reference(
     # out of spatial order, Dirichlet corners and layer elements.
     mesh = request.getfixturevalue(which)
     dm = build_dofmap(mesh, ctx1)
-    system = assemble(mesh, ctx1, profile1, dm)
+    matrix, rhs = assemble(mesh, ctx1, profile1, dm)
     a_ref, b_ref = _dense_reference_system(mesh, ctx1, profile1, dm, literal)
-    a_got = system.matrix.toarray()
+    a_got = matrix.toarray()
     scale = np.abs(a_ref).max()
     assert np.abs(a_got - a_ref).max() <= 1e-12 * scale
-    assert np.abs(system.rhs - b_ref).max() <= 1e-12 * np.abs(b_ref).max()
+    assert np.abs(rhs - b_ref).max() <= 1e-12 * np.abs(b_ref).max()
 
 
 @pytest.mark.parametrize("which", ["small_mesh", "refined_mesh"])
@@ -469,7 +473,7 @@ def test_at_most_two_node_pair_blocks_meet_in_one_equation_block(
     # right-wall node (small_mesh has the fewest columns allowed, two)
     mesh = request.getfixturevalue(which)
     dm = build_dofmap(mesh, ctx1)
-    lo, hi = mesh.edge_structure()[0].T
+    lo, hi = mesh.edge_structure[0].T
     nodes = np.arange(mesh.n_nodes)
     test = np.concatenate([nodes, lo, hi])
     trial = np.concatenate([nodes, hi, lo])
@@ -477,15 +481,32 @@ def test_at_most_two_node_pair_blocks_meet_in_one_equation_block(
     pairs = np.stack([dm.eq[test[kept]], dm.eq[trial[kept]]], axis=1)
     _, counts = np.unique(pairs, axis=0, return_counts=True)
     assert counts.max() == 2  # reached: a master's and its slave's diagonal
-    assert assemble(mesh, ctx1, profile1, dm).matrix.has_canonical_format
+    assert assemble(mesh, ctx1, profile1, dm)[0].has_canonical_format
+
+
+@pytest.mark.parametrize("name", ["flat", "sharp"])
+def test_assembled_matrix_is_canonical_csc_without_stored_zeros(name):
+    # solve_system copies a matrix that is not canonical CSC, and the
+    # factorization takes a stored zero for an entry; on bisected meshes
+    # the fold leaves exact zeros, which eliminate_zeros drops
+    cfg = load_config(CONFIG_DIR / f"{name}.cfg")
+    ctx, _, geom, profile, _ = setup(cfg)
+    mesh = generate_initial(geom, ctx, profile, cfg.h0)
+    rng = np.random.default_rng(0)
+    for _ in range(3):  # the initial mesh and two bisected ones
+        matrix, _ = assemble(mesh, ctx, profile, build_dofmap(mesh, ctx))
+        assert matrix.format == "csc" and matrix.has_canonical_format
+        assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
+        assert np.all(matrix.data != 0.0)
+        mesh, _ = bisect(mesh, mark(rng.random(mesh.n_tris)))
 
 
 def test_mixed_term_groupings_assemble_identically(ctx1, profile1, small_mesh):
     # element-wise the two groupings differ, but the difference is a null
     # Lagrangian: the reduced systems must coincide
     coords = small_mesh.nodes[small_mesh.tris[0]]
-    k_t = _element_by_quadrature(coords, 0, ctx1, profile1, element_rule(), False)
-    k_l = _element_by_quadrature(coords, 0, ctx1, profile1, element_rule(), True)
+    k_t = _element_by_quadrature(coords, 0, ctx1, profile1, ELEMENT_RULE, False)
+    k_l = _element_by_quadrature(coords, 0, ctx1, profile1, ELEMENT_RULE, True)
     assert np.abs(k_t - k_l).max() > 1e-3 * np.abs(k_t).max()
     dm = build_dofmap(small_mesh, ctx1)
     a_t, b_t = _dense_reference_system(small_mesh, ctx1, profile1, dm, False)
@@ -509,16 +530,16 @@ def test_assembled_matrix_is_complex_symmetric_at_normal_incidence(ctx1):
     profile = calibrate(ctx, modes)
     mesh = generate_initial(flat_profile(1.0), ctx, profile, h0=0.25)
     dm = build_dofmap(mesh, ctx)
-    system = assemble(mesh, ctx, profile, dm)
-    asym = (system.matrix - system.matrix.T).toarray()
-    assert np.abs(asym).max() <= 1e-13 * np.abs(system.matrix.toarray()).max()
+    matrix, _ = assemble(mesh, ctx, profile, dm)
+    asym = (matrix - matrix.T).toarray()
+    assert np.abs(asym).max() <= 1e-13 * np.abs(matrix.toarray()).max()
 
 
 def _reduced_matrix(geom, theta):
     ctx = WaveContext(**{**REFERENCE, "theta": theta})
     profile = calibrate(ctx, build_mode_table(ctx, 20))
     mesh = generate_initial(geom, ctx, profile, h0=0.25)
-    return assemble(mesh, ctx, profile, build_dofmap(mesh, ctx)).matrix.tocsr()
+    return assemble(mesh, ctx, profile, build_dofmap(mesh, ctx))[0].tocsr()
 
 
 @pytest.mark.parametrize("geom", [flat_profile(1.0), sharp_profile(1.0)])
@@ -536,16 +557,6 @@ def test_assembled_matrix_is_structurally_symmetric_at_oblique_incidence(geom):
     assert np.abs((a - a.T).toarray()).max() > 1e-3 * np.abs(a.data).max()
 
 
-def test_matrix_market_roundtrip(tmp_path, ctx1, profile1, small_mesh):
-    dm = build_dofmap(small_mesh, ctx1)
-    system = assemble(small_mesh, ctx1, profile1, dm)
-    path = tmp_path / "system.mtx"
-    system.write_matrix_market(path)
-    back = scipy.io.mmread(path).tocsc()
-    assert back.shape == system.matrix.shape
-    assert np.abs((back - system.matrix)).max() <= 1e-12
-
-
 def test_results_do_not_depend_on_the_block_size(
     monkeypatch, ctx1, profile1, refined_mesh
 ):
@@ -556,10 +567,10 @@ def test_results_do_not_depend_on_the_block_size(
     field = rng.normal(size=(refined_mesh.n_nodes, 2, 2)) @ np.array([1.0, 1j])
 
     def results():
-        system = assemble(refined_mesh, ctx1, profile1, dm)
+        matrix, rhs = assemble(refined_mesh, ctx1, profile1, dm)
         res = indicators(refined_mesh, field, ctx1, profile1, 1e-9).residual_terms
         source = layer_source(refined_mesh, ctx1, profile1)
-        return system.matrix, system.rhs, res, source
+        return matrix, rhs, res, source
 
     matrix, rhs, res, source = results()
     monkeypatch.setattr(gratpml.assembly, "BLOCK_SIZE", 5)
@@ -583,7 +594,7 @@ def test_element_sweep_covers_every_element_in_ragged_blocks(
     assert [len(t) for t in tris] == [5] * (len(tris) - 1) + [(n - start) % 5]
     assert np.array_equal(np.concatenate(tris), refined_mesh.tris[start:])
     # the rule points of the blocks are those of the whole mesh, bit for bit
-    bary, _ = element_rule()
+    bary, _ = ELEMENT_RULE
     coords = refined_mesh.nodes[refined_mesh.tris[start:]]
     for d in range(2):
         got = [at_rule_points(refined_mesh.nodes[t, d]) for t in tris]
@@ -621,13 +632,11 @@ def test_carried_layer_source_equals_a_fresh_evaluation(seed, data):
     assert np.any(source != 0.0)  # the layer has data to carry
 
     dm = build_dofmap(mesh, ctx)
-    fresh = assemble(mesh, ctx, layer, dm)
-    shared = assemble(mesh, ctx, layer, dm, source=source)
+    fresh, fresh_rhs = assemble(mesh, ctx, layer, dm)
+    shared, shared_rhs = assemble(mesh, ctx, layer, dm, source=source)
     for name in ("data", "indices", "indptr"):
-        assert np.array_equal(
-            getattr(shared.matrix, name), getattr(fresh.matrix, name)
-        )
-    assert np.array_equal(shared.rhs, fresh.rhs)
+        assert np.array_equal(getattr(shared, name), getattr(fresh, name))
+    assert np.array_equal(shared_rhs, fresh_rhs)
 
     field = rng.normal(size=(mesh.n_nodes, 2)) + 1j * rng.normal(
         size=(mesh.n_nodes, 2)

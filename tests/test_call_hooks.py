@@ -58,7 +58,7 @@ def test_rebound_module_names_are_looked_up_at_call_time(
         )
     mesh = generate_initial(flat_profile(ctx1.period), ctx1, profile1, h0=0.5)
     dofmap = build_dofmap(mesh, ctx1)
-    x, _ = solve_system(assemble(mesh, ctx1, profile1, dofmap))
+    x, _ = solve_system(*assemble(mesh, ctx1, profile1, dofmap))
     indicators(mesh, dofmap.expand(x), ctx1, profile1, 1e-8)
     assert all(calls.values()), calls
 

@@ -24,7 +24,7 @@ from gratpml import (
 )
 from gratpml.meshing import p1_jacobian
 from gratpml.pml import rho, rho_prime
-from gratpml.quadrature import edge_rule, element_rule
+from gratpml.quadrature import EDGE_RULE, ELEMENT_RULE
 
 from conftest import draw_context, gratings, reference_rule
 
@@ -167,7 +167,7 @@ def test_data_term_lives_exactly_on_truncation_line_elements(
 ):
     field = _random_field(flat_mesh1, 11)
     ind = indicators(flat_mesh1, field, ctx1, profile1, 1e-12)
-    edges, _, edge_tri = flat_mesh1.edge_structure()
+    edges, _, edge_tri = flat_mesh1.edge_structure
     on_top_edge = (
         flat_mesh1.on_top[edges[:, 0]] & flat_mesh1.on_top[edges[:, 1]]
     )
@@ -215,7 +215,7 @@ def test_affine_field_jumps_only_at_periodic_wall(ctx1, profile1, flat_mesh1):
         axis=1,
     )
     jumps = _jumps(flat_mesh1, field, ctx1, profile1)
-    edges, _, edge_tri = flat_mesh1.edge_structure()
+    edges, _, edge_tri = flat_mesh1.edge_structure
     wall = flat_mesh1.on_left | flat_mesh1.on_right
     wall_edge = (edge_tri[:, 1] < 0) & wall[edges[:, 0]] & wall[edges[:, 1]]
     has_wall_edge = np.zeros(flat_mesh1.n_tris, dtype=bool)
@@ -252,14 +252,14 @@ def _adaptive_quad(dens):
 
 
 def _edge_rule_sum(dens):
-    t, w = edge_rule()
+    t, w = EDGE_RULE
     return sum(wq * dens(tq) for tq, wq in zip(t, w))
 
 
 def _naive_jump_terms(mesh, grads, ctx, profile, integrate):
     # grads (M, 2, 2) are the element gradients; integrate(dens) integrates
     # dens(s) over the edge parameter s in [0, 1]
-    edges, _, edge_tri = mesh.edge_structure()
+    edges, _, edge_tri = mesh.edge_structure
     out = np.zeros(mesh.n_tris)
 
     def add(eid, dp, dc, dq, tris):
@@ -363,7 +363,7 @@ def test_physical_residual_is_omega_squared_field_norm(
 ):
     field = _random_field(flat_mesh1, 7)
     res = _residuals(flat_mesh1, field, ctx1, profile1)
-    bary, w = element_rule()  # |linear|^2 is quadratic: integrated exactly
+    bary, w = ELEMENT_RULE  # |linear|^2 is quadratic: integrated exactly
     phys = np.nonzero(flat_mesh1.region == 0)[0][:40]
     for t in phys:
         coords = flat_mesh1.nodes[flat_mesh1.tris[t]]
@@ -387,8 +387,8 @@ def test_layer_residual_is_quadrature_converged(
     # its points (quadrature, for the field terms and the layer volume data)
     # and with its weights (estimator)
     rule = reference_rule(12)
-    monkeypatch.setattr(gratpml.quadrature, "element_rule", lambda: rule)
-    monkeypatch.setattr(gratpml.estimator, "element_rule", lambda: rule)
+    monkeypatch.setattr(gratpml.quadrature, "ELEMENT_RULE", rule)
+    monkeypatch.setattr(gratpml.estimator, "ELEMENT_RULE", rule)
     fine = _residuals(flat_mesh1, field, ctx1, profile1)
     layer = flat_mesh1.region != 0
     assert not np.array_equal(coarse[layer], fine[layer])  # the rule changed
@@ -401,7 +401,7 @@ def test_layer_residual_matches_an_element_loop(ctx1, profile1):
     mesh = generate_initial(sharp_profile(1.0), ctx1, profile1, h0=0.5)
     field = _random_field(mesh, 17)
     got = _residuals(mesh, field, ctx1, profile1)
-    bary, w = element_rule()
+    bary, w = ELEMENT_RULE
     coef = (ctx1.mu, ctx1.lam + 2.0 * ctx1.mu)
     want = np.empty(mesh.n_tris)
     for t, tri in enumerate(mesh.tris):

@@ -318,7 +318,7 @@ def test_generate_initial_parameter_errors(ctx1, profile1):
 
 
 def test_edge_structure_invariants(flat_mesh1):
-    edges, tri_edges, edge_tri = flat_mesh1.edge_structure()
+    edges, tri_edges, edge_tri = flat_mesh1.edge_structure
     # every edge is adjacent to one or two triangles, and edge k of a
     # triangle is opposite local vertex k
     assert np.all(edges[:, 0] < edges[:, 1])
@@ -352,7 +352,7 @@ def _random_bisected(ctx, geom, seed):
 @given(geom=gratings(), seed=st.integers(0, 2**32 - 1))
 def test_edge_lengths_are_the_per_edge_norms(ctx1, geom, seed):
     mesh = _random_bisected(ctx1, geom, seed)
-    edges, tri_edges, _ = mesh.edge_structure()
+    edges, tri_edges, _ = mesh.edge_structure
     brute = []
     for (xa, ya), (xb, yb) in mesh.nodes[edges].tolist():
         dx, dy = xb - xa, yb - ya
@@ -371,7 +371,7 @@ def test_edge_lengths_are_the_per_edge_norms(ctx1, geom, seed):
 @given(geom=gratings(), seed=st.integers(0, 2**32 - 1))
 def test_edges_on_a_line_match_a_scan_of_the_end_points(ctx1, geom, seed):
     mesh = _random_bisected(ctx1, geom, seed)
-    ends = mesh.nodes[mesh.edge_structure()[0]].tolist()
+    ends = mesh.nodes[mesh.edge_structure[0]].tolist()
     for flag, axis, value in (
         (mesh.on_left, 0, 0.0),
         (mesh.on_right, 0, mesh.period),
@@ -388,7 +388,7 @@ def test_edge_structure_detects_nonmanifold_input():
     tris = np.array([[0, 1, 2], [0, 3, 1], [0, 1, 3]])
     mesh = Mesh(nodes, tris, np.zeros(3, np.uint8), 1.0, 1.0, 2.0)
     with pytest.raises(RuntimeError, match="non-manifold"):
-        mesh.edge_structure()
+        mesh.edge_structure
 
 
 # Reference forms of the mesh bookkeeping: np.unique with a stable argsort of
@@ -483,7 +483,7 @@ def test_bookkeeping_equals_the_array_form_bit_for_bit(seed, data):
     for _ in range(data.draw(st.integers(2, 4))):
         mesh, _ = bisect(mesh, mark(rng.random(mesh.n_tris), 0.5))
         for got, want, name in zip(
-            mesh.edge_structure(), _edges_reference(mesh),
+            mesh.edge_structure, _edges_reference(mesh),
             ("edges", "tri_edges", "edge_tri"),
         ):
             _assert_same_array(got, want, name)
@@ -501,9 +501,9 @@ def test_bookkeeping_equals_the_array_form_bit_for_bit(seed, data):
             assert got == want or (np.isnan(got) and np.isnan(want)), points
     # a triangle listed twice puts three triangles on each of its interior edges
     doubled = rebuilt(mesh, keep=np.append(np.arange(mesh.n_tris), mesh.n_tris // 2))
-    for edge_structure in (doubled.edge_structure, lambda: _edges_reference(doubled)):
+    for build in (lambda: doubled.edge_structure, lambda: _edges_reference(doubled)):
         with pytest.raises(RuntimeError, match="non-manifold"):
-            edge_structure()
+            build()
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +544,7 @@ STORED = {"nodes", "tris", "ref_edge", "period", "b", "top"}
 DERIVED = (
     "on_left", "on_right", "on_gamma", "on_top", "on_surface", "region",
     "periodic_pairs", "areas", "grads", "edge_lengths", "diameters",
-    "edge_partners",
+    "edge_partners", "edge_structure",
 )
 
 
@@ -563,8 +563,6 @@ def test_derived_attributes_are_computed_once_per_mesh(monkeypatch, flat_mesh1):
         assert getattr(child, name) is getattr(child, name), name
     # areas and grads come from one shared p1_geometry call
     assert len(calls) == 1
-    first, again = child.edge_structure(), child.edge_structure()
-    assert all(a is b for a, b in zip(first, again))
     assert STORED < vars(child).keys()
 
 
@@ -686,7 +684,7 @@ def _assert_labels(mesh: Mesh, labels: dict) -> None:
 
 def _edge_partners_reference(mesh: Mesh, pairs, on_left) -> np.ndarray:
     """Mirror edge id of each left/right boundary edge (-1 elsewhere), by dict."""
-    edges = mesh.edge_structure()[0]
+    edges = mesh.edge_structure[0]
     n = mesh.n_nodes
     right_of = np.full(n, -1, dtype=np.int64)
     right_of[pairs[:, 0]] = pairs[:, 1]
@@ -711,7 +709,7 @@ def _bisect_reference(mesh: Mesh, labels: dict, marked) -> tuple[Mesh, dict]:
     Returns the refined mesh and its labels, carried from ``labels``.
     """
     marked = np.unique(np.asarray(marked, dtype=np.int64))
-    edges, tri_edges, _ = mesh.edge_structure()
+    edges, tri_edges, _ = mesh.edge_structure
     partner = _edge_partners_reference(
         mesh, labels["periodic_pairs"], labels["on_left"]
     )
@@ -827,7 +825,7 @@ def test_edge_partners_match_dict_reference(ctx1, profile1, builder):
             mesh, rng.choice(wall, size=wall.size // 2, replace=False)
         )
         partner = _edge_partners_reference(mesh, mesh.periodic_pairs, mesh.on_left)
-        edges = mesh.edge_structure()[0]
+        edges = mesh.edge_structure[0]
         left = np.nonzero((partner >= 0) & mesh.on_left[edges[:, 0]])[0]
         pairs = mesh.edge_partners
         assert np.array_equal(pairs, np.stack([left, partner[left]], axis=1))
@@ -845,7 +843,7 @@ def test_edge_partners_report_broken_pairing(flat_mesh1):
 
     # the walls pair up, but a triangle on the right wall is gone, and with
     # it the mirror image of a left wall edge
-    edges, tri_edges, _ = flat_mesh1.edge_structure()
+    edges, tri_edges, _ = flat_mesh1.edge_structure
     on_right = flat_mesh1.on_right
     wall_edge = on_right[edges[:, 0]] & on_right[edges[:, 1]]
     gone = np.nonzero(wall_edge[tri_edges].any(axis=1))[0][5]

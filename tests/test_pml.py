@@ -116,8 +116,8 @@ def test_layer_weights_are_the_powers_of_rho_and_their_y_derivatives(m):
         want = {1: (r, rp), 0: (1.0, 0.0), -1: (1.0 / r, -rp / r**2)}
         assert sorted(weight) == [-1, 0, 1]
         for p, (w, dy_w) in weight.items():
-            # the weights are integrated, so they have the points' shape
-            assert w.shape == y.shape
+            # the weight 1 is a scalar, the others have the points' shape
+            assert np.shape(w) == (y.shape if p else ())
             np.testing.assert_allclose(w, want[p][0], rtol=1e-15, atol=0)
             np.testing.assert_allclose(dy_w, want[p][1], rtol=1e-15, atol=0)
             # the derivative of rho^p in y, by central differences

@@ -87,7 +87,7 @@ def test_segment_integrals_series_and_closed_form_agree_at_crossover():
 
 def _trace_by_quadrature(mesh, field, ctx, n):
     """Integrate the linear interpolant numerically, edge by edge."""
-    edges, _, _ = mesh.edge_structure()
+    edges, _, _ = mesh.edge_structure
     on_g = mesh.on_gamma
     gamma = edges[on_g[edges[:, 0]] & on_g[edges[:, 1]]]
     alpha_n = ctx.alpha + 2.0 * np.pi * n / ctx.period
@@ -179,7 +179,7 @@ def test_fourier_trace_requires_full_interface_coverage(ctx1, flat_mesh1):
 def test_fourier_trace_rejects_a_degenerate_interface_edge(ctx1, flat_mesh1):
     # an interface node moved onto its neighbour: one edge of length zero
     m = flat_mesh1
-    edges = m.edge_structure()[0][m.edges_on(m.on_gamma)]
+    edges = m.edge_structure[0][m.edges_on(m.on_gamma)]
     a, b = edges[~(m.on_left[edges] | m.on_right[edges]).any(axis=1)][0]
     nodes = m.nodes.copy()
     nodes[a] = nodes[b]

@@ -20,13 +20,12 @@ from gratpml import (
     sharp_profile,
     solve_system,
 )
-from gratpml.assembly import SparseSystem
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def _system(matrix, rhs):
-    return SparseSystem(matrix=sp.csc_matrix(matrix), rhs=np.asarray(rhs))
+    return sp.csc_matrix(matrix), np.asarray(rhs)
 
 
 def test_solves_small_complex_system_exactly():
@@ -34,7 +33,7 @@ def test_solves_small_complex_system_exactly():
     a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
     a = a + a.T + 12j * np.eye(12)  # complex symmetric, well conditioned
     x_true = rng.normal(size=12) + 1j * rng.normal(size=12)
-    x, report = solve_system(_system(a, a @ x_true))
+    x, report = solve_system(*_system(a, a @ x_true))
     assert np.allclose(x, x_true, rtol=1e-12)
     assert report.ok
     assert report.residual <= 1e-12
@@ -47,12 +46,12 @@ def test_reports_numerically_singular_matrix():
     a = np.eye(5, dtype=complex)
     a[3, 3] = 1e-16
     with pytest.raises(SolverError, match="resonant"):
-        solve_system(_system(a, np.ones(5, dtype=complex)))
+        solve_system(*_system(a, np.ones(5, dtype=complex)))
 
 
 def test_rejects_zero_matrix():
     with pytest.raises(SolverError, match="zero"):
-        solve_system(_system(np.zeros((4, 4), dtype=complex), np.ones(4)))
+        solve_system(*_system(np.zeros((4, 4), dtype=complex), np.ones(4)))
 
 
 def test_exactly_singular_matrix_raises():
@@ -60,12 +59,12 @@ def test_exactly_singular_matrix_raises():
     a[0, 0] = 1.0
     a[1, 1] = 1.0  # rows 2 and 3 empty -> structural singularity
     with pytest.raises(SolverError):
-        solve_system(_system(a, np.ones(4, dtype=complex)))
+        solve_system(*_system(a, np.ones(4, dtype=complex)))
 
 
 def test_zero_rhs_gives_zero_solution():
     a = np.diag(np.array([2.0 + 1j, 3.0, 4.0 - 2j]))
-    x, report = solve_system(_system(a, np.zeros(3, dtype=complex)))
+    x, report = solve_system(*_system(a, np.zeros(3, dtype=complex)))
     assert np.all(x == 0.0)
     assert report.ok
     assert report.residual == 0.0
@@ -73,7 +72,7 @@ def test_zero_rhs_gives_zero_solution():
 
 def test_empty_system_short_circuits():
     x, report = solve_system(
-        _system(np.zeros((0, 0), dtype=complex), np.zeros(0, dtype=complex))
+        *_system(np.zeros((0, 0), dtype=complex), np.zeros(0, dtype=complex))
     )
     assert x.size == 0
     assert report.ok
@@ -81,7 +80,7 @@ def test_empty_system_short_circuits():
 
 def test_report_string_mentions_health():
     a = np.diag(np.array([2.0 + 1j, 3.0]))
-    _, report = solve_system(_system(a, np.ones(2, dtype=complex)))
+    _, report = solve_system(*_system(a, np.ones(2, dtype=complex)))
     assert "residual" in str(report)
 
 
@@ -141,14 +140,14 @@ def _perturbed_matrix(real, a, permc_spec, kwargs):
 def test_failed_symmetric_attempt_falls_back_to_double_precision(
     monkeypatch, replace
 ):
-    system = _well_posed_system()
+    matrix, rhs = _well_posed_system()
     calls = _patch_symmetric_attempt(monkeypatch, replace)
-    x, report = solve_system(system)
+    x, report = solve_system(matrix, rhs)
     assert calls == ["single", "double"]
     assert report.precision == "double"
     assert report.ok
     assert report.residual <= 1e-12
-    assert np.allclose(system.matrix @ x, system.rhs, rtol=1e-12, atol=1e-12)
+    assert np.allclose(matrix @ x, rhs, rtol=1e-12, atol=1e-12)
     assert "precision=double" in str(report)
 
 
@@ -164,8 +163,7 @@ class _HalfStep:
 
 
 def test_refinement_gives_up_after_itermax_corrections():
-    system = _well_posed_system()
-    a, b = system.matrix, system.rhs
+    a, b = _well_posed_system()
     scale = abs(a).max()
     norm_a = abs(a).sum(axis=1).max()
     x, r, corrections, converged = solver_module._refine(
@@ -182,15 +180,15 @@ def test_refinement_gives_up_after_itermax_corrections():
 
 
 def test_refinement_repairs_a_perturbed_factor(monkeypatch):
-    system = _well_posed_system()
+    matrix, rhs = _well_posed_system()
     calls = _patch_symmetric_attempt(monkeypatch, _perturbed_matrix)
-    x, report = solve_system(system)
+    x, report = solve_system(matrix, rhs)
     assert calls == ["single"]
     assert report.precision == "single"
     assert report.refinements >= 1
     assert report.ok
     assert report.residual <= 1e-12
-    assert np.allclose(system.matrix @ x, system.rhs, rtol=1e-12, atol=1e-12)
+    assert np.allclose(matrix @ x, rhs, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("matrix_scale", [1.0, 1e40, 1e-40])
@@ -198,15 +196,15 @@ def test_refinement_repairs_a_perturbed_factor(monkeypatch):
 def test_magnitudes_outside_single_precision_stay_on_the_first_attempt(
     monkeypatch, matrix_scale, rhs_scale
 ):
-    base = _well_posed_system()
-    a = base.matrix * matrix_scale
-    x_true = np.linalg.solve(base.matrix.toarray(), base.rhs) * (
+    base_matrix, base_rhs = _well_posed_system()
+    a = base_matrix * matrix_scale
+    x_true = np.linalg.solve(base_matrix.toarray(), base_rhs) * (
         rhs_scale / matrix_scale
     )
     calls = _patch_symmetric_attempt(monkeypatch, _unchanged)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, report = solve_system(_system(a, base.rhs * rhs_scale))
+        x, report = solve_system(*_system(a, base_rhs * rhs_scale))
     assert calls == ["single"]
     assert report.ok
     assert report.residual <= 1e-12
@@ -218,7 +216,7 @@ def test_failed_fallback_raises_the_usual_error(monkeypatch):
     a = np.eye(5, dtype=complex)
     a[3, 3] = 1e-16
     with pytest.raises(SolverError, match="resonant"):
-        solve_system(_system(a, np.ones(5, dtype=complex)))
+        solve_system(*_system(a, np.ones(5, dtype=complex)))
     assert calls == ["single", "double"]
 
 
@@ -226,8 +224,8 @@ def test_assembled_system_takes_the_symmetric_path(
     monkeypatch, ctx1, profile1, flat_mesh1
 ):
     calls = _patch_symmetric_attempt(monkeypatch, _unchanged)
-    system = assemble(flat_mesh1, ctx1, profile1, build_dofmap(flat_mesh1, ctx1))
-    _, report = solve_system(system)
+    matrix, rhs = assemble(flat_mesh1, ctx1, profile1, build_dofmap(flat_mesh1, ctx1))
+    _, report = solve_system(matrix, rhs)
     assert calls == ["single"]
     assert report.precision == "single"
     assert report.ok
@@ -241,38 +239,38 @@ def test_refined_solution_matches_a_double_precision_factor(name, theta_deg):
     cfg = dataclasses.replace(cfg, theta_deg=theta_deg)
     ctx, _, geom, profile, _ = setup(cfg)
     mesh = generate_initial(geom, ctx, profile, cfg.h0)
-    system = assemble(mesh, ctx, profile, build_dofmap(mesh, ctx))
-    x, report = solve_system(system)
-    reference = splu(system.matrix.tocsc()).solve(system.rhs)
+    matrix, rhs = assemble(mesh, ctx, profile, build_dofmap(mesh, ctx))
+    x, report = solve_system(matrix, rhs)
+    reference = splu(matrix.tocsc()).solve(rhs)
     assert report.precision == "single"
     assert report.ok
     assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
-def _normalized(system):
-    a = system.matrix.tocsc()
+def _normalized(matrix):
+    a = matrix.tocsc()
     return a / np.abs(a.data).max()
 
 
-def _certificate(system, x):
+def _certificate(matrix, rhs, x):
     """The gate's certificate, an upper bound on 1 / cond_inf(A)."""
-    norm_a = np.abs(system.matrix.tocsc()).sum(axis=1).max()
-    return np.abs(system.rhs).max() / (norm_a * np.abs(x).max())
+    norm_a = np.abs(matrix.tocsc()).sum(axis=1).max()
+    return np.abs(rhs).max() / (norm_a * np.abs(x).max())
 
 
 def test_lu_nnz_is_superlu_count_of_the_single_precision_factor(ctx1, profile1):
     mesh = generate_initial(sharp_profile(ctx1.period), ctx1, profile1, h0=0.125)
-    system = assemble(mesh, ctx1, profile1, build_dofmap(mesh, ctx1))
-    _, report = solve_system(system)
+    matrix, rhs = assemble(mesh, ctx1, profile1, build_dofmap(mesh, ctx1))
+    _, report = solve_system(matrix, rhs)
     # an independent factorization of the same normalized matrix with the
     # same settings
     precision, kwargs, dtype = solver_module._SYMMETRIC
     lu = splu(
-        _normalized(system).astype(dtype), permc_spec="MMD_AT_PLUS_A", **kwargs
+        _normalized(matrix).astype(dtype), permc_spec="MMD_AT_PLUS_A", **kwargs
     )
     assert report.precision == precision == "single"
     assert report.lu_nnz == lu.nnz
-    assert report.fill_factor == report.lu_nnz / system.matrix.nnz
+    assert report.fill_factor == report.lu_nnz / matrix.nnz
 
 
 def test_lu_nnz_is_superlu_count_of_the_fallback_factor(
@@ -282,18 +280,18 @@ def test_lu_nnz_is_superlu_count_of_the_fallback_factor(
     # count differs from the entries of the extracted factors, so the two are
     # told apart
     mesh = generate_initial(sharp_profile(ctx1.period), ctx1, profile1, h0=0.5)
-    system = assemble(mesh, ctx1, profile1, build_dofmap(mesh, ctx1))
+    matrix, rhs = assemble(mesh, ctx1, profile1, build_dofmap(mesh, ctx1))
     _patch_symmetric_attempt(monkeypatch, _raise)
-    x, report = solve_system(system)
+    x, report = solve_system(matrix, rhs)
     precision, kwargs, dtype = solver_module._FALLBACK
     lu = splu(
-        _normalized(system).astype(dtype), permc_spec="MMD_AT_PLUS_A", **kwargs
+        _normalized(matrix).astype(dtype), permc_spec="MMD_AT_PLUS_A", **kwargs
     )
     assert report.precision == precision == "double"
     assert lu.nnz != lu.L.nnz + lu.U.nnz
     assert report.lu_nnz == lu.nnz
     # the gate's certificate, as on the single-precision attempt
-    assert report.pivot_ratio == pytest.approx(_certificate(system, x), rel=1e-12)
+    assert report.pivot_ratio == pytest.approx(_certificate(matrix, rhs, x), rel=1e-12)
 
 
 class _UnextractableLU:
@@ -321,11 +319,11 @@ def test_symmetric_attempt_never_extracts_the_factors(
     monkeypatch.setattr(
         solver_module, "splu", lambda *a, **kw: _UnextractableLU(real(*a, **kw))
     )
-    system = assemble(flat_mesh1, ctx1, profile1, build_dofmap(flat_mesh1, ctx1))
-    x, report = solve_system(system)
+    matrix, rhs = assemble(flat_mesh1, ctx1, profile1, build_dofmap(flat_mesh1, ctx1))
+    x, report = solve_system(matrix, rhs)
     assert report.precision == "single"
     assert report.ok
-    assert report.pivot_ratio == pytest.approx(_certificate(system, x), rel=1e-12)
+    assert report.pivot_ratio == pytest.approx(_certificate(matrix, rhs, x), rel=1e-12)
 
 
 def test_fallback_never_extracts_the_factors(
@@ -336,12 +334,12 @@ def test_fallback_never_extracts_the_factors(
     monkeypatch.setattr(
         solver_module, "splu", lambda *a, **kw: _UnextractableLU(patched(*a, **kw))
     )
-    system = assemble(flat_mesh1, ctx1, profile1, build_dofmap(flat_mesh1, ctx1))
-    x, report = solve_system(system)
+    matrix, rhs = assemble(flat_mesh1, ctx1, profile1, build_dofmap(flat_mesh1, ctx1))
+    x, report = solve_system(matrix, rhs)
     assert calls == ["single", "double"]
     assert report.precision == "double"
     assert report.ok
-    assert report.pivot_ratio == pytest.approx(_certificate(system, x), rel=1e-12)
+    assert report.pivot_ratio == pytest.approx(_certificate(matrix, rhs, x), rel=1e-12)
 
 
 def _same_bits(x, y):
@@ -359,14 +357,14 @@ def test_factor_receives_the_normalized_matrix_in_single_precision(
         return real(a, **kwargs)
 
     monkeypatch.setattr(solver_module, "splu", spy)
-    system = assemble(flat_mesh1, ctx1, profile1, build_dofmap(flat_mesh1, ctx1))
-    before = system.matrix.copy()
-    solve_system(system)
+    matrix, rhs = assemble(flat_mesh1, ctx1, profile1, build_dofmap(flat_mesh1, ctx1))
+    before = matrix.copy()
+    solve_system(matrix, rhs)
     (got,) = received
-    want = _normalized(system).astype(np.complex64)
+    want = _normalized(matrix).astype(np.complex64)
     for name in ("data", "indices", "indptr"):
         assert _same_bits(getattr(got, name), getattr(want, name)), name
-        assert _same_bits(getattr(system.matrix, name), getattr(before, name)), name
+        assert _same_bits(getattr(matrix, name), getattr(before, name)), name
 
 
 def test_unsorted_matrix_is_solved_and_left_as_given():
@@ -377,7 +375,7 @@ def test_unsorted_matrix_is_solved_and_left_as_given():
     matrix = sp.csc_matrix((data.copy(), indices.copy(), indptr), shape=(2, 2))
     dense = matrix.toarray()
     rhs = np.array([1, 2], dtype=complex)
-    x, report = solve_system(SparseSystem(matrix=matrix, rhs=rhs))
+    x, report = solve_system(matrix, rhs)
     assert report.precision == "single"
     assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=1e-14, atol=0)
     assert np.array_equal(matrix.indices, indices)
@@ -389,7 +387,7 @@ def test_zero_rhs_on_a_resonant_matrix_still_raises():
     a = np.eye(5, dtype=complex)
     a[3, 3] = 1e-16
     with pytest.raises(SolverError, match="resonant"):
-        solve_system(_system(a, np.zeros(5, dtype=complex)))
+        solve_system(*_system(a, np.zeros(5, dtype=complex)))
 
 
 def test_zero_rhs_with_a_probe_that_overflows_raises():
@@ -398,7 +396,7 @@ def test_zero_rhs_with_a_probe_that_overflows_raises():
     n = 6
     a = (1 + 1j) * np.eye(n) + np.diag(np.full(n - 1, 1e8), -1)
     with pytest.raises(SolverError, match="resonant"):
-        solve_system(_system(a, np.zeros(n, dtype=complex)))
+        solve_system(*_system(a, np.zeros(n, dtype=complex)))
 
 
 def test_rhs_without_the_near_null_component_is_solved():
@@ -407,7 +405,7 @@ def test_rhs_without_the_near_null_component_is_solved():
     a = np.eye(5, dtype=complex)
     a[3, 3] = 1e-16
     b = np.array([1, 2, 3, 0, 4], dtype=complex)
-    x, report = solve_system(_system(a, b))
+    x, report = solve_system(*_system(a, b))
     assert np.array_equal(x, b)
     assert report.precision == "single"
     assert report.ok
@@ -421,15 +419,15 @@ def test_failed_fallback_refinement_returns_a_suspect_solution(monkeypatch):
     monkeypatch.setattr(
         solver_module, "splu", lambda a, **kwargs: real(-a, **kwargs)
     )
-    system = _well_posed_system()
-    x, report = solve_system(system)
+    matrix, rhs = _well_posed_system()
+    x, report = solve_system(matrix, rhs)
     assert np.all(x == 0.0)
     assert report.ok is False
     assert "[SUSPECT]" in str(report)
     assert report.precision == "double"
     assert report.residual == 1.0
     # ||1|| / (||A|| ||A^-1 1||), as the factor of -A sees it
-    a = system.matrix.toarray()
+    a = matrix.toarray()
     probe = np.linalg.solve(a, np.ones(a.shape[0]))
     want = 1.0 / (np.abs(a).sum(axis=1).max() * np.abs(probe).max())
     assert np.isfinite(report.pivot_ratio)
